@@ -22,16 +22,12 @@
 //! engine outputs bit-identical across thread counts (asserted by the
 //! cross-engine equivalence tests).
 //!
-//! Three backends share the same `run` semantics:
+//! Two backends share the same `run` semantics:
 //!
 //! * **inline** (`threads == 1`): the task runs on the caller, no
 //!   synchronization at all;
-//! * **persistent** (the default for `threads > 1`): parked workers,
-//!   woken per call; the caller executes range 0 itself;
-//! * **spawning** ([`WorkerPool::spawning`]): fresh scoped threads on
-//!   every call — the pre-pool behaviour, kept only as a benchmarking
-//!   baseline (see `repro_bench`) and for the legacy
-//!   `run_partitioned` shim in the engines crate.
+//! * **persistent** (`threads > 1`): parked workers, woken per call;
+//!   the caller executes range 0 itself.
 //!
 //! Nested `run` calls (a pool task calling back into the same or another
 //! pool) execute inline on the calling worker instead of deadlocking on
@@ -245,7 +241,6 @@ struct Persistent {
 
 enum Backend {
     Inline,
-    Spawning,
     Persistent(Persistent),
 }
 
@@ -263,7 +258,6 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let backend = match self.backend {
             Backend::Inline => "inline",
-            Backend::Spawning => "spawning",
             Backend::Persistent(_) => "persistent",
         };
         f.debug_struct("WorkerPool")
@@ -328,21 +322,6 @@ impl WorkerPool {
             runs: AtomicU64::new(0),
             dispatches: AtomicU64::new(0),
             telemetry: PoolTelemetry::new(1),
-            started: Instant::now(),
-        }
-    }
-
-    /// The pre-pool baseline: spawns fresh scoped threads on **every**
-    /// `run` call. Identical results and partitioning to [`WorkerPool::new`];
-    /// kept so `repro_bench` can quantify what persistence buys.
-    pub fn spawning(threads: u32) -> WorkerPool {
-        let threads = threads.max(1);
-        WorkerPool {
-            threads,
-            backend: Backend::Spawning,
-            runs: AtomicU64::new(0),
-            dispatches: AtomicU64::new(0),
-            telemetry: PoolTelemetry::new(threads),
             started: Instant::now(),
         }
     }
@@ -427,17 +406,17 @@ impl WorkerPool {
         self.runs.fetch_add(1, Ordering::Relaxed);
         let ranges = split_ranges(self.threads, n);
         let nested = IN_POOL_TASK.with(|f| f.get());
-        if ranges.len() == 1 || matches!(self.backend, Backend::Inline) || nested {
-            let t = self.telemetry.begin();
-            let out = ranges.into_iter().enumerate().map(|(w, r)| task(w, r)).collect();
-            self.telemetry.add_busy(0, t);
-            return out;
-        }
-        self.dispatches.fetch_add(1, Ordering::Relaxed);
         match &self.backend {
-            Backend::Inline => unreachable!("handled above"),
-            Backend::Spawning => run_spawning(ranges, &task),
-            Backend::Persistent(p) => p.dispatch(ranges, &task, &self.telemetry),
+            Backend::Persistent(p) if ranges.len() > 1 && !nested => {
+                self.dispatches.fetch_add(1, Ordering::Relaxed);
+                p.dispatch(ranges, &task, &self.telemetry)
+            }
+            _ => {
+                let t = self.telemetry.begin();
+                let out = ranges.into_iter().enumerate().map(|(w, r)| task(w, r)).collect();
+                self.telemetry.add_busy(0, t);
+                out
+            }
         }
     }
 }
@@ -446,25 +425,6 @@ impl WorkerPool {
 /// kernels stop scaling well before wide SMT counts).
 pub fn default_threads() -> u32 {
     std::thread::available_parallelism().map_or(4, |n| n.get().min(8) as u32)
-}
-
-/// The old `run_partitioned` behaviour: one fresh scoped thread per range.
-fn run_spawning<R, F>(ranges: Vec<Range<usize>>, task: &F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = (0..ranges.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((w, slot), range) in slots.iter_mut().enumerate().zip(ranges) {
-            scope.spawn(move || {
-                IN_POOL_TASK.with(|f| f.set(true));
-                *slot = Some(task(w, range));
-                IN_POOL_TASK.with(|f| f.set(false));
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.expect("every worker ran")).collect()
 }
 
 impl Persistent {
@@ -674,7 +634,6 @@ mod tests {
         let expected = sum(&WorkerPool::inline());
         for threads in [2u32, 4, 7] {
             assert_eq!(sum(&WorkerPool::new(threads)), expected);
-            assert_eq!(sum(&WorkerPool::spawning(threads)), expected);
         }
     }
 

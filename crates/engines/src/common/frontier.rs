@@ -117,8 +117,8 @@ impl Frontier {
     }
 
     /// Resident bytes of both representations (bitmap words + sparse
-    /// member capacity) — reported by `repro_bench` so the footprint of
-    /// the bit-packed layout is part of the committed trajectory.
+    /// member capacity): |V|/8 for the bitmap, against the |V| bytes of
+    /// a dense `Vec<bool>`.
     pub fn resident_bytes(&self) -> u64 {
         8 * self.words.len() as u64 + 4 * self.members.capacity() as u64
     }

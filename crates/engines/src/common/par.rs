@@ -2,40 +2,20 @@
 //!
 //! The engines parallelize over contiguous dense-index ranges on the
 //! shared [`WorkerPool`] (see [`super::pool`]). This module holds what
-//! sits *on top* of the pool:
-//!
-//! * [`map_vertices`] — the per-vertex map + per-worker tally shape that
-//!   every vector-iteration engine repeats (values land in vertex order,
-//!   tallies merge in worker order), deduplicated here now that the pool
-//!   owns partitioning;
-//! * [`run_partitioned`] — the historical spawn-per-call primitive, kept
-//!   **only** as the pre-pool baseline for `repro_bench` and regression
-//!   tests. Engine code must not call it.
+//! sits *on top* of the pool: [`map_vertices`], the per-vertex map +
+//! per-worker tally shape that every vector-iteration engine repeats
+//! (values land in vertex order, tallies merge in worker order).
 
 use super::pool::WorkerPool;
 
 pub use super::pool::split_ranges;
-
-/// Splits `0..n` into up to `threads` contiguous ranges and runs `task`
-/// on each, spawning **fresh scoped threads on every call** — the
-/// pre-pool behaviour whose per-superstep cost the shared [`WorkerPool`]
-/// exists to eliminate. Results come back in range order, identical to
-/// `WorkerPool::new(threads).run(n, task)`.
-pub fn run_partitioned<R, F>(threads: u32, n: usize, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
-{
-    WorkerPool::spawning(threads).run(n, task)
-}
 
 /// Maps every dense vertex `0..n` through `f` on the pool, giving each
 /// worker a scalar tally `A` to fold side counts into (edges scanned,
 /// random accesses, scratch maps, …).
 ///
 /// Returns the per-vertex values in vertex order and the per-worker
-/// tallies in worker order — the deterministic merge every engine used
-/// to hand-roll around `run_partitioned`.
+/// tallies in worker order.
 pub fn map_vertices<T, A, F>(pool: &WorkerPool, n: usize, f: F) -> (Vec<T>, Vec<A>)
 where
     T: Send,
@@ -62,46 +42,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn covers_range_exactly_once() {
-        for threads in [1u32, 2, 3, 8] {
-            let parts = run_partitioned(threads, 100, |_, r| r);
-            let mut covered = [0u8; 100];
-            for r in parts {
-                for i in r {
-                    covered[i] += 1;
-                }
-            }
-            assert!(covered.iter().all(|&c| c == 1), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn results_in_worker_order() {
-        let ids = run_partitioned(4, 40, |w, _| w);
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn deterministic_sums_across_thread_counts() {
-        let data: Vec<u64> = (0..1000).map(|i| i * 7 % 31).collect();
-        let sum = |threads| -> u64 {
-            run_partitioned(threads, data.len(), |_, r| {
-                r.map(|i| data[i]).sum::<u64>()
-            })
-            .into_iter()
-            .sum()
-        };
-        assert_eq!(sum(1), sum(2));
-        assert_eq!(sum(1), sum(7));
-    }
-
-    #[test]
-    fn empty_range_single_worker() {
-        let parts = run_partitioned(8, 0, |_, r| r.len());
-        assert_eq!(parts, vec![0]);
-    }
 
     #[test]
     fn map_vertices_orders_values_and_tallies() {

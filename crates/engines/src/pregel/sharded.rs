@@ -91,8 +91,6 @@ pub fn run_pregel_sharded<P: VertexProgram>(
         return run_pregel(csr, program, &set.pools()[0], counters);
     }
     let owner = sharded.owner();
-    let pools = set.pools();
-    let shards = sharded.num_shards() as usize;
     let n = csr.num_vertices();
 
     let mut values: Vec<P::Value> = (0..n as u32).map(|u| program.init(u, csr)).collect();
@@ -122,66 +120,53 @@ pub fn run_pregel_sharded<P: VertexProgram>(
         let agg_ptr = SharedSlice::new(agg_contrib.as_mut_ptr());
         let inbox_ref: &Vec<Vec<P::Message>> = &inboxes;
 
-        // Compute phase: one driver thread per shard, each running its
-        // shard's owned vertices on the shard's own pool. Shards touch
+        // Compute phase: every shard runs its owned vertices on its own
+        // pool, concurrently (`ShardSet::run_shards`). Shards touch
         // disjoint vertex sets, so the SharedSlice writes are race-free
         // across shards exactly as across pool workers.
-        let shard_outputs: Vec<(f64, Vec<WorkerOut<P::Message>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let shard = sharded.shard(s);
-                    let pool = &pools[s];
-                    scope.spawn(move || {
-                        let compute_t = tracing.then(Instant::now);
-                        let outs = pool.run(shard.len(), |_, lrange| {
-                            let mut ctx = ComputeCtx::with_size_tracking(msg_bytes);
-                            let mut tagged = Vec::new();
-                            for li in lrange {
-                                let u = shard.global(li) as usize;
-                                let has_messages = !inbox_ref[u].is_empty();
-                                // SAFETY: shards own disjoint vertex sets and
-                                // local ranges are disjoint within a shard;
-                                // only this worker touches u.
-                                let (value, act) =
-                                    unsafe { (values_ptr.at(u), active_ptr.at(u)) };
-                                unsafe { *agg_ptr.at(u) = 0.0 };
-                                if !(*act || has_messages) {
-                                    continue;
-                                }
-                                ctx.aggregate = 0.0;
-                                let still_active = program.compute(
-                                    superstep,
-                                    u as u32,
-                                    csr,
-                                    value,
-                                    &inbox_ref[u],
-                                    aggregate,
-                                    &mut ctx,
-                                );
-                                unsafe { *agg_ptr.at(u) = ctx.aggregate };
-                                *act = still_active;
-                                let sizes =
-                                    ctx.sizes.as_mut().expect("size tracking enabled");
-                                for ((target, msg), bytes) in
-                                    ctx.outbox.drain(..).zip(sizes.drain(..))
-                                {
-                                    tagged.push((u as u32, target, msg, bytes));
-                                }
-                            }
-                            WorkerOut {
-                                tagged,
-                                edges_scanned: ctx.edges_scanned,
-                                random_accesses: ctx.random_accesses,
-                                message_bytes: ctx.message_bytes,
-                            }
-                        });
-                        let secs =
-                            compute_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                        (secs, outs)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+        let shard_outputs = set.run_shards(tracing, |_, shard, pool| {
+            pool.run(shard.len(), |_, lrange| {
+                let mut ctx = ComputeCtx::with_size_tracking(msg_bytes);
+                let mut tagged = Vec::new();
+                for li in lrange {
+                    let u = shard.global(li) as usize;
+                    let has_messages = !inbox_ref[u].is_empty();
+                    // SAFETY: shards own disjoint vertex sets and
+                    // local ranges are disjoint within a shard;
+                    // only this worker touches u.
+                    let (value, act) =
+                        unsafe { (values_ptr.at(u), active_ptr.at(u)) };
+                    unsafe { *agg_ptr.at(u) = 0.0 };
+                    if !(*act || has_messages) {
+                        continue;
+                    }
+                    ctx.aggregate = 0.0;
+                    let still_active = program.compute(
+                        superstep,
+                        u as u32,
+                        csr,
+                        value,
+                        &inbox_ref[u],
+                        aggregate,
+                        &mut ctx,
+                    );
+                    unsafe { *agg_ptr.at(u) = ctx.aggregate };
+                    *act = still_active;
+                    let sizes =
+                        ctx.sizes.as_mut().expect("size tracking enabled");
+                    for ((target, msg), bytes) in
+                        ctx.outbox.drain(..).zip(sizes.drain(..))
+                    {
+                        tagged.push((u as u32, target, msg, bytes));
+                    }
+                }
+                WorkerOut {
+                    tagged,
+                    edges_scanned: ctx.edges_scanned,
+                    random_accesses: ctx.random_accesses,
+                    message_bytes: ctx.message_bytes,
+                }
+            })
         });
 
         // Barrier: drain the shard queues in deterministic order (shard

@@ -1028,7 +1028,7 @@ fn pull_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters
 /// The simple label-correcting SSSP: synchronous push relaxation over
 /// the active frontier. The tiny-graph fallback when delta-stepping is
 /// not worth its bucket bookkeeping, and the scanned-edge baseline the
-/// delta regression test and `repro_bench` compare against. Messages
+/// delta regression tests compare against. Messages
 /// count only *successful* relaxations (12 bytes each: target + f64
 /// distance), the same rule as the delta kernel.
 pub fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {

@@ -44,21 +44,10 @@ use graphalytics_core::fault::{self, FaultSite};
 use crate::common::frontier::Frontier;
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::platform::LoadedGraph;
-use crate::sharded::{ShardLayout, ShardSet};
+use crate::sharded::{timed, ShardLayout, ShardSet};
 use crate::trace::{self, IterTimer, SpanRecord};
 
 use super::{delta_eligible, mean_weight, split_rows, DirectionState, LightHeavy};
-
-/// Per-shard pull-phase output: shard wall seconds plus each worker's
-/// (newly found vertices, edges scanned) tallies.
-type PullOutputs = Vec<(f64, Vec<(Vec<u32>, u64)>)>;
-
-/// Times one shard driver's compute when tracing is on; `0.0` otherwise.
-fn timed<T>(tracing: bool, f: impl FnOnce() -> T) -> (f64, T) {
-    let t = tracing.then(Instant::now);
-    let out = f();
-    (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
-}
 
 /// Closes one sharded superstep span: per-shard compute children plus the
 /// inter-shard queue depth and barrier drain time.
@@ -207,7 +196,6 @@ pub(super) fn sharded_bfs(g: &PushPullShardedGraph, root: u32, c: &mut WorkCount
     let set = g.set();
     let sharded = set.sharded();
     let owner = sharded.owner();
-    let pools = set.pools();
     let shards = sharded.num_shards() as usize;
     let n = set.csr().num_vertices();
     let degrees = g.out_degrees();
@@ -234,35 +222,26 @@ pub(super) fn sharded_bfs(g: &PushPullShardedGraph, root: u32, c: &mut WorkCount
             c.vertices_processed += active as u64;
             let owned = route(frontier.members(), owner, shards);
             let depth_ref = &depth;
-            let outputs: Vec<(f64, Vec<PushOut<()>>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|s| {
-                        let shard = sharded.shard(s);
-                        let mine = owned[s].as_slice();
-                        let pool = &pools[s];
-                        scope.spawn(move || {
-                            timed(tracing, || pool.run(mine.len(), |_, range| {
-                                let mut out =
-                                    PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
-                                for &u in &mine[range] {
-                                    let li = sharded.local_index_of(u) as usize;
-                                    let (targets, _) = shard.out_row(li);
-                                    out.edges += targets.len() as u64;
-                                    for &v in targets {
-                                        if owner[v as usize] != s as u32 {
-                                            out.inter += 1;
-                                        }
-                                        if depth_ref[v as usize] == i64::MAX {
-                                            out.msgs.push((v, ()));
-                                        }
-                                    }
-                                }
-                                out
-                            }))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+            let outputs = set.run_shards(tracing, |s, shard, pool| {
+                let mine = owned[s].as_slice();
+                pool.run(mine.len(), |_, range| {
+                    let mut out =
+                        PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
+                    for &u in &mine[range] {
+                        let li = sharded.local_index_of(u) as usize;
+                        let (targets, _) = shard.out_row(li);
+                        out.edges += targets.len() as u64;
+                        for &v in targets {
+                            if owner[v as usize] != s as u32 {
+                                out.inter += 1;
+                            }
+                            if depth_ref[v as usize] == i64::MAX {
+                                out.msgs.push((v, ()));
+                            }
+                        }
+                    }
+                    out
+                })
             });
             let mut shard_secs = Vec::with_capacity(shards);
             let mut queue_depth = 0usize;
@@ -292,39 +271,30 @@ pub(super) fn sharded_bfs(g: &PushPullShardedGraph, root: u32, c: &mut WorkCount
             c.vertices_processed += n as u64;
             let depth_ptr = SharedSlice::new(depth.as_mut_ptr());
             let frontier_ref = &frontier;
-            let outputs: PullOutputs = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|s| {
-                        let shard = sharded.shard(s);
-                        let pool = &pools[s];
-                        scope.spawn(move || {
-                            timed(tracing, || pool.run(shard.len(), |_, lrange| {
-                                let mut found = Vec::new();
-                                let mut edges = 0u64;
-                                for li in lrange {
-                                    let v = shard.global(li);
-                                    // SAFETY: shards own disjoint vertex
-                                    // sets; only this worker touches v.
-                                    let dv = unsafe { depth_ptr.at(v as usize) };
-                                    if *dv != i64::MAX {
-                                        continue;
-                                    }
-                                    let (inn, _) = shard.in_row(li);
-                                    for &u in inn {
-                                        edges += 1;
-                                        if frontier_ref.contains(u) {
-                                            *dv = level;
-                                            found.push(v);
-                                            break;
-                                        }
-                                    }
-                                }
-                                (found, edges)
-                            }))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+            let outputs = set.run_shards(tracing, |_, shard, pool| {
+                pool.run(shard.len(), |_, lrange| {
+                    let mut found = Vec::new();
+                    let mut edges = 0u64;
+                    for li in lrange {
+                        let v = shard.global(li);
+                        // SAFETY: shards own disjoint vertex
+                        // sets; only this worker touches v.
+                        let dv = unsafe { depth_ptr.at(v as usize) };
+                        if *dv != i64::MAX {
+                            continue;
+                        }
+                        let (inn, _) = shard.in_row(li);
+                        for &u in inn {
+                            edges += 1;
+                            if frontier_ref.contains(u) {
+                                *dv = level;
+                                found.push(v);
+                                break;
+                            }
+                        }
+                    }
+                    (found, edges)
+                })
             });
             let mut shard_secs = Vec::with_capacity(shards);
             let drain_t = tracing.then(Instant::now);
@@ -361,7 +331,6 @@ pub(super) fn sharded_pagerank(
 ) -> Vec<f64> {
     let set = g.set();
     let sharded = set.sharded();
-    let pools = set.pools();
     let shards = sharded.num_shards() as usize;
     let degrees = g.out_degrees();
     let n = set.csr().num_vertices();
@@ -381,32 +350,23 @@ pub(super) fn sharded_pagerank(
         let dangling: f64 = (0..n).filter(|&u| degrees[u] == 0).map(|u| rank_ref[u]).sum();
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
         let next_ptr = SharedSlice::new(next.as_mut_ptr());
-        let edge_counts: Vec<(f64, Vec<u64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let shard = sharded.shard(s);
-                    let pool = &pools[s];
-                    scope.spawn(move || {
-                        timed(tracing, || pool.run(shard.len(), |_, lrange| {
-                            let mut edges = 0u64;
-                            for li in lrange {
-                                let v = shard.global(li) as usize;
-                                let (inn, _) = shard.in_row(li);
-                                edges += inn.len() as u64;
-                                let mut sum = 0.0f64;
-                                for &u in inn {
-                                    sum += rank_ref[u as usize] / degrees[u as usize] as f64;
-                                }
-                                // SAFETY: v is owned by this shard; local
-                                // ranges are disjoint within it.
-                                unsafe { *next_ptr.at(v) = base + damping * sum };
-                            }
-                            edges
-                        }))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+        let edge_counts = set.run_shards(tracing, |_, shard, pool| {
+            pool.run(shard.len(), |_, lrange| {
+                let mut edges = 0u64;
+                for li in lrange {
+                    let v = shard.global(li) as usize;
+                    let (inn, _) = shard.in_row(li);
+                    edges += inn.len() as u64;
+                    let mut sum = 0.0f64;
+                    for &u in inn {
+                        sum += rank_ref[u as usize] / degrees[u as usize] as f64;
+                    }
+                    // SAFETY: v is owned by this shard; local
+                    // ranges are disjoint within it.
+                    unsafe { *next_ptr.at(v) = base + damping * sum };
+                }
+                edges
+            })
         });
         let mut shard_secs = Vec::with_capacity(shards);
         let drain_t = tracing.then(Instant::now);
@@ -430,7 +390,6 @@ pub(super) fn sharded_wcc(g: &PushPullShardedGraph, c: &mut WorkCounters) -> Vec
     let csr = set.csr();
     let sharded = set.sharded();
     let owner = sharded.owner();
-    let pools = set.pools();
     let shards = sharded.num_shards() as usize;
     let n = csr.num_vertices();
     let directed = csr.is_directed();
@@ -450,40 +409,31 @@ pub(super) fn sharded_wcc(g: &PushPullShardedGraph, c: &mut WorkCounters) -> Vec
         c.vertices_processed += active_count as u64;
         let owned = route(active.members(), owner, shards);
         let label_ref = &label;
-        let outputs: Vec<(f64, Vec<PushOut<u32>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let shard = sharded.shard(s);
-                    let mine = owned[s].as_slice();
-                    let pool = &pools[s];
-                    scope.spawn(move || {
-                        timed(tracing, || pool.run(mine.len(), |_, range| {
-                            let mut out = PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
-                            for &u in &mine[range] {
-                                let lu = label_ref[u as usize];
-                                let li = sharded.local_index_of(u) as usize;
-                                let push = |targets: &[u32], out: &mut PushOut<u32>| {
-                                    out.edges += targets.len() as u64;
-                                    for &v in targets {
-                                        if owner[v as usize] != s as u32 {
-                                            out.inter += 1;
-                                        }
-                                        if lu < label_ref[v as usize] {
-                                            out.msgs.push((v, lu));
-                                        }
-                                    }
-                                };
-                                push(shard.out_row(li).0, &mut out);
-                                if directed {
-                                    push(shard.in_row(li).0, &mut out);
-                                }
+        let outputs = set.run_shards(tracing, |s, shard, pool| {
+            let mine = owned[s].as_slice();
+            pool.run(mine.len(), |_, range| {
+                let mut out = PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
+                for &u in &mine[range] {
+                    let lu = label_ref[u as usize];
+                    let li = sharded.local_index_of(u) as usize;
+                    let push = |targets: &[u32], out: &mut PushOut<u32>| {
+                        out.edges += targets.len() as u64;
+                        for &v in targets {
+                            if owner[v as usize] != s as u32 {
+                                out.inter += 1;
                             }
-                            out
-                        }))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+                            if lu < label_ref[v as usize] {
+                                out.msgs.push((v, lu));
+                            }
+                        }
+                    };
+                    push(shard.out_row(li).0, &mut out);
+                    if directed {
+                        push(shard.in_row(li).0, &mut out);
+                    }
+                }
+                out
+            })
         });
         let mut shard_secs = Vec::with_capacity(shards);
         let mut queue_depth = 0usize;
@@ -521,7 +471,6 @@ pub(super) fn sharded_cdlp(
     let set = g.set();
     let csr = set.csr();
     let sharded = set.sharded();
-    let pools = set.pools();
     let shards = sharded.num_shards() as usize;
     let n = csr.num_vertices();
     let directed = csr.is_directed();
@@ -536,43 +485,34 @@ pub(super) fn sharded_cdlp(
         c.vertices_processed += n as u64;
         let labels_ref = &labels;
         let next_ptr = SharedSlice::new(next.as_mut_ptr());
-        let edge_counts: Vec<(f64, Vec<u64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let shard = sharded.shard(s);
-                    let pool = &pools[s];
-                    scope.spawn(move || {
-                        timed(tracing, || pool.run(shard.len(), |_, lrange| {
-                            let mut freq =
-                                std::collections::HashMap::<VertexId, u32>::new();
-                            let mut edges = 0u64;
-                            for li in lrange {
-                                let v = shard.global(li) as usize;
-                                freq.clear();
-                                let outn = shard.out_row(li).0;
-                                edges += outn.len() as u64;
-                                for &u in outn {
-                                    *freq.entry(labels_ref[u as usize]).or_insert(0u32) += 1;
-                                }
-                                if directed {
-                                    let inn = shard.in_row(li).0;
-                                    edges += inn.len() as u64;
-                                    for &u in inn {
-                                        *freq.entry(labels_ref[u as usize]).or_insert(0) += 1;
-                                    }
-                                }
-                                let l = graphalytics_core::algorithms::cdlp::select_label(&freq)
-                                    .unwrap_or(labels_ref[v]);
-                                // SAFETY: v is owned by this shard; local
-                                // ranges are disjoint within it.
-                                unsafe { *next_ptr.at(v) = l };
-                            }
-                            edges
-                        }))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+        let edge_counts = set.run_shards(tracing, |_, shard, pool| {
+            pool.run(shard.len(), |_, lrange| {
+                let mut freq =
+                    std::collections::HashMap::<VertexId, u32>::new();
+                let mut edges = 0u64;
+                for li in lrange {
+                    let v = shard.global(li) as usize;
+                    freq.clear();
+                    let outn = shard.out_row(li).0;
+                    edges += outn.len() as u64;
+                    for &u in outn {
+                        *freq.entry(labels_ref[u as usize]).or_insert(0u32) += 1;
+                    }
+                    if directed {
+                        let inn = shard.in_row(li).0;
+                        edges += inn.len() as u64;
+                        for &u in inn {
+                            *freq.entry(labels_ref[u as usize]).or_insert(0) += 1;
+                        }
+                    }
+                    let l = graphalytics_core::algorithms::cdlp::select_label(&freq)
+                        .unwrap_or(labels_ref[v]);
+                    // SAFETY: v is owned by this shard; local
+                    // ranges are disjoint within it.
+                    unsafe { *next_ptr.at(v) = l };
+                }
+                edges
+            })
         });
         let mut shard_secs = Vec::with_capacity(shards);
         let drain_t = tracing.then(Instant::now);
@@ -630,7 +570,6 @@ fn sharded_relax_round<const HEAVY: bool>(
     let set = g.set();
     let sharded = set.sharded();
     let owner = sharded.owner();
-    let pools = set.pools();
     let shards = sharded.num_shards() as usize;
     let delta = splits[0].delta();
     c.supersteps += 1;
@@ -663,20 +602,9 @@ fn sharded_relax_round<const HEAVY: bool>(
                 })
                 .collect()
         } else {
-            std::thread::scope(|scope| {
-                let scan = &scan;
-                let handles: Vec<_> = (0..shards)
-                    .map(|s| {
-                        let mine = owned[s].as_slice();
-                        let pool = &pools[s];
-                        scope.spawn(move || {
-                            timed(tracing, || {
-                                pool.run(mine.len(), |_, range| scan(s, mine, range))
-                            })
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+            set.run_shards(tracing, |s, _, pool| {
+                let mine = owned[s].as_slice();
+                pool.run(mine.len(), |_, range| scan(s, mine, range))
             })
         }
     };
@@ -808,7 +736,6 @@ fn sharded_label_correcting_sssp(
     let set = g.set();
     let sharded = set.sharded();
     let owner = sharded.owner();
-    let pools = set.pools();
     let shards = sharded.num_shards() as usize;
     let n = set.csr().num_vertices();
 
@@ -825,33 +752,24 @@ fn sharded_label_correcting_sssp(
         c.vertices_processed += active_count as u64;
         let owned = route(active.members(), owner, shards);
         let dist_ref = &dist;
-        let outputs: Vec<(f64, Vec<PushOut<f64>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let shard = sharded.shard(s);
-                    let mine = owned[s].as_slice();
-                    let pool = &pools[s];
-                    scope.spawn(move || {
-                        timed(tracing, || pool.run(mine.len(), |_, range| {
-                            let mut out = PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
-                            for &u in &mine[range] {
-                                let du = dist_ref[u as usize];
-                                let li = sharded.local_index_of(u) as usize;
-                                let (targets, weights) = shard.out_row(li);
-                                out.edges += targets.len() as u64;
-                                for (&v, &w) in targets.iter().zip(weights) {
-                                    let nd = du + w;
-                                    if nd < dist_ref[v as usize] {
-                                        out.msgs.push((v, nd));
-                                    }
-                                }
-                            }
-                            out
-                        }))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+        let outputs = set.run_shards(tracing, |s, shard, pool| {
+            let mine = owned[s].as_slice();
+            pool.run(mine.len(), |_, range| {
+                let mut out = PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
+                for &u in &mine[range] {
+                    let du = dist_ref[u as usize];
+                    let li = sharded.local_index_of(u) as usize;
+                    let (targets, weights) = shard.out_row(li);
+                    out.edges += targets.len() as u64;
+                    for (&v, &w) in targets.iter().zip(weights) {
+                        let nd = du + w;
+                        if nd < dist_ref[v as usize] {
+                            out.msgs.push((v, nd));
+                        }
+                    }
+                }
+                out
+            })
         });
         let mut relaxed = 0u64;
         let mut inter = 0u64;

@@ -14,11 +14,12 @@
 //! (enforced by `tests/sharded_equivalence.rs`).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use graphalytics_cluster::partition::{edge_cut_seeded, PartitionStrategy};
 use graphalytics_core::error::Result;
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{Csr, ShardedCsr};
+use graphalytics_core::{Csr, ShardCsr, ShardedCsr};
 
 use crate::platform::{LoadedGraph, Platform};
 
@@ -70,6 +71,13 @@ pub struct ShardSet {
     strategy: PartitionStrategy,
 }
 
+/// Times `f` when tracing is on; `0.0` seconds otherwise.
+pub(crate) fn timed<T>(tracing: bool, f: impl FnOnce() -> T) -> (f64, T) {
+    let t = tracing.then(Instant::now);
+    let out = f();
+    (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
+}
+
 impl ShardSet {
     /// Partitions `csr` per `plan` and spins up one pool per shard. The
     /// shard extraction itself runs on the caller's `pool`.
@@ -108,6 +116,33 @@ impl ShardSet {
     #[inline]
     pub fn pools(&self) -> &[WorkerPool] {
         &self.pools
+    }
+
+    /// One superstep's compute phase: a scoped driver thread per shard
+    /// runs `f(shard_index, shard, shard_pool)` — typically one
+    /// `pool.run` over the shard's owned vertices — and the call returns
+    /// once every shard is done. Results come back in shard order, each
+    /// with the shard's wall seconds (measured only when `tracing`; the
+    /// drivers report back rather than touch the caller's thread-local
+    /// trace collector).
+    pub fn run_shards<R, F>(&self, tracing: bool, f: F) -> Vec<(f64, R)>
+    where
+        R: Send,
+        F: Fn(usize, &ShardCsr, &WorkerPool) -> R + Sync,
+    {
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .pools
+                .iter()
+                .enumerate()
+                .map(|(s, pool)| {
+                    let shard = self.sharded.shard(s);
+                    scope.spawn(move || timed(tracing, || f(s, shard, pool)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+        })
     }
 
     /// Number of shards.
@@ -191,6 +226,11 @@ mod tests {
         assert!(f > 0.0, "hash placement must cut something on a ring");
         assert_eq!(set.layout(), ShardLayout { shards: 2, cut_fraction: f });
         assert!(set.resident_bytes() > set.csr().resident_bytes());
+        // The fan-out hands each driver its own shard and pool and
+        // returns in shard order; untraced runs report zero seconds.
+        let seen = set.run_shards(false, |s, shard, pool| (s, shard.len(), pool.threads()));
+        let lens: Vec<usize> = set.sharded().shards().iter().map(|sh| sh.len()).collect();
+        assert_eq!(seen, vec![(0.0, (0, lens[0], 2)), (0.0, (1, lens[1], 2))]);
     }
 
     #[test]

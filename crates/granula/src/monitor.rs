@@ -415,23 +415,24 @@ impl Sampler {
                 };
                 take(started);
                 let mut stopped = thread_shared.stop.lock().unwrap();
-                loop {
+                // Samples are taken with the lock released, so a `stop()`
+                // can set the flag and notify while nobody waits: check
+                // the flag before every wait or that wakeup is lost and
+                // `stop()` blocks for a whole interval.
+                while !*stopped {
                     let (guard, timeout) = thread_shared
                         .wake
                         .wait_timeout(stopped, interval)
                         .unwrap();
                     stopped = guard;
-                    if *stopped {
-                        drop(stopped);
-                        take(started);
-                        return;
-                    }
-                    if timeout.timed_out() {
+                    if !*stopped && timeout.timed_out() {
                         drop(stopped);
                         take(started);
                         stopped = thread_shared.stop.lock().unwrap();
                     }
                 }
+                drop(stopped);
+                take(started);
             })
             .expect("spawn monitor sampler");
         Sampler { shared, handle: Some(handle), started }
@@ -561,8 +562,16 @@ mod tests {
 
     #[test]
     fn short_lived_sampler_still_samples() {
-        let sampler = Sampler::start(Duration::from_secs(3600), None);
-        let samples = sampler.stop();
+        // On a helper thread so a lost stop wakeup (which would block for
+        // the whole hour-long interval) is a red test, not a stuck suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sampler = Sampler::start(Duration::from_secs(3600), None);
+            tx.send(sampler.stop()).ok();
+        });
+        let samples = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("stop() must not wait out the sample interval");
         assert!(!samples.is_empty());
     }
 }

@@ -65,8 +65,5 @@ proptest! {
         let pool = WorkerPool::new(threads);
         let par = g.to_csr_with(&pool).unwrap();
         assert_same_csr(&seq, &par);
-        // The spawning (pre-pool) backend partitions identically too.
-        let spawning = g.to_csr_with(&WorkerPool::spawning(threads)).unwrap();
-        assert_same_csr(&seq, &spawning);
     }
 }

@@ -14,8 +14,6 @@
 //! On directed graphs each in-edge and each out-edge contributes one vote,
 //! so a reciprocal pair (u,v),(v,u) counts twice, per the LDBC specification.
 
-use std::collections::HashMap;
-
 use crate::graph::{Csr, VertexId};
 
 /// Runs `iterations` rounds of deterministic synchronous label propagation.
@@ -23,42 +21,46 @@ pub fn cdlp(csr: &Csr, iterations: u32) -> Vec<VertexId> {
     let n = csr.num_vertices();
     let mut labels: Vec<VertexId> = (0..n as u32).map(|u| csr.id_of(u)).collect();
     let mut next = vec![0 as VertexId; n];
-    let mut freq: HashMap<VertexId, u32> = HashMap::new();
+    let mut votes: Vec<VertexId> = Vec::new();
     for _ in 0..iterations {
         for u in 0..n as u32 {
-            freq.clear();
-            for &v in csr.out_neighbors(u) {
-                *freq.entry(labels[v as usize]).or_insert(0) += 1;
-            }
-            if csr.is_directed() {
-                for &v in csr.in_neighbors(u) {
-                    *freq.entry(labels[v as usize]).or_insert(0) += 1;
-                }
-            }
-            next[u as usize] = select_label(&freq).unwrap_or(labels[u as usize]);
+            gather_labels(csr, u, &labels, &mut votes);
+            next[u as usize] = mode_label(&mut votes).unwrap_or(labels[u as usize]);
         }
         std::mem::swap(&mut labels, &mut next);
     }
     labels
 }
 
-/// The most frequent label, ties broken towards the smallest label.
-/// `None` when the vertex has no neighbours (keeps its own label).
-pub fn select_label(freq: &HashMap<VertexId, u32>) -> Option<VertexId> {
-    let mut best: Option<(u32, VertexId)> = None;
-    for (&label, &count) in freq {
-        best = Some(match best {
-            None => (count, label),
-            Some((bc, bl)) => {
-                if count > bc || (count == bc && label < bl) {
-                    (count, label)
-                } else {
-                    (bc, bl)
-                }
-            }
-        });
+/// Refills `votes` with the label of every neighbour of `u`: one vote per
+/// out-edge and, on directed graphs, one per in-edge. Returns the number
+/// of adjacency entries read. `votes` is a reusable scratch buffer; its
+/// previous contents are discarded.
+#[inline]
+pub fn gather_labels(csr: &Csr, u: u32, labels: &[VertexId], votes: &mut Vec<VertexId>) -> u64 {
+    votes.clear();
+    votes.extend(csr.out_neighbors(u).iter().map(|&v| labels[v as usize]));
+    if csr.is_directed() {
+        votes.extend(csr.in_neighbors(u).iter().map(|&v| labels[v as usize]));
     }
-    best.map(|(_, l)| l)
+    votes.len() as u64
+}
+
+/// The most frequent label in `votes`, ties broken towards the smallest
+/// label; `None` when there are no votes (the vertex keeps its own label).
+/// Sorts `votes` in place and scans the runs, so no hash map is involved
+/// and the result does not depend on the order the votes arrived in.
+pub fn mode_label(votes: &mut [VertexId]) -> Option<VertexId> {
+    votes.sort_unstable();
+    let mut best: Option<(usize, VertexId)> = None;
+    for run in votes.chunk_by(|a, b| a == b) {
+        // Runs arrive in ascending label order: only a strictly longer
+        // run displaces the current best, so ties keep the smallest.
+        if best.is_none_or(|(len, _)| run.len() > len) {
+            best = Some((run.len(), run[0]));
+        }
+    }
+    best.map(|(_, label)| label)
 }
 
 #[cfg(test)]
@@ -101,24 +103,25 @@ mod tests {
     #[test]
     fn isolated_vertex_keeps_own_label() {
         let mut b = GraphBuilder::new(true);
-        for v in [7u64, 9] {
+        for v in [7u64, 9, 11] {
             b.add_vertex(v);
         }
         b.add_edge(7, 9);
         let csr = b.build().unwrap().to_csr();
-        let labels = cdlp(&csr, 3);
-        // 7 and 9 exchange labels each sync round (both see only the other).
-        assert_eq!(labels.len(), 2);
+        // 7 and 9 see only each other, so they swap labels every
+        // synchronous round (three swaps here); 11 has no edges and
+        // keeps its own label throughout.
+        assert_eq!(cdlp(&csr, 3), vec![9, 7, 11]);
+        assert_eq!(cdlp(&csr, 4), vec![7, 9, 11]);
     }
 
     #[test]
     fn tie_breaks_to_smallest_label() {
-        let mut freq = HashMap::new();
-        freq.insert(5, 2u32);
-        freq.insert(3, 2);
-        freq.insert(9, 1);
-        assert_eq!(select_label(&freq), Some(3));
-        assert_eq!(select_label(&HashMap::new()), None);
+        assert_eq!(mode_label(&mut [5, 3, 9, 3, 5]), Some(3));
+        // A strictly larger count beats a smaller label.
+        assert_eq!(mode_label(&mut [7, 5, 7, 1]), Some(7));
+        assert_eq!(mode_label(&mut [4, 4, 4]), Some(4));
+        assert_eq!(mode_label(&mut []), None);
     }
 
     #[test]

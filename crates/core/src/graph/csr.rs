@@ -27,7 +27,8 @@ use crate::pool::{SharedSlice, WorkerPool};
 /// written uniformly against `out_*`/`in_*`.
 ///
 /// Adjacency rows are sorted by target index, enabling `O(log d)` edge
-/// membership tests ([`Csr::has_out_edge`]) used by LCC.
+/// membership tests ([`Csr::has_out_edge`]) and the linear-merge row
+/// intersections LCC is built on.
 #[derive(Debug, Clone)]
 pub struct Csr {
     directed: bool,
@@ -405,39 +406,59 @@ impl Csr {
         self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// The *union* neighbourhood of `u` — distinct vertices adjacent via an
-    /// in- or out-edge, excluding `u` itself. This is `N(v)` in the LCC
-    /// definition. Sorted output.
-    pub fn neighborhood_union(&self, u: u32) -> Vec<u32> {
-        if !self.directed {
-            // Rows are sorted and self loops are excluded by the data model.
-            return self.out_neighbors(u).to_vec();
-        }
+    /// Visits the *union* neighbourhood of `u` — distinct vertices adjacent
+    /// via an in- or out-edge, `N(u)` in the LCC definition — in ascending
+    /// order, passing each neighbour with the number of arcs between the
+    /// two (1, or 2 for a reciprocal pair). An undirected edge stands for
+    /// a reciprocal pair, so its multiplicity is always 2. Self loops are
+    /// excluded by the data model.
+    #[inline]
+    pub fn for_each_union_neighbor(&self, u: u32, mut visit: impl FnMut(u32, u8)) {
+        use std::cmp::Ordering::{Equal, Greater, Less};
         let out = self.out_neighbors(u);
+        if !self.directed {
+            out.iter().for_each(|&v| visit(v, 2));
+            return;
+        }
         let inn = self.in_neighbors(u);
-        let mut merged = Vec::with_capacity(out.len() + inn.len());
         let (mut i, mut j) = (0, 0);
         while i < out.len() && j < inn.len() {
             match out[i].cmp(&inn[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(out[i]);
+                Less => {
+                    visit(out[i], 1);
                     i += 1;
                 }
-                std::cmp::Ordering::Greater => {
-                    merged.push(inn[j]);
+                Greater => {
+                    visit(inn[j], 1);
                     j += 1;
                 }
-                std::cmp::Ordering::Equal => {
-                    merged.push(out[i]);
+                Equal => {
+                    visit(out[i], 2);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        merged.extend_from_slice(&out[i..]);
-        merged.extend_from_slice(&inn[j..]);
-        merged.dedup();
+        out[i..].iter().chain(&inn[j..]).for_each(|&v| visit(v, 1));
+    }
+
+    /// The union neighbourhood of `u` as a sorted list (see
+    /// [`Csr::for_each_union_neighbor`]).
+    pub fn neighborhood_union(&self, u: u32) -> Vec<u32> {
+        let mut merged = Vec::with_capacity(self.out_degree(u));
+        self.for_each_union_neighbor(u, |v, _| merged.push(v));
         merged
+    }
+
+    /// `|N(u)|`, the size of the union neighbourhood, without
+    /// materializing it.
+    pub fn union_degree(&self, u: u32) -> usize {
+        if !self.directed {
+            return self.out_degree(u);
+        }
+        let mut d = 0;
+        self.for_each_union_neighbor(u, |_, _| d += 1);
+        d
     }
 
     /// Estimated resident size in bytes; used by upload-phase accounting.
@@ -542,6 +563,11 @@ mod tests {
         let csr = b.build().unwrap().to_csr();
         assert_eq!(csr.neighborhood_union(0), vec![1, 2, 3]);
         assert_eq!(csr.neighborhood_union(2), vec![0]);
+        assert_eq!(csr.union_degree(0), 3);
+        assert_eq!(csr.union_degree(2), 1);
+        let mut seen = Vec::new();
+        csr.for_each_union_neighbor(0, |v, arcs| seen.push((v, arcs)));
+        assert_eq!(seen, vec![(1, 2), (2, 1), (3, 1)], "reciprocal pair counts two arcs");
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl GraphStats {
         let mut max_degree = 0u64;
         let mut hub = 0u32;
         for u in 0..n as u32 {
-            let d = csr.neighborhood_union(u).len() as u64;
+            let d = csr.union_degree(u) as u64;
             if d > max_degree {
                 max_degree = d;
                 hub = u;

@@ -6,5 +6,5 @@ pub mod par;
 pub mod pool;
 
 pub use frontier::Frontier;
-pub use par::map_vertices;
+pub use par::{map_vertices, triangle_lcc};
 pub use pool::WorkerPool;

@@ -4,7 +4,12 @@
 //! shared [`WorkerPool`] (see [`super::pool`]). This module holds what
 //! sits *on top* of the pool: [`map_vertices`], the per-vertex map +
 //! per-worker tally shape that every vector-iteration engine repeats
-//! (values land in vertex order, tallies merge in worker order).
+//! (values land in vertex order, tallies merge in worker order), and
+//! [`triangle_lcc`], the reference triangle kernel fanned out over
+//! vertex ranges.
+
+use graphalytics_core::algorithms::lcc::ForwardView;
+use graphalytics_core::Csr;
 
 use super::pool::WorkerPool;
 
@@ -37,6 +42,32 @@ where
         tallies.push(tally);
     }
     (values, tallies)
+}
+
+/// LCC through the reference triangle kernel ([`ForwardView`]): each
+/// worker lists the triangles whose lowest-ranked corner falls in its
+/// vertex range into a private link accumulator, and the accumulators
+/// are summed in worker order. The sums are integers, so coefficients
+/// and the comparison count are the same for every pool width.
+///
+/// Returns the coefficients and the number of adjacency elements the
+/// kernel compared (the engines' `edges_scanned`).
+pub fn triangle_lcc(csr: &Csr, pool: &WorkerPool) -> (Vec<f64>, u64) {
+    let view = ForwardView::new(csr);
+    let n = view.num_vertices();
+    let parts = pool.run(n, |_, corners| {
+        let mut links = vec![0u64; n];
+        let compared = view.count_links(corners, &mut links);
+        (links, compared)
+    });
+    let (links, compared) = parts
+        .into_iter()
+        .reduce(|(mut links, compared), (part, part_compared)| {
+            links.iter_mut().zip(part).for_each(|(total, x)| *total += x);
+            (links, compared + part_compared)
+        })
+        .expect("the pool runs at least one (possibly empty) range");
+    (view.coefficients(&links), compared)
 }
 
 #[cfg(test)]

@@ -280,12 +280,8 @@ pub fn cdlp(
         c.random_accesses += total_arcs;
         c.vertices_processed += n as u64;
         let mut next = labels.clone();
-        for (v, multiset) in grouped {
-            let mut freq = std::collections::HashMap::with_capacity(multiset.len());
-            for label in multiset {
-                *freq.entry(label).or_insert(0u32) += 1;
-            }
-            if let Some(best) = graphalytics_core::algorithms::cdlp::select_label(&freq) {
+        for (v, mut multiset) in grouped {
+            if let Some(best) = graphalytics_core::algorithms::cdlp::mode_label(&mut multiset) {
                 next[v as usize] = best;
             }
         }
@@ -347,19 +343,7 @@ pub fn lcc(csr: &Csr, parts: usize, pool: &WorkerPool, c: &mut WorkCounters) -> 
         for (u, (v, set)) in &requests_ref[rrange] {
             let ou = csr.out_neighbors(*u);
             scanned += ou.len().min(set.len()) as u64;
-            let mut links = 0u64;
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ou.len() && j < set.len() {
-                match ou[i].cmp(&set[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        links += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
+            let links = graphalytics_core::algorithms::lcc::intersect_count(ou, set);
             local.push((*v, links as f64));
         }
         (scanned, local)

@@ -23,7 +23,6 @@
 //! PowerGraph (with OpenG) is one of only two platforms that complete LCC
 //! in the paper's Figure 6.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,7 +30,7 @@ use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::output::{AlgorithmOutput, OutputValues};
 use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr, VertexId};
+use graphalytics_core::{Algorithm, Csr};
 
 use graphalytics_cluster::WorkCounters;
 
@@ -66,18 +65,33 @@ pub trait GasProgram: Sync {
     /// Identity of the gather monoid.
     fn gather_identity(&self) -> Self::Gather;
 
-    /// Contribution of neighbour `nbr` (with `weight` on the connecting
-    /// edge) to `u`'s gather.
-    fn gather(&self, u: u32, nbr: u32, weight: f64, nbr_value: &Self::Value, csr: &Csr) -> Self::Gather;
-
-    /// Monoid combine (must be commutative + associative); folds `b` into
-    /// `a` in place so map-valued gathers (CDLP) stay linear.
-    fn combine(&self, a: &mut Self::Gather, b: Self::Gather);
+    /// Folds the contribution of neighbour `nbr` (with `weight` on the
+    /// connecting edge) into `u`'s running gather `total`. The fold must
+    /// be commutative + associative (a monoid with
+    /// [`GasProgram::gather_identity`]); folding in place keeps
+    /// multiset-valued gathers (CDLP) allocation-free per edge.
+    fn gather(
+        &self,
+        total: &mut Self::Gather,
+        u: u32,
+        nbr: u32,
+        weight: f64,
+        nbr_value: &Self::Value,
+        csr: &Csr,
+    );
 
     /// Integrates the gather total; `aux` is the engine-computed global
     /// auxiliary (PageRank's dangling mass). Returns true when the value
-    /// changed (triggering scatter).
-    fn apply(&self, u: u32, value: &Self::Value, total: Self::Gather, aux: f64) -> (Self::Value, bool);
+    /// changed (triggering scatter). `total` is the worker's accumulator,
+    /// reset to the identity before the next vertex; apply may consume or
+    /// reorder it.
+    fn apply(
+        &self,
+        u: u32,
+        value: &Self::Value,
+        total: &mut Self::Gather,
+        aux: f64,
+    ) -> (Self::Value, bool);
 
     fn scatter_edges(&self) -> EdgeSet;
 
@@ -157,12 +171,15 @@ pub fn run_gas<P: GasProgram>(
             let mut updates: Vec<(u32, P::Value, bool)> = Vec::with_capacity(range.len());
             let mut edges = 0u64;
             let mut contributions = 0u64;
+            // One accumulator per worker: `clone_from` keeps a
+            // multiset-valued gather's buffer across vertices.
+            let identity = program.gather_identity();
+            let mut total = identity.clone();
             for i in range {
                 let u = members[i];
-                let mut total = program.gather_identity();
+                total.clone_from(&identity);
                 let fold = |nbr: u32, w: f64, total: &mut P::Gather| {
-                    let g = program.gather(u, nbr, w, &values_ref[nbr as usize], csr);
-                    program.combine(total, g);
+                    program.gather(total, u, nbr, w, &values_ref[nbr as usize], csr);
                 };
                 match program.gather_edges() {
                     EdgeSet::In => {
@@ -203,7 +220,8 @@ pub fn run_gas<P: GasProgram>(
                     }
                     EdgeSet::None => {}
                 }
-                let (new_value, changed) = program.apply(u, &values_ref[u as usize], total, aux);
+                let (new_value, changed) =
+                    program.apply(u, &values_ref[u as usize], &mut total, aux);
                 updates.push((u, new_value, changed));
             }
             (updates, edges, contributions)
@@ -410,51 +428,22 @@ impl Platform for GasEngine {
     }
 }
 
-/// LCC as a streaming gather: per active vertex, fold neighbour-set
-/// intersections without materializing lists.
+/// LCC as a streaming gather: fold neighbour-set intersections (the
+/// shared triangle kernel) without materializing lists. Every vertex
+/// with a defined coefficient gathers one contribution per neighbour.
 fn streamed_lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
     let n = csr.num_vertices();
     let mut it = IterTimer::new("Superstep", c);
     fault::tick(FaultSite::Superstep);
     c.supersteps += 1;
     c.vertices_processed += n as u64;
-    let (values, tallies) = crate::common::map_vertices(pool, n, |v, tally: &mut (u64, u64)| {
-        let neigh = csr.neighborhood_union(v);
-        let d = neigh.len();
-        if d < 2 {
-            return 0.0;
-        }
-        tally.1 += d as u64;
-        let mut links = 0u64;
-        for &u in &neigh {
-            let ou = csr.out_neighbors(u);
-            tally.0 += ou.len().min(d) as u64;
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ou.len() && j < d {
-                match ou[i].cmp(&neigh[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        links += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        links as f64 / (d as f64 * (d as f64 - 1.0))
-    });
-    for (edges, contributions) in tallies {
-        c.edges_scanned += edges;
-        c.add_messages(contributions, 8);
-    }
+    let (values, compared) = crate::common::triangle_lcc(csr, pool);
+    c.edges_scanned += compared;
+    let contributions: u64 =
+        (0..n as u32).map(|v| csr.union_degree(v) as u64).filter(|&d| d >= 2).sum();
+    c.add_messages(contributions, 8);
     it.lap(c, |s| s.with_info("active", n));
     values
-}
-
-/// Deterministic label selection shared by the CDLP program.
-pub(crate) fn mode_label(freq: &HashMap<VertexId, u32>, fallback: VertexId) -> VertexId {
-    graphalytics_core::algorithms::cdlp::select_label(freq).unwrap_or(fallback)
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! The benchmark algorithms as GAS programs.
 
-use std::collections::HashMap;
-
+use graphalytics_core::algorithms::cdlp::mode_label;
 use graphalytics_core::{Csr, VertexId};
 
-use super::{mode_label, EdgeSet, GasProgram};
+use super::{EdgeSet, GasProgram};
 
 /// BFS: gather = min over in-neighbours of (depth + 1); scatter activates
 /// out-neighbours on improvement.
@@ -37,15 +36,12 @@ impl GasProgram for BfsGas {
         i64::MAX
     }
 
-    fn gather(&self, _u: u32, _nbr: u32, _w: f64, nbr_value: &i64, _csr: &Csr) -> i64 {
-        nbr_value.saturating_add(1)
+    fn gather(&self, total: &mut i64, _u: u32, _nbr: u32, _w: f64, nbr_value: &i64, _csr: &Csr) {
+        *total = (*total).min(nbr_value.saturating_add(1));
     }
 
-    fn combine(&self, a: &mut i64, b: i64) {
-        *a = (*a).min(b);
-    }
-
-    fn apply(&self, _u: u32, value: &i64, total: i64, _aux: f64) -> (i64, bool) {
+    fn apply(&self, _u: u32, value: &i64, total: &mut i64, _aux: f64) -> (i64, bool) {
+        let total = *total;
         if total < *value {
             (total, true)
         } else {
@@ -87,15 +83,12 @@ impl GasProgram for SsspGas {
         f64::INFINITY
     }
 
-    fn gather(&self, _u: u32, _nbr: u32, w: f64, nbr_value: &f64, _csr: &Csr) -> f64 {
-        nbr_value + w
+    fn gather(&self, total: &mut f64, _u: u32, _nbr: u32, w: f64, nbr_value: &f64, _csr: &Csr) {
+        *total = total.min(nbr_value + w);
     }
 
-    fn combine(&self, a: &mut f64, b: f64) {
-        *a = a.min(b);
-    }
-
-    fn apply(&self, _u: u32, value: &f64, total: f64, _aux: f64) -> (f64, bool) {
+    fn apply(&self, _u: u32, value: &f64, total: &mut f64, _aux: f64) -> (f64, bool) {
+        let total = *total;
         if total < *value {
             (total, true)
         } else {
@@ -135,15 +128,20 @@ impl GasProgram for WccGas {
         VertexId::MAX
     }
 
-    fn gather(&self, _u: u32, _nbr: u32, _w: f64, nbr_value: &VertexId, _csr: &Csr) -> VertexId {
-        *nbr_value
+    fn gather(
+        &self,
+        total: &mut VertexId,
+        _u: u32,
+        _nbr: u32,
+        _w: f64,
+        nbr_value: &VertexId,
+        _csr: &Csr,
+    ) {
+        *total = (*total).min(*nbr_value);
     }
 
-    fn combine(&self, a: &mut VertexId, b: VertexId) {
-        *a = (*a).min(b);
-    }
-
-    fn apply(&self, _u: u32, value: &VertexId, total: VertexId, _aux: f64) -> (VertexId, bool) {
+    fn apply(&self, _u: u32, value: &VertexId, total: &mut VertexId, _aux: f64) -> (VertexId, bool) {
+        let total = *total;
         if total < *value {
             (total, true)
         } else {
@@ -184,16 +182,12 @@ impl GasProgram for PageRankGas {
         0.0
     }
 
-    fn gather(&self, _u: u32, nbr: u32, _w: f64, nbr_value: &f64, csr: &Csr) -> f64 {
-        nbr_value / csr.out_degree(nbr) as f64
+    fn gather(&self, total: &mut f64, _u: u32, nbr: u32, _w: f64, nbr_value: &f64, csr: &Csr) {
+        *total += nbr_value / csr.out_degree(nbr) as f64;
     }
 
-    fn combine(&self, a: &mut f64, b: f64) {
-        *a += b;
-    }
-
-    fn apply(&self, _u: u32, _value: &f64, total: f64, aux: f64) -> (f64, bool) {
-        let rank = (1.0 - self.damping) / self.n + self.damping * (total + aux / self.n);
+    fn apply(&self, _u: u32, _value: &f64, total: &mut f64, aux: f64) -> (f64, bool) {
+        let rank = (1.0 - self.damping) / self.n + self.damping * (*total + aux / self.n);
         (rank, false)
     }
 
@@ -213,15 +207,16 @@ impl GasProgram for PageRankGas {
     }
 }
 
-/// CDLP: the gather monoid is a label multiset — authentic PowerGraph
-/// histogram gathering; apply selects the deterministic mode.
+/// CDLP: the gather monoid is a label multiset (kept as a plain list of
+/// votes) — authentic PowerGraph histogram gathering; apply selects the
+/// deterministic mode.
 pub struct CdlpGas {
     pub iterations: u32,
 }
 
 impl GasProgram for CdlpGas {
     type Value = VertexId;
-    type Gather = HashMap<VertexId, u32>;
+    type Gather = Vec<VertexId>;
 
     fn init(&self, u: u32, csr: &Csr) -> VertexId {
         csr.id_of(u)
@@ -235,37 +230,30 @@ impl GasProgram for CdlpGas {
         EdgeSet::Both
     }
 
-    fn gather_identity(&self) -> HashMap<VertexId, u32> {
-        HashMap::new()
+    fn gather_identity(&self) -> Vec<VertexId> {
+        Vec::new()
     }
 
     fn gather(
         &self,
+        total: &mut Vec<VertexId>,
         _u: u32,
         _nbr: u32,
         _w: f64,
         nbr_value: &VertexId,
         _csr: &Csr,
-    ) -> HashMap<VertexId, u32> {
-        let mut m = HashMap::with_capacity(1);
-        m.insert(*nbr_value, 1);
-        m
-    }
-
-    fn combine(&self, a: &mut HashMap<VertexId, u32>, b: HashMap<VertexId, u32>) {
-        for (label, count) in b {
-            *a.entry(label).or_insert(0) += count;
-        }
+    ) {
+        total.push(*nbr_value);
     }
 
     fn apply(
         &self,
         _u: u32,
         value: &VertexId,
-        total: HashMap<VertexId, u32>,
+        total: &mut Vec<VertexId>,
         _aux: f64,
     ) -> (VertexId, bool) {
-        (mode_label(&total, *value), false)
+        (mode_label(total).unwrap_or(*value), false)
     }
 
     fn scatter_edges(&self) -> EdgeSet {
@@ -319,14 +307,17 @@ mod tests {
 
     #[test]
     fn cdlp_gather_merges_multisets() {
+        let csr = GraphBuilder::new(true).build().unwrap().to_csr();
         let p = CdlpGas { iterations: 1 };
-        let mut a = HashMap::new();
-        a.insert(5u64, 2u32);
-        let mut b = HashMap::new();
-        b.insert(5u64, 1u32);
-        b.insert(7u64, 1u32);
-        p.combine(&mut a, b);
-        assert_eq!(a[&5], 3);
-        assert_eq!(a[&7], 1);
+        let mut total = p.gather_identity();
+        for label in [5u64, 7, 5, 7, 5] {
+            p.gather(&mut total, 0, 0, 1.0, &label, &csr);
+        }
+        assert_eq!(total.len(), 5, "one vote per contribution");
+        assert_eq!(p.apply(0, &9, &mut total, 0.0), (5, false));
+        // Tie: the smallest label wins; no votes: the vertex keeps its own.
+        let mut tie = vec![7u64, 5];
+        assert_eq!(p.apply(0, &9, &mut tie, 0.0), (5, false));
+        assert_eq!(p.apply(0, &9, &mut p.gather_identity(), 0.0), (9, false));
     }
 }

@@ -11,9 +11,9 @@
 //!   superstep;
 //! * **PageRank** — pull-based double-buffered iterations;
 //! * **WCC** — union–find with path compression (single pass over edges);
-//! * **CDLP** — synchronous propagation with per-thread scratch maps;
-//! * **LCC** — sorted adjacency intersections, no materialization (one of
-//!   the two platforms that survive LCC in Figure 6);
+//! * **CDLP** — synchronous propagation with per-thread vote buffers;
+//! * **LCC** — degree-ordered adjacency intersections, no materialization
+//!   (one of the two platforms that survive LCC in Figure 6);
 //! * **SSSP** — binary-heap Dijkstra.
 //!
 //! Counters reflect the touched-work-only behaviour: `vertices_processed`
@@ -22,6 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use graphalytics_core::algorithms::cdlp;
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::output::{AlgorithmOutput, OutputValues};
@@ -311,9 +312,9 @@ fn union_find_wcc(csr: &Csr, c: &mut WorkCounters) -> Vec<VertexId> {
 }
 
 /// Synchronous CDLP identical to the reference semantics, parallel over
-/// vertices with a per-worker scratch map.
+/// vertices with a per-worker vote buffer.
 fn sync_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<VertexId> {
-    type Tally = (u64, std::collections::HashMap<VertexId, u32>);
+    type Tally = (u64, Vec<VertexId>);
     let n = csr.num_vertices();
     let mut labels: Vec<VertexId> = (0..n as u32).map(|u| csr.id_of(u)).collect();
     let mut it = IterTimer::new("Iteration", c);
@@ -323,22 +324,9 @@ fn sync_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters
         c.vertices_processed += n as u64;
         let labels_ref = &labels;
         let (next, tallies) = crate::common::map_vertices(pool, n, |u, tally: &mut Tally| {
-            let (edges, freq) = tally;
-            freq.clear();
-            let outn = csr.out_neighbors(u);
-            *edges += outn.len() as u64;
-            for &v in outn {
-                *freq.entry(labels_ref[v as usize]).or_insert(0) += 1;
-            }
-            if csr.is_directed() {
-                let inn = csr.in_neighbors(u);
-                *edges += inn.len() as u64;
-                for &v in inn {
-                    *freq.entry(labels_ref[v as usize]).or_insert(0) += 1;
-                }
-            }
-            graphalytics_core::algorithms::cdlp::select_label(freq)
-                .unwrap_or(labels_ref[u as usize])
+            let (edges, votes) = tally;
+            *edges += cdlp::gather_labels(csr, u, labels_ref, votes);
+            cdlp::mode_label(votes).unwrap_or(labels_ref[u as usize])
         });
         for (edges, _) in tallies {
             c.edges_scanned += edges;
@@ -350,39 +338,12 @@ fn sync_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters
     labels
 }
 
-/// LCC via sorted-adjacency intersections (streams; no materialization).
+/// LCC via forward-row intersections (streams; no materialization).
 fn intersect_lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
-    let n = csr.num_vertices();
     c.supersteps = 1;
-    c.vertices_processed += n as u64;
-    let (values, tallies) = crate::common::map_vertices(pool, n, |v, edges: &mut u64| {
-        let neigh = csr.neighborhood_union(v);
-        let d = neigh.len();
-        if d < 2 {
-            return 0.0;
-        }
-        let mut links = 0u64;
-        for &u in &neigh {
-            let ou = csr.out_neighbors(u);
-            *edges += (ou.len() + d) as u64;
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ou.len() && j < d {
-                match ou[i].cmp(&neigh[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        links += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        links as f64 / (d as f64 * (d as f64 - 1.0))
-    });
-    for edges in tallies {
-        c.edges_scanned += edges;
-    }
+    c.vertices_processed += csr.num_vertices() as u64;
+    let (values, compared) = crate::common::triangle_lcc(csr, pool);
+    c.edges_scanned += compared;
     values
 }
 

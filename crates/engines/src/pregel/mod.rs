@@ -52,6 +52,10 @@ pub struct ComputeCtx<M> {
     /// inter-shard traffic). `None` keeps the single-shard send path
     /// allocation-free.
     sizes: Option<Vec<u64>>,
+    /// Reusable buffer a program may sort or fold incoming messages in
+    /// (the inbox itself is read-only); lives as long as the worker's
+    /// context, so it is not reallocated per vertex.
+    scratch: Vec<M>,
     edges_scanned: u64,
     random_accesses: u64,
     message_bytes: u64,
@@ -64,6 +68,7 @@ impl<M> ComputeCtx<M> {
         ComputeCtx {
             outbox: Vec::new(),
             sizes: None,
+            scratch: Vec::new(),
             edges_scanned: 0,
             random_accesses: 0,
             message_bytes: 0,
@@ -96,6 +101,13 @@ impl<M> ComputeCtx<M> {
             sizes.push(bytes);
         }
         self.outbox.push((target, msg));
+    }
+
+    /// The worker's reusable message scratch buffer (contents are
+    /// whatever the previous vertex left there).
+    #[inline]
+    pub fn scratch(&mut self) -> &mut Vec<M> {
+        &mut self.scratch
     }
 
     /// Records `n` adjacency entries scanned by the program.

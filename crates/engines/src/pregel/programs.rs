@@ -1,8 +1,9 @@
 //! The six Graphalytics algorithms as Pregel vertex programs.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use graphalytics_core::algorithms::cdlp::mode_label;
+use graphalytics_core::algorithms::lcc::intersect_count;
 use graphalytics_core::{Csr, VertexId};
 
 use super::{ComputeCtx, VertexProgram};
@@ -190,12 +191,11 @@ impl VertexProgram for CdlpProgram {
             return false;
         }
         if superstep > 0 {
-            let mut freq: HashMap<VertexId, u32> = HashMap::with_capacity(messages.len());
             ctx.random_access(messages.len() as u64);
-            for &label in messages {
-                *freq.entry(label).or_insert(0) += 1;
-            }
-            if let Some(best) = graphalytics_core::algorithms::cdlp::select_label(&freq) {
+            let votes = ctx.scratch();
+            votes.clear();
+            votes.extend_from_slice(messages);
+            if let Some(best) = mode_label(votes) {
                 *value = best;
             }
         }
@@ -274,7 +274,7 @@ impl VertexProgram for LccProgram {
                         LccMessage::List { .. } => 0,
                     })
                     .sum();
-                let d = csr.neighborhood_union(u).len() as f64;
+                let d = csr.union_degree(u) as f64;
                 if d >= 2.0 {
                     *value = links as f64 / (d * (d - 1.0));
                 }
@@ -290,23 +290,6 @@ impl VertexProgram for LccProgram {
     fn max_supersteps(&self) -> u64 {
         3
     }
-}
-
-/// Count of elements common to two sorted slices.
-fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 /// SSSP: distance relaxation with weights.

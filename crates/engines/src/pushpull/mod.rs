@@ -988,7 +988,8 @@ fn wcc_kernel<const TRACED: bool>(csr: &Csr, c: &mut WorkCounters) -> Vec<Vertex
 
 /// CDLP: pull mode — each vertex reads neighbour labels directly.
 fn pull_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<VertexId> {
-    type Tally = (u64, std::collections::HashMap<VertexId, u32>);
+    use graphalytics_core::algorithms::cdlp::{gather_labels, mode_label};
+    type Tally = (u64, Vec<VertexId>);
     let n = csr.num_vertices();
     let mut labels: Vec<VertexId> = (0..n as u32).map(|u| csr.id_of(u)).collect();
     let mut it = IterTimer::new("Iteration", c);
@@ -998,22 +999,9 @@ fn pull_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters
         c.vertices_processed += n as u64;
         let labels_ref = &labels;
         let (next, tallies) = crate::common::map_vertices(pool, n, |v, tally: &mut Tally| {
-            let (edges, freq) = tally;
-            freq.clear();
-            let outn = csr.out_neighbors(v);
-            *edges += outn.len() as u64;
-            for &u in outn {
-                *freq.entry(labels_ref[u as usize]).or_insert(0u32) += 1;
-            }
-            if csr.is_directed() {
-                let inn = csr.in_neighbors(v);
-                *edges += inn.len() as u64;
-                for &u in inn {
-                    *freq.entry(labels_ref[u as usize]).or_insert(0) += 1;
-                }
-            }
-            graphalytics_core::algorithms::cdlp::select_label(freq)
-                .unwrap_or(labels_ref[v as usize])
+            let (edges, votes) = tally;
+            *edges += gather_labels(csr, v, labels_ref, votes);
+            mode_label(votes).unwrap_or(labels_ref[v as usize])
         });
         for (edges, _) in tallies {
             c.edges_scanned += edges;

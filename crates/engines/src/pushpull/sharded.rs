@@ -487,25 +487,17 @@ pub(super) fn sharded_cdlp(
         let next_ptr = SharedSlice::new(next.as_mut_ptr());
         let edge_counts = set.run_shards(tracing, |_, shard, pool| {
             pool.run(shard.len(), |_, lrange| {
-                let mut freq =
-                    std::collections::HashMap::<VertexId, u32>::new();
+                let mut votes: Vec<VertexId> = Vec::new();
                 let mut edges = 0u64;
                 for li in lrange {
                     let v = shard.global(li) as usize;
-                    freq.clear();
-                    let outn = shard.out_row(li).0;
-                    edges += outn.len() as u64;
-                    for &u in outn {
-                        *freq.entry(labels_ref[u as usize]).or_insert(0u32) += 1;
-                    }
+                    votes.clear();
+                    votes.extend(shard.out_row(li).0.iter().map(|&u| labels_ref[u as usize]));
                     if directed {
-                        let inn = shard.in_row(li).0;
-                        edges += inn.len() as u64;
-                        for &u in inn {
-                            *freq.entry(labels_ref[u as usize]).or_insert(0) += 1;
-                        }
+                        votes.extend(shard.in_row(li).0.iter().map(|&u| labels_ref[u as usize]));
                     }
-                    let l = graphalytics_core::algorithms::cdlp::select_label(&freq)
+                    edges += votes.len() as u64;
+                    let l = graphalytics_core::algorithms::cdlp::mode_label(&mut votes)
                         .unwrap_or(labels_ref[v]);
                     // SAFETY: v is owned by this shard; local
                     // ranges are disjoint within it.

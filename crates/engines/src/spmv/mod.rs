@@ -432,9 +432,10 @@ fn wcc(csr: &Csr, c: &mut WorkCounters) -> Vec<VertexId> {
 
 /// CDLP: generalized reduce (multiset mode) per row — GraphMat-style
 /// "vertex program mapped onto a matrix pass". The per-worker tally
-/// carries a reusable frequency map so rows never reallocate.
+/// carries a reusable vote buffer so rows never reallocate.
 fn cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<VertexId> {
-    type Tally = (u64, std::collections::HashMap<VertexId, u32>);
+    use graphalytics_core::algorithms::cdlp::{gather_labels, mode_label};
+    type Tally = (u64, Vec<VertexId>);
     let n = csr.num_vertices();
     let mut labels: Vec<VertexId> = (0..n as u32).map(|u| csr.id_of(u)).collect();
     let mut it = IterTimer::new("Iteration", c);
@@ -444,22 +445,9 @@ fn cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> 
         c.vertices_processed += n as u64;
         let labels_ref = &labels;
         let (next, tallies) = crate::common::map_vertices(pool, n, |v, tally: &mut Tally| {
-            let (edges, freq) = tally;
-            freq.clear();
-            let inn = csr.in_neighbors(v);
-            *edges += inn.len() as u64;
-            for &u in inn {
-                *freq.entry(labels_ref[u as usize]).or_insert(0) += 1;
-            }
-            if csr.is_directed() {
-                let outn = csr.out_neighbors(v);
-                *edges += outn.len() as u64;
-                for &u in outn {
-                    *freq.entry(labels_ref[u as usize]).or_insert(0) += 1;
-                }
-            }
-            graphalytics_core::algorithms::cdlp::select_label(freq)
-                .unwrap_or(labels_ref[v as usize])
+            let (edges, votes) = tally;
+            *edges += gather_labels(csr, v, labels_ref, votes);
+            mode_label(votes).unwrap_or(labels_ref[v as usize])
         });
         for (edges, _) in tallies {
             c.edges_scanned += edges;
@@ -472,45 +460,24 @@ fn cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> 
     labels
 }
 
-/// LCC as masked sparse-matrix products (triangle counting); intersection
-/// work counted as SpGEMM non-zeros.
+/// LCC as masked sparse-matrix products (triangle counting). The masked
+/// product is the shared triangle kernel; its SpGEMM non-zeros are
+/// modelled per (row, neighbour) pair as the shorter of the two operands.
 fn lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
     let n = csr.num_vertices();
     let mut it = IterTimer::new("Iteration", c);
     fault::tick(FaultSite::Superstep);
     c.supersteps += 1;
     c.vertices_processed += n as u64;
-    let (values, tallies) = crate::common::map_vertices(pool, n, |v, tally: &mut (u64, u64)| {
-        let (edges, products) = tally;
-        let neigh = csr.neighborhood_union(v);
-        let d = neigh.len();
-        if d < 2 {
-            return 0.0;
+    let (values, compared) = crate::common::triangle_lcc(csr, pool);
+    c.edges_scanned += compared;
+    let (_, products) = crate::common::map_vertices(pool, n, |v, products: &mut u64| {
+        let d = csr.union_degree(v);
+        if d >= 2 {
+            csr.for_each_union_neighbor(v, |u, _| *products += csr.out_degree(u).min(d) as u64);
         }
-        let mut links = 0u64;
-        for &u in &neigh {
-            let ou = csr.out_neighbors(u);
-            *edges += ou.len() as u64;
-            *products += (ou.len().min(d)) as u64;
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ou.len() && j < d {
-                match ou[i].cmp(&neigh[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        links += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        links as f64 / (d as f64 * (d as f64 - 1.0))
     });
-    for (edges, products) in tallies {
-        c.edges_scanned += edges;
-        c.add_messages(products, 12);
-    }
+    c.add_messages(products.into_iter().sum(), 12);
     it.lap(c, |s| s.with_info("active", n));
     values
 }

@@ -3,26 +3,26 @@
 //! Reproduction targets for every table and figure in the paper's
 //! evaluation.
 //!
-//! One binary per artifact (run with `cargo run --release -p
-//! graphalytics-bench --bin <name>`):
+//! One binary, `repro`, takes the artefact's name (`cargo run --release
+//! -p graphalytics-bench --bin repro -- <name>`):
 //!
-//! | binary | reproduces |
+//! | name | reproduces |
 //! |---|---|
-//! | `repro_table1`  | Table 1 — algorithm-class surveys + 2-stage selection |
-//! | `repro_table2`  | Tables 2–4 — scale classes and the dataset registry |
-//! | `repro_fig2`    | Figure 2 — Datagen clustering-coefficient tuning (runs real generation + Louvain) |
-//! | `repro_fig4`    | Figure 4 — dataset variety, T_proc |
-//! | `repro_fig5`    | Figure 5 — EPS / EVPS |
-//! | `repro_fig6`    | Figure 6 — algorithm variety |
-//! | `repro_fig7`    | Figure 7 — vertical scalability |
-//! | `repro_fig8`    | Figure 8 — strong horizontal scalability |
-//! | `repro_fig9`    | Figure 9 — weak horizontal scalability |
-//! | `repro_fig10`   | Figure 10 — Datagen flows and cluster scaling |
-//! | `repro_table8`  | Table 8 — makespan vs T_proc breakdown |
-//! | `repro_table9`  | Table 9 — vertical speedups |
-//! | `repro_table10` | Table 10 — stress-test failure points |
-//! | `repro_table11` | Table 11 — variability (mean, CV) |
-//! | `repro_all`     | everything above, in order |
+//! | `table1`  | Table 1 — algorithm-class surveys + 2-stage selection |
+//! | `table2`  | Tables 2–4 — scale classes and the dataset registry |
+//! | `fig2`    | Figure 2 — Datagen clustering-coefficient tuning (runs real generation + Louvain) |
+//! | `fig4`    | Figure 4 — dataset variety, T_proc |
+//! | `fig5`    | Figure 5 — EPS / EVPS |
+//! | `table8`  | Table 8 — makespan vs T_proc breakdown |
+//! | `fig6`    | Figure 6 — algorithm variety |
+//! | `fig7`    | Figure 7 — vertical scalability |
+//! | `table9`  | Table 9 — vertical speedups |
+//! | `fig8`    | Figure 8 — strong horizontal scalability |
+//! | `fig9`    | Figure 9 — weak horizontal scalability |
+//! | `table10` | Table 10 — stress-test failure points |
+//! | `table11` | Table 11 — variability (mean, CV) |
+//! | `fig10`   | Figure 10 — Datagen flows and cluster scaling |
+//! | `all`     | the Section 4 evaluation: `fig4` … `fig10` above, in order |
 //!
 //! Two more binaries ride along: `graphctl`, the command-line client of
 //! the service daemon, and `overhead_gate`, the CI gate asserting that
@@ -33,7 +33,7 @@
 
 use graphalytics_harness::experiments::ExperimentSuite;
 
-/// The suite used by all reproduction binaries: deterministic noise on
+/// The suite used by all reproductions: deterministic noise on
 /// (variability needs it; other figures tolerate the ±CV jitter exactly
 /// like the paper's measurements do).
 pub fn suite() -> ExperimentSuite {
@@ -45,7 +45,7 @@ pub fn quiet_suite() -> ExperimentSuite {
     ExperimentSuite::without_noise()
 }
 
-/// Prints a standard header for a reproduction binary.
+/// Prints a standard header for one reproduced artefact.
 pub fn banner(what: &str, source: &str) {
     println!("================================================================");
     println!("Reproducing {what}");

@@ -1,5 +1,5 @@
-//! Smoke tests guarding the reproduction binaries against bit-rot: the
-//! same library code paths `repro_table2` and `repro_fig2` drive, at
+//! Smoke tests guarding the `repro` binary against bit-rot: the same
+//! library code paths `repro table2` and `repro fig2` drive, at
 //! tiny scale, asserted instead of printed.
 
 use graphalytics_core::algorithms::louvain;
@@ -9,7 +9,7 @@ use graphalytics_core::SizeClass;
 use graphalytics_datagen::DatagenConfig;
 use graphalytics_harness::report::TextTable;
 
-/// `repro_table2` logic: the Table 2 scale-class ladder and the
+/// `repro table2` logic: the Table 2 scale-class ladder and the
 /// Tables 3-4 dataset registry.
 #[test]
 fn table2_scale_classes_and_dataset_registry() {
@@ -47,7 +47,7 @@ fn table2_scale_classes_and_dataset_registry() {
     }
 }
 
-/// `repro_fig2` logic: Datagen with a clustering-coefficient target,
+/// `repro fig2` logic: Datagen with a clustering-coefficient target,
 /// communities detected by Louvain (paper Section 2.5.1, Figure 2).
 #[test]
 fn fig2_cc_tuning_and_louvain_at_tiny_scale() {

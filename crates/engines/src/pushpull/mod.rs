@@ -14,8 +14,9 @@
 //! stage sparse candidate buffers; the caller merges them in range
 //! order, which reproduces the exact discovery/relaxation order of a
 //! sequential sweep — so outputs *and* work counters are bit-identical
-//! at every pool width. SSSP is delta-stepping (Meyer & Sanders) over a
-//! light/heavy edge split cached on the uploaded representation.
+//! at every pool width. SSSP is a sequential label-correcting sweep that
+//! relaxes in place over a double-buffered [`Frontier`]; it needs nothing
+//! beyond the uploaded CSR.
 //!
 //! Profile-wise this engine mirrors PGX.D: near-linear thread scaling
 //! (cooperative context switching ⇒ tiny serial fraction), a compact wire
@@ -27,7 +28,6 @@
 mod delta;
 mod sharded;
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -57,15 +57,6 @@ pub const BFS_ALPHA: u64 = 14;
 /// Beamer β: a pull level switches back to push once the frontier
 /// shrinks below `n / β`.
 pub const BFS_BETA: u64 = 24;
-
-/// Below this arc count SSSP skips the light/heavy split and runs the
-/// simple label-correcting kernel. Delta-stepping's win is scanning
-/// fewer edges, but it pays per-relaxation bucket bookkeeping
-/// (`BTreeMap` re-bucketing, activation filters) that the
-/// label-correcting loop does not; measured on graph500 instances the
-/// wall-time crossover sits around 10^5 arcs, so smaller graphs take
-/// the cheaper kernel.
-pub const DELTA_MIN_ARCS: u64 = 100_000;
 
 /// Estimated scanned-edge work under which a traversal round runs inline
 /// instead of dispatching to the pool — a condvar wake costs more than a
@@ -129,175 +120,6 @@ impl DirectionState {
     }
 }
 
-/// The delta-stepping edge split: every vertex's out-edges partitioned
-/// into light (`w ≤ Δ`) and heavy (`w > Δ`) CSR-shaped arrays, with the
-/// original row order preserved inside each class. Built once per
-/// uploaded graph — lazily, on the first SSSP run, recorded as the
-/// `TraversalPrep` phase so repetitions reuse it and the processing
-/// clock never includes it.
-pub struct LightHeavy {
-    delta: f64,
-    light_index: Vec<u32>,
-    light_targets: Vec<u32>,
-    light_weights: Vec<f64>,
-    heavy_index: Vec<u32>,
-    heavy_targets: Vec<u32>,
-    heavy_weights: Vec<f64>,
-}
-
-impl LightHeavy {
-    /// The bucket width Δ (mean out-edge weight).
-    #[inline]
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    #[inline]
-    fn light(&self, u: u32) -> (&[u32], &[f64]) {
-        let (lo, hi) =
-            (self.light_index[u as usize] as usize, self.light_index[u as usize + 1] as usize);
-        (&self.light_targets[lo..hi], &self.light_weights[lo..hi])
-    }
-
-    #[inline]
-    fn heavy(&self, u: u32) -> (&[u32], &[f64]) {
-        let (lo, hi) =
-            (self.heavy_index[u as usize] as usize, self.heavy_index[u as usize + 1] as usize);
-        (&self.heavy_targets[lo..hi], &self.heavy_weights[lo..hi])
-    }
-
-    #[inline]
-    fn light_degree(&self, u: u32) -> u64 {
-        (self.light_index[u as usize + 1] - self.light_index[u as usize]) as u64
-    }
-
-    #[inline]
-    fn heavy_degree(&self, u: u32) -> u64 {
-        (self.heavy_index[u as usize + 1] - self.heavy_index[u as usize]) as u64
-    }
-
-    /// Total light arcs in the split.
-    pub fn num_light(&self) -> u64 {
-        self.light_targets.len() as u64
-    }
-
-    /// Total heavy arcs in the split.
-    pub fn num_heavy(&self) -> u64 {
-        self.heavy_targets.len() as u64
-    }
-
-    /// Bytes held by both halves of the split.
-    pub fn resident_bytes(&self) -> u64 {
-        4 * (self.light_index.len()
-            + self.heavy_index.len()
-            + self.light_targets.len()
-            + self.heavy_targets.len()) as u64
-            + 8 * (self.light_weights.len() + self.heavy_weights.len()) as u64
-    }
-}
-
-/// Mean out-edge weight, computed width-invariantly: each row is summed
-/// left-to-right on whichever worker owns it, and the `n` row sums are
-/// folded sequentially — the f64 result is bit-identical at every pool
-/// width. Returns `None` when the mean is unusable as a bucket width.
-fn mean_weight<'a, R>(n: usize, arcs: u64, rows: R, pool: &WorkerPool) -> Option<f64>
-where
-    R: Fn(u32) -> (&'a [u32], &'a [f64]) + Sync,
-{
-    if arcs == 0 {
-        return None;
-    }
-    let row_sums: Vec<f64> = pool
-        .run(n, |_, range| {
-            range.map(|u| rows(u as u32).1.iter().sum::<f64>()).collect::<Vec<f64>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mean = row_sums.iter().sum::<f64>() / arcs as f64;
-    (mean.is_finite() && mean > 0.0).then_some(mean)
-}
-
-/// Partitions every row into its light/heavy halves at Δ. Per-worker
-/// pieces are concatenated in range order, so the arrays equal what a
-/// single sequential sweep would build.
-fn split_rows<'a, R>(n: usize, delta: f64, rows: R, pool: &WorkerPool) -> LightHeavy
-where
-    R: Fn(u32) -> (&'a [u32], &'a [f64]) + Sync,
-{
-    struct Piece {
-        light_counts: Vec<u32>,
-        heavy_counts: Vec<u32>,
-        lt: Vec<u32>,
-        lw: Vec<f64>,
-        ht: Vec<u32>,
-        hw: Vec<f64>,
-    }
-    let pieces: Vec<Piece> = pool.run(n, |_, range| {
-        let mut p = Piece {
-            light_counts: Vec::with_capacity(range.len()),
-            heavy_counts: Vec::with_capacity(range.len()),
-            lt: Vec::new(),
-            lw: Vec::new(),
-            ht: Vec::new(),
-            hw: Vec::new(),
-        };
-        for u in range {
-            let (targets, weights) = rows(u as u32);
-            let (mut light, mut heavy) = (0u32, 0u32);
-            for (&v, &w) in targets.iter().zip(weights) {
-                if w <= delta {
-                    p.lt.push(v);
-                    p.lw.push(w);
-                    light += 1;
-                } else {
-                    p.ht.push(v);
-                    p.hw.push(w);
-                    heavy += 1;
-                }
-            }
-            p.light_counts.push(light);
-            p.heavy_counts.push(heavy);
-        }
-        p
-    });
-    let mut lh = LightHeavy {
-        delta,
-        light_index: Vec::with_capacity(n + 1),
-        light_targets: Vec::new(),
-        light_weights: Vec::new(),
-        heavy_index: Vec::with_capacity(n + 1),
-        heavy_targets: Vec::new(),
-        heavy_weights: Vec::new(),
-    };
-    lh.light_index.push(0);
-    lh.heavy_index.push(0);
-    let (mut light_total, mut heavy_total) = (0u32, 0u32);
-    for p in pieces {
-        for count in p.light_counts {
-            light_total += count;
-            lh.light_index.push(light_total);
-        }
-        for count in p.heavy_counts {
-            heavy_total += count;
-            lh.heavy_index.push(heavy_total);
-        }
-        lh.light_targets.extend_from_slice(&p.lt);
-        lh.light_weights.extend_from_slice(&p.lw);
-        lh.heavy_targets.extend_from_slice(&p.ht);
-        lh.heavy_weights.extend_from_slice(&p.hw);
-    }
-    lh
-}
-
-/// Whether the graph qualifies for delta-stepping at all. Arc counts
-/// above `u32::MAX` would overflow the split's `u32` offsets.
-fn delta_eligible(csr: &Csr) -> bool {
-    csr.is_weighted()
-        && csr.num_arcs() as u64 >= DELTA_MIN_ARCS
-        && csr.num_arcs() as u64 <= u32::MAX as u64
-}
-
 /// The uploaded representation: PGX.D's dual-direction adjacency. The
 /// upload phase pins both CSR directions (push walks out-edges, pull
 /// walks in-edges — the engine needs both resident, which is part of
@@ -309,8 +131,6 @@ pub struct PushPullGraph {
     out_degrees: Box<[u32]>,
     /// Σ out-degrees — the BFS `m_u` starting point.
     total_out_degree: u64,
-    /// Delta-stepping split, built on first SSSP use (`TraversalPrep`).
-    light_heavy: OnceLock<Option<LightHeavy>>,
     /// Streaming-mutation state; `None` until the first
     /// [`Platform::apply_mutations`] batch arrives.
     delta: delta::DeltaSlot,
@@ -328,30 +148,6 @@ impl PushPullGraph {
     pub fn total_out_degree(&self) -> u64 {
         self.total_out_degree
     }
-
-    /// The delta-stepping split, built on first use and cached on the
-    /// uploaded representation. `None` when the graph is unweighted or
-    /// too small for bucketing to pay.
-    pub fn light_heavy(&self, pool: &WorkerPool) -> Option<&LightHeavy> {
-        self.light_heavy
-            .get_or_init(|| {
-                if !delta_eligible(&self.csr) {
-                    return None;
-                }
-                let csr = &self.csr;
-                let n = csr.num_vertices();
-                let rows = |u: u32| (csr.out_neighbors(u), csr.out_weights(u));
-                let delta = mean_weight(n, csr.num_arcs() as u64, rows, pool)?;
-                Some(split_rows(n, delta, rows, pool))
-            })
-            .as_ref()
-    }
-
-    /// Whether the split has already been built (used by `run` to decide
-    /// if a `TraversalPrep` phase is still owed).
-    pub fn traversal_prepared(&self) -> bool {
-        self.light_heavy.get().is_some()
-    }
 }
 
 impl LoadedGraph for PushPullGraph {
@@ -364,13 +160,7 @@ impl LoadedGraph for PushPullGraph {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.csr.resident_bytes()
-            + 4 * self.out_degrees.len() as u64
-            + self
-                .light_heavy
-                .get()
-                .and_then(|split| split.as_ref())
-                .map_or(0, LightHeavy::resident_bytes)
+        self.csr.resident_bytes() + 4 * self.out_degrees.len() as u64
     }
 }
 
@@ -425,13 +215,10 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn sssp(&self, root: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
+    fn sssp(&self, root: u32, c: &mut WorkCounters) -> Vec<f64> {
         match self {
-            Exec::Single(g) => match g.light_heavy(pool) {
-                Some(split) => delta_stepping_sssp(g.csr(), split, root, pool, c),
-                None => label_correcting_sssp(g.csr(), root, c),
-            },
-            Exec::Sharded(g) => sharded::sharded_sssp(g, pool, root, c),
+            Exec::Single(g) => label_correcting_sssp(g.csr(), root, c),
+            Exec::Sharded(g) => sharded::sharded_sssp(g, root, c),
         }
     }
 }
@@ -449,13 +236,7 @@ fn build_graph(csr: Arc<Csr>, pool: &WorkerPool) -> PushPullGraph {
         .flatten()
         .collect();
     let total_out_degree = degrees.iter().map(|&d| d as u64).sum();
-    PushPullGraph {
-        csr,
-        out_degrees: degrees.into(),
-        total_out_degree,
-        light_heavy: OnceLock::new(),
-        delta: delta::empty_slot(),
-    }
+    PushPullGraph { csr, out_degrees: degrees.into(), total_out_degree, delta: delta::empty_slot() }
 }
 
 /// The PGX.D-like platform.
@@ -579,28 +360,6 @@ impl Platform for PushPullEngine {
         };
         let csr = exec.csr();
         let pool = ctx.pool;
-        // The one-time SSSP preprocessing (the delta-stepping light/heavy
-        // split) runs before the processing clock starts and is recorded
-        // as its own phase — the paper's methodology prices graph
-        // preprocessing separately from T_proc, and repetitions reuse it.
-        if algorithm == Algorithm::Sssp && csr.is_weighted() {
-            let prepared = match &exec {
-                Exec::Single(g) => g.traversal_prepared(),
-                Exec::Sharded(g) => g.traversal_prepared(),
-            };
-            if !prepared {
-                let prep = Instant::now();
-                match &exec {
-                    Exec::Single(g) => {
-                        g.light_heavy(pool);
-                    }
-                    Exec::Sharded(g) => {
-                        g.light_heavy(pool);
-                    }
-                }
-                ctx.record_phase("TraversalPrep", prep.elapsed().as_secs_f64());
-            }
-        }
         let start = Instant::now();
         let mut c = WorkCounters::new();
         ctx.check_cancelled()?;
@@ -629,7 +388,7 @@ impl Platform for PushPullEngine {
                         ));
                     }
                     let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(exec.sssp(root, pool, &mut c))
+                    OutputValues::F64(exec.sssp(root, &mut c))
                 }
             })
         });
@@ -681,10 +440,11 @@ impl Platform for PushPullEngine {
                 c.random_accesses = s.edge_traversals as u64;
             }
             Algorithm::Sssp => {
-                // Delta-stepping: buckets bound re-relaxation, so scans
-                // stay near one pass over the arcs and only successful
-                // relaxations become messages (roughly one per vertex
-                // plus a correction tail).
+                // The modelled platform's counts (PGX.D), not this
+                // kernel's: scans stay near one pass over the arcs and
+                // only successful relaxations become messages (roughly
+                // one per vertex plus a correction tail). The
+                // label-correcting kernel below re-scans more.
                 c.vertices_processed = s.active_vertex_rounds as u64 + vertices;
                 c.edges_scanned = s.edge_traversals as u64;
                 c.messages = (2.0 * vertices as f64).min(s.edge_traversals) as u64;
@@ -1013,13 +773,14 @@ fn pull_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters
     labels
 }
 
-/// The simple label-correcting SSSP: synchronous push relaxation over
-/// the active frontier. The tiny-graph fallback when delta-stepping is
-/// not worth its bucket bookkeeping, and the scanned-edge baseline the
-/// delta regression tests compare against. Messages
-/// count only *successful* relaxations (12 bytes each: target + f64
-/// distance), the same rule as the delta kernel.
-pub fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {
+/// SSSP: label-correcting push relaxation over the active frontier.
+/// Distances are relaxed *in place* — a vertex improved early in a sweep
+/// already propagates its new distance later in the same sweep — over a
+/// double-buffered [`Frontier`] pair, sequentially on the caller thread.
+/// The min-plus fixpoint does not depend on the relaxation schedule, so
+/// the output is bitwise what any other schedule reaches. Messages count
+/// only *successful* relaxations (12 bytes each: target + f64 distance).
+fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {
     let n = csr.num_vertices();
     let mut dist = vec![f64::INFINITY; n];
     dist[root as usize] = 0.0;
@@ -1056,255 +817,6 @@ pub fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<
     dist
 }
 
-/// One synchronous relaxation round over `active`, on the light or heavy
-/// half of the split: workers scan contiguous chunks and stage improving
-/// candidates (read-only against the distance snapshot); the merge
-/// applies them in chunk order — the relaxation order of a sequential
-/// sweep — counting one 12-byte message per *successful* relaxation.
-/// Rounds below the dispatch cutoff run the same two phases on the
-/// caller thread through a reused `scratch` buffer (the snapshot
-/// semantics must be kept either way: a source's distance is read as it
-/// was at round start, so both paths produce the identical candidate
-/// stream). Changed vertices are re-bucketed by their new tentative
-/// distance — re-entries into the *current* bucket (the common case for
-/// light edges) land in `pending` for the next round instead of paying a
-/// map lookup.
-#[allow(clippy::too_many_arguments)]
-fn relax_round<const HEAVY: bool>(
-    lh: &LightHeavy,
-    active: &[u32],
-    work: u64,
-    dist: &mut [f64],
-    changed: &mut Frontier,
-    buckets: &mut BTreeMap<u64, Vec<u32>>,
-    bucket: u64,
-    pending: &mut Vec<u32>,
-    scratch: &mut Vec<(u32, f64)>,
-    pool: &WorkerPool,
-    c: &mut WorkCounters,
-) {
-    let delta = lh.delta;
-    c.supersteps += 1;
-    c.vertices_processed += active.len() as u64;
-    let mut relaxed = 0u64;
-    if !parallel_worth(active.len(), work) {
-        scratch.clear();
-        let mut edges = 0u64;
-        for &u in active {
-            let du = dist[u as usize];
-            let (targets, weights) = if HEAVY { lh.heavy(u) } else { lh.light(u) };
-            edges += targets.len() as u64;
-            for (&v, &w) in targets.iter().zip(weights) {
-                let nd = du + w;
-                if nd < dist[v as usize] {
-                    scratch.push((v, nd));
-                }
-            }
-        }
-        c.edges_scanned += edges;
-        for &(v, nd) in scratch.iter() {
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                relaxed += 1;
-                changed.insert(v);
-            }
-        }
-    } else {
-        let dist_ref: &[f64] = dist;
-        let chunks = pool.run(active.len(), |_, range| {
-            let mut candidates: Vec<(u32, f64)> = Vec::new();
-            let mut edges = 0u64;
-            for &u in &active[range] {
-                let du = dist_ref[u as usize];
-                let (targets, weights) = if HEAVY { lh.heavy(u) } else { lh.light(u) };
-                edges += targets.len() as u64;
-                for (&v, &w) in targets.iter().zip(weights) {
-                    let nd = du + w;
-                    if nd < dist_ref[v as usize] {
-                        candidates.push((v, nd));
-                    }
-                }
-            }
-            (candidates, edges)
-        });
-        for (candidates, edges) in chunks {
-            c.edges_scanned += edges;
-            for (v, nd) in candidates {
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    relaxed += 1;
-                    changed.insert(v);
-                }
-            }
-        }
-    }
-    c.add_messages(relaxed, 12);
-    for &v in changed.members() {
-        let b = (dist[v as usize] / delta) as u64;
-        // Light relaxations never land below the current bucket
-        // (distances of current-bucket sources are ≥ bucket·Δ and
-        // weights are positive), and heavy ones always land above it.
-        if b == bucket {
-            pending.push(v);
-        } else {
-            buckets.entry(b).or_default().push(v);
-        }
-    }
-    changed.clear();
-}
-
-/// Delta-stepping SSSP (Meyer & Sanders) over the cached light/heavy
-/// split: vertices are bucketed by `⌊dist/Δ⌋`; each bucket runs light
-/// rounds to a local fixpoint, then one heavy pass over everything the
-/// bucket settled. Light relaxations within the bucket re-enter it;
-/// heavier improvements land in later buckets — so far fewer edges are
-/// re-scanned than the label-correcting sweep.
-///
-/// Output is bitwise identical to [`label_correcting_sssp`]: both
-/// compute the unique relaxation fixpoint where every `dist[v]` is a
-/// path-ordered f64 sum and no edge can improve it, and the fixpoint
-/// does not depend on the relaxation schedule. Settled vertices are
-/// final because `⌊a/Δ⌋ > ⌊b/Δ⌋` implies `a > b` and `fl(a+w) ≥ a` for
-/// `w > 0` — candidates from later buckets cannot improve them.
-fn delta_stepping_sssp(
-    csr: &Csr,
-    lh: &LightHeavy,
-    root: u32,
-    pool: &WorkerPool,
-    c: &mut WorkCounters,
-) -> Vec<f64> {
-    if crate::trace::active() {
-        delta_sssp_kernel::<true>(csr, lh, root, pool, c)
-    } else {
-        delta_sssp_kernel::<false>(csr, lh, root, pool, c)
-    }
-}
-
-#[inline(never)]
-fn delta_sssp_kernel<const TRACED: bool>(
-    csr: &Csr,
-    lh: &LightHeavy,
-    root: u32,
-    pool: &WorkerPool,
-    c: &mut WorkCounters,
-) -> Vec<f64> {
-    let n = csr.num_vertices();
-    let delta = lh.delta;
-    let mut dist = vec![f64::INFINITY; n];
-    dist[root as usize] = 0.0;
-    let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    buckets.insert(0, vec![root]);
-    // Reused across all rounds (double-buffered-style: clear, not
-    // reallocate): the bucket's settled set, the per-round activation
-    // dedup, the per-round successful-relaxation set, the current /
-    // pending bucket buffers, and the candidate scratch.
-    let mut settled = Frontier::new(n);
-    let mut seen = Frontier::new(n);
-    let mut changed = Frontier::new(n);
-    let mut active: Vec<u32> = Vec::new();
-    let mut current: Vec<u32> = Vec::new();
-    let mut pending: Vec<u32> = Vec::new();
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    let mut it = TRACED.then(|| IterTimer::new("Iteration", c));
-    while let Some((&bucket, _)) = buckets.first_key_value() {
-        fault::tick(FaultSite::Superstep);
-        settled.clear();
-        // Light rounds: drain bucket `bucket` to its local fixpoint —
-        // first the map's entry, then whatever each round re-enqueued
-        // into `pending`. Entries whose distance has since improved into
-        // a later bucket (or that already ran this round) are stale and
-        // skipped.
-        loop {
-            current.clear();
-            std::mem::swap(&mut current, &mut pending);
-            if current.is_empty() {
-                match buckets.remove(&bucket) {
-                    Some(cur) => current = cur,
-                    None => break,
-                }
-            }
-            active.clear();
-            let mut light_work = 0u64;
-            for &v in &current {
-                if (dist[v as usize] / delta) as u64 == bucket && seen.insert(v) {
-                    active.push(v);
-                    light_work += lh.light_degree(v);
-                }
-            }
-            seen.clear();
-            if active.is_empty() {
-                continue;
-            }
-            for &v in &active {
-                settled.insert(v);
-            }
-            let round_active = active.len();
-            relax_round::<false>(
-                lh,
-                &active,
-                light_work,
-                &mut dist,
-                &mut changed,
-                &mut buckets,
-                bucket,
-                &mut pending,
-                &mut scratch,
-                pool,
-                c,
-            );
-            if TRACED {
-                if let Some(it) = it.as_mut() {
-                    it.lap(c, |s| {
-                        s.with_info("active", round_active)
-                            .with_info("mode", "light")
-                            .with_info("bucket", bucket)
-                    });
-                }
-            }
-        }
-        // One heavy pass over everything this bucket settled: heavy
-        // edges (w > Δ) cannot re-enter the bucket, so once is enough.
-        if !settled.is_empty() {
-            let heavy_work: u64 = settled.members().iter().map(|&v| lh.heavy_degree(v)).sum();
-            if heavy_work > 0 {
-                let round_active = settled.len();
-                relax_round::<true>(
-                    lh,
-                    settled.members(),
-                    heavy_work,
-                    &mut dist,
-                    &mut changed,
-                    &mut buckets,
-                    bucket,
-                    &mut pending,
-                    &mut scratch,
-                    pool,
-                    c,
-                );
-                if TRACED {
-                    if let Some(it) = it.as_mut() {
-                        it.lap(c, |s| {
-                            s.with_info("active", round_active)
-                                .with_info("mode", "heavy")
-                                .with_info("bucket", bucket)
-                        });
-                    }
-                }
-                // A heavy relaxation mathematically lands above the
-                // current bucket, but f64 rounding can floor it back in
-                // (fl(du+w) can dip just under (bucket+1)·Δ). The outer
-                // loop only consults the map, so spill any such
-                // re-entries back — min-bucket selection then resumes
-                // the bucket exactly as the map-only variant would.
-                for v in pending.drain(..) {
-                    buckets.entry((dist[v as usize] / delta) as u64).or_default().push(v);
-                }
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1322,12 +834,11 @@ mod tests {
         b.build().unwrap().to_csr()
     }
 
-    /// Number of vertices in [`mid_weighted_csr`]: two out-edges each,
-    /// so the 120k arcs clear `DELTA_MIN_ARCS` and the graph takes the
-    /// delta-stepping path.
-    const MID_N: u64 = 60_000;
-
+    /// 60k vertices with two out-edges each: SSSP sweeps with frontiers
+    /// in the thousands and many re-relaxations, which `sample` is too
+    /// small to produce.
     fn mid_weighted_csr() -> Arc<Csr> {
+        const MID_N: u64 = 60_000;
         let mut b = GraphBuilder::new(true);
         b.set_weighted(true);
         b.add_vertex_range(MID_N);
@@ -1344,8 +855,7 @@ mod tests {
 
     #[test]
     fn supported_algorithms_match_reference() {
-        for directed in [true, false] {
-            let csr = Arc::new(sample(directed));
+        for csr in [Arc::new(sample(true)), Arc::new(sample(false)), mid_weighted_csr()] {
             let engine = PushPullEngine::new();
             let params = AlgorithmParams::with_source(0);
             let pool = WorkerPool::new(2);
@@ -1402,40 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn light_heavy_split_partitions_every_edge_at_mean_weight() {
-        let csr = mid_weighted_csr();
-        let pool = WorkerPool::new(2);
-        let loaded = upload(csr.clone(), &pool);
-        let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        assert!(!g.traversal_prepared(), "split is lazy");
-        let lh = g.light_heavy(&pool).expect("eligible graph");
-        assert!(g.traversal_prepared());
-        assert_eq!(lh.num_light() + lh.num_heavy(), csr.num_arcs() as u64);
-        let total: f64 =
-            (0..MID_N as u32).map(|u| csr.out_weights(u).iter().sum::<f64>()).sum();
-        assert_eq!(lh.delta(), total / csr.num_arcs() as f64);
-        for u in 0..MID_N as u32 {
-            let (_, lw) = lh.light(u);
-            assert!(lw.iter().all(|&w| w <= lh.delta()));
-            let (_, hw) = lh.heavy(u);
-            assert!(hw.iter().all(|&w| w > lh.delta()));
-            assert_eq!(
-                lh.light_degree(u) + lh.heavy_degree(u),
-                csr.out_degree(u) as u64,
-                "vertex {u}"
-            );
-        }
-    }
-
-    #[test]
-    fn tiny_graphs_skip_the_delta_split() {
-        let pool = WorkerPool::inline();
-        let loaded = upload(Arc::new(sample(true)), &pool);
-        let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        assert!(g.light_heavy(&pool).is_none(), "below DELTA_MIN_ARCS");
-    }
-
-    #[test]
     fn sssp_messages_count_only_successful_relaxations() {
         // 0→1 (w=1), 0→2 (w=5), 1→2 (w=1), 2→1 (w=10). The 2→1 edge is
         // scanned twice and never relaxes: 5 scans, 3 successes.
@@ -1452,20 +928,6 @@ mod tests {
         assert_eq!(c.edges_scanned, 5);
         assert_eq!(c.messages, 3, "only successful relaxations are messages");
         assert_eq!(c.message_bytes, 36);
-    }
-
-    #[test]
-    fn delta_stepping_matches_label_correcting_bitwise() {
-        let csr = mid_weighted_csr();
-        let pool = WorkerPool::new(4);
-        let loaded = upload(csr.clone(), &pool);
-        let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        let lh = g.light_heavy(&pool).unwrap();
-        let mut cd = WorkCounters::new();
-        let delta = delta_stepping_sssp(&csr, lh, 0, &pool, &mut cd);
-        let mut cb = WorkCounters::new();
-        let base = label_correcting_sssp(&csr, 0, &mut cb);
-        assert_eq!(delta, base, "same relaxation fixpoint, bitwise");
     }
 
     /// Cold-run an algorithm on the materialized post-mutation graph —

@@ -19,10 +19,11 @@
 //! * **WCC / SSSP** — min-label and min-plus relaxation are monotone
 //!   fixpoints: the final value at each vertex is the minimum over
 //!   (path-ordered) candidate values, independent of relaxation
-//!   schedule, so the sharded rounds — delta-stepping buckets over the
-//!   per-shard light/heavy splits for SSSP — land on bitwise the same
-//!   fixpoint as the single-shard sweeps (superstep *counts*
-//!   legitimately differ; outputs cannot).
+//!   schedule, so the sharded rounds — synchronous sweeps against a
+//!   frozen snapshot, merged at the barrier — land on bitwise the same
+//!   fixpoint as the single-shard kernels, which relax in place
+//!   (superstep and scanned-edge *counts* legitimately differ; outputs
+//!   cannot).
 //! * **CDLP** — fully synchronous: every label is a function of the
 //!   previous iteration's labels and the vertex's own (verbatim-copied)
 //!   adjacency rows.
@@ -33,8 +34,6 @@
 //! subset of `messages`. For SSSP both counters tally only *successful*
 //! relaxations, matching the single-shard kernels' rule.
 
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use graphalytics_cluster::WorkCounters;
@@ -42,12 +41,12 @@ use graphalytics_core::{Csr, VertexId};
 use graphalytics_core::fault::{self, FaultSite};
 
 use crate::common::frontier::Frontier;
-use crate::common::pool::{SharedSlice, WorkerPool};
+use crate::common::pool::SharedSlice;
 use crate::platform::LoadedGraph;
-use crate::sharded::{timed, ShardLayout, ShardSet};
+use crate::sharded::{ShardLayout, ShardSet};
 use crate::trace::{self, IterTimer, SpanRecord};
 
-use super::{delta_eligible, mean_weight, split_rows, DirectionState, LightHeavy};
+use super::DirectionState;
 
 /// Closes one sharded superstep span: per-shard compute children plus the
 /// inter-shard queue depth and barrier drain time.
@@ -80,9 +79,6 @@ pub struct PushPullShardedGraph {
     set: ShardSet,
     out_degrees: Box<[u32]>,
     total_out_degree: u64,
-    /// Per-shard delta-stepping splits (indexed by shard, then local
-    /// vertex index) sharing one global Δ. Built on first SSSP use.
-    light_heavy: OnceLock<Option<Vec<LightHeavy>>>,
 }
 
 impl PushPullShardedGraph {
@@ -91,7 +87,7 @@ impl PushPullShardedGraph {
         let out_degrees: Box<[u32]> =
             (0..csr.num_vertices() as u32).map(|u| csr.out_degree(u) as u32).collect();
         let total_out_degree = out_degrees.iter().map(|&d| d as u64).sum();
-        PushPullShardedGraph { set, out_degrees, total_out_degree, light_heavy: OnceLock::new() }
+        PushPullShardedGraph { set, out_degrees, total_out_degree }
     }
 
     /// The underlying shard set.
@@ -111,41 +107,6 @@ impl PushPullShardedGraph {
     pub fn total_out_degree(&self) -> u64 {
         self.total_out_degree
     }
-
-    /// The per-shard delta-stepping splits, built on first use. Δ is the
-    /// *global* mean edge weight (computed over the monolithic CSR, so
-    /// it is bit-identical to the single-shard kernel's Δ); each shard's
-    /// rows are then split locally. `None` under the same eligibility
-    /// gate as the single-shard split.
-    pub fn light_heavy(&self, pool: &WorkerPool) -> Option<&[LightHeavy]> {
-        self.light_heavy
-            .get_or_init(|| {
-                let csr = self.set.csr();
-                if !delta_eligible(csr) {
-                    return None;
-                }
-                let n = csr.num_vertices();
-                let rows = |u: u32| (csr.out_neighbors(u), csr.out_weights(u));
-                let delta = mean_weight(n, csr.num_arcs() as u64, rows, pool)?;
-                let sharded = self.set.sharded();
-                Some(
-                    (0..sharded.num_shards() as usize)
-                        .map(|s| {
-                            let shard = sharded.shard(s);
-                            split_rows(shard.len(), delta, |li| shard.out_row(li as usize), pool)
-                        })
-                        .collect(),
-                )
-            })
-            .as_ref()
-            .map(|splits| splits.as_slice())
-    }
-
-    /// Whether the splits have already been built (used by `run` to
-    /// decide if a `TraversalPrep` phase is still owed).
-    pub fn traversal_prepared(&self) -> bool {
-        self.light_heavy.get().is_some()
-    }
 }
 
 impl LoadedGraph for PushPullShardedGraph {
@@ -158,13 +119,7 @@ impl LoadedGraph for PushPullShardedGraph {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.set.resident_bytes()
-            + 4 * self.out_degrees.len() as u64
-            + self
-                .light_heavy
-                .get()
-                .and_then(|splits| splits.as_ref())
-                .map_or(0, |splits| splits.iter().map(LightHeavy::resident_bytes).sum())
+        self.set.resident_bytes() + 4 * self.out_degrees.len() as u64
     }
 
     fn shard_layout(&self) -> Option<ShardLayout> {
@@ -522,209 +477,13 @@ pub(super) fn sharded_cdlp(
     labels
 }
 
-/// Sharded SSSP: delta-stepping over the per-shard light/heavy splits,
-/// or the synchronous label-correcting fallback when the graph is below
-/// the delta-stepping threshold.
-pub(super) fn sharded_sssp(
-    g: &PushPullShardedGraph,
-    pool: &WorkerPool,
-    root: u32,
-    c: &mut WorkCounters,
-) -> Vec<f64> {
-    match g.light_heavy(pool) {
-        Some(splits) => sharded_delta_sssp(g, splits, root, c),
-        None => sharded_label_correcting_sssp(g, root, c),
-    }
-}
-
-/// One synchronous sharded relaxation round over `active`, on the light
-/// or heavy half of the splits. Each shard's owned vertices stage
-/// improving candidates against the round's frozen distance snapshot;
-/// the barrier merge applies them in shard/worker order, counting one
-/// 12-byte message per successful relaxation (and one inter-shard
-/// message when the producing shard does not own the target). Rounds
-/// with little estimated work run inline — shard by shard on the caller
-/// thread, producing the identical candidate stream — instead of paying
-/// a thread spawn per shard.
-#[allow(clippy::too_many_arguments)]
-fn sharded_relax_round<const HEAVY: bool>(
-    g: &PushPullShardedGraph,
-    splits: &[LightHeavy],
-    active: &[u32],
-    work: u64,
-    dist: &mut [f64],
-    changed: &mut Frontier,
-    buckets: &mut BTreeMap<u64, Vec<u32>>,
-    c: &mut WorkCounters,
-    tracing: bool,
-    it: &mut IterTimer,
-) {
-    let set = g.set();
-    let sharded = set.sharded();
-    let owner = sharded.owner();
-    let shards = sharded.num_shards() as usize;
-    let delta = splits[0].delta();
-    c.supersteps += 1;
-    c.vertices_processed += active.len() as u64;
-    let owned = route(active, owner, shards);
-    let outputs: Vec<(f64, Vec<PushOut<f64>>)> = {
-        let dist_ref: &[f64] = dist;
-        let scan = |s: usize, mine: &[u32], range: std::ops::Range<usize>| {
-            let mut out = PushOut { msgs: Vec::new(), edges: 0, inter: 0 };
-            for &u in &mine[range] {
-                let du = dist_ref[u as usize];
-                let li = sharded.local_index_of(u);
-                let (targets, weights) =
-                    if HEAVY { splits[s].heavy(li) } else { splits[s].light(li) };
-                out.edges += targets.len() as u64;
-                for (&v, &w) in targets.iter().zip(weights) {
-                    let nd = du + w;
-                    if nd < dist_ref[v as usize] {
-                        out.msgs.push((v, nd));
-                    }
-                }
-            }
-            out
-        };
-        if !super::parallel_worth(active.len(), work) {
-            (0..shards)
-                .map(|s| {
-                    let mine = owned[s].as_slice();
-                    timed(tracing, || vec![scan(s, mine, 0..mine.len())])
-                })
-                .collect()
-        } else {
-            set.run_shards(tracing, |s, _, pool| {
-                let mine = owned[s].as_slice();
-                pool.run(mine.len(), |_, range| scan(s, mine, range))
-            })
-        }
-    };
-    let mut relaxed = 0u64;
-    let mut inter = 0u64;
-    let mut shard_secs = Vec::with_capacity(shards);
-    let mut queue_depth = 0usize;
-    let drain_t = tracing.then(Instant::now);
-    for (s, (secs, outs)) in outputs.into_iter().enumerate() {
-        shard_secs.push(secs);
-        for out in outs {
-            queue_depth += out.msgs.len();
-            c.edges_scanned += out.edges;
-            for (v, nd) in out.msgs {
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    relaxed += 1;
-                    changed.insert(v);
-                    if owner[v as usize] != s as u32 {
-                        inter += 1;
-                    }
-                }
-            }
-        }
-    }
-    c.add_messages(relaxed, 12);
-    c.inter_shard_messages += inter;
-    c.inter_shard_bytes += 12 * inter;
-    for &v in changed.members() {
-        buckets.entry((dist[v as usize] / delta) as u64).or_default().push(v);
-    }
-    changed.clear();
-    let drain_secs = drain_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-    lap_sharded(
-        it,
-        c,
-        active.len(),
-        shard_secs,
-        queue_depth,
-        drain_secs,
-        if HEAVY { "heavy" } else { "light" },
-    );
-}
-
-/// Sharded delta-stepping: the same bucket driver as the single-shard
-/// kernel (same global Δ, so the same bucket schedule in spirit), with
-/// each round's relaxations fanned out shard-by-shard.
-fn sharded_delta_sssp(
-    g: &PushPullShardedGraph,
-    splits: &[LightHeavy],
-    root: u32,
-    c: &mut WorkCounters,
-) -> Vec<f64> {
-    let set = g.set();
-    let sharded = set.sharded();
-    let owner = sharded.owner();
-    let n = set.csr().num_vertices();
-    let delta = splits[0].delta();
-    let degree_of = |v: u32, heavy: bool| {
-        let split = &splits[owner[v as usize] as usize];
-        let li = sharded.local_index_of(v);
-        if heavy { split.heavy_degree(li) } else { split.light_degree(li) }
-    };
-
-    let mut dist = vec![f64::INFINITY; n];
-    dist[root as usize] = 0.0;
-    let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    buckets.insert(0, vec![root]);
-    let mut settled = Frontier::new(n);
-    let mut seen = Frontier::new(n);
-    let mut changed = Frontier::new(n);
-    let mut active: Vec<u32> = Vec::new();
-    let tracing = trace::active();
-    let mut it = IterTimer::new("Iteration", c);
-    while let Some((&bucket, _)) = buckets.first_key_value() {
-        fault::tick(FaultSite::Superstep);
-        settled.clear();
-        while let Some(current) = buckets.remove(&bucket) {
-            active.clear();
-            let mut light_work = 0u64;
-            for &v in &current {
-                if (dist[v as usize] / delta) as u64 == bucket && seen.insert(v) {
-                    active.push(v);
-                    light_work += degree_of(v, false);
-                }
-            }
-            seen.clear();
-            if active.is_empty() {
-                continue;
-            }
-            for &v in &active {
-                settled.insert(v);
-            }
-            sharded_relax_round::<false>(
-                g, splits, &active, light_work, &mut dist, &mut changed, &mut buckets, c,
-                tracing, &mut it,
-            );
-        }
-        if !settled.is_empty() {
-            let heavy_work: u64 =
-                settled.members().iter().map(|&v| degree_of(v, true)).sum();
-            if heavy_work > 0 {
-                sharded_relax_round::<true>(
-                    g,
-                    splits,
-                    settled.members(),
-                    heavy_work,
-                    &mut dist,
-                    &mut changed,
-                    &mut buckets,
-                    c,
-                    tracing,
-                    &mut it,
-                );
-            }
-        }
-    }
-    dist
-}
-
-/// Sharded label-correcting SSSP (the tiny-graph fallback): synchronous
-/// min-plus relaxation through the shard queues, double-buffered
-/// frontiers, messages counted per successful relaxation.
-fn sharded_label_correcting_sssp(
-    g: &PushPullShardedGraph,
-    root: u32,
-    c: &mut WorkCounters,
-) -> Vec<f64> {
+/// Sharded SSSP: synchronous label-correcting rounds. Each shard's owned
+/// frontier vertices stage improving candidates against the round's
+/// frozen distance snapshot; the barrier merge applies them in
+/// shard/worker order, counting one 12-byte message per successful
+/// relaxation (and one inter-shard message when the producing shard does
+/// not own the target).
+pub(super) fn sharded_sssp(g: &PushPullShardedGraph, root: u32, c: &mut WorkCounters) -> Vec<f64> {
     let set = g.set();
     let sharded = set.sharded();
     let owner = sharded.owner();
@@ -813,8 +572,8 @@ mod tests {
         Arc::new(b.build().unwrap().to_csr())
     }
 
-    /// Two out-edges per vertex, 120k arcs: above `DELTA_MIN_ARCS`, so
-    /// the sharded SSSP takes the delta-stepping path.
+    /// Two out-edges per vertex, 120k arcs: SSSP rounds big enough to go
+    /// through threaded `run_shards` with multi-chunk `pool.run`.
     fn big_csr() -> Arc<Csr> {
         const N: u64 = 60_000;
         let mut b = GraphBuilder::new(true);
@@ -856,21 +615,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_delta_sssp_matches_single_shard() {
+    fn sharded_sssp_matches_single_shard_on_a_large_graph() {
         let csr = big_csr();
         let engine = PushPullEngine::new();
         let pool = WorkerPool::new(4);
         let params = AlgorithmParams::with_source(0);
         let single = engine.upload(csr.clone(), &pool).unwrap();
-        assert!(
-            single
-                .as_any()
-                .downcast_ref::<PushPullGraph>()
-                .unwrap()
-                .light_heavy(&pool)
-                .is_some(),
-            "graph must be delta-eligible for this test to bite"
-        );
         for shards in [2u32, 4] {
             let multi =
                 engine.upload_sharded(csr.clone(), &ShardPlan::new(shards), &pool).unwrap();
@@ -878,7 +628,7 @@ mod tests {
             let mut c2 = RunContext::new(&pool);
             let base = engine.run(single.as_ref(), Algorithm::Sssp, &params, &mut c1).unwrap();
             let run = engine.run(multi.as_ref(), Algorithm::Sssp, &params, &mut c2).unwrap();
-            assert_eq!(base.output, run.output, "delta SSSP at {shards} shards");
+            assert_eq!(base.output, run.output, "SSSP at {shards} shards");
             assert!(run.counters.inter_shard_messages <= run.counters.messages);
         }
     }

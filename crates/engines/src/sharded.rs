@@ -72,7 +72,7 @@ pub struct ShardSet {
 }
 
 /// Times `f` when tracing is on; `0.0` seconds otherwise.
-pub(crate) fn timed<T>(tracing: bool, f: impl FnOnce() -> T) -> (f64, T) {
+fn timed<T>(tracing: bool, f: impl FnOnce() -> T) -> (f64, T) {
     let t = tracing.then(Instant::now);
     let out = f();
     (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)

@@ -1,14 +1,16 @@
 //! The sharded-execution contract (CI gate): for every engine with a
 //! sharded run path, N-shard output is **bit-identical** to single-shard
 //! output — for every supported algorithm, every shard count, every
-//! placement seed — and repeated sharded runs are deterministic.
+//! placement seed — and repeated sharded runs are deterministic. The
+//! logical work counters are shard-invariant exactly where the sharded
+//! kernel follows the monolithic kernel's schedule.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use graphalytics::cluster::partition::PartitionStrategy;
-use graphalytics::engines::ShardPlan;
+use graphalytics::engines::{Execution, ShardPlan};
 use graphalytics::prelude::*;
 
 /// The engines that advertise a sharded execution path.
@@ -117,6 +119,59 @@ fn repeated_sharded_runs_are_deterministic() {
             );
         }
         platform.delete(shared);
+    }
+}
+
+#[test]
+fn logical_work_counters_shard_invariant_where_schedules_agree() {
+    // `supersteps`, `edges_scanned` and `messages` equal the monolithic
+    // run's wherever the sharded kernel follows the same schedule: every
+    // pregel algorithm, and push–pull BFS/PageRank/CDLP. Push–pull WCC
+    // and SSSP relax in place on the monolithic upload but sweep
+    // synchronously (frozen snapshot, barrier merge) when sharded, so
+    // their counts differ from the monolithic run; the synchronous
+    // sweep's active sets are a function of the snapshot alone, so
+    // supersteps and scanned edges still agree *across* shard counts.
+    // SSSP `messages` counts successful relaxations, which depends on
+    // the order the merge applies candidates in — it only has to repeat
+    // for a fixed plan.
+    let logical = |run: &Execution| {
+        (run.counters.supersteps, run.counters.edges_scanned, run.counters.messages)
+    };
+    let graph = Graph500Config::new(10).with_seed(41).with_weights(true).generate();
+    let pool = WorkerPool::new(4);
+    let csr = Arc::new(graph.to_csr_with(&pool).unwrap());
+    let root = SourceSelection::MaxOutDegree.resolve(&csr).unwrap();
+    let params = AlgorithmParams::with_source(root);
+    for platform in sharded_platforms() {
+        let mono = platform.upload(csr.clone(), &pool).unwrap();
+        let two = platform.upload_sharded(csr.clone(), &ShardPlan::new(2), &pool).unwrap();
+        let four = platform.upload_sharded(csr.clone(), &ShardPlan::new(4), &pool).unwrap();
+        for algorithm in Algorithm::ALL {
+            if !platform.supports(algorithm) {
+                continue;
+            }
+            let run = |loaded: &dyn LoadedGraph| {
+                let mut ctx = RunContext::new(&pool);
+                platform.run(loaded, algorithm, &params, &mut ctx).unwrap()
+            };
+            let (base, at2, at4) = (run(mono.as_ref()), run(two.as_ref()), run(four.as_ref()));
+            let what = format!("{} {algorithm}", platform.name());
+            if platform.name() == "pushpull"
+                && matches!(algorithm, Algorithm::Wcc | Algorithm::Sssp)
+            {
+                assert_eq!(at2.counters.supersteps, at4.counters.supersteps, "{what}");
+                assert_eq!(at2.counters.edges_scanned, at4.counters.edges_scanned, "{what}");
+                assert_eq!(logical(&at2), logical(&run(two.as_ref())), "{what}: fixed plan");
+                assert_eq!(logical(&at4), logical(&run(four.as_ref())), "{what}: fixed plan");
+            } else {
+                assert_eq!(logical(&base), logical(&at2), "{what} at 2 shards");
+                assert_eq!(logical(&base), logical(&at4), "{what} at 4 shards");
+            }
+        }
+        for loaded in [mono, two, four] {
+            platform.delete(loaded);
+        }
     }
 }
 

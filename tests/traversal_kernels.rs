@@ -1,15 +1,12 @@
-//! Determinism and work contracts of the parallel traversal kernels
-//! (direction-optimizing BFS with α/β switching, delta-stepping SSSP):
-//! bit-identical outputs *and* work counters across pool widths, and the
-//! delta-stepping edge-work win over the label-correcting baseline that
-//! justifies the kernel swap.
+//! Determinism contract of the push–pull traversal kernels
+//! (direction-optimizing BFS with α/β switching on the pool,
+//! label-correcting SSSP on the caller thread): bit-identical outputs
+//! *and* work counters across pool widths.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use graphalytics::core::{AlgorithmOutput, OutputValues};
-use graphalytics::engines::WorkCounters;
 use graphalytics::graph500::RmatConfig;
 use graphalytics::prelude::*;
 
@@ -67,44 +64,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The perf claim behind the SSSP kernel swap, as a correctness-gated
-/// regression test: on a weighted proxy graph, delta-stepping must scan
-/// strictly fewer edges than the synchronous label-correcting baseline
-/// (which re-relaxes vertices across supersteps) while landing on the
-/// bitwise-identical distance fixpoint.
-#[test]
-fn delta_stepping_scans_fewer_edges_than_label_correcting() {
-    // Scale 14 (~180k arcs) clears DELTA_MIN_ARCS, so the platform
-    // dispatches the delta-stepping kernel rather than label-correcting.
-    let graph = Graph500Config::new(14).with_seed(11).with_weights(true).generate();
-    let pool = WorkerPool::new(4);
-    let csr = Arc::new(graph.to_csr_with(&pool).unwrap());
-    let root = SourceSelection::MaxOutDegree.resolve(&csr).unwrap();
-    let params = AlgorithmParams::with_source(root);
-
-    let platform = platform_by_name("PGX.D").unwrap();
-    let loaded = platform.upload(csr.clone(), &pool).unwrap();
-    let mut ctx = RunContext::new(&pool);
-    let delta = platform.run(loaded.as_ref(), Algorithm::Sssp, &params, &mut ctx).unwrap();
-    platform.delete(loaded);
-
-    let mut base_counters = WorkCounters::new();
-    let dense_root = csr.index_of(root).unwrap();
-    let base =
-        graphalytics::engines::pushpull::label_correcting_sssp(&csr, dense_root, &mut base_counters);
-    let base_output =
-        AlgorithmOutput::from_dense(Algorithm::Sssp, &csr, OutputValues::F64(base));
-
-    assert_eq!(base_output, delta.output, "both kernels reach the same fixpoint, bitwise");
-    assert!(
-        delta.counters.edges_scanned < base_counters.edges_scanned,
-        "delta-stepping must scan strictly fewer edges ({} vs label-correcting {})",
-        delta.counters.edges_scanned,
-        base_counters.edges_scanned
-    );
-    // Both kernels count one 12-byte message per *successful* relaxation.
-    assert_eq!(delta.counters.message_bytes, delta.counters.messages * 12);
-    assert_eq!(base_counters.message_bytes, base_counters.messages * 12);
 }

@@ -108,25 +108,11 @@ impl GraphBuilder {
 
     /// Finalizes the graph on a worker pool: the edge sort — the dominant
     /// cost for generator-sized graphs — runs as parallel chunk sorts plus
-    /// a k-way merge. The total `(src, dst, weight)` sort key makes the
-    /// result identical for every pool width (including [`build`](Self::build)).
+    /// a k-way merge, and is skipped when the edges arrived in order (a
+    /// file written from a [`Graph`]). The total `(src, dst, weight)` sort
+    /// key makes the result identical for every pool width (including
+    /// [`build`](Self::build)).
     pub fn build_with(mut self, pool: &crate::pool::WorkerPool) -> Result<Graph> {
-        self.normalize(pool)?;
-        let g = Graph::from_parts(self.directed, self.weighted, self.vertices, self.edges);
-        g.validate()?;
-        Ok(g)
-    }
-
-    /// Finalizes without the final `validate` pass; callers that just
-    /// normalized trusted input (e.g. [`Graph::as_undirected`]) use this to
-    /// avoid an O(|E|) re-check.
-    pub(crate) fn build_unchecked(mut self) -> Graph {
-        self.normalize(&crate::pool::WorkerPool::inline())
-            .expect("normalize cannot fail when dedup is enabled");
-        Graph::from_parts(self.directed, self.weighted, self.vertices, self.edges)
-    }
-
-    fn normalize(&mut self, pool: &crate::pool::WorkerPool) -> Result<()> {
         self.vertices.sort_unstable();
         self.vertices.dedup();
         // Sort edges by the *total* key (src, dst, weight) for a
@@ -144,13 +130,18 @@ impl GraphBuilder {
                 bits | (1 << 63)
             }
         }
-        crate::pool::par_sort_by_key(pool, &mut self.edges, |e| {
-            (e.src, e.dst, weight_key(e.weight))
-        });
+        // Equal total keys are identical edges, so a list already
+        // non-descending by it is exactly what the sort would return.
+        let key = |e: &Edge| (e.src, e.dst, weight_key(e.weight));
+        if !self.edges.is_sorted_by_key(key) {
+            crate::pool::par_sort_by_key(pool, &mut self.edges, key);
+        }
         if self.dedup {
             self.edges.dedup_by(|a, b| a.src == b.src && a.dst == b.dst);
         }
-        Ok(())
+        let g = Graph::from_parts(self.directed, self.weighted, self.vertices, self.edges);
+        g.validate()?;
+        Ok(g)
     }
 }
 

@@ -4,17 +4,24 @@
 //! The build (the benchmark's "upload" phase) runs on a [`WorkerPool`]:
 //! per-worker degree counting over contiguous edge chunks, a prefix
 //! merge that turns the per-worker counts into exclusive row cursors,
-//! a race-free parallel scatter, and a parallel per-row sort. Because
-//! every row ends up sorted by `(target, weight)` — a total order — the
-//! result is bit-identical for every thread count, including the
-//! sequential build ([`Csr::from_graph`] uses the inline pool).
+//! and a race-free parallel scatter. Rows are born sorted: a [`Graph`]'s
+//! edge list is strictly ascending by `(src, dst)` (verified while the
+//! counting pass reads it), chunk `w` holds earlier edges than chunk
+//! `w + 1` and its cursors reserve earlier slots, so every out-row fills
+//! in ascending `dst` and every in-row in ascending `src`. An undirected
+//! row `v` first receives its smaller neighbours (edges `(s, v)`, `s < v`,
+//! sorted before any edge with source `v`) and then its larger ones
+//! (edges `(v, d)`) — which is why the canonical `src < dst` orientation
+//! is verified too. The result is therefore bit-identical for every
+//! thread count, including the sequential build ([`Csr::from_graph`]
+//! uses the inline pool), with no per-row sort.
 //!
 //! Sparse-to-dense remapping is hashmap-free: the sorted vertex-id list
 //! is classified once into contiguous / dense-table / binary-search
-//! ([`Remap`]), so the common generator case (ids `0..n`) remaps each
+//! (`Remap`), so the common generator case (ids `0..n`) remaps each
 //! endpoint with a subtraction instead of an `O(log n)` search.
 
-use super::{Graph, VertexId};
+use super::{Graph, Remap, VertexId};
 use crate::error::{Error, Result};
 use crate::pool::{SharedSlice, WorkerPool};
 
@@ -41,59 +48,6 @@ pub struct Csr {
     in_offsets: Box<[u64]>,
     in_targets: Box<[u32]>,
     in_weights: Box<[f64]>,
-}
-
-/// The hashmap-free sparse-id → dense-index map, classified once per
-/// build from the sorted, duplicate-free vertex-id list.
-enum Remap<'a> {
-    /// Ids are exactly `lo..lo + n`: remap is a subtraction.
-    Offset { lo: u64, n: u64 },
-    /// Small id span: direct lookup table (`u32::MAX` = absent).
-    Table { lo: u64, table: Vec<u32> },
-    /// Sparse ids over a wide span: binary search.
-    Search(&'a [VertexId]),
-}
-
-impl<'a> Remap<'a> {
-    fn new(ids: &'a [VertexId]) -> Remap<'a> {
-        let n = ids.len();
-        if n == 0 {
-            return Remap::Offset { lo: 0, n: 0 };
-        }
-        let (lo, hi) = (ids[0], ids[n - 1]);
-        // Ids spanning (nearly) the whole u64 range overflow the span
-        // computation; they can only ever be the binary-search case.
-        let Some(span) = (hi - lo).checked_add(1) else {
-            return Remap::Search(ids);
-        };
-        if span == n as u64 {
-            return Remap::Offset { lo, n: n as u64 };
-        }
-        // A table costs 4 bytes per id in the span; accept a modest
-        // blow-up over the (4 bytes × n) ideal before falling back.
-        if span <= (4 * n as u64).max(1 << 16) {
-            let mut table = vec![u32::MAX; span as usize];
-            for (i, &v) in ids.iter().enumerate() {
-                table[(v - lo) as usize] = i as u32;
-            }
-            return Remap::Table { lo, table };
-        }
-        Remap::Search(ids)
-    }
-
-    #[inline]
-    fn index_of(&self, v: VertexId) -> Option<u32> {
-        match self {
-            Remap::Offset { lo, n } => {
-                v.checked_sub(*lo).filter(|d| d < n).map(|d| d as u32)
-            }
-            Remap::Table { lo, table } => {
-                let d = v.checked_sub(*lo)?;
-                table.get(d as usize).copied().filter(|&i| i != u32::MAX)
-            }
-            Remap::Search(ids) => ids.binary_search(&v).ok().map(|i| i as u32),
-        }
-    }
 }
 
 /// Rewrites `counts[w][v]` (per-worker degree contributions) into each
@@ -132,7 +86,8 @@ impl Csr {
     /// Builds the CSR form of `g` sequentially (the inline pool).
     ///
     /// Fails with [`Error::InvalidGraph`] when an edge endpoint is not a
-    /// declared vertex — possible only for graphs that bypassed
+    /// declared vertex or the edge list is not in the [`Graph`] order —
+    /// possible only for graphs that bypassed
     /// [`GraphBuilder`](super::GraphBuilder) validation.
     pub fn from_graph(g: &Graph) -> Result<Csr> {
         Csr::from_graph_with(g, &WorkerPool::inline())
@@ -150,8 +105,9 @@ impl Csr {
         let edges = g.edges();
         let m = edges.len();
 
-        // Pass 1 — remap endpoints and count per-worker degrees over
-        // contiguous edge chunks.
+        // Pass 1 — remap endpoints, count per-worker degrees over
+        // contiguous edge chunks, and verify the edge order the scatter
+        // relies on (each chunk also looks at the edge before its first).
         let mut endpoints: Vec<(u32, u32, f64)> = vec![(0, 0, 0.0); m];
         let counted = {
             let ep = SharedSlice::new(endpoints.as_mut_ptr());
@@ -160,6 +116,15 @@ impl Csr {
                 let mut in_cnt = vec![0u32; if directed { n } else { 0 }];
                 for i in chunk {
                     let e = &edges[i];
+                    let ordered =
+                        i == 0 || (edges[i - 1].src, edges[i - 1].dst) < (e.src, e.dst);
+                    if !ordered || (!directed && e.src >= e.dst) {
+                        return Err(Error::InvalidGraph(format!(
+                            "edge ({}, {}) is not in edge order (strictly ascending \
+                             (src, dst); src < dst when undirected)",
+                            e.src, e.dst
+                        )));
+                    }
                     let (s, d) = match (remap.index_of(e.src), remap.index_of(e.dst)) {
                         (Some(s), Some(d)) => (s, d),
                         _ => {
@@ -197,8 +162,8 @@ impl Csr {
             if directed { exclusive_offsets(pool, n, &mut in_counts) } else { Vec::new() };
 
         // Pass 3 — scatter: worker w fills the slots its exclusive
-        // cursors reserve, so no two workers ever write the same index
-        // and the layout is thread-count-independent after the row sort.
+        // cursors reserve, so no two workers ever write the same index,
+        // and edges land in every row in edge-list order — sorted.
         let stored_out = out_offsets[n] as usize;
         let mut out_targets = vec![0u32; stored_out];
         let mut out_weights = vec![1.0f64; stored_out];
@@ -243,37 +208,6 @@ impl Csr {
                     }
                 }
             });
-        }
-
-        // Pass 4 — sort every row by (target, weight), a total order:
-        // the final layout is independent of scatter order, hence of the
-        // thread count. Parallel over vertex ranges (disjoint rows).
-        let sort_rows = |offsets: &[u64], targets: &mut Vec<u32>, weights: &mut Vec<f64>| {
-            let tgt = SharedSlice::new(targets.as_mut_ptr());
-            let wts = SharedSlice::new(weights.as_mut_ptr());
-            pool.run(n, |_, vrange| {
-                for v in vrange {
-                    let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-                    if hi - lo <= 1 {
-                        continue;
-                    }
-                    // SAFETY: rows are disjoint slices and vertex ranges
-                    // are disjoint.
-                    let trow = unsafe { tgt.slice_mut(lo, hi - lo) };
-                    let wrow = unsafe { wts.slice_mut(lo, hi - lo) };
-                    let mut row: Vec<(u32, f64)> =
-                        trow.iter().copied().zip(wrow.iter().copied()).collect();
-                    row.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-                    for (k, (t, w)) in row.into_iter().enumerate() {
-                        trow[k] = t;
-                        wrow[k] = w;
-                    }
-                }
-            });
-        };
-        sort_rows(&out_offsets, &mut out_targets, &mut out_weights);
-        if directed {
-            sort_rows(&in_offsets, &mut in_targets, &mut in_weights);
         }
 
         Ok(Csr {
@@ -583,6 +517,27 @@ mod tests {
         let pool = crate::pool::WorkerPool::new(3);
         assert!(Csr::from_graph_with(&g, &pool).is_err());
         assert!(g.try_to_csr().is_err());
+    }
+
+    #[test]
+    fn unordered_edge_list_is_invalid_graph_not_unsorted_rows() {
+        use crate::graph::Edge;
+        // Rows are born sorted only from an ordered list, so a list that
+        // bypassed the builder out of order must not become a CSR.
+        let swapped = vec![Edge::new(1, 3), Edge::new(1, 2), Edge::new(2, 3)];
+        let repeated = vec![Edge::new(1, 2), Edge::new(1, 2)];
+        let reversed = vec![Edge::new(2, 1)];
+        for (directed, edges) in [(true, swapped), (true, repeated), (false, reversed)] {
+            let g = Graph::from_parts(directed, false, vec![1, 2, 3], edges);
+            for threads in [1u32, 3] {
+                let err = Csr::from_graph_with(&g, &WorkerPool::new(threads)).unwrap_err();
+                assert!(matches!(err, Error::InvalidGraph(_)), "{err}");
+                assert!(err.to_string().contains("edge order"), "{err}");
+            }
+        }
+        // The same non-canonical pair is a legal directed edge list.
+        let g = Graph::from_parts(true, false, vec![1, 2, 3], vec![Edge::new(2, 1)]);
+        assert_eq!(Csr::from_graph(&g).unwrap().out_neighbors(1), &[0]);
     }
 
     #[test]

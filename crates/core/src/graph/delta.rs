@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{Error, Result};
-use crate::graph::{Csr, Edge, Graph, VertexId};
+use crate::graph::{valid_weight, Csr, Edge, Graph, VertexId};
 use crate::pool::WorkerPool;
 
 /// A batch of edge insertions and deletions against a resident graph.
@@ -402,7 +402,7 @@ impl MutableGraph {
         };
         for e in &batch.insertions {
             check(e.src, e.dst)?;
-            if e.weight.is_nan() || e.weight < 0.0 {
+            if !valid_weight(e.weight) {
                 return Err(Error::InvalidGraph(format!(
                     "inserted edge ({}, {}) has invalid weight {}",
                     e.src, e.dst, e.weight
@@ -820,6 +820,24 @@ mod tests {
         let mut nan = MutationBatch::new();
         nan.insert_weighted(0, 2, f64::NAN);
         assert!(mg.apply(&nan, &pool).unwrap_err().to_string().contains("invalid weight"));
+    }
+
+    #[test]
+    fn non_finite_weight_rejects_the_whole_batch() {
+        let pool = WorkerPool::inline();
+        let mut mg = MutableGraph::new(diamond(true, true));
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            let mut batch = MutationBatch::new();
+            batch.insert_weighted(0, 2, 1.0).insert_weighted(1, 3, bad).delete(0, 1);
+            assert!(mg.validate_batch(&batch).is_err(), "{bad}");
+            let err = mg.apply(&batch, &pool).unwrap_err();
+            assert!(err.to_string().contains("invalid weight"), "{err}");
+            assert_eq!(mg.delta_arcs(), 0, "delta log untouched by weight {bad}");
+            assert!(!mg.has_out_edge(0, 2) && mg.has_out_edge(0, 1));
+        }
+        let mut batch = MutationBatch::new();
+        batch.insert_weighted(0, 2, -0.0);
+        assert_eq!(mg.apply(&batch, &pool).unwrap().inserted, 1, "-0.0 is zero");
     }
 
     #[test]

@@ -20,20 +20,17 @@ use super::{group_by_key, reduce_by_key, Dataset, DataflowGraph};
 /// Builds the edge dataset `(src, dst, weight)` partitioned by source.
 /// For undirected CSR the out-rows already contain both orientations.
 /// Called once per direction by the upload phase (see
-/// [`DataflowGraph`]); iterations reuse the cached datasets.
+/// [`DataflowGraph`]); iterations reuse the cached datasets. The
+/// partitions fill straight from the CSR rows, no flat arc list between.
 pub fn edge_dataset(csr: &Csr, parts: usize, both_directions: bool) -> Dataset<(u32, u32, f64)> {
-    let mut arcs = Vec::with_capacity(csr.num_arcs());
-    for u in 0..csr.num_vertices() as u32 {
-        for (&v, &w) in csr.out_neighbors(u).iter().zip(csr.out_weights(u)) {
-            arcs.push((u, v, w));
-        }
-        if both_directions && csr.is_directed() {
-            for (&v, &w) in csr.in_neighbors(u).iter().zip(csr.in_weights(u)) {
-                arcs.push((u, v, w));
-            }
-        }
-    }
-    Dataset::from_vec(arcs, parts)
+    let reverse = both_directions && csr.is_directed();
+    let arcs = (0..csr.num_vertices() as u32).flat_map(|u| {
+        let out = csr.out_neighbors(u).iter().zip(csr.out_weights(u));
+        let (sources, weights) =
+            if reverse { (csr.in_neighbors(u), csr.in_weights(u)) } else { (&[][..], &[][..]) };
+        out.chain(sources.iter().zip(weights)).map(move |(&v, &w)| (u, v, w))
+    });
+    Dataset::from_exact(csr.num_arcs() * if reverse { 2 } else { 1 }, arcs, parts)
 }
 
 /// The generic Pregel-on-joins loop for algorithms with a message
@@ -434,6 +431,38 @@ mod tests {
         // Each iteration ships one vote per arc (12 arcs undirected)
         // plus n vertex views.
         assert!(c.messages >= 2 * (12 + 6));
+    }
+
+    #[test]
+    fn edge_dataset_partitions_equal_from_vec_of_the_flat_arc_list() {
+        for directed in [true, false] {
+            let csr = sample(directed);
+            for both in [false, true] {
+                let mut arcs = Vec::new();
+                for u in 0..csr.num_vertices() as u32 {
+                    let out = csr.out_neighbors(u).iter().zip(csr.out_weights(u));
+                    arcs.extend(out.map(|(&v, &w)| (u, v, w)));
+                    if both && directed {
+                        let inn = csr.in_neighbors(u).iter().zip(csr.in_weights(u));
+                        arcs.extend(inn.map(|(&v, &w)| (u, v, w)));
+                    }
+                }
+                for parts in [0, 1, 3, 4, arcs.len(), arcs.len() + 1] {
+                    let expected = Dataset::from_vec(arcs.clone(), parts);
+                    let built = edge_dataset(&csr, parts, both);
+                    assert_eq!(
+                        built.partitions(),
+                        expected.partitions(),
+                        "directed={directed} both={both} parts={parts}"
+                    );
+                }
+            }
+        }
+        // No arcs at all: `parts` empty partitions.
+        let mut b = GraphBuilder::new(true);
+        b.add_vertex_range(3);
+        let empty = b.build().unwrap().to_csr();
+        assert_eq!(edge_dataset(&empty, 4, true).partitions(), vec![Vec::new(); 4]);
     }
 
     #[test]

@@ -48,13 +48,21 @@ pub struct Dataset<T> {
 impl<T> Dataset<T> {
     /// Partitions `data` into `parts` chunks (contiguous split).
     pub fn from_vec(data: Vec<T>, parts: usize) -> Self {
+        Dataset::from_exact(data.len(), data.into_iter(), parts)
+    }
+
+    /// [`Dataset::from_vec`] for the exactly `len` records `data` yields,
+    /// without the flat vector: only the partition vectors are allocated.
+    pub fn from_exact(len: usize, mut data: impl Iterator<Item = T>, parts: usize) -> Self {
         let parts = parts.max(1);
-        let chunk = data.len().div_ceil(parts).max(1);
+        let chunk = len.div_ceil(parts).max(1);
         let mut out: Vec<Vec<T>> = Vec::with_capacity(parts);
-        let mut iter = data.into_iter();
-        for _ in 0..parts {
-            out.push(iter.by_ref().take(chunk).collect());
+        for p in 0..parts {
+            let mut part = Vec::with_capacity(chunk.min(len.saturating_sub(p * chunk)));
+            part.extend(data.by_ref().take(chunk));
+            out.push(part);
         }
+        assert!(data.next().is_none(), "more than the announced {len} records");
         Dataset { parts: out }
     }
 

@@ -25,7 +25,7 @@ pub use csr::Csr;
 pub use delta::{
     random_batch, ApplyOutcome, DeltaConfig, DeltaStats, MergedEdges, MutableGraph, MutationBatch,
 };
-pub use sharded::{ShardCsr, ShardedCsr};
+pub use sharded::ShardedCsr;
 pub use io::{
     read_edge_file, read_edge_file_with, read_graph, read_graph_with, read_vertex_file,
     write_edge_file, write_vertex_file,

@@ -1,119 +1,31 @@
-//! Partitioned CSR: per-shard adjacency extracted from one [`Csr`].
+//! Sharded CSR: an owner map and per-shard vertex lists over one [`Csr`].
 //!
-//! A [`ShardedCsr`] splits a built CSR into `N` shards according to an
-//! externally supplied owner map (the `cluster` crate's edge-cut
-//! strategies produce one). Each [`ShardCsr`] holds the adjacency rows
-//! of the vertices it owns — targets keep their *global* dense indices,
-//! so inter-shard edges are exactly the row entries whose target is
-//! owned elsewhere. Rows are copied verbatim from the parent CSR (whose
-//! build is already bit-identical across pool widths), so shard-local
-//! iteration order equals global iteration order for every owner map.
-//!
-//! The copy runs on a [`WorkerPool`]: per-shard degree prefix sums, then
-//! a parallel row scatter over disjoint local-vertex ranges.
+//! A [`ShardedCsr`] assigns every dense vertex of a built CSR to one of
+//! `N` shards according to an externally supplied owner map (the
+//! `cluster` crate's edge-cut strategies produce one). A shard is the
+//! ascending list of the vertices it owns; adjacency is read from the
+//! parent CSR by global dense index, so inter-shard edges are exactly
+//! the row entries whose target is owned elsewhere, and walking a shard
+//! in list order visits its rows in global iteration order for every
+//! owner map.
 
 use std::sync::Arc;
 
 use super::Csr;
 use crate::error::{Error, Result};
-use crate::pool::{SharedSlice, WorkerPool};
 
-/// The adjacency owned by one shard. Local vertex `li` is global dense
-/// vertex `vertices()[li]`; rows store global dense target indices.
-#[derive(Debug, Clone)]
-pub struct ShardCsr {
-    vertices: Box<[u32]>,
-    out_offsets: Box<[u64]>,
-    out_targets: Box<[u32]>,
-    out_weights: Box<[f64]>,
-    // Empty (aliased to out) for undirected graphs, mirroring `Csr`.
-    in_offsets: Box<[u64]>,
-    in_targets: Box<[u32]>,
-    in_weights: Box<[f64]>,
-}
-
-impl ShardCsr {
-    /// Number of vertices owned by this shard.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// True when the shard owns no vertices.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
-    }
-
-    /// Global dense indices owned by this shard, ascending.
-    #[inline]
-    pub fn vertices(&self) -> &[u32] {
-        &self.vertices
-    }
-
-    /// Global dense index of local vertex `li`.
-    #[inline]
-    pub fn global(&self, li: usize) -> u32 {
-        self.vertices[li]
-    }
-
-    /// Out-row of local vertex `li`: global targets + parallel weights,
-    /// in the parent CSR's (sorted) order.
-    #[inline]
-    pub fn out_row(&self, li: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.out_offsets[li] as usize, self.out_offsets[li + 1] as usize);
-        (&self.out_targets[lo..hi], &self.out_weights[lo..hi])
-    }
-
-    /// In-row of local vertex `li`; aliases the out-row for undirected
-    /// graphs (as in [`Csr::in_neighbors`]).
-    #[inline]
-    pub fn in_row(&self, li: usize) -> (&[u32], &[f64]) {
-        if self.in_offsets.is_empty() {
-            return self.out_row(li);
-        }
-        let (lo, hi) = (self.in_offsets[li] as usize, self.in_offsets[li + 1] as usize);
-        (&self.in_targets[lo..hi], &self.in_weights[lo..hi])
-    }
-
-    /// Stored arcs in this shard's out-structure.
-    #[inline]
-    pub fn num_out_arcs(&self) -> usize {
-        self.out_targets.len()
-    }
-
-    /// Estimated resident size in bytes (upload-phase accounting).
-    pub fn resident_bytes(&self) -> u64 {
-        (self.vertices.len() * 4
-            + (self.out_offsets.len() + self.in_offsets.len()) * 8
-            + (self.out_targets.len() + self.in_targets.len()) * 4
-            + (self.out_weights.len() + self.in_weights.len()) * 8) as u64
-    }
-}
-
-/// A CSR split into `N` shards by an owner map.
-///
-/// Keeps the parent [`Csr`] alive (outputs and validation still need
-/// global id mapping) plus, per vertex, its owner and its local index
-/// within the owning shard.
+/// A CSR with its vertices split into `N` shards by an owner map.
 #[derive(Debug, Clone)]
 pub struct ShardedCsr {
     csr: Arc<Csr>,
     owner: Box<[u32]>,
-    local_index: Box<[u32]>,
-    shards: Box<[ShardCsr]>,
+    shards: Box<[Box<[u32]>]>,
 }
 
 impl ShardedCsr {
-    /// Splits `csr` into `parts` shards according to `owner` (one entry
-    /// per dense vertex, values in `0..parts`). Row copies run on
-    /// `pool`; the result is identical for every pool width.
-    pub fn partition_with(
-        csr: Arc<Csr>,
-        owner: &[u32],
-        parts: u32,
-        pool: &WorkerPool,
-    ) -> Result<ShardedCsr> {
+    /// Splits `csr`'s vertices into `parts` shards according to `owner`
+    /// (one entry per dense vertex, values in `0..parts`).
+    pub fn partition(csr: Arc<Csr>, owner: &[u32], parts: u32) -> Result<ShardedCsr> {
         let n = csr.num_vertices();
         if parts == 0 {
             return Err(Error::InvalidParameters("shard count must be >= 1".into()));
@@ -130,42 +42,16 @@ impl ShardedCsr {
             )));
         }
 
-        // Shard membership, ascending within each shard by construction.
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); parts as usize];
-        let mut local_index = vec![0u32; n];
-        for v in 0..n {
-            let s = owner[v] as usize;
-            local_index[v] = members[s].len() as u32;
-            members[s].push(v as u32);
+        // Ascending within each shard by construction.
+        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); parts as usize];
+        for (v, &s) in owner.iter().enumerate() {
+            shards[s as usize].push(v as u32);
         }
-
-        let directed = csr.is_directed();
-        let shards = members
-            .into_iter()
-            .map(|vertices| {
-                let out = copy_rows(&csr, &vertices, pool, Direction::Out);
-                let (in_offsets, in_targets, in_weights) = if directed {
-                    copy_rows(&csr, &vertices, pool, Direction::In)
-                } else {
-                    (Vec::new(), Vec::new(), Vec::new())
-                };
-                ShardCsr {
-                    vertices: vertices.into(),
-                    out_offsets: out.0.into(),
-                    out_targets: out.1.into(),
-                    out_weights: out.2.into(),
-                    in_offsets: in_offsets.into(),
-                    in_targets: in_targets.into(),
-                    in_weights: in_weights.into(),
-                }
-            })
-            .collect();
 
         Ok(ShardedCsr {
             csr,
             owner: owner.into(),
-            local_index: local_index.into(),
-            shards,
+            shards: shards.into_iter().map(Vec::into_boxed_slice).collect(),
         })
     }
 
@@ -181,28 +67,10 @@ impl ShardedCsr {
         &self.owner
     }
 
-    /// Shard owning dense vertex `v`.
+    /// Dense vertices owned by shard `s`, ascending.
     #[inline]
-    pub fn owner_of(&self, v: u32) -> u32 {
-        self.owner[v as usize]
-    }
-
-    /// Local index of dense vertex `v` within its owning shard.
-    #[inline]
-    pub fn local_index_of(&self, v: u32) -> u32 {
-        self.local_index[v as usize]
-    }
-
-    /// Shard `s`.
-    #[inline]
-    pub fn shard(&self, s: usize) -> &ShardCsr {
+    pub fn shard(&self, s: usize) -> &[u32] {
         &self.shards[s]
-    }
-
-    /// All shards, in shard order.
-    #[inline]
-    pub fn shards(&self) -> &[ShardCsr] {
-        &self.shards
     }
 
     /// Number of shards.
@@ -211,70 +79,11 @@ impl ShardedCsr {
         self.shards.len() as u32
     }
 
-    /// Estimated resident bytes of the shard set (excluding the parent
-    /// CSR, which the caller typically keeps anyway).
+    /// Estimated resident bytes of the owner map and the shard lists
+    /// (excluding the parent CSR, which the caller keeps anyway).
     pub fn resident_bytes(&self) -> u64 {
-        let maps = (self.owner.len() + self.local_index.len()) * 4;
-        maps as u64 + self.shards.iter().map(ShardCsr::resident_bytes).sum::<u64>()
+        8 * self.owner.len() as u64
     }
-}
-
-enum Direction {
-    Out,
-    In,
-}
-
-/// Copies one direction's rows for `vertices` out of `csr`:
-/// offsets + targets + weights, rows in shard-local order.
-fn copy_rows(
-    csr: &Csr,
-    vertices: &[u32],
-    pool: &WorkerPool,
-    dir: Direction,
-) -> (Vec<u64>, Vec<u32>, Vec<f64>) {
-    let k = vertices.len();
-    let row = |v: u32| -> (&[u32], &[f64]) {
-        match dir {
-            Direction::Out => (csr.out_neighbors(v), csr.out_weights(v)),
-            Direction::In => (csr.in_neighbors(v), csr.in_weights(v)),
-        }
-    };
-
-    let mut offsets = vec![0u64; k + 1];
-    {
-        let off = SharedSlice::new(offsets.as_mut_ptr());
-        pool.run(k, |_, range| {
-            for li in range {
-                // SAFETY: local-vertex ranges are disjoint; only this
-                // task writes slot li + 1.
-                unsafe { *off.at(li + 1) = row(vertices[li]).0.len() as u64 };
-            }
-        });
-    }
-    for li in 0..k {
-        offsets[li + 1] += offsets[li];
-    }
-
-    let stored = offsets[k] as usize;
-    let mut targets = vec![0u32; stored];
-    let mut weights = vec![1.0f64; stored];
-    {
-        let tgt = SharedSlice::new(targets.as_mut_ptr());
-        let wts = SharedSlice::new(weights.as_mut_ptr());
-        pool.run(k, |_, range| {
-            for li in range {
-                let (nbrs, ws) = row(vertices[li]);
-                let lo = offsets[li] as usize;
-                // SAFETY: rows are disjoint slices and local-vertex
-                // ranges are disjoint.
-                unsafe {
-                    tgt.slice_mut(lo, nbrs.len()).copy_from_slice(nbrs);
-                    wts.slice_mut(lo, ws.len()).copy_from_slice(ws);
-                }
-            }
-        });
-    }
-    (offsets, targets, weights)
 }
 
 #[cfg(test)]
@@ -296,77 +105,41 @@ mod tests {
         b.build().unwrap().to_csr()
     }
 
-    fn round_robin(n: usize, parts: u32) -> Vec<u32> {
-        (0..n).map(|v| v as u32 % parts).collect()
-    }
-
     #[test]
-    fn shard_rows_match_parent_rows() {
-        for directed in [true, false] {
-            let csr = Arc::new(ring(37, directed));
-            let pool = WorkerPool::new(3);
-            let owner = round_robin(csr.num_vertices(), 4);
-            let sharded = ShardedCsr::partition_with(csr.clone(), &owner, 4, &pool).unwrap();
-            assert_eq!(sharded.num_shards(), 4);
-            let mut seen = 0usize;
-            for s in 0..4usize {
-                let shard = sharded.shard(s);
-                seen += shard.len();
-                for li in 0..shard.len() {
-                    let v = shard.global(li);
-                    assert_eq!(sharded.owner_of(v), s as u32);
-                    assert_eq!(sharded.local_index_of(v) as usize, li);
-                    let (tgt, wts) = shard.out_row(li);
-                    assert_eq!(tgt, csr.out_neighbors(v), "out row of {v}");
-                    assert_eq!(wts, csr.out_weights(v));
-                    let (itgt, iwts) = shard.in_row(li);
-                    assert_eq!(itgt, csr.in_neighbors(v), "in row of {v}");
-                    assert_eq!(iwts, csr.in_weights(v));
-                }
-            }
-            assert_eq!(seen, csr.num_vertices(), "shards partition the vertex set");
+    fn shards_partition_the_vertices_ascending_by_owner() {
+        let csr = Arc::new(ring(37, true));
+        let owner: Vec<u32> = (0..37u32).map(|v| v % 4).collect();
+        let sharded = ShardedCsr::partition(csr.clone(), &owner, 4).unwrap();
+        assert_eq!(sharded.num_shards(), 4);
+        assert_eq!(sharded.owner(), owner.as_slice());
+        let mut seen = 0usize;
+        for s in 0..4usize {
+            let shard = sharded.shard(s);
+            seen += shard.len();
+            assert!(shard.windows(2).all(|w| w[0] < w[1]), "shard {s} ascends");
+            assert!(shard.iter().all(|&v| owner[v as usize] == s as u32), "shard {s} owns its list");
         }
-    }
-
-    #[test]
-    fn identical_for_every_pool_width() {
-        let csr = Arc::new(ring(101, true));
-        let owner = round_robin(csr.num_vertices(), 3);
-        let baseline =
-            ShardedCsr::partition_with(csr.clone(), &owner, 3, &WorkerPool::inline()).unwrap();
-        for threads in [2u32, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let wide = ShardedCsr::partition_with(csr.clone(), &owner, 3, &pool).unwrap();
-            for s in 0..3usize {
-                assert_eq!(wide.shard(s).vertices(), baseline.shard(s).vertices());
-                assert_eq!(wide.shard(s).out_targets, baseline.shard(s).out_targets);
-                assert_eq!(wide.shard(s).out_weights, baseline.shard(s).out_weights);
-                assert_eq!(wide.shard(s).in_targets, baseline.shard(s).in_targets);
-            }
-        }
+        assert_eq!(seen, csr.num_vertices(), "shards partition the vertex set");
+        assert_eq!(sharded.resident_bytes(), 8 * 37);
     }
 
     #[test]
     fn invalid_owner_maps_are_rejected() {
         let csr = Arc::new(ring(10, true));
-        let pool = WorkerPool::inline();
         let short = vec![0u32; 5];
-        assert!(ShardedCsr::partition_with(csr.clone(), &short, 2, &pool).is_err());
+        assert!(ShardedCsr::partition(csr.clone(), &short, 2).is_err());
         let out_of_range = vec![5u32; 10];
-        assert!(ShardedCsr::partition_with(csr.clone(), &out_of_range, 2, &pool).is_err());
+        assert!(ShardedCsr::partition(csr.clone(), &out_of_range, 2).is_err());
         let ok = vec![0u32; 10];
-        assert!(ShardedCsr::partition_with(csr.clone(), &ok, 0, &pool).is_err());
-        assert!(ShardedCsr::partition_with(csr, &ok, 1, &pool).is_ok());
+        assert!(ShardedCsr::partition(csr.clone(), &ok, 0).is_err());
+        assert!(ShardedCsr::partition(csr, &ok, 1).is_ok());
     }
 
     #[test]
     fn single_shard_owns_everything() {
         let csr = Arc::new(ring(16, false));
         let owner = vec![0u32; 16];
-        let sharded =
-            ShardedCsr::partition_with(csr.clone(), &owner, 1, &WorkerPool::inline()).unwrap();
-        assert_eq!(sharded.shard(0).len(), 16);
-        assert_eq!(sharded.shard(0).num_out_arcs(), csr.num_arcs());
-        assert!(sharded.resident_bytes() > 0);
+        let sharded = ShardedCsr::partition(csr, &owner, 1).unwrap();
+        assert_eq!(sharded.shard(0), (0..16).collect::<Vec<u32>>().as_slice());
     }
 }

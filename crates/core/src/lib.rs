@@ -41,7 +41,7 @@ pub use error::{Error, Result};
 pub use fault::{CancelToken, FaultKind, FaultPlan, FaultScript, FaultSite, Injection};
 pub use graph::{
     random_batch, ApplyOutcome, Csr, DeltaConfig, DeltaStats, Edge, Graph, GraphBuilder,
-    MutableGraph, MutationBatch, ShardCsr, ShardedCsr, VertexId,
+    MutableGraph, MutationBatch, ShardedCsr, VertexId,
 };
 pub use pool::WorkerPool;
 pub use output::{AlgorithmOutput, OutputValues};

@@ -266,8 +266,9 @@ pub trait Platform: Send + Sync {
     }
 
     /// The sharded upload variant: partitions `csr` per `plan` and
-    /// builds a representation whose runs execute across per-shard
-    /// pools with explicit inter-shard message queues. The default
+    /// builds a representation whose runs execute the same kernels
+    /// across per-shard pools ([`crate::sharded::Lanes`]), counting the
+    /// traffic that crosses the cut. The default
     /// accepts `plan.shards <= 1` (a plain [`upload`](Platform::upload))
     /// and rejects more for engines without a sharded path.
     fn upload_sharded(

@@ -20,10 +20,22 @@
 //! `vertices_processed` grows by `|V|` per superstep even when the frontier
 //! is tiny — one of the structural reasons queue-based native code beats
 //! Pregel systems on low-coverage BFS (the paper's R2 observation).
+//!
+//! One superstep loop ([`run_pregel`]) serves every upload. A sharded
+//! upload only changes the *lane assignment* ([`crate::sharded`]): which
+//! pool computes which ascending list of vertices, and which owner map
+//! prices a message as cut traffic when it is sent. Inboxes fill in
+//! ascending-sender order either way — a straight walk of one group's
+//! outboxes, a `k`-way merge of per-sender runs for `k` shards
+//! ([`deliver`]) — so every vertex reads bit-identical inputs under
+//! every layout, and nothing is sorted.
 
 mod programs;
+#[cfg(test)]
 mod sharded;
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,20 +50,20 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::platform::{Execution, LoadedGraph, Platform, RunContext};
 use crate::profile::PerfProfile;
-use crate::sharded::{ShardPlan, ShardSet};
-use crate::trace::IterTimer;
+use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
+use crate::trace::{IterTimer, SpanRecord};
 
 pub use programs::{BfsProgram, CdlpProgram, LccMessage, LccProgram, PageRankProgram, SsspProgram, WccProgram};
-pub use sharded::{run_pregel_sharded, PregelShardedGraph};
 
-/// Per-compute-call context: outgoing messages, counters, aggregation.
-pub struct ComputeCtx<M> {
+/// Per-worker compute context: outgoing messages, counters, aggregation.
+pub struct ComputeCtx<'a, M> {
     outbox: Vec<(u32, M)>,
-    /// Per-message payload sizes parallel to `outbox`; only tracked by
-    /// the sharded runtime (which needs per-message bytes to account
-    /// inter-shard traffic). `None` keeps the single-shard send path
-    /// allocation-free.
-    sizes: Option<Vec<u64>>,
+    /// `(sender, messages sent)` per sending vertex, in the order the
+    /// lane walked them — what the barrier merges on. Recorded only on
+    /// a sharded upload.
+    runs: Vec<(u32, u32)>,
+    /// The owner map and this worker's shard; `None` when monolithic.
+    cut: Option<(&'a [u32], u32)>,
     /// Reusable buffer a program may sort or fold incoming messages in
     /// (the inbox itself is read-only); lives as long as the worker's
     /// context, so it is not reallocated per vertex.
@@ -59,48 +71,54 @@ pub struct ComputeCtx<M> {
     edges_scanned: u64,
     random_accesses: u64,
     message_bytes: u64,
+    inter_shard_messages: u64,
+    inter_shard_bytes: u64,
     aggregate: f64,
     default_msg_bytes: u64,
 }
 
-impl<M> ComputeCtx<M> {
-    fn new(default_msg_bytes: u64) -> Self {
+impl<'a, M> ComputeCtx<'a, M> {
+    fn new(default_msg_bytes: u64, cut: Option<(&'a [u32], u32)>) -> Self {
         ComputeCtx {
             outbox: Vec::new(),
-            sizes: None,
+            runs: Vec::new(),
+            cut,
             scratch: Vec::new(),
             edges_scanned: 0,
             random_accesses: 0,
             message_bytes: 0,
+            inter_shard_messages: 0,
+            inter_shard_bytes: 0,
             aggregate: 0.0,
             default_msg_bytes,
         }
     }
 
-    /// A context that records each message's payload size (the sharded
-    /// runtime's inter-shard byte accounting).
-    fn with_size_tracking(default_msg_bytes: u64) -> Self {
-        ComputeCtx { sizes: Some(Vec::new()), ..ComputeCtx::new(default_msg_bytes) }
-    }
-
     /// Sends `msg` to vertex `target` for delivery next superstep.
     #[inline]
     pub fn send(&mut self, target: u32, msg: M) {
-        self.message_bytes += self.default_msg_bytes;
-        if let Some(sizes) = &mut self.sizes {
-            sizes.push(self.default_msg_bytes);
-        }
-        self.outbox.push((target, msg));
+        self.send_sized(target, msg, self.default_msg_bytes);
     }
 
     /// Sends a variable-size message (LCC neighbour lists).
     #[inline]
     pub fn send_sized(&mut self, target: u32, msg: M, bytes: u64) {
         self.message_bytes += bytes;
-        if let Some(sizes) = &mut self.sizes {
-            sizes.push(bytes);
+        if let Some((owner, shard)) = self.cut {
+            if owner[target as usize] != shard {
+                self.inter_shard_messages += 1;
+                self.inter_shard_bytes += bytes;
+            }
         }
         self.outbox.push((target, msg));
+    }
+
+    /// Closes vertex `sender`'s run: everything sent since `mark`.
+    #[inline]
+    fn end_run(&mut self, sender: u32, mark: usize) {
+        if self.cut.is_some() && self.outbox.len() > mark {
+            self.runs.push((sender, (self.outbox.len() - mark) as u32));
+        }
     }
 
     /// The worker's reusable message scratch buffer (contents are
@@ -149,7 +167,7 @@ pub trait VertexProgram: Sync {
         value: &mut Self::Value,
         messages: &[Self::Message],
         prev_aggregate: f64,
-        ctx: &mut ComputeCtx<Self::Message>,
+        ctx: &mut ComputeCtx<'_, Self::Message>,
     ) -> bool;
 
     /// Serialized payload size of a fixed-size message.
@@ -164,20 +182,20 @@ pub trait VertexProgram: Sync {
 }
 
 /// Runs `program` to completion; returns final vertex values and populates
-/// `counters`. Supersteps execute on the shared pool: parked workers own
-/// disjoint vertex ranges (mutated through [`SharedSlice`]) and their
-/// contexts merge at the barrier in worker order.
+/// `counters`. The one superstep loop, for every lane assignment: each
+/// worker computes the vertices of its [`Lane`](crate::sharded::Lane)
+/// (mutated through [`SharedSlice`] — lanes are disjoint) and the
+/// barrier [`deliver`]s the outboxes and folds the worker contexts.
 ///
 /// The global sum aggregator is *canonical*: each vertex's contribution
 /// lands in a per-vertex slot and the barrier sums the slots in
 /// ascending vertex order — so the aggregate (and hence every value
 /// derived from it) is bit-identical for every pool width **and** every
-/// shard layout ([`run_pregel_sharded`] sums the same slots the same
-/// way).
+/// shard layout.
 pub fn run_pregel<P: VertexProgram>(
     csr: &Csr,
     program: &P,
-    pool: &WorkerPool,
+    lanes: &Lanes<'_>,
     counters: &mut WorkCounters,
 ) -> Vec<P::Value> {
     let n = csr.num_vertices();
@@ -187,13 +205,14 @@ pub fn run_pregel<P: VertexProgram>(
     let mut agg_contrib = vec![0.0f64; n];
     let mut aggregate = 0.0f64;
     let msg_bytes = program.message_bytes();
+    let owner = lanes.owner();
 
     let mut superstep = 0u64;
     let mut it = IterTimer::new("Superstep", counters);
+    let tracing = it.is_enabled();
     loop {
         fault::tick(FaultSite::Superstep);
-        let active_count =
-            if it.is_enabled() { active.iter().filter(|&&a| a).count() } else { 0 };
+        let active_count = if tracing { active.iter().filter(|&&a| a).count() } else { 0 };
         counters.supersteps += 1;
         // The partition store iterates every vertex to test activity.
         counters.vertices_processed += n as u64;
@@ -202,77 +221,124 @@ pub fn run_pregel<P: VertexProgram>(
         let active_ptr = SharedSlice::new(active.as_mut_ptr());
         let agg_ptr = SharedSlice::new(agg_contrib.as_mut_ptr());
         let inbox_ref: &Vec<Vec<P::Message>> = &inboxes;
-        let results = pool.run(n, |_, range| {
-            let mut ctx = ComputeCtx::new(msg_bytes);
-            for u in range {
-                let has_messages = !inbox_ref[u].is_empty();
-                // SAFETY: ranges are disjoint; only this worker touches u.
-                let (value, act) = unsafe { (values_ptr.at(u), active_ptr.at(u)) };
-                unsafe { *agg_ptr.at(u) = 0.0 };
+        let groups = lanes.run(tracing, |lane| {
+            let mut ctx = ComputeCtx::new(msg_bytes, owner.map(|o| (o, lane.shard())));
+            lane.for_each(|u| {
+                let i = u as usize;
+                let has_messages = !inbox_ref[i].is_empty();
+                // SAFETY: lanes are disjoint; only this worker touches u.
+                let (value, act) = unsafe { (values_ptr.at(i), active_ptr.at(i)) };
+                unsafe { *agg_ptr.at(i) = 0.0 };
                 if !(*act || has_messages) {
-                    continue;
+                    return;
                 }
                 ctx.aggregate = 0.0;
-                let still_active = program.compute(
-                    superstep,
-                    u as u32,
-                    csr,
-                    value,
-                    &inbox_ref[u],
-                    aggregate,
-                    &mut ctx,
-                );
-                unsafe { *agg_ptr.at(u) = ctx.aggregate };
+                let mark = ctx.outbox.len();
+                let still_active =
+                    program.compute(superstep, u, csr, value, &inbox_ref[i], aggregate, &mut ctx);
+                ctx.end_run(u, mark);
+                unsafe { *agg_ptr.at(i) = ctx.aggregate };
                 *act = still_active;
-            }
+            });
             ctx
         });
 
-        // Barrier: merge worker contexts in deterministic worker order.
+        // Barrier: fold the worker contexts, then deliver.
+        let mut sent = 0u64;
+        let mut shard_spans: Vec<SpanRecord> = Vec::new();
+        for (s, (secs, workers)) in groups.iter().enumerate() {
+            let (mut group_messages, mut group_edges) = (0u64, 0u64);
+            for ctx in workers {
+                counters.edges_scanned += ctx.edges_scanned;
+                counters.random_accesses += ctx.random_accesses;
+                counters.message_bytes += ctx.message_bytes;
+                counters.inter_shard_messages += ctx.inter_shard_messages;
+                counters.inter_shard_bytes += ctx.inter_shard_bytes;
+                group_messages += ctx.outbox.len() as u64;
+                group_edges += ctx.edges_scanned;
+            }
+            counters.messages += group_messages;
+            sent += group_messages;
+            if tracing && lanes.is_sharded() {
+                shard_spans.push(
+                    shard_span(s, *secs)
+                        .with_info("messages", group_messages)
+                        .with_info("edges_scanned", group_edges),
+                );
+            }
+        }
         for inbox in inboxes.iter_mut() {
             inbox.clear();
         }
-        let mut any_messages = false;
-        for ctx in results {
-            counters.edges_scanned += ctx.edges_scanned;
-            counters.random_accesses += ctx.random_accesses;
-            counters.messages += ctx.outbox.len() as u64;
-            counters.message_bytes += ctx.message_bytes;
-            for (target, msg) in ctx.outbox {
-                inboxes[target as usize].push(msg);
-                any_messages = true;
-            }
-        }
+        let drain_t = (tracing && lanes.is_sharded()).then(Instant::now);
+        deliver(groups, &mut inboxes);
+        let drain_secs = drain_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
         // Canonical aggregate: ascending vertex order, every slot.
         aggregate = agg_contrib.iter().sum();
 
         superstep += 1;
-        it.lap(counters, |s| s.with_info("active", active_count));
+        it.lap(counters, |span| {
+            let span = span.with_info("active", active_count);
+            lanes.annotate(span, shard_spans, sent as usize, drain_secs)
+        });
         let any_active = active.iter().any(|&a| a);
-        if (!any_active && !any_messages) || superstep >= program.max_supersteps() {
+        if (!any_active && sent == 0) || superstep >= program.max_supersteps() {
             break;
         }
     }
     values
 }
 
-/// The uploaded representation: the partition store. Giraph's load phase
-/// reads the edge list into per-worker partitions; here the load product
-/// is the owned CSR plus the per-vertex out-degree table the partition
-/// store serves to every superstep (PageRank's rank spread, activity
-/// scans) without re-deriving row extents from the offsets.
-pub struct PregelGraph {
-    csr: Arc<Csr>,
-    /// Cached out-degrees (partition-store vertex metadata).
-    out_degrees: Box<[u32]>,
+/// Moves every outbox into the inboxes so that each inbox ends up in
+/// ascending-sender order with per-sender send order kept — the one
+/// delivery order, whatever the lanes (see [`crate::sharded`]).
+///
+/// One group's workers hold contiguous slices of one ascending list, so
+/// walking them in worker order *is* sender order. With `k` groups each
+/// group's stream is still ascending in sender and every sender has one
+/// owner, so a `k`-way merge of the groups' per-sender runs on the
+/// sender id restores the same order; no message is compared or moved
+/// twice.
+fn deliver<M>(mut groups: Vec<GroupOut<ComputeCtx<'_, M>>>, inboxes: &mut [Vec<M>]) {
+    if groups.len() == 1 {
+        for ctx in groups.remove(0).1 {
+            for (target, msg) in ctx.outbox {
+                inboxes[target as usize].push(msg);
+            }
+        }
+        return;
+    }
+    let mut streams: Vec<_> = groups
+        .into_iter()
+        .map(|(_, workers)| {
+            let (runs, outboxes): (Vec<_>, Vec<_>) =
+                workers.into_iter().map(|ctx| (ctx.runs, ctx.outbox)).unzip();
+            (runs.into_iter().flatten(), outboxes.into_iter().flatten())
+        })
+        .collect();
+    let mut heads: BinaryHeap<Reverse<(u32, u32, usize)>> = streams
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(g, (runs, _))| runs.next().map(|(sender, len)| Reverse((sender, len, g))))
+        .collect();
+    while let Some(Reverse((_, len, g))) = heads.pop() {
+        let (runs, messages) = &mut streams[g];
+        for (target, msg) in messages.by_ref().take(len as usize) {
+            inboxes[target as usize].push(msg);
+        }
+        if let Some((sender, len)) = runs.next() {
+            heads.push(Reverse((sender, len, g)));
+        }
+    }
 }
 
-impl PregelGraph {
-    /// The cached out-degree of vertex `u`.
-    #[inline]
-    pub fn out_degree(&self, u: u32) -> u32 {
-        self.out_degrees[u as usize]
-    }
+/// The uploaded representation: the partition store. Giraph's load phase
+/// reads the edge list into per-worker partitions; here the load product
+/// is the pinned CSR plus, for a sharded upload, the [`ShardSet`] that
+/// assigns its vertices to per-shard pools.
+pub struct PregelGraph {
+    csr: Arc<Csr>,
+    shards: Option<ShardSet>,
 }
 
 impl LoadedGraph for PregelGraph {
@@ -285,31 +351,11 @@ impl LoadedGraph for PregelGraph {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.csr.resident_bytes() + 4 * self.out_degrees.len() as u64
-    }
-}
-
-/// Which runtime a run dispatches to: the monolithic BSP loop on the
-/// shared pool, or the sharded loop over a [`ShardSet`]. Both produce
-/// bit-identical values for every program.
-enum Exec<'a> {
-    Single { csr: &'a Csr, pool: &'a WorkerPool },
-    Sharded(&'a ShardSet),
-}
-
-impl<'a> Exec<'a> {
-    fn csr(&self) -> &'a Csr {
-        match self {
-            Exec::Single { csr, .. } => csr,
-            Exec::Sharded(set) => set.csr(),
-        }
+        self.shards.as_ref().map_or(self.csr.resident_bytes(), ShardSet::resident_bytes)
     }
 
-    fn run<P: VertexProgram>(&self, program: &P, counters: &mut WorkCounters) -> Vec<P::Value> {
-        match self {
-            Exec::Single { csr, pool } => run_pregel(csr, program, pool, counters),
-            Exec::Sharded(set) => run_pregel_sharded(set, program, counters),
-        }
+    fn shard_layout(&self) -> Option<ShardLayout> {
+        self.shards.as_ref().map(ShardSet::layout)
     }
 }
 
@@ -339,17 +385,8 @@ impl Platform for PregelEngine {
         &self.profile
     }
 
-    fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
-        let n = csr.num_vertices();
-        let csr_ref = &csr;
-        let degrees: Vec<u32> = pool
-            .run(n, |_, range| {
-                range.map(|u| csr_ref.out_degree(u as u32) as u32).collect::<Vec<u32>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        Ok(Box::new(PregelGraph { csr, out_degrees: degrees.into() }))
+    fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
+        Ok(Box::new(PregelGraph { csr, shards: None }))
     }
 
     fn supports_sharded(&self) -> bool {
@@ -365,8 +402,8 @@ impl Platform for PregelEngine {
         if plan.shards <= 1 {
             return self.upload(csr, pool);
         }
-        let set = ShardSet::build(csr, plan, pool)?;
-        Ok(Box::new(PregelShardedGraph::new(set)))
+        let shards = Some(ShardSet::build(csr.clone(), plan, pool)?);
+        Ok(Box::new(PregelGraph { csr, shards }))
     }
 
     fn run(
@@ -376,17 +413,14 @@ impl Platform for PregelEngine {
         params: &AlgorithmParams,
         ctx: &mut RunContext<'_>,
     ) -> Result<Execution> {
-        let exec = if let Some(g) = graph.as_any().downcast_ref::<PregelGraph>() {
-            Exec::Single { csr: g.csr(), pool: ctx.pool }
-        } else if let Some(g) = graph.as_any().downcast_ref::<PregelShardedGraph>() {
-            Exec::Sharded(g.set())
-        } else {
+        let Some(graph) = graph.as_any().downcast_ref::<PregelGraph>() else {
             return Err(graphalytics_core::Error::InvalidParameters(format!(
                 "graph was not uploaded through platform {}",
                 self.name()
             )));
         };
-        let csr = exec.csr();
+        let csr = graph.csr();
+        let lanes = Lanes::new(csr.num_vertices(), ctx.pool, graph.shards.as_ref());
         let start = Instant::now();
         let mut counters = WorkCounters::new();
         ctx.check_cancelled()?;
@@ -395,22 +429,30 @@ impl Platform for PregelEngine {
             Ok(match algorithm {
                 Algorithm::Bfs => {
                     let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(exec.run(&BfsProgram { root }, &mut counters))
+                    OutputValues::I64(run_pregel(csr, &BfsProgram { root }, &lanes, &mut counters))
                 }
-                Algorithm::PageRank => OutputValues::F64(exec.run(
+                Algorithm::PageRank => OutputValues::F64(run_pregel(
+                    csr,
                     &PageRankProgram {
                         iterations: params.pagerank_iterations,
                         damping: params.damping_factor,
                         n: csr.num_vertices() as f64,
                     },
+                    &lanes,
                     &mut counters,
                 )),
-                Algorithm::Wcc => OutputValues::Id(exec.run(&WccProgram, &mut counters)),
-                Algorithm::Cdlp => OutputValues::Id(exec.run(
+                Algorithm::Wcc => {
+                    OutputValues::Id(run_pregel(csr, &WccProgram, &lanes, &mut counters))
+                }
+                Algorithm::Cdlp => OutputValues::Id(run_pregel(
+                    csr,
                     &CdlpProgram { iterations: params.cdlp_iterations },
+                    &lanes,
                     &mut counters,
                 )),
-                Algorithm::Lcc => OutputValues::F64(exec.run(&LccProgram, &mut counters)),
+                Algorithm::Lcc => {
+                    OutputValues::F64(run_pregel(csr, &LccProgram, &lanes, &mut counters))
+                }
                 Algorithm::Sssp => {
                     if !csr.is_weighted() {
                         return Err(graphalytics_core::Error::InvalidParameters(
@@ -418,7 +460,7 @@ impl Platform for PregelEngine {
                         ));
                     }
                     let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(exec.run(&SsspProgram { root }, &mut counters))
+                    OutputValues::F64(run_pregel(csr, &SsspProgram { root }, &lanes, &mut counters))
                 }
             })
         });

@@ -29,7 +29,7 @@ impl VertexProgram for BfsProgram {
         value: &mut i64,
         messages: &[i64],
         _agg: f64,
-        ctx: &mut ComputeCtx<i64>,
+        ctx: &mut ComputeCtx<'_, i64>,
     ) -> bool {
         if superstep == 0 {
             if u == self.root {
@@ -48,7 +48,7 @@ impl VertexProgram for BfsProgram {
     }
 }
 
-fn relax_out(csr: &Csr, u: u32, depth: i64, ctx: &mut ComputeCtx<i64>) {
+fn relax_out(csr: &Csr, u: u32, depth: i64, ctx: &mut ComputeCtx<'_, i64>) {
     let out = csr.out_neighbors(u);
     ctx.scan_edges(out.len() as u64);
     for &v in out {
@@ -79,7 +79,7 @@ impl VertexProgram for PageRankProgram {
         value: &mut f64,
         messages: &[f64],
         prev_aggregate: f64,
-        ctx: &mut ComputeCtx<f64>,
+        ctx: &mut ComputeCtx<'_, f64>,
     ) -> bool {
         if self.iterations == 0 {
             return false;
@@ -132,7 +132,7 @@ impl VertexProgram for WccProgram {
         value: &mut VertexId,
         messages: &[VertexId],
         _agg: f64,
-        ctx: &mut ComputeCtx<VertexId>,
+        ctx: &mut ComputeCtx<'_, VertexId>,
     ) -> bool {
         if superstep == 0 {
             send_both_directions(csr, u, *value, ctx);
@@ -148,7 +148,7 @@ impl VertexProgram for WccProgram {
     }
 }
 
-fn send_both_directions(csr: &Csr, u: u32, label: VertexId, ctx: &mut ComputeCtx<VertexId>) {
+fn send_both_directions(csr: &Csr, u: u32, label: VertexId, ctx: &mut ComputeCtx<'_, VertexId>) {
     let out = csr.out_neighbors(u);
     ctx.scan_edges(out.len() as u64);
     for &v in out {
@@ -185,7 +185,7 @@ impl VertexProgram for CdlpProgram {
         value: &mut VertexId,
         messages: &[VertexId],
         _agg: f64,
-        ctx: &mut ComputeCtx<VertexId>,
+        ctx: &mut ComputeCtx<'_, VertexId>,
     ) -> bool {
         if self.iterations == 0 {
             return false;
@@ -243,7 +243,7 @@ impl VertexProgram for LccProgram {
         value: &mut f64,
         messages: &[LccMessage],
         _agg: f64,
-        ctx: &mut ComputeCtx<LccMessage>,
+        ctx: &mut ComputeCtx<'_, LccMessage>,
     ) -> bool {
         match superstep {
             0 => {
@@ -313,9 +313,9 @@ impl VertexProgram for SsspProgram {
         value: &mut f64,
         messages: &[f64],
         _agg: f64,
-        ctx: &mut ComputeCtx<f64>,
+        ctx: &mut ComputeCtx<'_, f64>,
     ) -> bool {
-        let relax = |dist: f64, ctx: &mut ComputeCtx<f64>| {
+        let relax = |dist: f64, ctx: &mut ComputeCtx<'_, f64>| {
             let out = csr.out_neighbors(u);
             let weights = csr.out_weights(u);
             ctx.scan_edges(out.len() as u64);
@@ -344,8 +344,19 @@ mod tests {
     use super::*;
     use crate::common::pool::WorkerPool;
     use crate::pregel::run_pregel;
+    use crate::sharded::Lanes;
     use graphalytics_cluster::WorkCounters;
     use graphalytics_core::GraphBuilder;
+
+    /// `run_pregel` on a monolithic upload's lanes.
+    fn run<P: VertexProgram>(
+        csr: &Csr,
+        program: &P,
+        pool: &WorkerPool,
+        c: &mut WorkCounters,
+    ) -> Vec<P::Value> {
+        run_pregel(csr, program, &Lanes::new(csr.num_vertices(), pool, None), c)
+    }
 
     fn diamond() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -363,7 +374,7 @@ mod tests {
     fn bfs_program_matches_reference() {
         let csr = diamond();
         let mut c = WorkCounters::new();
-        let depths = run_pregel(&csr, &BfsProgram { root: 0 }, &WorkerPool::new(2), &mut c);
+        let depths = run(&csr, &BfsProgram { root: 0 }, &WorkerPool::new(2), &mut c);
         assert_eq!(depths, graphalytics_core::algorithms::bfs(&csr, 0));
         assert!(c.supersteps >= 3);
         assert!(c.messages > 0);
@@ -375,7 +386,7 @@ mod tests {
     fn sssp_program_matches_reference() {
         let csr = diamond();
         let mut c = WorkCounters::new();
-        let dist = run_pregel(&csr, &SsspProgram { root: 0 }, &WorkerPool::inline(), &mut c);
+        let dist = run(&csr, &SsspProgram { root: 0 }, &WorkerPool::inline(), &mut c);
         let expected = graphalytics_core::algorithms::sssp(&csr, 0);
         for (a, b) in dist.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-12);
@@ -386,7 +397,7 @@ mod tests {
     fn pagerank_program_matches_reference() {
         let csr = diamond();
         let mut c = WorkCounters::new();
-        let pr = run_pregel(
+        let pr = run(
             &csr,
             &PageRankProgram { iterations: 10, damping: 0.85, n: 4.0 },
             &WorkerPool::new(2),
@@ -403,11 +414,11 @@ mod tests {
     fn wcc_and_cdlp_match_reference() {
         let csr = diamond();
         let mut c = WorkCounters::new();
-        let labels = run_pregel(&csr, &WccProgram, &WorkerPool::new(2), &mut c);
+        let labels = run(&csr, &WccProgram, &WorkerPool::new(2), &mut c);
         assert_eq!(labels, graphalytics_core::algorithms::wcc(&csr));
 
         let mut c = WorkCounters::new();
-        let cd = run_pregel(&csr, &CdlpProgram { iterations: 5 }, &WorkerPool::new(2), &mut c);
+        let cd = run(&csr, &CdlpProgram { iterations: 5 }, &WorkerPool::new(2), &mut c);
         assert_eq!(cd, graphalytics_core::algorithms::cdlp(&csr, 5));
     }
 
@@ -421,7 +432,7 @@ mod tests {
         }
         let csr = b.build().unwrap().to_csr();
         let mut c = WorkCounters::new();
-        let lcc = run_pregel(&csr, &LccProgram, &WorkerPool::new(2), &mut c);
+        let lcc = run(&csr, &LccProgram, &WorkerPool::new(2), &mut c);
         let expected = graphalytics_core::algorithms::lcc(&csr);
         for (a, b) in lcc.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");

@@ -112,7 +112,7 @@ impl PushPullGraph {
         }
         let start = Instant::now();
         let csr = Arc::new(state.graph.materialize(pool)?);
-        let snap = Arc::new(super::build_graph(csr, pool));
+        let snap = Arc::new(super::build_graph(csr, pool, None));
         state.snapshot = Some(snap.clone());
         Ok((snap, Some(start.elapsed().as_secs_f64())))
     }

@@ -18,6 +18,12 @@
 //! relaxes in place over a double-buffered [`Frontier`]; it needs nothing
 //! beyond the uploaded CSR.
 //!
+//! BFS, PageRank and CDLP are written once against
+//! [`Lanes`](crate::sharded::Lanes), so a sharded upload runs the same
+//! kernels on per-shard pools; only WCC and SSSP, whose monolithic
+//! kernels relax in place, have sharded counterparts (`sharded.rs` says
+//! why).
+//!
 //! Profile-wise this engine mirrors PGX.D: near-linear thread scaling
 //! (cooperative context switching ⇒ tiny serial fraction), a compact wire
 //! format on InfiniBand, but a large memory footprint ("optimized for
@@ -43,10 +49,8 @@ use crate::common::frontier::Frontier;
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::platform::{unsupported, Execution, LoadedGraph, Platform, RunContext};
 use crate::profile::PerfProfile;
-use crate::sharded::ShardPlan;
-use crate::trace::IterTimer;
-
-pub use sharded::PushPullShardedGraph;
+use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
+use crate::trace::{IterTimer, SpanRecord};
 
 /// Beamer α: a push level switches to pull when the frontier's
 /// out-degree sum exceeds `m_unexplored / α` — the point where scanning
@@ -85,11 +89,10 @@ fn parallel_worth(len: usize, work: u64) -> bool {
     work >= PAR_WORK_CUTOFF && len > 1 && host_cores() > 1
 }
 
-/// Direction-optimizing switch state shared by the single-shard and
-/// sharded BFS drivers. All inputs are set-level quantities (frontier
-/// out-degree sum, frontier cardinality, undiscovered-edge estimate), so
-/// the push/pull schedule is identical at every pool width and shard
-/// count.
+/// Direction-optimizing switch state of the BFS kernel. All inputs are
+/// set-level quantities (frontier out-degree sum, frontier cardinality,
+/// undiscovered-edge estimate), so the push/pull schedule is identical
+/// at every pool width and shard count.
 struct DirectionState {
     pulling: bool,
     /// Out-degree sum of still-undiscovered vertices (Beamer's `m_u`).
@@ -120,11 +123,72 @@ impl DirectionState {
     }
 }
 
+/// One worker's staged push traffic: `(target, payload)` candidates plus
+/// its scanned-edge and cut-crossing tallies.
+#[derive(Default)]
+struct PushOut<T> {
+    msgs: Vec<(u32, T)>,
+    edges: u64,
+    inter: u64,
+}
+
+/// Barrier-side bookkeeping of one round, for its trace span: the
+/// groups' compute seconds, how many candidates were queued, and how
+/// long the barrier took to drain them.
+#[derive(Default)]
+struct Barrier {
+    group_secs: Vec<f64>,
+    queue_depth: usize,
+    drain_secs: f64,
+}
+
+impl Barrier {
+    /// Folds every worker's result through `fold`, in group then worker
+    /// order; `fold` returns how many candidates that worker queued.
+    /// Seconds are kept only for a traced sharded round — the one case
+    /// [`Barrier::annotate`] reports them.
+    fn drain<R>(
+        &mut self,
+        lanes: &Lanes<'_>,
+        tracing: bool,
+        groups: Vec<GroupOut<R>>,
+        mut fold: impl FnMut(usize, &R) -> usize,
+    ) {
+        let timing = tracing && lanes.is_sharded();
+        let t = timing.then(Instant::now);
+        for (s, (secs, workers)) in groups.iter().enumerate() {
+            if timing {
+                self.group_secs.push(*secs);
+            }
+            for out in workers {
+                self.queue_depth += fold(s, out);
+            }
+        }
+        self.drain_secs = t.map_or(0.0, |t| t.elapsed().as_secs_f64());
+    }
+
+    /// The round's span: on sharded lanes, `Shard` children plus queue
+    /// depth and drain time.
+    fn annotate(&self, lanes: &Lanes<'_>, span: SpanRecord) -> SpanRecord {
+        let shards = self.group_secs.iter().enumerate().map(|(s, &secs)| shard_span(s, secs));
+        lanes.annotate(span, shards, self.queue_depth, self.drain_secs)
+    }
+
+    /// As [`Barrier::annotate`] for a kernel that only ever pulls: a
+    /// sharded round names its mode like every other sharded round.
+    fn annotate_pull(&self, lanes: &Lanes<'_>, span: SpanRecord) -> SpanRecord {
+        let span = if lanes.is_sharded() { span.with_info("mode", "pull") } else { span };
+        self.annotate(lanes, span)
+    }
+}
+
 /// The uploaded representation: PGX.D's dual-direction adjacency. The
 /// upload phase pins both CSR directions (push walks out-edges, pull
 /// walks in-edges — the engine needs both resident, which is part of
 /// PGX.D's large-memory profile) and caches the out-degree table that
-/// the pull direction and the α/β switch consult.
+/// the pull direction and the α/β switch consult. The table is global
+/// on a sharded upload too — pull iterations divide by the degrees of
+/// *remote* vertices (PGX.D's replicated vertex metadata).
 pub struct PushPullGraph {
     csr: Arc<Csr>,
     /// Cached out-degrees for the pull direction and the α/β estimates.
@@ -134,6 +198,8 @@ pub struct PushPullGraph {
     /// Streaming-mutation state; `None` until the first
     /// [`Platform::apply_mutations`] batch arrives.
     delta: delta::DeltaSlot,
+    /// The lane assignment of a sharded upload.
+    shards: Option<ShardSet>,
 }
 
 impl PushPullGraph {
@@ -148,6 +214,11 @@ impl PushPullGraph {
     pub fn total_out_degree(&self) -> u64 {
         self.total_out_degree
     }
+
+    /// The lanes a run on `pool` walks this upload with.
+    fn lanes<'a>(&'a self, pool: &'a WorkerPool) -> Lanes<'a> {
+        Lanes::new(self.csr.num_vertices(), pool, self.shards.as_ref())
+    }
 }
 
 impl LoadedGraph for PushPullGraph {
@@ -160,72 +231,18 @@ impl LoadedGraph for PushPullGraph {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.csr.resident_bytes() + 4 * self.out_degrees.len() as u64
-    }
-}
-
-/// Which representation a run dispatches to: the monolithic
-/// dual-direction CSR on the shared pool, or the shard set with its
-/// per-shard pools and queues. Both produce bit-identical output for
-/// every supported algorithm.
-enum Exec<'a> {
-    Single(&'a PushPullGraph),
-    Sharded(&'a PushPullShardedGraph),
-}
-
-impl<'a> Exec<'a> {
-    fn csr(&self) -> &'a Csr {
-        match self {
-            Exec::Single(g) => g.csr(),
-            Exec::Sharded(g) => g.set().csr(),
-        }
+        let graph = self.shards.as_ref().map_or(self.csr.resident_bytes(), ShardSet::resident_bytes);
+        graph + 4 * self.out_degrees.len() as u64
     }
 
-    fn bfs(&self, root: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<i64> {
-        match self {
-            Exec::Single(g) => direction_optimizing_bfs(g, root, pool, c),
-            Exec::Sharded(g) => sharded::sharded_bfs(g, root, c),
-        }
-    }
-
-    fn pagerank(
-        &self,
-        iterations: u32,
-        damping: f64,
-        pool: &WorkerPool,
-        c: &mut WorkCounters,
-    ) -> Vec<f64> {
-        match self {
-            Exec::Single(g) => pull_pagerank(g, iterations, damping, pool, c),
-            Exec::Sharded(g) => sharded::sharded_pagerank(g, iterations, damping, c),
-        }
-    }
-
-    fn wcc(&self, c: &mut WorkCounters) -> Vec<VertexId> {
-        match self {
-            Exec::Single(g) => pushpull_wcc(g.csr(), c),
-            Exec::Sharded(g) => sharded::sharded_wcc(g, c),
-        }
-    }
-
-    fn cdlp(&self, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<VertexId> {
-        match self {
-            Exec::Single(g) => pull_cdlp(g.csr(), iterations, pool, c),
-            Exec::Sharded(g) => sharded::sharded_cdlp(g, iterations, c),
-        }
-    }
-
-    fn sssp(&self, root: u32, c: &mut WorkCounters) -> Vec<f64> {
-        match self {
-            Exec::Single(g) => label_correcting_sssp(g.csr(), root, c),
-            Exec::Sharded(g) => sharded::sharded_sssp(g, root, c),
-        }
+    fn shard_layout(&self) -> Option<ShardLayout> {
+        self.shards.as_ref().map(ShardSet::layout)
     }
 }
 
 /// Builds the dual-direction representation with its cached degree
 /// table — the upload phase, also reused for mutated-graph snapshots.
-fn build_graph(csr: Arc<Csr>, pool: &WorkerPool) -> PushPullGraph {
+fn build_graph(csr: Arc<Csr>, pool: &WorkerPool, shards: Option<ShardSet>) -> PushPullGraph {
     let n = csr.num_vertices();
     let csr_ref = &csr;
     let degrees: Vec<u32> = pool
@@ -236,7 +253,13 @@ fn build_graph(csr: Arc<Csr>, pool: &WorkerPool) -> PushPullGraph {
         .flatten()
         .collect();
     let total_out_degree = degrees.iter().map(|&d| d as u64).sum();
-    PushPullGraph { csr, out_degrees: degrees.into(), total_out_degree, delta: delta::empty_slot() }
+    PushPullGraph {
+        csr,
+        out_degrees: degrees.into(),
+        total_out_degree,
+        delta: delta::empty_slot(),
+        shards,
+    }
 }
 
 /// The PGX.D-like platform.
@@ -247,6 +270,18 @@ pub struct PushPullEngine {
 impl PushPullEngine {
     pub fn new() -> Self {
         PushPullEngine { profile: PerfProfile::pushpull() }
+    }
+}
+
+impl PushPullEngine {
+    /// `graph` as this engine's own representation.
+    fn own<'g>(&self, graph: &'g dyn LoadedGraph) -> Result<&'g PushPullGraph> {
+        graph.as_any().downcast_ref::<PushPullGraph>().ok_or_else(|| {
+            graphalytics_core::Error::InvalidParameters(format!(
+                "graph was not uploaded through platform {}",
+                self.name()
+            ))
+        })
     }
 }
 
@@ -270,7 +305,7 @@ impl Platform for PushPullEngine {
     }
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
-        Ok(Box::new(build_graph(csr, pool)))
+        Ok(Box::new(build_graph(csr, pool, None)))
     }
 
     fn supports_sharded(&self) -> bool {
@@ -286,8 +321,8 @@ impl Platform for PushPullEngine {
         if plan.shards <= 1 {
             return self.upload(csr, pool);
         }
-        let set = crate::sharded::ShardSet::build(csr, plan, pool)?;
-        Ok(Box::new(PushPullShardedGraph::new(set)))
+        let shards = ShardSet::build(csr.clone(), plan, pool)?;
+        Ok(Box::new(build_graph(csr, pool, Some(shards))))
     }
 
     fn supports_mutation(&self) -> bool {
@@ -300,19 +335,14 @@ impl Platform for PushPullEngine {
         batch: &graphalytics_core::MutationBatch,
         ctx: &mut RunContext<'_>,
     ) -> Result<crate::platform::Mutation> {
-        if let Some(g) = graph.as_any().downcast_ref::<PushPullGraph>() {
-            return delta::apply(g, batch, ctx);
-        }
-        if graph.as_any().downcast_ref::<PushPullShardedGraph>().is_some() {
+        let g = self.own(graph)?;
+        if g.shards.is_some() {
             return Err(graphalytics_core::Error::InvalidParameters(
                 "sharded pushpull graphs do not take mutations; mutate an unsharded upload"
                     .into(),
             ));
         }
-        Err(graphalytics_core::Error::InvalidParameters(format!(
-            "graph was not uploaded through platform {}",
-            self.name()
-        )))
+        delta::apply(g, batch, ctx)
     }
 
     fn run(
@@ -322,44 +352,30 @@ impl Platform for PushPullEngine {
         params: &AlgorithmParams,
         ctx: &mut RunContext<'_>,
     ) -> Result<Execution> {
-        let exec = if let Some(g) = graph.as_any().downcast_ref::<PushPullGraph>() {
-            Exec::Single(g)
-        } else if let Some(g) = graph.as_any().downcast_ref::<PushPullShardedGraph>() {
-            Exec::Sharded(g)
-        } else {
-            return Err(graphalytics_core::Error::InvalidParameters(format!(
-                "graph was not uploaded through platform {}",
-                self.name()
-            )));
-        };
+        let mut g = self.own(graph)?;
         // Mutated resident graphs route through the delta view: WCC and
         // PageRank serve incrementally maintained state; everything else
         // runs on a lazily materialized snapshot of the merged graph
         // (built once per mutation epoch, recorded as `Materialize`).
-        let mut snapshot_hold: Option<Arc<PushPullGraph>> = None;
-        if let Exec::Single(g) = &exec {
-            if g.has_mutations() {
-                match algorithm {
-                    Algorithm::Wcc | Algorithm::PageRank => {
-                        return delta::run_incremental(g, algorithm, params, ctx);
+        let snapshot_hold: Arc<PushPullGraph>;
+        if g.has_mutations() {
+            match algorithm {
+                Algorithm::Wcc | Algorithm::PageRank => {
+                    return delta::run_incremental(g, algorithm, params, ctx);
+                }
+                Algorithm::Lcc => return Err(unsupported(self.name(), algorithm)),
+                _ => {
+                    let (snap, built) = g.mutated_snapshot(ctx.pool)?;
+                    if let Some(secs) = built {
+                        ctx.record_phase("Materialize", secs);
                     }
-                    Algorithm::Lcc => return Err(unsupported(self.name(), algorithm)),
-                    _ => {
-                        let (snap, built) = g.mutated_snapshot(ctx.pool)?;
-                        if let Some(secs) = built {
-                            ctx.record_phase("Materialize", secs);
-                        }
-                        snapshot_hold = Some(snap);
-                    }
+                    snapshot_hold = snap;
+                    g = &snapshot_hold;
                 }
             }
         }
-        let exec = match &snapshot_hold {
-            Some(snap) => Exec::Single(snap),
-            None => exec,
-        };
-        let csr = exec.csr();
-        let pool = ctx.pool;
+        let csr = g.csr();
+        let lanes = g.lanes(ctx.pool);
         let start = Instant::now();
         let mut c = WorkCounters::new();
         ctx.check_cancelled()?;
@@ -368,17 +384,22 @@ impl Platform for PushPullEngine {
             Ok(match algorithm {
                 Algorithm::Bfs => {
                     let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(exec.bfs(root, pool, &mut c))
+                    OutputValues::I64(direction_optimizing_bfs(g, &lanes, root, &mut c))
                 }
-                Algorithm::PageRank => OutputValues::F64(exec.pagerank(
+                Algorithm::PageRank => OutputValues::F64(pull_pagerank(
+                    g,
+                    &lanes,
                     params.pagerank_iterations,
                     params.damping_factor,
-                    pool,
                     &mut c,
                 )),
-                Algorithm::Wcc => OutputValues::Id(exec.wcc(&mut c)),
+                Algorithm::Wcc => OutputValues::Id(if lanes.is_sharded() {
+                    sharded::sharded_wcc(csr, &lanes, &mut c)
+                } else {
+                    pushpull_wcc(csr, &mut c)
+                }),
                 Algorithm::Cdlp => {
-                    OutputValues::Id(exec.cdlp(params.cdlp_iterations, pool, &mut c))
+                    OutputValues::Id(pull_cdlp(csr, &lanes, params.cdlp_iterations, &mut c))
                 }
                 Algorithm::Lcc => return Err(unsupported(self.name(), algorithm)),
                 Algorithm::Sssp => {
@@ -388,7 +409,11 @@ impl Platform for PushPullEngine {
                         ));
                     }
                     let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(exec.sssp(root, &mut c))
+                    OutputValues::F64(if lanes.is_sharded() {
+                        sharded::sharded_sssp(csr, &lanes, root, &mut c)
+                    } else {
+                        label_correcting_sssp(csr, root, &mut c)
+                    })
                 }
             })
         });
@@ -471,22 +496,28 @@ impl Platform for PushPullEngine {
 /// the body cost ~35% even when disabled.
 fn direction_optimizing_bfs(
     g: &PushPullGraph,
+    lanes: &Lanes<'_>,
     root: u32,
-    pool: &WorkerPool,
     c: &mut WorkCounters,
 ) -> Vec<i64> {
     if crate::trace::active() {
-        bfs_kernel::<true>(g, root, pool, c)
+        bfs_kernel::<true>(g, lanes, root, c)
     } else {
-        bfs_kernel::<false>(g, root, pool, c)
+        bfs_kernel::<false>(g, lanes, root, c)
     }
 }
 
+/// A vertex's depth is its BFS level — a property of the level *sets*,
+/// which no lane assignment can change — and the direction comes from
+/// set-level α/β estimates, so every lane assignment runs the same
+/// rounds. Push rounds stage discoveries per lane and the barrier
+/// applies them in group/worker order; pull rounds write only the depth
+/// slots their lane owns.
 #[inline(never)]
 fn bfs_kernel<const TRACED: bool>(
     g: &PushPullGraph,
+    lanes: &Lanes<'_>,
     root: u32,
-    pool: &WorkerPool,
     c: &mut WorkCounters,
 ) -> Vec<i64> {
     let csr = g.csr();
@@ -500,6 +531,10 @@ fn bfs_kernel<const TRACED: bool>(
     let mut dir = DirectionState::new(g.total_out_degree(), frontier_degree);
     let mut level = 0i64;
     let mut it = TRACED.then(|| IterTimer::new("Iteration", c));
+    // Sharded rounds always go through the lanes: every shard's pool does
+    // its share and reports a `Shard` span. Monolithic rounds below the
+    // dispatch cutoff run inline on the caller.
+    let dispatch = |len: usize, work: u64| lanes.is_sharded() || parallel_worth(len, work);
     while !frontier.is_empty() {
         fault::tick(FaultSite::Superstep);
         let active = frontier.len();
@@ -507,15 +542,16 @@ fn bfs_kernel<const TRACED: bool>(
         c.supersteps += 1;
         level += 1;
         let mut next_degree = 0u64;
+        let mut barrier = Barrier::default();
         if !pulling {
             // Push: workers scan contiguous chunks of the frontier and
             // stage undiscovered targets; the merge applies them in chunk
             // order — the discovery order of a sequential sweep, so
-            // `next`'s member order is width-invariant. Rounds below the
-            // dispatch cutoff apply discoveries directly (same
-            // first-encounter order, no staging buffers).
+            // `next`'s member order is width-invariant. Inline rounds
+            // apply discoveries directly (same first-encounter order, no
+            // staging buffers).
             c.vertices_processed += active as u64;
-            if !parallel_worth(frontier.len(), frontier_degree) {
+            if !dispatch(frontier.len(), frontier_degree) {
                 let mut edges = 0u64;
                 for &u in frontier.members() {
                     let out = csr.out_neighbors(u);
@@ -531,43 +567,45 @@ fn bfs_kernel<const TRACED: bool>(
                 c.edges_scanned += edges;
                 c.add_messages(edges, 8);
             } else {
-                let members = frontier.members();
                 let depth_ref: &[i64] = &depth;
-                let chunks = pool.run(members.len(), |_, range| {
-                    let mut found = Vec::new();
-                    let mut edges = 0u64;
-                    for &u in &members[range] {
-                        let out = csr.out_neighbors(u);
-                        edges += out.len() as u64;
-                        for &v in out {
+                let groups = lanes.run_over(TRACED, frontier.members(), |lane| {
+                    let mut out = PushOut::default();
+                    lane.for_each(|u| {
+                        let targets = csr.out_neighbors(u);
+                        out.edges += targets.len() as u64;
+                        out.inter += lane.crossing(targets);
+                        for &v in targets {
                             if depth_ref[v as usize] == i64::MAX {
-                                found.push(v);
+                                out.msgs.push((v, ()));
                             }
                         }
-                    }
-                    (found, edges)
+                    });
+                    out
                 });
-                for (found, edges) in chunks {
-                    c.edges_scanned += edges;
-                    c.add_messages(edges, 8);
-                    for v in found {
+                barrier.drain(lanes, TRACED, groups, |_, out| {
+                    c.edges_scanned += out.edges;
+                    c.add_messages(out.edges, 8);
+                    c.inter_shard_messages += out.inter;
+                    c.inter_shard_bytes += 8 * out.inter;
+                    for &(v, ()) in &out.msgs {
                         if depth[v as usize] == i64::MAX {
                             depth[v as usize] = level;
                             next.insert(v);
                             next_degree += degrees[v as usize] as u64;
                         }
                     }
-                }
+                    out.msgs.len()
+                });
             }
         } else {
             // Pull: every undecided vertex reads its in-neighbours until
             // it finds one in the frontier (early exit — the pull win).
-            // Workers own contiguous vertex ranges and write only their
-            // own depth slots; newly found vertices merge in range order,
-            // which is exactly ascending-vertex order. Below the cutoff
-            // the same ascending sweep runs directly.
+            // Workers write only the depth slots of their own lane; newly
+            // found vertices merge in group/worker order. Inline rounds
+            // run the same ascending sweep directly. Pull reads remotely:
+            // no messages, nothing queued.
             c.vertices_processed += n as u64;
-            if !parallel_worth(n, dir.unexplored + n as u64) {
+            if !dispatch(n, dir.unexplored + n as u64) {
                 let mut edges = 0u64;
                 for v in 0..n {
                     if depth[v] != i64::MAX {
@@ -588,35 +626,36 @@ fn bfs_kernel<const TRACED: bool>(
             } else {
                 let frontier_ref = &frontier;
                 let depth_ptr = SharedSlice::new(depth.as_mut_ptr());
-                let chunks = pool.run(n, |_, range| {
+                let groups = lanes.run(TRACED, |lane| {
                     let mut found = Vec::new();
                     let mut edges = 0u64;
-                    for v in range {
-                        // SAFETY: pool ranges are disjoint; only this
-                        // worker touches index v.
-                        let dv = unsafe { depth_ptr.at(v) };
+                    lane.for_each(|v| {
+                        // SAFETY: lanes are disjoint; only this worker
+                        // touches index v.
+                        let dv = unsafe { depth_ptr.at(v as usize) };
                         if *dv != i64::MAX {
-                            continue;
+                            return;
                         }
-                        for &u in csr.in_neighbors(v as u32) {
+                        for &u in csr.in_neighbors(v) {
                             edges += 1;
                             if frontier_ref.contains(u) {
                                 *dv = level;
-                                found.push(v as u32);
+                                found.push(v);
                                 break;
                             }
                         }
-                    }
+                    });
                     (found, edges)
                 });
-                for (found, edges) in chunks {
+                barrier.drain(lanes, TRACED, groups, |_, (found, edges)| {
                     c.edges_scanned += edges;
                     c.random_accesses += edges;
-                    for v in found {
+                    for &v in found {
                         next.insert(v);
                         next_degree += degrees[v as usize] as u64;
                     }
-                }
+                    0
+                });
             }
         }
         dir.discovered(next_degree);
@@ -625,9 +664,9 @@ fn bfs_kernel<const TRACED: bool>(
         frontier_degree = next_degree;
         if TRACED {
             if let Some(it) = it.as_mut() {
+                let mode = if pulling { "pull" } else { "push" };
                 it.lap(c, |s| {
-                    s.with_info("active", active)
-                        .with_info("mode", if pulling { "pull" } else { "push" })
+                    barrier.annotate(lanes, s.with_info("active", active).with_info("mode", mode))
                 });
             }
         }
@@ -636,12 +675,15 @@ fn bfs_kernel<const TRACED: bool>(
 }
 
 /// Pull PageRank (PGX.D's home turf: pure reads, no message buffers),
-/// dividing by the uploaded representation's cached out-degrees.
+/// dividing by the uploaded representation's cached out-degrees. The
+/// dangling-mass scan is one canonical ascending loop and each vertex's
+/// rank sum walks its own in-row, so term order — and f64 rounding — is
+/// the same on every lane assignment.
 fn pull_pagerank(
     graph: &PushPullGraph,
+    lanes: &Lanes<'_>,
     iterations: u32,
     damping: f64,
-    pool: &WorkerPool,
     c: &mut WorkCounters,
 ) -> Vec<f64> {
     let csr = graph.csr();
@@ -652,7 +694,9 @@ fn pull_pagerank(
     }
     let inv_n = 1.0 / n as f64;
     let mut rank = vec![inv_n; n];
+    let mut next = vec![0.0f64; n];
     let mut it = IterTimer::new("Iteration", c);
+    let tracing = it.is_enabled();
     for _ in 0..iterations {
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
@@ -661,20 +705,28 @@ fn pull_pagerank(
         let dangling: f64 =
             (0..n).filter(|&u| degrees[u] == 0).map(|u| rank_ref[u]).sum();
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
-        let (next, tallies) = crate::common::map_vertices(pool, n, |v, edges: &mut u64| {
-            let inn = csr.in_neighbors(v);
-            *edges += inn.len() as u64;
-            let mut sum = 0.0f64;
-            for &u in inn {
-                sum += rank_ref[u as usize] / degrees[u as usize] as f64;
-            }
-            base + damping * sum
+        let next_ptr = SharedSlice::new(next.as_mut_ptr());
+        let groups = lanes.run(tracing, |lane| {
+            let mut edges = 0u64;
+            lane.for_each(|v| {
+                let inn = csr.in_neighbors(v);
+                edges += inn.len() as u64;
+                let mut sum = 0.0f64;
+                for &u in inn {
+                    sum += rank_ref[u as usize] / degrees[u as usize] as f64;
+                }
+                // SAFETY: lanes are disjoint; only this worker writes v.
+                unsafe { *next_ptr.at(v as usize) = base + damping * sum };
+            });
+            edges
         });
-        for edges in tallies {
+        let mut barrier = Barrier::default();
+        barrier.drain(lanes, tracing, groups, |_, edges| {
             c.edges_scanned += edges;
-        }
-        rank = next;
-        it.lap(c, |s| s.with_info("active", n));
+            0
+        });
+        std::mem::swap(&mut rank, &mut next);
+        it.lap(c, |s| barrier.annotate_pull(lanes, s.with_info("active", n)));
     }
     rank
 }
@@ -746,29 +798,46 @@ fn wcc_kernel<const TRACED: bool>(csr: &Csr, c: &mut WorkCounters) -> Vec<Vertex
     label.into_iter().map(|l| csr.id_of(l)).collect()
 }
 
-/// CDLP: pull mode — each vertex reads neighbour labels directly.
-fn pull_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<VertexId> {
+/// CDLP: pull mode — each vertex reads neighbour labels directly. Fully
+/// synchronous: every label is a function of the previous iteration's
+/// labels and the vertex's own rows, whatever lane computes it.
+fn pull_cdlp(
+    csr: &Csr,
+    lanes: &Lanes<'_>,
+    iterations: u32,
+    c: &mut WorkCounters,
+) -> Vec<VertexId> {
     use graphalytics_core::algorithms::cdlp::{gather_labels, mode_label};
-    type Tally = (u64, Vec<VertexId>);
     let n = csr.num_vertices();
     let mut labels: Vec<VertexId> = (0..n as u32).map(|u| csr.id_of(u)).collect();
+    let mut next: Vec<VertexId> = vec![0; n];
     let mut it = IterTimer::new("Iteration", c);
+    let tracing = it.is_enabled();
     for _ in 0..iterations {
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
         c.vertices_processed += n as u64;
         let labels_ref = &labels;
-        let (next, tallies) = crate::common::map_vertices(pool, n, |v, tally: &mut Tally| {
-            let (edges, votes) = tally;
-            *edges += gather_labels(csr, v, labels_ref, votes);
-            mode_label(votes).unwrap_or(labels_ref[v as usize])
+        let next_ptr = SharedSlice::new(next.as_mut_ptr());
+        let groups = lanes.run(tracing, |lane| {
+            let mut votes: Vec<VertexId> = Vec::new();
+            let mut edges = 0u64;
+            lane.for_each(|v| {
+                edges += gather_labels(csr, v, labels_ref, &mut votes);
+                let label = mode_label(&mut votes).unwrap_or(labels_ref[v as usize]);
+                // SAFETY: lanes are disjoint; only this worker writes v.
+                unsafe { *next_ptr.at(v as usize) = label };
+            });
+            edges
         });
-        for (edges, _) in tallies {
+        let mut barrier = Barrier::default();
+        barrier.drain(lanes, tracing, groups, |_, edges| {
             c.edges_scanned += edges;
             c.random_accesses += edges;
-        }
-        labels = next;
-        it.lap(c, |s| s.with_info("active", n));
+            0
+        });
+        std::mem::swap(&mut labels, &mut next);
+        it.lap(c, |s| barrier.annotate_pull(lanes, s.with_info("active", n)));
     }
     labels
 }
@@ -891,7 +960,7 @@ mod tests {
         let loaded = upload(Arc::new(b.build().unwrap().to_csr()), &pool);
         let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
         let mut c = WorkCounters::new();
-        let depths = direction_optimizing_bfs(g, 0, &pool, &mut c);
+        let depths = direction_optimizing_bfs(g, &g.lanes(&pool), 0, &mut c);
         assert!(depths.iter().all(|&d| d <= 2));
         // Pull iterations process all vertices; push processes frontier
         // only. The dense level must have been pull.
@@ -906,7 +975,7 @@ mod tests {
         let loaded = engine.upload(csr, &pool).unwrap();
         let graph = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
         let mut c = WorkCounters::new();
-        let _ = pull_pagerank(graph, 5, 0.85, &pool, &mut c);
+        let _ = pull_pagerank(graph, &graph.lanes(&pool), 5, 0.85, &mut c);
         assert_eq!(c.messages, 0, "pull mode reads, never sends");
         assert!(c.edges_scanned > 0);
     }

@@ -1,27 +1,48 @@
-//! Sharded (multi-pool) execution plumbing shared by the engines.
+//! Sharded (multi-pool) execution: a shard is a *lane assignment*.
 //!
-//! A [`ShardSet`] is the sharded counterpart of an engine's uploaded
-//! representation: the graph partitioned into `N` shards by one of the
-//! `cluster` crate's edge-cut strategies, plus one [`WorkerPool`] per
-//! shard. Engines with a sharded run path (pregel, pushpull) build one
-//! in [`Platform::upload_sharded`] and drive all shard pools per
-//! superstep, exchanging updates through explicit inter-shard message
-//! queues — the execution-side realization of the partition models the
-//! cost model has used analytically since the seed.
+//! An engine's kernels do not know whether an upload is sharded. They
+//! are written once against [`Lanes`] — which ascending list of owned
+//! vertices each worker walks, on which pool, and which owner map prices
+//! the cut — and the monolithic upload is the one-group instance:
+//! contiguous ranges of `0..n` on the caller's pool, no owner map. A
+//! [`ShardSet`] (built by [`Platform::upload_sharded`] from one of the
+//! `cluster` crate's edge-cut placements) supplies the `N`-group
+//! instance: one [`WorkerPool`] per shard, each walking the ascending
+//! list of vertices its shard owns, all reading adjacency from the one
+//! parent CSR by global id.
 //!
-//! The contract every sharded run path upholds: output bit-identical to
-//! single-shard execution for every algorithm and every shard count
-//! (enforced by `tests/sharded_equivalence.rs`).
+//! The contract: output bit-identical to the monolithic upload for every
+//! algorithm and every shard count (`tests/sharded_equivalence.rs`), and
+//! every base work counter too wherever the schedule is the same
+//! (`tests/shard_lanes.rs`). It holds because of one **delivery-order
+//! argument**: every lane walks its vertices in ascending global id, and
+//! a group's workers take contiguous slices of the group's ascending
+//! list, so whatever a group produces comes out ascending in the
+//! producing vertex. With one group that is already the global order.
+//! With `k` groups the barrier either needs no order at all (a pull
+//! kernel writes only slots its lane owns; a min-reduction is
+//! order-free) or recovers the global order by a `k`-way merge of the
+//! groups' streams on the producing vertex — each vertex has exactly one
+//! owner, so the merge has no ties and never compares anything else.
+//! Nothing is sorted.
+//!
+//! Messages whose sender and target have different owners are the
+//! traffic a real deployment would put on the wire; a lane counts them
+//! as they are produced ([`Lane::crosses`], [`Lane::crossing`]) into
+//! `WorkCounters::inter_shard_messages` / `inter_shard_bytes`, while the
+//! base counters keep their monolithic values.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use graphalytics_cluster::partition::{edge_cut_seeded, PartitionStrategy};
 use graphalytics_core::error::Result;
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{Csr, ShardCsr, ShardedCsr};
+use graphalytics_core::{Csr, ShardedCsr};
 
 use crate::platform::{LoadedGraph, Platform};
+use crate::trace::SpanRecord;
 
 /// How to shard an upload: shard count, per-shard pool width, placement.
 #[derive(Debug, Clone, Copy)]
@@ -61,30 +82,24 @@ pub struct ShardLayout {
     pub cut_fraction: f64,
 }
 
-/// The sharded uploaded representation: per-shard CSRs + per-shard
-/// pools + the partition statistics of the cut that produced them.
+/// The sharded half of an uploaded representation: the owner map and
+/// per-shard vertex lists over the parent CSR, one pool per shard, and
+/// the partition statistics of the cut that produced them.
 pub struct ShardSet {
-    sharded: Arc<ShardedCsr>,
+    sharded: ShardedCsr,
     pools: Vec<WorkerPool>,
     cut_arcs: u64,
     total_arcs: u64,
     strategy: PartitionStrategy,
 }
 
-/// Times `f` when tracing is on; `0.0` seconds otherwise.
-fn timed<T>(tracing: bool, f: impl FnOnce() -> T) -> (f64, T) {
-    let t = tracing.then(Instant::now);
-    let out = f();
-    (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
-}
-
 impl ShardSet {
-    /// Partitions `csr` per `plan` and spins up one pool per shard. The
-    /// shard extraction itself runs on the caller's `pool`.
+    /// Partitions `csr` per `plan` and spins up one pool per shard, each
+    /// an even share of the caller's `pool` width.
     pub fn build(csr: Arc<Csr>, plan: &ShardPlan, pool: &WorkerPool) -> Result<ShardSet> {
         let parts = plan.shards.max(1);
         let partition = edge_cut_seeded(&csr, parts, plan.strategy, plan.seed);
-        let sharded = ShardedCsr::partition_with(csr, &partition.owner, parts, pool)?;
+        let sharded = ShardedCsr::partition(csr, &partition.owner, parts)?;
         let per_shard = if plan.threads_per_shard == 0 {
             (pool.threads() / parts).max(1)
         } else {
@@ -92,7 +107,7 @@ impl ShardSet {
         };
         let pools = (0..parts).map(|_| WorkerPool::new(per_shard)).collect();
         Ok(ShardSet {
-            sharded: Arc::new(sharded),
+            sharded,
             pools,
             cut_arcs: partition.cut_arcs,
             total_arcs: partition.total_arcs,
@@ -100,7 +115,7 @@ impl ShardSet {
         })
     }
 
-    /// The partitioned CSR.
+    /// The owner map and shard lists.
     #[inline]
     pub fn sharded(&self) -> &ShardedCsr {
         &self.sharded
@@ -116,33 +131,6 @@ impl ShardSet {
     #[inline]
     pub fn pools(&self) -> &[WorkerPool] {
         &self.pools
-    }
-
-    /// One superstep's compute phase: a scoped driver thread per shard
-    /// runs `f(shard_index, shard, shard_pool)` — typically one
-    /// `pool.run` over the shard's owned vertices — and the call returns
-    /// once every shard is done. Results come back in shard order, each
-    /// with the shard's wall seconds (measured only when `tracing`; the
-    /// drivers report back rather than touch the caller's thread-local
-    /// trace collector).
-    pub fn run_shards<R, F>(&self, tracing: bool, f: F) -> Vec<(f64, R)>
-    where
-        R: Send,
-        F: Fn(usize, &ShardCsr, &WorkerPool) -> R + Sync,
-    {
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .pools
-                .iter()
-                .enumerate()
-                .map(|(s, pool)| {
-                    let shard = self.sharded.shard(s);
-                    scope.spawn(move || timed(tracing, || f(s, shard, pool)))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
-        })
     }
 
     /// Number of shards.
@@ -171,10 +159,203 @@ impl ShardSet {
         ShardLayout { shards: self.num_shards(), cut_fraction: self.cut_fraction() }
     }
 
-    /// Resident bytes: the pinned parent CSR plus the shard copies.
+    /// Resident bytes: the pinned parent CSR plus the owner map and
+    /// shard lists.
     pub fn resident_bytes(&self) -> u64 {
         self.csr().resident_bytes() + self.sharded.resident_bytes()
     }
+}
+
+/// The vertices one lane (or one whole group) walks, ascending.
+#[derive(Clone)]
+enum Walk<'a> {
+    Range(Range<usize>),
+    List(&'a [u32]),
+}
+
+impl<'a> Walk<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Walk::Range(r) => r.len(),
+            Walk::List(l) => l.len(),
+        }
+    }
+
+    fn slice(&self, part: Range<usize>) -> Walk<'a> {
+        match self {
+            Walk::Range(r) => Walk::Range(r.start + part.start..r.start + part.end),
+            Walk::List(l) => Walk::List(&l[part]),
+        }
+    }
+}
+
+/// One worker's share of a superstep: the ascending vertices it walks
+/// and, on a sharded upload, the owner map that prices what it sends.
+pub struct Lane<'a> {
+    walk: Walk<'a>,
+    shard: u32,
+    owner: Option<&'a [u32]>,
+}
+
+impl<'a> Lane<'a> {
+    /// Calls `f` for every vertex of the lane, in ascending order.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(u32)) {
+        match &self.walk {
+            Walk::Range(r) => r.clone().for_each(|v| f(v as u32)),
+            Walk::List(l) => l.iter().for_each(|&v| f(v)),
+        }
+    }
+
+    /// The shard this lane's vertices belong to (0 on a monolithic
+    /// upload).
+    #[inline]
+    pub fn shard(&self) -> u32 {
+        self.shard
+    }
+
+    /// How many of `targets` another shard owns.
+    #[inline]
+    pub fn crossing(&self, targets: &[u32]) -> u64 {
+        self.owner.map_or(0, |owner| {
+            targets.iter().filter(|&&v| owner[v as usize] != self.shard).count() as u64
+        })
+    }
+}
+
+/// What one group hands back from [`Lanes::run`]: its wall seconds
+/// (measured only when tracing a sharded upload) and its workers'
+/// results in worker order.
+pub type GroupOut<R> = (f64, Vec<R>);
+
+/// The lane assignment of one run: groups of workers, each group a pool
+/// and the ascending vertex list its workers split between them. See
+/// the module docs.
+pub struct Lanes<'a> {
+    /// Pool and owned vertices per group.
+    groups: Vec<(&'a WorkerPool, Walk<'a>)>,
+    owner: Option<&'a [u32]>,
+}
+
+impl<'a> Lanes<'a> {
+    /// The lanes of an upload of `n` vertices: its shard set's pools and
+    /// vertex lists when it has one, else one group — all of `0..n` on
+    /// the caller's `pool`.
+    pub fn new(n: usize, pool: &'a WorkerPool, shards: Option<&'a ShardSet>) -> Lanes<'a> {
+        match shards {
+            None => Lanes { groups: vec![(pool, Walk::Range(0..n))], owner: None },
+            Some(set) => Lanes {
+                groups: (set.pools.iter().enumerate())
+                    .map(|(s, pool)| (pool, Walk::List(set.sharded.shard(s))))
+                    .collect(),
+                owner: Some(set.sharded.owner()),
+            },
+        }
+    }
+
+    /// The owner map that prices the cut; `None` on a monolithic upload,
+    /// where nothing crosses.
+    #[inline]
+    pub fn owner(&self) -> Option<&'a [u32]> {
+        self.owner
+    }
+
+    /// Whether the upload is sharded (supersteps then report per-shard
+    /// spans).
+    #[inline]
+    pub fn is_sharded(&self) -> bool {
+        self.owner.is_some()
+    }
+
+    /// One superstep's compute phase over every vertex: each group's
+    /// pool runs `f` on contiguous slices of the group's ascending
+    /// vertex list, all groups concurrently. Returns once every group is
+    /// done, results in group order.
+    pub fn run<R, F>(&self, tracing: bool, f: F) -> Vec<GroupOut<R>>
+    where
+        R: Send,
+        F: Fn(&Lane<'_>) -> R + Sync,
+    {
+        self.run_walks(tracing, f, |s| self.groups[s].1.clone())
+    }
+
+    /// As [`Lanes::run`], over `members` only: each group walks the
+    /// members it owns, in `members` order.
+    pub fn run_over<R, F>(&self, tracing: bool, members: &[u32], f: F) -> Vec<GroupOut<R>>
+    where
+        R: Send,
+        F: Fn(&Lane<'_>) -> R + Sync,
+    {
+        let Some(owner) = self.owner else {
+            return self.run_walks(tracing, f, |_| Walk::List(members));
+        };
+        let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.groups.len()];
+        for &u in members {
+            routed[owner[u as usize] as usize].push(u);
+        }
+        self.run_walks(tracing, f, |s| Walk::List(&routed[s]))
+    }
+
+    /// Group 0 runs on the calling thread, every further group on a
+    /// scoped driver thread — so one group costs no spawn at all, and
+    /// the drivers report their seconds back rather than touch the
+    /// caller's thread-local trace collector.
+    fn run_walks<'w, R, F>(
+        &'w self,
+        tracing: bool,
+        f: F,
+        walk_of: impl Fn(usize) -> Walk<'w> + Sync,
+    ) -> Vec<GroupOut<R>>
+    where
+        R: Send,
+        F: Fn(&Lane<'_>) -> R + Sync,
+    {
+        let timing = tracing && self.is_sharded();
+        let drive = |s: usize| -> GroupOut<R> {
+            let walk = walk_of(s);
+            let t = timing.then(Instant::now);
+            let out = self.groups[s].0.run(walk.len(), |_, part| {
+                f(&Lane { walk: walk.slice(part), shard: s as u32, owner: self.owner })
+            });
+            (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
+        };
+        let drive = &drive;
+        std::thread::scope(|scope| {
+            let rest: Vec<_> =
+                (1..self.groups.len()).map(|s| scope.spawn(move || drive(s))).collect();
+            let mut outs = Vec::with_capacity(self.groups.len());
+            outs.push(drive(0));
+            outs.extend(rest.into_iter().map(|h| h.join().expect("shard driver panicked")));
+            outs
+        })
+    }
+
+    /// What a sharded barrier adds to a superstep span: the groups'
+    /// [`shard_span`]s as children plus the in-flight message count and
+    /// the barrier's drain time. Monolithic spans pass through untouched
+    /// (and `shards` is never evaluated).
+    pub fn annotate(
+        &self,
+        mut span: SpanRecord,
+        shards: impl IntoIterator<Item = SpanRecord>,
+        queue_depth: usize,
+        drain_secs: f64,
+    ) -> SpanRecord {
+        if !self.is_sharded() {
+            return span;
+        }
+        for child in shards {
+            span = span.with_child(child);
+        }
+        span.with_info("queue_depth", queue_depth)
+            .with_info("drain_secs", format!("{drain_secs:.9}"))
+    }
+}
+
+/// The `Shard` child span of group `s`: its compute seconds this
+/// superstep.
+pub fn shard_span(s: usize, secs: f64) -> SpanRecord {
+    SpanRecord::new("Shard", secs).with_info("shard", s)
 }
 
 /// Upload through the sharded path when `shards > 1` (placement from the
@@ -226,11 +407,64 @@ mod tests {
         assert!(f > 0.0, "hash placement must cut something on a ring");
         assert_eq!(set.layout(), ShardLayout { shards: 2, cut_fraction: f });
         assert!(set.resident_bytes() > set.csr().resident_bytes());
-        // The fan-out hands each driver its own shard and pool and
-        // returns in shard order; untraced runs report zero seconds.
-        let seen = set.run_shards(false, |s, shard, pool| (s, shard.len(), pool.threads()));
-        let lens: Vec<usize> = set.sharded().shards().iter().map(|sh| sh.len()).collect();
-        assert_eq!(seen, vec![(0.0, (0, lens[0], 2)), (0.0, (1, lens[1], 2))]);
+    }
+
+    /// What every lane walked, per group then per worker.
+    fn walked(groups: Vec<GroupOut<(u32, Vec<u32>)>>) -> Vec<Vec<(u32, Vec<u32>)>> {
+        groups.into_iter().map(|(_, workers)| workers).collect()
+    }
+
+    fn walk(lane: &Lane<'_>) -> (u32, Vec<u32>) {
+        let mut seen = Vec::new();
+        lane.for_each(|v| seen.push(v));
+        (lane.shard(), seen)
+    }
+
+    #[test]
+    fn monolithic_lanes_are_one_group_of_contiguous_ranges() {
+        let pool = WorkerPool::new(4);
+        let lanes = Lanes::new(64, &pool, None);
+        assert!(!lanes.is_sharded());
+        let groups = walked(lanes.run(true, walk));
+        assert_eq!(groups.len(), 1);
+        let expect: Vec<_> = pool.split(64).into_iter().map(|r| (0, (r.start as u32..r.end as u32).collect())).collect();
+        assert_eq!(groups[0], expect, "the pool's own contiguous ranges");
+        // A member list is walked as given, and nothing crosses.
+        let members = [9u32, 3, 40, 41];
+        let groups = lanes.run_over(false, &members, |lane| (walk(lane).1, lane.crossing(&[1, 2, 3])));
+        let (seen, crossing): (Vec<_>, Vec<_>) = groups.into_iter().flat_map(|(_, w)| w).unzip();
+        assert_eq!(seen.concat(), members);
+        assert_eq!(crossing.iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn sharded_lanes_walk_owned_vertices_ascending_on_shard_pools() {
+        let pool = WorkerPool::new(4);
+        let set = ShardSet::build(csr(), &ShardPlan::new(2), &pool).unwrap();
+        let lanes = Lanes::new(64, &pool, Some(&set));
+        let owner = lanes.owner().expect("sharded lanes carry the owner map");
+        // Untraced runs report zero seconds; groups come back in shard
+        // order, each group's workers splitting its ascending list.
+        let groups = lanes.run(false, walk);
+        assert!(groups.iter().all(|(secs, _)| *secs == 0.0));
+        for (s, workers) in walked(groups).into_iter().enumerate() {
+            assert_eq!(workers.len(), 2, "two threads per shard pool");
+            assert!(workers.iter().all(|(shard, _)| *shard == s as u32));
+            let all: Vec<u32> = workers.into_iter().flat_map(|(_, seen)| seen).collect();
+            assert_eq!(all, set.sharded().shard(s));
+        }
+        // Members are routed to their owners, order kept; a lane prices
+        // the targets other shards own.
+        let members = [9u32, 3, 40, 41, 2];
+        let groups = lanes.run_over(true, &members, |lane| (walk(lane), lane.crossing(&members)));
+        for (s, (_, workers)) in groups.into_iter().enumerate() {
+            let routed: Vec<u32> =
+                members.iter().copied().filter(|&v| owner[v as usize] == s as u32).collect();
+            let seen: Vec<u32> = workers.iter().flat_map(|((_, seen), _)| seen.clone()).collect();
+            assert_eq!(seen, routed);
+            let elsewhere = (members.len() - routed.len()) as u64;
+            assert!(workers.iter().all(|(_, crossing)| *crossing == elsewhere));
+        }
     }
 
     #[test]

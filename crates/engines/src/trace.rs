@@ -4,9 +4,9 @@
 //! Engines record one [`SpanRecord`] per superstep (duration, active
 //! vertices, message/edge deltas) while an algorithm runs; the harness
 //! folds the spans into the Granula archive under the run's
-//! `ProcessGraph` operation. The sharded pregel/pushpull runtimes nest
-//! per-shard child spans (compute time, inter-shard queue depth, drain
-//! time) under each superstep.
+//! `ProcessGraph` operation. Runs on sharded pregel/pushpull uploads
+//! nest per-shard child spans (compute time) under each superstep and
+//! add the inter-shard queue depth and barrier drain time to it.
 //!
 //! Collection is **thread-local**: [`Platform::run`] installs a
 //! collector for the duration of one execution (via

@@ -4,8 +4,6 @@
 //! edge scans, message shuffles, and per-iteration re-materialization of
 //! the vertex dataset — the GraphX execution pattern.
 
-use std::sync::Arc;
-
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::{Csr, VertexId};
 
@@ -45,19 +43,18 @@ pub fn edge_dataset(csr: &Csr, parts: usize, both_directions: bool) -> Dataset<(
 pub fn pregel_loop<V, M>(
     csr: &Csr,
     edges: &Dataset<(u32, u32, f64)>,
-    parts: usize,
     pool: &WorkerPool,
     c: &mut WorkCounters,
     init: impl Fn(u32) -> V,
     initially_active: Vec<u32>,
     send: impl Fn(u32, u32, f64, &V) -> Option<M> + Sync,
-    combine: impl Fn(M, M) -> M + Copy,
+    combine: impl Fn(M, M) -> M,
     apply: impl Fn(&V, M) -> (V, bool),
     message_bytes: u64,
 ) -> Vec<V>
 where
     V: Clone + Sync,
-    M: Clone + Send,
+    M: Send,
 {
     let n = csr.num_vertices();
     let total_arcs = edges.count() as u64;
@@ -78,8 +75,8 @@ where
         // Ship active vertex views to edge partitions (replication).
         c.add_messages(active_count, message_bytes + 4);
         // Scan the edge partitions on the pool (task-parallel partition
-        // scans, like Spark executors); merging in partition order keeps
-        // the message stream deterministic. Only active sources emit.
+        // scans, like Spark executors); the workers' chunks, in order, are
+        // the shuffle's record stream. Only active sources emit.
         c.edges_scanned += total_arcs;
         let partitions = edges.partitions();
         let (active_ref, values_ref) = (&active, &values);
@@ -96,11 +93,7 @@ where
             }
             local
         });
-        let mut outgoing: Vec<(u32, M)> = Vec::with_capacity(scans.iter().map(Vec::len).sum());
-        for scan in scans {
-            outgoing.extend(scan);
-        }
-        let reduced = reduce_by_key(outgoing, parts, message_bytes, c, combine);
+        let reduced = reduce_by_key(scans, n, message_bytes, c, &combine);
         // Join messages into a brand-new vertex dataset.
         c.vertices_processed += n as u64; // full copy materialized
         let mut next_active = vec![false; n];
@@ -127,7 +120,6 @@ pub fn bfs(g: &DataflowGraph, root: u32, pool: &WorkerPool, c: &mut WorkCounters
     pregel_loop(
         g.csr(),
         g.edges_out(),
-        g.parts(),
         pool,
         c,
         |u| if u == root { 0i64 } else { i64::MAX },
@@ -144,7 +136,6 @@ pub fn sssp(g: &DataflowGraph, root: u32, pool: &WorkerPool, c: &mut WorkCounter
     pregel_loop(
         g.csr(),
         g.edges_out(),
-        g.parts(),
         pool,
         c,
         |u| if u == root { 0.0f64 } else { f64::INFINITY },
@@ -163,7 +154,6 @@ pub fn wcc(g: &DataflowGraph, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<Ve
     pregel_loop(
         csr,
         g.edges_both(),
-        g.parts(),
         pool,
         c,
         |u| csr.id_of(u),
@@ -184,7 +174,6 @@ pub fn pagerank(
     c: &mut WorkCounters,
 ) -> Vec<f64> {
     let csr = g.csr();
-    let parts = g.parts();
     let n = csr.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -218,11 +207,7 @@ pub fn pagerank(
             }
             local
         });
-        let mut contributions: Vec<(u32, f64)> = Vec::with_capacity(total_arcs as usize);
-        for scan in scans {
-            contributions.extend(scan);
-        }
-        let sums = reduce_by_key(contributions, parts, 12, c, |a, b| a + b);
+        let sums = reduce_by_key(scans, n, 12, c, |a, b| a + b);
         // Materialize the next vertex dataset.
         c.vertices_processed += n as u64;
         let mut next = vec![base; n];
@@ -245,7 +230,6 @@ pub fn cdlp(
     c: &mut WorkCounters,
 ) -> Vec<VertexId> {
     let csr = g.csr();
-    let parts = g.parts();
     let n = csr.num_vertices();
     let edges = g.edges_both();
     let total_arcs = edges.count() as u64;
@@ -269,16 +253,13 @@ pub fn cdlp(
             }
             local
         });
-        let mut votes: Vec<(u32, VertexId)> = Vec::with_capacity(total_arcs as usize);
-        for scan in scans {
-            votes.extend(scan);
-        }
-        let grouped = group_by_key(votes, parts, 8, c);
+        let mut grouped = group_by_key(scans, n, 8, c);
         c.random_accesses += total_arcs;
         c.vertices_processed += n as u64;
         let mut next = labels.clone();
-        for (v, mut multiset) in grouped {
-            if let Some(best) = graphalytics_core::algorithms::cdlp::mode_label(&mut multiset) {
+        for v in 0..n as u32 {
+            let multiset = grouped.group_mut(v);
+            if let Some(best) = graphalytics_core::algorithms::cdlp::mode_label(multiset) {
                 next[v as usize] = best;
             }
         }
@@ -291,9 +272,12 @@ pub fn cdlp(
 /// LCC: collect neighbour sets, ship each vertex's set to its neighbours,
 /// count intersections, reduce. The shipped sets are the `Σ d(v)²`-scale
 /// shuffle that breaks JVM dataflow engines on dense graphs.
-pub fn lcc(csr: &Csr, parts: usize, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
+pub fn lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
     let n = csr.num_vertices();
+    let mut it = IterTimer::new("Round", c);
     // Stage 1: neighbour sets (group arcs by source over both directions).
+    fault::tick(FaultSite::Superstep);
+    c.supersteps += 1;
     let mut arcs: Vec<(u32, u32)> = Vec::with_capacity(csr.num_arcs());
     for u in 0..n as u32 {
         for &v in csr.out_neighbors(u) {
@@ -304,62 +288,54 @@ pub fn lcc(csr: &Csr, parts: usize, pool: &WorkerPool, c: &mut WorkCounters) -> 
         }
     }
     c.edges_scanned += arcs.len() as u64;
-    let grouped = group_by_key(arcs, parts, 8, c);
-    let empty = Arc::new(Vec::new());
-    let mut neighborhoods: Vec<Arc<Vec<u32>>> = vec![empty; n];
-    for (u, mut list) in grouped {
-        list.sort_unstable();
-        list.dedup();
-        neighborhoods[u as usize] = Arc::new(list);
-    }
+    let mut neighborhoods = group_by_key(vec![arcs], n, 8, c);
+    neighborhoods.sort_dedup();
     c.vertices_processed += n as u64;
+    it.lap(c, |s| s.with_info("active", n));
 
     // Stage 2: ship N(v) to every member of N(v); intersect with out(u).
-    type SetRequest = (u32, (u32, Arc<Vec<u32>>));
-    let mut requests: Vec<SetRequest> = Vec::new();
+    // A request `(u, v)` stands for the shipped copy of N(v) arriving at u.
+    fault::tick(FaultSite::Superstep);
+    c.supersteps += 1;
+    let mut requests: Vec<(u32, u32)> = Vec::new();
     let mut shipped_bytes = 0u64;
     for v in 0..n as u32 {
-        let set = &neighborhoods[v as usize];
+        let set = neighborhoods.group(v);
         if set.len() < 2 {
             continue;
         }
-        for &u in set.iter() {
-            requests.push((u, (v, Arc::clone(set))));
-            shipped_bytes += 8 + 4 * set.len() as u64;
-        }
+        requests.extend(set.iter().map(|&u| (u, v)));
+        shipped_bytes += set.len() as u64 * (8 + 4 * set.len() as u64);
     }
     c.messages += requests.len() as u64;
     c.message_bytes += shipped_bytes;
 
-    // Intersections run task-parallel over request chunks; counts merge
-    // in request order (reduce_by_key re-sorts anyway).
-    let requests_ref = &requests;
-    let scanned_and_counts = pool.run(requests.len(), |_, rrange| {
-        let mut scanned = 0u64;
-        let mut local: Vec<(u32, f64)> = Vec::with_capacity(rrange.len());
-        for (u, (v, set)) in &requests_ref[rrange] {
-            let ou = csr.out_neighbors(*u);
-            scanned += ou.len().min(set.len()) as u64;
-            let links = graphalytics_core::algorithms::lcc::intersect_count(ou, set);
-            local.push((*v, links as f64));
-        }
-        (scanned, local)
-    });
-    let mut counts: Vec<(u32, f64)> = Vec::with_capacity(requests.len());
-    for (scanned, local) in scanned_and_counts {
-        c.edges_scanned += scanned;
-        counts.extend(local);
-    }
-    let sums = reduce_by_key(counts, parts, 12, c, |a, b| a + b);
+    // Intersections run task-parallel over request chunks.
+    let (scanned, counts): (Vec<u64>, Vec<Vec<(u32, f64)>>) = pool
+        .run(requests.len(), |_, rrange| {
+            let mut scanned = 0u64;
+            let mut local: Vec<(u32, f64)> = Vec::with_capacity(rrange.len());
+            for &(u, v) in &requests[rrange] {
+                let (ou, set) = (csr.out_neighbors(u), neighborhoods.group(v));
+                scanned += ou.len().min(set.len()) as u64;
+                let links = graphalytics_core::algorithms::lcc::intersect_count(ou, set);
+                local.push((v, links as f64));
+            }
+            (scanned, local)
+        })
+        .into_iter()
+        .unzip();
+    c.edges_scanned += scanned.iter().sum::<u64>();
+    let sums = reduce_by_key(counts, n, 12, c, |a, b| a + b);
     c.vertices_processed += n as u64;
     let mut out = vec![0.0f64; n];
     for (v, links) in sums {
-        let d = neighborhoods[v as usize].len() as f64;
+        let d = neighborhoods.group(v).len() as f64;
         if d >= 2.0 {
             out[v as usize] = links / (d * (d - 1.0));
         }
     }
-    c.supersteps += 2;
+    it.lap(c, |s| s.with_info("active", n));
     out
 }
 
@@ -367,6 +343,7 @@ pub fn lcc(csr: &Csr, parts: usize, pool: &WorkerPool, c: &mut WorkCounters) -> 
 mod tests {
     use super::*;
     use crate::platform::{Platform, RunContext};
+    use std::sync::Arc;
     use graphalytics_core::params::AlgorithmParams;
     use graphalytics_core::{Algorithm, GraphBuilder};
 
@@ -403,6 +380,10 @@ mod tests {
                     .unwrap()
                     .into_result()
                     .unwrap();
+                // One `Round` span (and one fault checkpoint) per superstep.
+                let spans = ctx.take_spans();
+                assert!(spans.iter().all(|s| s.name == "Round"), "{alg}");
+                assert_eq!(spans.len() as u64, run.counters.supersteps, "{alg}");
             }
             engine.delete(loaded);
         }
@@ -435,6 +416,9 @@ mod tests {
 
     #[test]
     fn edge_dataset_partitions_equal_from_vec_of_the_flat_arc_list() {
+        let from_vec = |arcs: Vec<(u32, u32, f64)>, parts| {
+            Dataset::from_exact(arcs.len(), arcs.into_iter(), parts)
+        };
         for directed in [true, false] {
             let csr = sample(directed);
             for both in [false, true] {
@@ -448,7 +432,7 @@ mod tests {
                     }
                 }
                 for parts in [0, 1, 3, 4, arcs.len(), arcs.len() + 1] {
-                    let expected = Dataset::from_vec(arcs.clone(), parts);
+                    let expected = from_vec(arcs.clone(), parts);
                     let built = edge_dataset(&csr, parts, both);
                     assert_eq!(
                         built.partitions(),
@@ -473,7 +457,7 @@ mod tests {
         let g = loaded.as_any().downcast_ref::<DataflowGraph>().unwrap();
         assert_eq!(g.edges_out().count(), 6);
         assert_eq!(g.edges_both().count(), 12, "reverse orientation added");
-        assert_eq!(g.parts(), 4, "threads × 2 over-partitioning");
+        assert_eq!(g.edges_out().partitions().len(), 4, "threads × 2 over-partitioning");
         assert!(g.resident_bytes() > directed.resident_bytes());
 
         // Undirected graphs alias the out dataset instead of caching a

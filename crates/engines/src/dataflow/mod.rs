@@ -20,6 +20,31 @@
 //! multisets are materialized per vertex by a grouping shuffle, the memory
 //! spike that makes GraphX the only platform unable to finish CDLP even on
 //! R4(S) in the paper's Figure 6.
+//!
+//! # The shuffle is a stable grouping
+//!
+//! Every keyed operator consumes a *record stream*: the per-worker scan
+//! chunks as `pool.run` returns them, chunks in order, each chunk in
+//! order. Workers scan contiguous runs of partitions and partitions are
+//! contiguous runs of the CSR-ordered arc list, so the stream is that
+//! arc list's order whatever the partition count or pool width.
+//!
+//! A Spark-style shuffle of the stream — stable-sort by key and combine
+//! map-side, hash-partition, stable-sort and reduce each partition, sort
+//! the result by key — moves records only by stable sorts and by an
+//! order-preserving split in which no key straddles two partitions. Each
+//! key's records therefore meet the combiner in stream order and the
+//! result leaves ascending by key: bit for bit, that is a *stable
+//! grouping of the stream by key*, and the partition count can reach
+//! neither an output nor a counter. Keys are dense vertex indices
+//! `0..n`, so the grouping needs no sort and no hash:
+//! [`reduce_by_key`] folds each key's records, in stream order, into a
+//! direct-addressed slot table as they pass (the group is consumed as it
+//! forms and never stored); [`group_by_key`], the one place a grouping is
+//! materialised, is a counting pass and a scatter into one
+//! `offsets`/`values` layout ([`Grouped`]). What the model charges is
+//! untouched: one shuffled record per distinct key where a combiner
+//! exists, every record where none does.
 
 mod algorithms;
 
@@ -46,13 +71,8 @@ pub struct Dataset<T> {
 }
 
 impl<T> Dataset<T> {
-    /// Partitions `data` into `parts` chunks (contiguous split).
-    pub fn from_vec(data: Vec<T>, parts: usize) -> Self {
-        Dataset::from_exact(data.len(), data.into_iter(), parts)
-    }
-
-    /// [`Dataset::from_vec`] for the exactly `len` records `data` yields,
-    /// without the flat vector: only the partition vectors are allocated.
+    /// Partitions the exactly `len` records `data` yields into `parts`
+    /// contiguous chunks; only the partition vectors are allocated.
     pub fn from_exact(len: usize, mut data: impl Iterator<Item = T>, parts: usize) -> Self {
         let parts = parts.max(1);
         let chunk = len.div_ceil(parts).max(1);
@@ -66,34 +86,9 @@ impl<T> Dataset<T> {
         Dataset { parts: out }
     }
 
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Total record count.
     pub fn count(&self) -> usize {
         self.parts.iter().map(|p| p.len()).sum()
-    }
-
-    /// Narrow transformation: per-record map, no shuffle.
-    pub fn map<U>(&self, f: impl Fn(&T) -> U) -> Dataset<U> {
-        Dataset { parts: self.parts.iter().map(|p| p.iter().map(&f).collect()).collect() }
-    }
-
-    /// Narrow transformation: per-record flat map.
-    pub fn flat_map<U>(&self, f: impl Fn(&T) -> Vec<U>) -> Dataset<U> {
-        Dataset {
-            parts: self.parts.iter().map(|p| p.iter().flat_map(&f).collect()).collect(),
-        }
-    }
-
-    /// Collects all records (partition order).
-    pub fn collect(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.parts.iter().flatten().cloned().collect()
     }
 
     /// Iterates over partitions.
@@ -102,96 +97,100 @@ impl<T> Dataset<T> {
     }
 }
 
-/// Hash-shuffles keyed records into `parts` partitions, charging the
-/// shuffle to `counters` (`bytes_per_record` payload + wire overhead is
-/// applied by the cost model later).
-pub fn shuffle_by_key<K: Copy + Into<u64>, V>(
-    records: Vec<(K, V)>,
-    parts: usize,
-    bytes_per_record: u64,
-    counters: &mut WorkCounters,
-) -> Dataset<(K, V)> {
-    let parts = parts.max(1);
-    counters.add_messages(records.len() as u64, bytes_per_record);
-    let mut out: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
-    for (k, v) in records {
-        let h = splitmix(k.into());
-        out[(h % parts as u64) as usize].push((k, v));
-    }
-    Dataset { parts: out }
-}
-
 /// Shuffles and reduces by key with a combiner (map-side combine first,
-/// like Spark's `reduceByKey`). Returns `(key, reduced)` pairs sorted by
-/// key for determinism.
-pub fn reduce_by_key<K: Copy + Into<u64> + Ord, V: Clone>(
-    records: Vec<(K, V)>,
-    parts: usize,
+/// like Spark's `reduceByKey`, so one record per distinct key crosses the
+/// shuffle and is charged to `counters`). `chunks` is the record stream
+/// over keys `0..n` (see the module doc): each key's records fold left to
+/// right in stream order. Returns `(key, reduced)` ascending by key.
+pub fn reduce_by_key<V>(
+    chunks: Vec<Vec<(u32, V)>>,
+    n: usize,
     bytes_per_record: u64,
     counters: &mut WorkCounters,
     combine: impl Fn(V, V) -> V,
-) -> Vec<(K, V)> {
-    // Map-side combine (sort-based for determinism).
-    let mut records = records;
-    records.sort_by_key(|(k, _)| *k);
-    let mut combined: Vec<(K, V)> = Vec::new();
-    for (k, v) in records {
-        match combined.last_mut() {
-            Some((lk, lv)) if *lk == k => {
-                *lv = combine(lv.clone(), v);
-            }
-            _ => combined.push((k, v)),
-        }
+) -> Vec<(u32, V)> {
+    let mut slots: Vec<Option<V>> = (0..n).map(|_| None).collect();
+    for (k, v) in chunks.into_iter().flatten() {
+        let slot = &mut slots[k as usize];
+        *slot = Some(match slot.take() {
+            Some(acc) => combine(acc, v),
+            None => v,
+        });
     }
-    // Shuffle the combined stream, then final reduce per partition.
-    let shuffled = shuffle_by_key(combined, parts, bytes_per_record, counters);
-    let mut out: Vec<(K, V)> = Vec::new();
-    for part in shuffled.parts {
-        let mut part = part;
-        part.sort_by_key(|(k, _)| *k);
-        for (k, v) in part {
-            match out.last_mut() {
-                Some((lk, lv)) if *lk == k => {
-                    *lv = combine(lv.clone(), v);
+    let reduced: Vec<(u32, V)> =
+        slots.into_iter().enumerate().filter_map(|(k, slot)| Some((k as u32, slot?))).collect();
+    counters.add_messages(reduced.len() as u64, bytes_per_record);
+    reduced
+}
+
+/// The output of [`group_by_key`]: key `k`'s values are
+/// `values[offsets[k]..offsets[k + 1]]`, in stream order.
+#[derive(Debug)]
+pub struct Grouped<V> {
+    offsets: Vec<usize>,
+    values: Vec<V>,
+}
+
+impl<V> Grouped<V> {
+    /// The values grouped under `key` (empty if it had no record).
+    pub fn group(&self, key: u32) -> &[V] {
+        &self.values[self.offsets[key as usize]..self.offsets[key as usize + 1]]
+    }
+
+    /// [`Grouped::group`], mutably (`cdlp::mode_label` sorts its votes).
+    pub fn group_mut(&mut self, key: u32) -> &mut [V] {
+        &mut self.values[self.offsets[key as usize]..self.offsets[key as usize + 1]]
+    }
+
+    /// Turns every group into a set, in place: sorted, duplicates dropped,
+    /// the survivors compacted to the front of `values`.
+    pub fn sort_dedup(&mut self)
+    where
+        V: Ord + Copy,
+    {
+        let (mut kept, mut lo) = (0, 0);
+        for k in 0..self.offsets.len() - 1 {
+            let hi = self.offsets[k + 1];
+            self.values[lo..hi].sort_unstable();
+            self.offsets[k] = kept;
+            for i in lo..hi {
+                if kept == self.offsets[k] || self.values[kept - 1] != self.values[i] {
+                    self.values[kept] = self.values[i];
+                    kept += 1;
                 }
-                _ => out.push((k, v)),
             }
+            lo = hi;
         }
+        *self.offsets.last_mut().expect("offsets hold n + 1 entries") = kept;
+        self.values.truncate(kept);
     }
-    out.sort_by_key(|(k, _)| *k);
-    out
 }
 
 /// Groups values by key **without a combiner** (Spark's `groupByKey`):
-/// every record crosses the shuffle and the full multiset is materialized
-/// per key. This is the CDLP path.
-pub fn group_by_key<K: Copy + Into<u64> + Ord, V: Clone>(
-    records: Vec<(K, V)>,
-    parts: usize,
+/// every record of the stream `chunks` over keys `0..n` crosses the
+/// shuffle, is charged to `counters`, and the full multiset is
+/// materialized per key. This is the CDLP path.
+pub fn group_by_key<V: Copy + Default>(
+    chunks: Vec<Vec<(u32, V)>>,
+    n: usize,
     bytes_per_record: u64,
     counters: &mut WorkCounters,
-) -> Vec<(K, Vec<V>)> {
-    let shuffled = shuffle_by_key(records, parts, bytes_per_record, counters);
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for part in shuffled.parts {
-        let mut part = part;
-        part.sort_by_key(|(k, _)| *k);
-        for (k, v) in part {
-            match out.last_mut() {
-                Some((lk, lv)) if *lk == k => lv.push(v),
-                _ => out.push((k, vec![v])),
-            }
-        }
+) -> Grouped<V> {
+    let mut offsets = vec![0usize; n + 1];
+    for &(k, _) in chunks.iter().flatten() {
+        offsets[k as usize + 1] += 1;
     }
-    out.sort_by_key(|(k, _)| *k);
-    out
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    for k in 0..n {
+        offsets[k + 1] += offsets[k];
+    }
+    counters.add_messages(offsets[n] as u64, bytes_per_record);
+    let mut values = vec![V::default(); offsets[n]];
+    let mut next = offsets.clone();
+    for (k, v) in chunks.into_iter().flatten() {
+        values[next[k as usize]] = v;
+        next[k as usize] += 1;
+    }
+    Grouped { offsets, values }
 }
 
 /// The uploaded representation: the GraphX property-graph pair. The
@@ -202,9 +201,6 @@ fn splitmix(mut x: u64) -> u64 {
 /// algorithm call, exactly like GraphX caching its `EdgeRDD`.
 pub struct DataflowGraph {
     csr: Arc<Csr>,
-    /// Partition count fixed at upload (Spark-style over-partitioning of
-    /// the uploading pool).
-    parts: usize,
     /// `(src, dst, weight)` arcs partitioned by source, out-direction.
     edges_out: Dataset<(u32, u32, f64)>,
     /// Same arcs with the reverse orientation added, for algorithms that
@@ -215,11 +211,6 @@ pub struct DataflowGraph {
 }
 
 impl DataflowGraph {
-    /// Partition count of the cached edge datasets.
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
     /// The cached out-direction edge dataset.
     pub fn edges_out(&self) -> &Dataset<(u32, u32, f64)> {
         &self.edges_out
@@ -282,7 +273,7 @@ impl Platform for DataflowEngine {
         // directed graphs need the reverse-augmented dataset.
         let edges_both =
             csr.is_directed().then(|| edge_dataset(&csr, parts, true));
-        Ok(Box::new(DataflowGraph { csr, parts, edges_out, edges_both }))
+        Ok(Box::new(DataflowGraph { csr, edges_out, edges_both }))
     }
 
     fn run(
@@ -316,9 +307,7 @@ impl Platform for DataflowEngine {
                 Algorithm::Cdlp => {
                     OutputValues::Id(algorithms::cdlp(g, params.cdlp_iterations, pool, &mut c))
                 }
-                Algorithm::Lcc => {
-                    OutputValues::F64(algorithms::lcc(csr, g.parts(), pool, &mut c))
-                }
+                Algorithm::Lcc => OutputValues::F64(algorithms::lcc(csr, pool, &mut c)),
                 Algorithm::Sssp => {
                     if !csr.is_weighted() {
                         return Err(graphalytics_core::Error::InvalidParameters(
@@ -393,19 +382,17 @@ mod tests {
 
     #[test]
     fn dataset_partitioning() {
-        let d = Dataset::from_vec((0..10).collect::<Vec<i32>>(), 3);
-        assert_eq!(d.num_partitions(), 3);
+        let d = Dataset::from_exact(10, 0..10, 3);
+        assert_eq!(d.partitions().len(), 3);
         assert_eq!(d.count(), 10);
-        assert_eq!(d.collect(), (0..10).collect::<Vec<i32>>());
-        let doubled = d.map(|x| x * 2);
-        assert_eq!(doubled.collect()[3], 6);
+        assert_eq!(d.partitions().concat(), (0..10).collect::<Vec<i32>>());
     }
 
     #[test]
     fn reduce_by_key_combines() {
         let mut c = WorkCounters::new();
-        let records = vec![(1u32, 5i64), (2, 1), (1, 3), (2, 2)];
-        let reduced = reduce_by_key(records, 2, 8, &mut c, |a, b| a.min(b));
+        let chunks = vec![vec![(1u32, 5i64), (2, 1)], vec![(1, 3), (2, 2)]];
+        let reduced = reduce_by_key(chunks, 4, 8, &mut c, |a, b| a.min(b));
         assert_eq!(reduced, vec![(1, 3), (2, 1)]);
         // Map-side combine: only 2 records cross the shuffle.
         assert_eq!(c.messages, 2);
@@ -414,10 +401,13 @@ mod tests {
     #[test]
     fn group_by_key_ships_everything() {
         let mut c = WorkCounters::new();
-        let records = vec![(1u32, 5u64), (2, 1), (1, 3), (1, 5)];
-        let grouped = group_by_key(records, 2, 8, &mut c);
+        let chunks = vec![vec![(1u32, 5u64), (2, 1), (1, 3)], vec![(1, 5)]];
+        let mut grouped = group_by_key(chunks, 3, 8, &mut c);
         assert_eq!(c.messages, 4, "no combiner: every record shuffles");
-        let g1 = grouped.iter().find(|(k, _)| *k == 1).unwrap();
-        assert_eq!(g1.1.len(), 3);
+        assert_eq!(grouped.group(1), [5, 3, 5], "stream order");
+        assert_eq!((grouped.group(0), grouped.group(2)), (&[][..], &[1][..]));
+        grouped.sort_dedup();
+        assert_eq!((grouped.group(0), grouped.group(2)), (&[][..], &[1][..]));
+        assert_eq!(grouped.group(1), [3, 5], "a sorted set, compacted in place");
     }
 }

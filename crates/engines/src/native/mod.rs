@@ -293,6 +293,7 @@ fn union_find_wcc(csr: &Csr, c: &mut WorkCounters) -> Vec<VertexId> {
         }
         x
     }
+    fault::tick(FaultSite::Superstep);
     c.supersteps = 1;
     c.vertices_processed += n as u64;
     for u in 0..n as u32 {
@@ -340,6 +341,7 @@ fn sync_cdlp(csr: &Csr, iterations: u32, pool: &WorkerPool, c: &mut WorkCounters
 
 /// LCC via forward-row intersections (streams; no materialization).
 fn intersect_lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
+    fault::tick(FaultSite::Superstep);
     c.supersteps = 1;
     c.vertices_processed += csr.num_vertices() as u64;
     let (values, compared) = crate::common::triangle_lcc(csr, pool);
@@ -370,6 +372,7 @@ fn dijkstra(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {
     let mut heap = BinaryHeap::new();
     dist[root as usize] = 0.0;
     heap.push(E(0.0, root));
+    fault::tick(FaultSite::Superstep);
     c.supersteps = 1;
     while let Some(E(d, u)) = heap.pop() {
         if d > dist[u as usize] {

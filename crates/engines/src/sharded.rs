@@ -44,14 +44,12 @@ use graphalytics_core::{Csr, ShardedCsr};
 use crate::platform::{LoadedGraph, Platform};
 use crate::trace::SpanRecord;
 
-/// How to shard an upload: shard count, per-shard pool width, placement.
+/// How to shard an upload: shard count and placement. Each shard's pool
+/// is an even share of the caller's pool width (at least one thread).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPlan {
     /// Number of shards (1 = monolithic upload).
     pub shards: u32,
-    /// Worker threads per shard pool; 0 divides the caller's pool width
-    /// evenly across shards (at least one thread each).
-    pub threads_per_shard: u32,
     /// Vertex-placement strategy (vertex cuts fall back to hashing —
     /// sharded execution owns vertices, not edges).
     pub strategy: PartitionStrategy,
@@ -61,14 +59,9 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan with hash placement, seed 0 and automatic pool widths.
+    /// A plan with hash placement and seed 0.
     pub fn new(shards: u32) -> Self {
-        ShardPlan {
-            shards,
-            threads_per_shard: 0,
-            strategy: PartitionStrategy::HashEdgeCut,
-            seed: 0,
-        }
+        ShardPlan { shards, strategy: PartitionStrategy::HashEdgeCut, seed: 0 }
     }
 }
 
@@ -100,11 +93,7 @@ impl ShardSet {
         let parts = plan.shards.max(1);
         let partition = edge_cut_seeded(&csr, parts, plan.strategy, plan.seed);
         let sharded = ShardedCsr::partition(csr, &partition.owner, parts)?;
-        let per_shard = if plan.threads_per_shard == 0 {
-            (pool.threads() / parts).max(1)
-        } else {
-            plan.threads_per_shard
-        };
+        let per_shard = (pool.threads() / parts).max(1);
         let pools = (0..parts).map(|_| WorkerPool::new(per_shard)).collect();
         Ok(ShardSet {
             sharded,
@@ -371,12 +360,7 @@ pub fn upload_with_shards(
     if shards <= 1 {
         return platform.upload(csr, pool);
     }
-    let plan = ShardPlan {
-        shards,
-        threads_per_shard: 0,
-        strategy: platform.profile().partition,
-        seed,
-    };
+    let plan = ShardPlan { shards, strategy: platform.profile().partition, seed };
     platform.upload_sharded(csr, &plan, pool)
 }
 

@@ -129,6 +129,30 @@ fn external_cancel_aborts_stalled_run_in_bounded_time() {
     assert!(started.elapsed() < Duration::from_secs(10), "abort was not bounded");
 }
 
+#[test]
+fn every_cell_reaches_a_superstep_checkpoint() {
+    // A kernel that never ticks `FaultSite::Superstep` cannot be stopped
+    // by DELETE /jobs/:id, `timeout_secs` or the chaos plane once started.
+    // Injection 0 must therefore land in every engine × algorithm cell.
+    let pool = Arc::new(WorkerPool::new(2));
+    let dataset = graphalytics::core::datasets::dataset("R4").unwrap();
+    assert!(dataset.weighted, "SSSP cells need weights");
+    let csr = Arc::new(proxy::materialize_with(dataset, 4096, 7, &pool).to_csr());
+    let mut unstoppable = Vec::new();
+    for platform in all_platforms() {
+        for algorithm in Algorithm::ALL.into_iter().filter(|&a| platform.supports(a)) {
+            let spec = JobSpec::new(dataset, algorithm, ClusterSpec::single_machine());
+            let script =
+                FaultScript::new(vec![Injection::new(FaultSite::Superstep, 0, FaultKind::Alloc)]);
+            let result = run_with(&pool, platform.name(), &spec, &csr, script);
+            if !matches!(result.status, JobStatus::Faulted { transient: false, .. }) {
+                unstoppable.push(format!("{} {algorithm}: {:?}", platform.name(), result.status));
+            }
+        }
+    }
+    assert!(unstoppable.is_empty(), "cells that never observed injection 0: {unstoppable:#?}");
+}
+
 /// One proptest scenario: fault (or cancel) at superstep `k`, then prove
 /// the store, the delta log, and a re-run are untouched by the wreck.
 fn fault_leaves_no_trace(

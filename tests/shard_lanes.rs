@@ -28,7 +28,7 @@ const STRATEGIES: [PartitionStrategy; 2] =
 const SEED: u64 = 7;
 
 fn plan(shards: u32, strategy: PartitionStrategy) -> ShardPlan {
-    ShardPlan { shards, threads_per_shard: 0, strategy, seed: SEED }
+    ShardPlan { shards, strategy, seed: SEED }
 }
 
 fn weighted_csr(pool: &WorkerPool) -> Arc<Csr> {

@@ -205,7 +205,6 @@ proptest! {
         let params = AlgorithmParams::with_source(root);
         let plan = ShardPlan {
             shards,
-            threads_per_shard: 0,
             strategy: if range_cut {
                 PartitionStrategy::RangeEdgeCut
             } else {

@@ -32,38 +32,65 @@ use crate::output::{AlgorithmOutput, OutputValues};
 use crate::params::AlgorithmParams;
 use crate::Algorithm;
 
+/// One algorithm invocation with its inputs checked against the graph:
+/// what the reference and every engine execute. [`Request::resolve`] is
+/// the one place the input rules live — SSSP needs edge weights, BFS and
+/// SSSP need a declared source vertex (resolved to its dense index).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Request {
+    Bfs { root: u32 },
+    PageRank { iterations: u32, damping: f64 },
+    Wcc,
+    Cdlp { iterations: u32 },
+    Lcc,
+    Sssp { root: u32 },
+}
+
+impl Request {
+    /// Checks `params` against `csr` for `algorithm`.
+    pub fn resolve(csr: &Csr, algorithm: Algorithm, params: &AlgorithmParams) -> Result<Request> {
+        Ok(match algorithm {
+            Algorithm::Bfs => Request::Bfs { root: resolve_root(csr, params)? },
+            Algorithm::PageRank => Request::PageRank {
+                iterations: params.pagerank_iterations,
+                damping: params.damping_factor,
+            },
+            Algorithm::Wcc => Request::Wcc,
+            Algorithm::Cdlp => Request::Cdlp { iterations: params.cdlp_iterations },
+            Algorithm::Lcc => Request::Lcc,
+            Algorithm::Sssp => {
+                if !csr.is_weighted() {
+                    return Err(Error::InvalidParameters(
+                        "SSSP requires a weighted graph".into(),
+                    ));
+                }
+                Request::Sssp { root: resolve_root(csr, params)? }
+            }
+        })
+    }
+}
+
 /// Runs any core algorithm by its [`Algorithm`] tag with the given
 /// parameters, producing an [`AlgorithmOutput`] suitable for validation.
 ///
 /// This is exactly the entry point the harness uses to produce reference
 /// outputs.
 pub fn run_reference(csr: &Csr, algorithm: Algorithm, params: &AlgorithmParams) -> Result<AlgorithmOutput> {
-    let values = match algorithm {
-        Algorithm::Bfs => {
-            let root = resolve_root(csr, params)?;
-            OutputValues::I64(bfs(csr, root))
+    let values = match Request::resolve(csr, algorithm, params)? {
+        Request::Bfs { root } => OutputValues::I64(bfs(csr, root)),
+        Request::PageRank { iterations, damping } => {
+            OutputValues::F64(pagerank(csr, iterations, damping))
         }
-        Algorithm::PageRank => {
-            OutputValues::F64(pagerank(csr, params.pagerank_iterations, params.damping_factor))
-        }
-        Algorithm::Wcc => OutputValues::Id(wcc(csr)),
-        Algorithm::Cdlp => OutputValues::Id(cdlp(csr, params.cdlp_iterations)),
-        Algorithm::Lcc => OutputValues::F64(lcc(csr)),
-        Algorithm::Sssp => {
-            if !csr.is_weighted() {
-                return Err(Error::InvalidParameters(
-                    "SSSP requires a weighted graph".into(),
-                ));
-            }
-            let root = resolve_root(csr, params)?;
-            OutputValues::F64(sssp(csr, root))
-        }
+        Request::Wcc => OutputValues::Id(wcc(csr)),
+        Request::Cdlp { iterations } => OutputValues::Id(cdlp(csr, iterations)),
+        Request::Lcc => OutputValues::F64(lcc(csr)),
+        Request::Sssp { root } => OutputValues::F64(sssp(csr, root)),
     };
     Ok(AlgorithmOutput::from_dense(algorithm, csr, values))
 }
 
 /// Resolves the sparse root id from the parameters into a dense index.
-pub fn resolve_root(csr: &Csr, params: &AlgorithmParams) -> Result<u32> {
+fn resolve_root(csr: &Csr, params: &AlgorithmParams) -> Result<u32> {
     let root = params
         .source_vertex
         .ok_or_else(|| Error::InvalidParameters("missing source vertex".into()))?;

@@ -16,7 +16,7 @@
 //! Trait values for real graphs are estimates assembled from the paper
 //! (e.g. Section 4.1 notes BFS on R2 covers ~10% of vertices) and from the
 //! public SNAP/KONECT descriptions of the original datasets; they are
-//! documented per-dataset below and in EXPERIMENTS.md.
+//! documented per-dataset below.
 
 use crate::params::SourceSelection;
 use crate::scale::{class_of, scale_of, SizeClass};

@@ -418,8 +418,8 @@ fn checkpoint_slow(site: FaultSite) -> Result<()> {
 struct FaultAbort(Error);
 
 /// Checkpoint for kernels that do not return `Result`: aborts by
-/// unwinding. Must run under a [`catch_abort`] boundary (every engine's
-/// `Platform::run` provides one).
+/// unwinding. Must run under a [`catch_abort`] boundary (the engines'
+/// execute-phase scaffold, `engines::platform::execute_phase`, is one).
 pub fn tick(site: FaultSite) {
     if let Err(e) = checkpoint(site) {
         std::panic::panic_any(FaultAbort(e));

@@ -360,14 +360,14 @@ mod tests {
     }
 
     fn uploaded(csr: &Arc<Csr>, pool: &WorkerPool) -> Box<dyn crate::platform::LoadedGraph> {
-        crate::dataflow::DataflowEngine::new().upload(csr.clone(), pool).unwrap()
+        crate::dataflow::DataflowEngine.upload(csr.clone(), pool).unwrap()
     }
 
     #[test]
     fn all_algorithms_match_reference() {
         for directed in [true, false] {
             let csr = sample(directed);
-            let engine = crate::dataflow::DataflowEngine::new();
+            let engine = crate::dataflow::DataflowEngine;
             let params = AlgorithmParams::with_source(0);
             let pool = WorkerPool::new(2);
             let loaded = engine.upload(csr.clone(), &pool).unwrap();

@@ -49,17 +49,16 @@
 mod algorithms;
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::Result;
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
-use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr};
+use graphalytics_core::output::OutputValues;
+use graphalytics_core::Csr;
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::WorkerPool;
-use crate::platform::{downcast_graph, Execution, LoadedGraph, Platform, RunContext};
+use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 
 pub use algorithms::{edge_dataset, pregel_loop};
@@ -241,29 +240,15 @@ impl LoadedGraph for DataflowGraph {
 }
 
 /// The GraphX-like platform.
-pub struct DataflowEngine {
-    profile: PerfProfile,
-}
-
-impl DataflowEngine {
-    pub fn new() -> Self {
-        DataflowEngine { profile: PerfProfile::dataflow() }
-    }
-}
-
-impl Default for DataflowEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct DataflowEngine;
 
 impl Platform for DataflowEngine {
     fn name(&self) -> &'static str {
         "dataflow"
     }
 
-    fn profile(&self) -> &PerfProfile {
-        &self.profile
+    fn profile(&self) -> &'static PerfProfile {
+        &PerfProfile::DATAFLOW
     }
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
@@ -276,103 +261,26 @@ impl Platform for DataflowEngine {
         Ok(Box::new(DataflowGraph { csr, edges_out, edges_both }))
     }
 
-    fn run(
+    fn execute(
         &self,
         graph: &dyn LoadedGraph,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Execution> {
+        request: Request,
+        pool: &WorkerPool,
+        c: &mut WorkCounters,
+    ) -> Result<OutputValues> {
         let g = downcast_graph::<DataflowGraph>(self.name(), graph)?;
-        let csr = g.csr();
-        let pool = ctx.pool;
-        let start = Instant::now();
-        let mut c = WorkCounters::new();
-        ctx.check_cancelled()?;
-        ctx.begin_trace();
-        let values = graphalytics_core::fault::catch_abort(|| -> Result<OutputValues> {
-            Ok(match algorithm {
-                Algorithm::Bfs => {
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(algorithms::bfs(g, root, pool, &mut c))
-                }
-                Algorithm::PageRank => OutputValues::F64(algorithms::pagerank(
-                    g,
-                    params.pagerank_iterations,
-                    params.damping_factor,
-                    pool,
-                    &mut c,
-                )),
-                Algorithm::Wcc => OutputValues::Id(algorithms::wcc(g, pool, &mut c)),
-                Algorithm::Cdlp => {
-                    OutputValues::Id(algorithms::cdlp(g, params.cdlp_iterations, pool, &mut c))
-                }
-                Algorithm::Lcc => OutputValues::F64(algorithms::lcc(csr, pool, &mut c)),
-                Algorithm::Sssp => {
-                    if !csr.is_weighted() {
-                        return Err(graphalytics_core::Error::InvalidParameters(
-                            "SSSP requires a weighted graph".into(),
-                        ));
-                    }
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(algorithms::sssp(g, root, pool, &mut c))
-                }
-            })
-        });
-        ctx.absorb_trace();
-        let values = values?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ctx.record_phase("ProcessGraph", wall_seconds);
-        Ok(Execution {
-            output: AlgorithmOutput::from_dense(algorithm, csr, values),
-            counters: c,
-            wall_seconds,
+        Ok(match request {
+            Request::Bfs { root } => OutputValues::I64(algorithms::bfs(g, root, pool, c)),
+            Request::PageRank { iterations, damping } => {
+                OutputValues::F64(algorithms::pagerank(g, iterations, damping, pool, c))
+            }
+            Request::Wcc => OutputValues::Id(algorithms::wcc(g, pool, c)),
+            Request::Cdlp { iterations } => {
+                OutputValues::Id(algorithms::cdlp(g, iterations, pool, c))
+            }
+            Request::Lcc => OutputValues::F64(algorithms::lcc(g.csr(), pool, c)),
+            Request::Sssp { root } => OutputValues::F64(algorithms::sssp(g, root, pool, c)),
         })
-    }
-
-    fn estimate(
-        &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters {
-        let s = crate::estimate::workload_shape(vertices, edges, traits_, directed, algorithm, params);
-        let mut c = WorkCounters::new();
-        c.supersteps = s.supersteps;
-        // New vertex dataset materialized every iteration, plus the
-        // vertex-view shipping copy.
-        c.vertices_processed = 3 * vertices * s.supersteps;
-        match algorithm {
-            Algorithm::Lcc => {
-                c.edges_scanned = (s.sum_deg2 + 2.0 * s.arcs) as u64;
-                c.messages = (s.sum_deg2 / 4.0) as u64 + s.arcs as u64;
-                c.message_bytes = 12 * c.messages;
-            }
-            Algorithm::Cdlp => {
-                c.edges_scanned = s.arcs as u64 * s.supersteps;
-                c.messages = s.edge_traversals as u64 + vertices * s.supersteps;
-                // Boxed Scala shuffle records are heavy on the wire.
-                c.message_bytes = 48 * c.messages;
-                c.random_accesses = s.edge_traversals as u64;
-            }
-            _ => {
-                // The full edge dataset is scanned every iteration no
-                // matter how sparse the frontier is.
-                c.edges_scanned = s.arcs as u64 * s.supersteps;
-                // Map-side combining collapses shuffle records towards the
-                // per-iteration vertex count; shipped vertex views add the
-                // active rounds.
-                let combined = (0.5 * s.edge_traversals)
-                    .min(2.0 * vertices as f64 * s.supersteps as f64);
-                c.messages = combined as u64 + s.active_vertex_rounds as u64;
-                // Boxed Scala shuffle records are heavy on the wire.
-                c.message_bytes = 48 * c.messages;
-            }
-        }
-        c
     }
 }
 

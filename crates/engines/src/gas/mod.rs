@@ -24,19 +24,18 @@
 //! in the paper's Figure 6.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
-use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr};
+use graphalytics_core::output::OutputValues;
+use graphalytics_core::Csr;
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::frontier::Frontier;
 use crate::common::pool::WorkerPool;
-use crate::platform::{downcast_graph, Execution, LoadedGraph, Platform, RunContext};
+use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 use crate::trace::IterTimer;
 
@@ -297,134 +296,44 @@ impl LoadedGraph for GasGraph {
 }
 
 /// The PowerGraph-like platform.
-pub struct GasEngine {
-    profile: PerfProfile,
-}
-
-impl GasEngine {
-    pub fn new() -> Self {
-        GasEngine { profile: PerfProfile::gas() }
-    }
-}
-
-impl Default for GasEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct GasEngine;
 
 impl Platform for GasEngine {
     fn name(&self) -> &'static str {
         "gas"
     }
 
-    fn profile(&self) -> &PerfProfile {
-        &self.profile
+    fn profile(&self) -> &'static PerfProfile {
+        &PerfProfile::GAS
     }
 
     fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
         Ok(Box::new(GasGraph { csr }))
     }
 
-    fn run(
+    fn execute(
         &self,
         graph: &dyn LoadedGraph,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Execution> {
-        let loaded = downcast_graph::<GasGraph>(self.name(), graph)?;
-        let csr = loaded.csr();
-        let pool = ctx.pool;
-        let start = Instant::now();
-        let mut c = WorkCounters::new();
-        ctx.check_cancelled()?;
-        ctx.begin_trace();
-        let values = fault::catch_abort(|| -> Result<OutputValues> {
-            Ok(match algorithm {
-                Algorithm::Bfs => {
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(run_gas(csr, &BfsGas { root }, pool, &mut c))
-                }
-                Algorithm::PageRank => OutputValues::F64(run_gas(
-                    csr,
-                    &PageRankGas {
-                        iterations: params.pagerank_iterations,
-                        damping: params.damping_factor,
-                        n: csr.num_vertices() as f64,
-                    },
-                    pool,
-                    &mut c,
-                )),
-                Algorithm::Wcc => OutputValues::Id(run_gas(csr, &WccGas, pool, &mut c)),
-                Algorithm::Cdlp => OutputValues::Id(run_gas(
-                    csr,
-                    &CdlpGas { iterations: params.cdlp_iterations },
-                    pool,
-                    &mut c,
-                )),
-                Algorithm::Lcc => OutputValues::F64(streamed_lcc(csr, pool, &mut c)),
-                Algorithm::Sssp => {
-                    if !csr.is_weighted() {
-                        return Err(graphalytics_core::Error::InvalidParameters(
-                            "SSSP requires a weighted graph".into(),
-                        ));
-                    }
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(run_gas(csr, &SsspGas { root }, pool, &mut c))
-                }
-            })
-        });
-        ctx.absorb_trace();
-        let values = values?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ctx.record_phase("ProcessGraph", wall_seconds);
-        Ok(Execution {
-            output: AlgorithmOutput::from_dense(algorithm, csr, values),
-            counters: c,
-            wall_seconds,
+        request: Request,
+        pool: &WorkerPool,
+        c: &mut WorkCounters,
+    ) -> Result<OutputValues> {
+        let csr = downcast_graph::<GasGraph>(self.name(), graph)?.csr();
+        Ok(match request {
+            Request::Bfs { root } => OutputValues::I64(run_gas(csr, &BfsGas { root }, pool, c)),
+            Request::PageRank { iterations, damping } => OutputValues::F64(run_gas(
+                csr,
+                &PageRankGas { iterations, damping, n: csr.num_vertices() as f64 },
+                pool,
+                c,
+            )),
+            Request::Wcc => OutputValues::Id(run_gas(csr, &WccGas, pool, c)),
+            Request::Cdlp { iterations } => {
+                OutputValues::Id(run_gas(csr, &CdlpGas { iterations }, pool, c))
+            }
+            Request::Lcc => OutputValues::F64(streamed_lcc(csr, pool, c)),
+            Request::Sssp { root } => OutputValues::F64(run_gas(csr, &SsspGas { root }, pool, c)),
         })
-    }
-
-    fn estimate(
-        &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters {
-        let s = crate::estimate::workload_shape(vertices, edges, traits_, directed, algorithm, params);
-        let mut c = WorkCounters::new();
-        c.supersteps = s.supersteps;
-        match algorithm {
-            Algorithm::Lcc => {
-                c.vertices_processed = vertices;
-                c.edges_scanned = s.sum_deg2 as u64;
-                c.messages = s.arcs as u64;
-                c.message_bytes = 8 * c.messages;
-            }
-            Algorithm::Cdlp => {
-                c.vertices_processed = s.active_vertex_rounds as u64;
-                c.edges_scanned = 2 * s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-                c.message_bytes = 12 * c.messages;
-                c.random_accesses = s.edge_traversals as u64;
-            }
-            _ => {
-                c.vertices_processed = s.active_vertex_rounds as u64;
-                // Gather + scatter both touch edges.
-                c.edges_scanned = 2 * s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-                // Mirror->master syncs are bounded by replicas per round,
-                // not by edges.
-                let combined =
-                    (4.0 * vertices as f64 * s.supersteps as f64).min(s.edge_traversals);
-                c.message_bytes = 8 * combined as u64;
-            }
-        }
-        c
     }
 }
 
@@ -449,7 +358,9 @@ fn streamed_lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphalytics_core::GraphBuilder;
+    use crate::platform::RunContext;
+    use graphalytics_core::params::AlgorithmParams;
+    use graphalytics_core::{Algorithm, GraphBuilder};
 
     fn sample(directed: bool) -> Csr {
         let mut b = GraphBuilder::new(directed);
@@ -467,7 +378,7 @@ mod tests {
     fn all_algorithms_match_reference_directed_and_undirected() {
         for directed in [true, false] {
             let csr = Arc::new(sample(directed));
-            let engine = GasEngine::new();
+            let engine = GasEngine;
             let params = AlgorithmParams::with_source(0);
             let pool = WorkerPool::new(2);
             let loaded = engine.upload(csr.clone(), &pool).unwrap();

@@ -15,13 +15,20 @@
 //! Every engine implements all six benchmark algorithms through its own
 //! model's abstractions (except LCC on [`pushpull`], mirroring PGX.D in
 //! the paper), *really executes them*, and its outputs are validated
-//! against the reference implementations in `graphalytics-core`. During
-//! execution each engine populates [`WorkCounters`] (vertices, edges,
-//! messages, bytes, supersteps); the per-engine [`profile::PerfProfile`]
-//! holds the constants that turn those counters into simulated cluster
-//! time, memory footprints, startup/upload overheads and run-to-run
-//! variability — calibrated once against the paper's published Tables
-//! 8–11 and reused unchanged everywhere.
+//! against the reference implementations in `graphalytics-core`. An
+//! engine supplies its upload and its algorithm dispatch
+//! ([`Platform::execute`]); the execute phase around the dispatch —
+//! timing, cancellation, input rules, tracing, the fault boundary — is
+//! written once ([`platform::execute_phase`]). During execution each
+//! engine populates [`WorkCounters`] (vertices, edges, messages, bytes,
+//! supersteps).
+//!
+//! The analytic model is not part of that lifecycle: the per-engine
+//! [`profile::PerfProfile`] carries the counter estimator for graphs too
+//! large to execute ([`estimate`]) and the constants that turn counters
+//! into simulated cluster time, memory footprints, startup/upload
+//! overheads and run-to-run variability — calibrated once against the
+//! paper's published Tables 8–11 and reused unchanged everywhere.
 //!
 //! The fundamental asymmetries the paper reports emerge structurally here:
 //! the dataflow engine re-materializes datasets every iteration (GraphX's

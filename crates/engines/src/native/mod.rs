@@ -20,19 +20,17 @@
 //! counts actual visits, `messages` stays 0 (shared memory).
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use graphalytics_core::algorithms::cdlp;
+use graphalytics_core::algorithms::{cdlp, Request};
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
-use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr, VertexId};
+use graphalytics_core::output::OutputValues;
+use graphalytics_core::{Csr, VertexId};
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::{SharedSlice, WorkerPool};
-use crate::platform::{downcast_graph, Execution, LoadedGraph, Platform, RunContext};
+use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 use crate::trace::IterTimer;
 
@@ -55,142 +53,41 @@ impl LoadedGraph for NativeGraph {
 }
 
 /// The OpenG-like platform.
-pub struct NativeEngine {
-    profile: PerfProfile,
-}
-
-impl NativeEngine {
-    pub fn new() -> Self {
-        NativeEngine { profile: PerfProfile::native() }
-    }
-}
-
-impl Default for NativeEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct NativeEngine;
 
 impl Platform for NativeEngine {
     fn name(&self) -> &'static str {
         "native"
     }
 
-    fn profile(&self) -> &PerfProfile {
-        &self.profile
+    fn profile(&self) -> &'static PerfProfile {
+        &PerfProfile::NATIVE
     }
 
     fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
         Ok(Box::new(NativeGraph { csr }))
     }
 
-    fn run(
+    fn execute(
         &self,
         graph: &dyn LoadedGraph,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Execution> {
-        let loaded = downcast_graph::<NativeGraph>(self.name(), graph)?;
-        let csr = loaded.csr();
-        let pool = ctx.pool;
-        let start = Instant::now();
-        let mut counters = WorkCounters::new();
-        ctx.check_cancelled()?;
-        ctx.begin_trace();
-        let values = fault::catch_abort(|| -> Result<OutputValues> {
-            Ok(match algorithm {
-                Algorithm::Bfs => {
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(queue_bfs(csr, root, &mut counters))
-                }
-                Algorithm::PageRank => OutputValues::F64(pull_pagerank(
-                    csr,
-                    params.pagerank_iterations,
-                    params.damping_factor,
-                    pool,
-                    &mut counters,
-                )),
-                Algorithm::Wcc => OutputValues::Id(union_find_wcc(csr, &mut counters)),
-                Algorithm::Cdlp => OutputValues::Id(sync_cdlp(
-                    csr,
-                    params.cdlp_iterations,
-                    pool,
-                    &mut counters,
-                )),
-                Algorithm::Lcc => OutputValues::F64(intersect_lcc(csr, pool, &mut counters)),
-                Algorithm::Sssp => {
-                    if !csr.is_weighted() {
-                        return Err(graphalytics_core::Error::InvalidParameters(
-                            "SSSP requires a weighted graph".into(),
-                        ));
-                    }
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(dijkstra(csr, root, &mut counters))
-                }
-            })
-        });
-        ctx.absorb_trace();
-        let values = values?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ctx.record_phase("ProcessGraph", wall_seconds);
-        Ok(Execution {
-            output: AlgorithmOutput::from_dense(algorithm, csr, values),
-            counters,
-            wall_seconds,
+        request: Request,
+        pool: &WorkerPool,
+        counters: &mut WorkCounters,
+    ) -> Result<OutputValues> {
+        let csr = downcast_graph::<NativeGraph>(self.name(), graph)?.csr();
+        Ok(match request {
+            Request::Bfs { root } => OutputValues::I64(queue_bfs(csr, root, counters)),
+            Request::PageRank { iterations, damping } => {
+                OutputValues::F64(pull_pagerank(csr, iterations, damping, pool, counters))
+            }
+            Request::Wcc => OutputValues::Id(union_find_wcc(csr, counters)),
+            Request::Cdlp { iterations } => {
+                OutputValues::Id(sync_cdlp(csr, iterations, pool, counters))
+            }
+            Request::Lcc => OutputValues::F64(intersect_lcc(csr, pool, counters)),
+            Request::Sssp { root } => OutputValues::F64(dijkstra(csr, root, counters)),
         })
-    }
-
-    fn estimate(
-        &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters {
-        let s = crate::estimate::workload_shape(vertices, edges, traits_, directed, algorithm, params);
-        let mut c = WorkCounters::new();
-        match algorithm {
-            // Queue-based: only the reached region is touched; one logical
-            // pass, no messages.
-            Algorithm::Bfs => {
-                c.supersteps = s.supersteps;
-                c.vertices_processed = s.active_vertex_rounds as u64;
-                c.edges_scanned = s.edge_traversals as u64;
-            }
-            Algorithm::Wcc => {
-                c.supersteps = 1;
-                c.vertices_processed = vertices;
-                c.edges_scanned = s.arcs as u64;
-            }
-            Algorithm::Sssp => {
-                c.supersteps = 1;
-                c.vertices_processed = s.active_vertex_rounds as u64;
-                // Heap-based: ~|E| + |V| log |V| comparisons.
-                let logv = (vertices.max(2) as f64).log2();
-                c.edges_scanned =
-                    (traits_.reachable_fraction * (s.arcs + vertices as f64 * logv)) as u64;
-            }
-            Algorithm::Lcc => {
-                c.supersteps = 1;
-                c.vertices_processed = vertices;
-                c.edges_scanned = s.sum_deg2 as u64;
-            }
-            Algorithm::Cdlp => {
-                c.supersteps = s.supersteps;
-                c.vertices_processed = s.active_vertex_rounds as u64;
-                c.edges_scanned = s.edge_traversals as u64;
-                c.random_accesses = s.edge_traversals as u64;
-            }
-            _ => {
-                c.supersteps = s.supersteps;
-                c.vertices_processed = s.active_vertex_rounds as u64;
-                c.edges_scanned = s.edge_traversals as u64;
-            }
-        }
-        c
     }
 }
 
@@ -396,7 +293,9 @@ fn dijkstra(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphalytics_core::GraphBuilder;
+    use crate::platform::RunContext;
+    use graphalytics_core::params::AlgorithmParams;
+    use graphalytics_core::{Algorithm, GraphBuilder};
 
     fn sample() -> Csr {
         let mut b = GraphBuilder::new(false);
@@ -413,7 +312,7 @@ mod tests {
     #[test]
     fn all_kernels_match_reference() {
         let csr = Arc::new(sample());
-        let engine = NativeEngine::new();
+        let engine = NativeEngine;
         let params = AlgorithmParams::with_source(0);
         let pool = WorkerPool::new(2);
         let loaded = engine.upload(csr.clone(), &pool).unwrap();

@@ -17,6 +17,12 @@
 //! 3. **delete** — [`Platform::delete`] releases the engine-owned
 //!    representation.
 //!
+//! The execute phase is written once, in [`execute_phase`] (what the
+//! provided [`Platform::run`] calls): the `T_proc` clock, the cancel
+//! check, the `supports` and input rules, span tracing, the fault
+//! boundary, the `ProcessGraph` phase record and the [`Execution`]. An
+//! engine supplies only [`Platform::execute`] — its algorithm dispatch.
+//!
 //! [`RunContext`] carries the shared execution runtime (the
 //! [`WorkerPool`]), the repetition index, and phase-timing hooks whose
 //! records the harness folds into the Granula archive; the returned
@@ -28,8 +34,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::{Error, Result};
-use graphalytics_core::output::AlgorithmOutput;
+use graphalytics_core::fault;
+use graphalytics_core::output::{AlgorithmOutput, OutputValues};
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_core::{Algorithm, Csr, MutationBatch};
@@ -75,8 +83,8 @@ pub struct Mutation {
 /// An engine-owned, preprocessed graph representation produced by
 /// [`Platform::upload`].
 ///
-/// Engines downcast (via [`LoadedGraph::as_any`]) to their own concrete
-/// type inside [`Platform::run`]; handing a graph uploaded by one engine
+/// Engines downcast ([`downcast_graph`]) to their own concrete type
+/// inside [`Platform::execute`]; handing a graph uploaded by one engine
 /// to another is an error, exactly like pointing a Giraph job at a
 /// GraphMat heap.
 pub trait LoadedGraph: Send + Sync {
@@ -113,9 +121,11 @@ pub struct PhaseRecord {
 /// records the harness archives.
 pub struct RunContext<'a> {
     /// The shared execution runtime. Owned by whoever owns the benchmark
-    /// run (one per run in the harness, one per daemon in the service) so
-    /// engines never spawn threads themselves; outputs are bit-identical
-    /// for every pool width.
+    /// run (one per run in the harness, one per daemon in the service);
+    /// a monolithic upload runs on it alone. A sharded upload brings its
+    /// own per-shard pools (built at upload) and spawns one scoped driver
+    /// thread per extra shard every superstep ([`crate::sharded::Lanes`];
+    /// ROADMAP item 1). Outputs are bit-identical for every pool width.
     pub pool: &'a WorkerPool,
     /// Repetition index of this execution within the job (0-based).
     pub run_index: u64,
@@ -153,12 +163,6 @@ impl<'a> RunContext<'a> {
     /// Attaches the job-level cancellation token to this context.
     pub fn set_cancel(&mut self, token: graphalytics_core::fault::CancelToken) {
         self.cancel = token;
-    }
-
-    /// The cancellation token engines observe (also checked by the
-    /// thread-local fault scope at superstep boundaries).
-    pub fn cancel_token(&self) -> &graphalytics_core::fault::CancelToken {
-        &self.cancel
     }
 
     /// Structured cancellation/deadline verdict for this run.
@@ -210,14 +214,6 @@ impl<'a> RunContext<'a> {
         std::mem::take(&mut self.spans)
     }
 
-    /// Runs `f`, recording its wall time under `name`.
-    pub fn time_phase<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        let start = Instant::now();
-        let result = f(self);
-        self.record_phase(name, start.elapsed().as_secs_f64());
-        result
-    }
-
     /// Records an already-measured phase duration.
     pub fn record_phase(&mut self, name: &'static str, secs: f64) {
         self.phases.push(PhaseRecord { name, secs });
@@ -244,8 +240,9 @@ pub trait Platform: Send + Sync {
     /// `pushpull`.
     fn name(&self) -> &'static str;
 
-    /// The engine's performance profile (cost/memory constants, overheads).
-    fn profile(&self) -> &PerfProfile;
+    /// The engine's analytic model: counter estimator, cost/memory
+    /// constants, overheads.
+    fn profile(&self) -> &'static PerfProfile;
 
     /// Whether the engine implements `algorithm`. Defaults to yes; the
     /// push–pull engine declines LCC like PGX.D in the paper.
@@ -313,39 +310,75 @@ pub trait Platform: Send + Sync {
         )))
     }
 
-    /// One execution of `algorithm` on a previously uploaded graph.
+    /// The engine's algorithm dispatch: runs the already checked
+    /// `request` on `graph`, on `pool`, into `counters`. Everything
+    /// around it — timing, cancellation, input rules, tracing, the fault
+    /// boundary — is [`execute_phase`]'s.
     ///
     /// `graph` must come from this platform's own
-    /// [`upload`](Platform::upload); the engine downcasts to its concrete
-    /// representation and errors on a foreign graph. Execution happens on
-    /// `ctx.pool`; outputs are bit-identical for every pool width and
-    /// every repetition.
+    /// [`upload`](Platform::upload): the engine [`downcast_graph`]s it
+    /// and errors on a foreign graph. Outputs are bit-identical for
+    /// every pool width and every repetition.
+    fn execute(
+        &self,
+        graph: &dyn LoadedGraph,
+        request: Request,
+        pool: &WorkerPool,
+        counters: &mut WorkCounters,
+    ) -> Result<OutputValues>;
+
+    /// One execution of `algorithm` on a previously uploaded graph —
+    /// the [`execute_phase`] scaffold around [`Platform::execute`].
     fn run(
         &self,
         graph: &dyn LoadedGraph,
         algorithm: Algorithm,
         params: &AlgorithmParams,
         ctx: &mut RunContext<'_>,
-    ) -> Result<Execution>;
+    ) -> Result<Execution> {
+        execute_phase(self, graph, algorithm, params, ctx)
+    }
 
     /// The delete phase: releases the engine-owned representation. The
     /// default simply drops it; engines with external state can override.
     fn delete(&self, graph: Box<dyn LoadedGraph>) {
         drop(graph);
     }
+}
 
-    /// Estimates the counters a run on a graph with the given size/traits
-    /// would produce, without executing — used for paper-scale datasets
-    /// that cannot be materialized (see `estimate`).
-    fn estimate(
-        &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters;
+/// The execute phase, once for every engine: starts the `T_proc` clock,
+/// honours cancellation, rejects algorithms the platform does not
+/// support, applies the reference's input rules ([`Request::resolve`]),
+/// runs [`Platform::execute`] inside span tracing and the
+/// [`fault::catch_abort`] boundary, and records the one `ProcessGraph`
+/// phase whose seconds the returned [`Execution`] carries.
+pub fn execute_phase<P: Platform + ?Sized>(
+    platform: &P,
+    graph: &dyn LoadedGraph,
+    algorithm: Algorithm,
+    params: &AlgorithmParams,
+    ctx: &mut RunContext<'_>,
+) -> Result<Execution> {
+    let csr = graph.csr();
+    let pool = ctx.pool;
+    let start = Instant::now();
+    let mut counters = WorkCounters::new();
+    ctx.check_cancelled()?;
+    if !platform.supports(algorithm) {
+        return Err(unsupported(platform.name(), algorithm));
+    }
+    let request = Request::resolve(csr, algorithm, params)?;
+    ctx.begin_trace();
+    let values = fault::catch_abort(|| platform.execute(graph, request, pool, &mut counters));
+    ctx.absorb_trace();
+    let values = values?;
+    let wall_seconds = start.elapsed().as_secs_f64();
+    ctx.record_phase("ProcessGraph", wall_seconds);
+    Ok(Execution {
+        output: AlgorithmOutput::from_dense(algorithm, csr, values),
+        counters,
+        wall_seconds,
+    })
 }
 
 /// Helper: the standard unsupported-algorithm error.
@@ -390,12 +423,12 @@ pub fn run_once(
 /// PGX.D-like.
 pub fn all_platforms() -> Vec<Box<dyn Platform>> {
     vec![
-        Box::new(crate::pregel::PregelEngine::new()),
-        Box::new(crate::dataflow::DataflowEngine::new()),
-        Box::new(crate::gas::GasEngine::new()),
-        Box::new(crate::spmv::SpmvEngine::new()),
-        Box::new(crate::native::NativeEngine::new()),
-        Box::new(crate::pushpull::PushPullEngine::new()),
+        Box::new(crate::pregel::PregelEngine),
+        Box::new(crate::dataflow::DataflowEngine),
+        Box::new(crate::gas::GasEngine),
+        Box::new(crate::spmv::SpmvEngine),
+        Box::new(crate::native::NativeEngine),
+        Box::new(crate::pushpull::PushPullEngine),
     ]
 }
 
@@ -513,8 +546,7 @@ mod tests {
         let pool = WorkerPool::inline();
         let mut ctx = RunContext::with_run_index(&pool, 3);
         assert_eq!(ctx.run_index, 3);
-        let out = ctx.time_phase("ProcessGraph", |_| 41 + 1);
-        assert_eq!(out, 42);
+        ctx.record_phase("ProcessGraph", 0.25);
         ctx.record_phase("Offload", 0.5);
         let phases = ctx.take_phases();
         assert_eq!(phases.len(), 2);

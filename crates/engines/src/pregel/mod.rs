@@ -39,16 +39,16 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
-use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr};
+use graphalytics_core::output::OutputValues;
+use graphalytics_core::Csr;
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::{SharedSlice, WorkerPool};
-use crate::platform::{Execution, LoadedGraph, Platform, RunContext};
+use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
 use crate::trace::{IterTimer, SpanRecord};
@@ -360,29 +360,15 @@ impl LoadedGraph for PregelGraph {
 }
 
 /// The Giraph-like platform.
-pub struct PregelEngine {
-    profile: PerfProfile,
-}
-
-impl PregelEngine {
-    pub fn new() -> Self {
-        PregelEngine { profile: PerfProfile::pregel() }
-    }
-}
-
-impl Default for PregelEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct PregelEngine;
 
 impl Platform for PregelEngine {
     fn name(&self) -> &'static str {
         "pregel"
     }
 
-    fn profile(&self) -> &PerfProfile {
-        &self.profile
+    fn profile(&self) -> &'static PerfProfile {
+        &PerfProfile::PREGEL
     }
 
     fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
@@ -406,111 +392,34 @@ impl Platform for PregelEngine {
         Ok(Box::new(PregelGraph { csr, shards }))
     }
 
-    fn run(
+    fn execute(
         &self,
         graph: &dyn LoadedGraph,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Execution> {
-        let Some(graph) = graph.as_any().downcast_ref::<PregelGraph>() else {
-            return Err(graphalytics_core::Error::InvalidParameters(format!(
-                "graph was not uploaded through platform {}",
-                self.name()
-            )));
-        };
+        request: Request,
+        pool: &WorkerPool,
+        counters: &mut WorkCounters,
+    ) -> Result<OutputValues> {
+        let graph = downcast_graph::<PregelGraph>(self.name(), graph)?;
         let csr = graph.csr();
-        let lanes = Lanes::new(csr.num_vertices(), ctx.pool, graph.shards.as_ref());
-        let start = Instant::now();
-        let mut counters = WorkCounters::new();
-        ctx.check_cancelled()?;
-        ctx.begin_trace();
-        let values = fault::catch_abort(|| -> Result<OutputValues> {
-            Ok(match algorithm {
-                Algorithm::Bfs => {
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(run_pregel(csr, &BfsProgram { root }, &lanes, &mut counters))
-                }
-                Algorithm::PageRank => OutputValues::F64(run_pregel(
-                    csr,
-                    &PageRankProgram {
-                        iterations: params.pagerank_iterations,
-                        damping: params.damping_factor,
-                        n: csr.num_vertices() as f64,
-                    },
-                    &lanes,
-                    &mut counters,
-                )),
-                Algorithm::Wcc => {
-                    OutputValues::Id(run_pregel(csr, &WccProgram, &lanes, &mut counters))
-                }
-                Algorithm::Cdlp => OutputValues::Id(run_pregel(
-                    csr,
-                    &CdlpProgram { iterations: params.cdlp_iterations },
-                    &lanes,
-                    &mut counters,
-                )),
-                Algorithm::Lcc => {
-                    OutputValues::F64(run_pregel(csr, &LccProgram, &lanes, &mut counters))
-                }
-                Algorithm::Sssp => {
-                    if !csr.is_weighted() {
-                        return Err(graphalytics_core::Error::InvalidParameters(
-                            "SSSP requires a weighted graph".into(),
-                        ));
-                    }
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(run_pregel(csr, &SsspProgram { root }, &lanes, &mut counters))
-                }
-            })
-        });
-        ctx.absorb_trace();
-        let values = values?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ctx.record_phase("ProcessGraph", wall_seconds);
-        Ok(Execution {
-            output: AlgorithmOutput::from_dense(algorithm, csr, values),
-            counters,
-            wall_seconds,
+        let lanes = Lanes::new(csr.num_vertices(), pool, graph.shards.as_ref());
+        Ok(match request {
+            Request::Bfs { root } => {
+                OutputValues::I64(run_pregel(csr, &BfsProgram { root }, &lanes, counters))
+            }
+            Request::PageRank { iterations, damping } => OutputValues::F64(run_pregel(
+                csr,
+                &PageRankProgram { iterations, damping, n: csr.num_vertices() as f64 },
+                &lanes,
+                counters,
+            )),
+            Request::Wcc => OutputValues::Id(run_pregel(csr, &WccProgram, &lanes, counters)),
+            Request::Cdlp { iterations } => {
+                OutputValues::Id(run_pregel(csr, &CdlpProgram { iterations }, &lanes, counters))
+            }
+            Request::Lcc => OutputValues::F64(run_pregel(csr, &LccProgram, &lanes, counters)),
+            Request::Sssp { root } => {
+                OutputValues::F64(run_pregel(csr, &SsspProgram { root }, &lanes, counters))
+            }
         })
-    }
-
-    fn estimate(
-        &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters {
-        let s = crate::estimate::workload_shape(vertices, edges, traits_, directed, algorithm, params);
-        let mut c = WorkCounters::new();
-        c.supersteps = s.supersteps;
-        c.vertices_processed = vertices * s.supersteps; // all vertices, every superstep
-        match algorithm {
-            Algorithm::Lcc => {
-                c.edges_scanned = s.sum_deg2 as u64;
-                c.messages = 2 * s.arcs as u64; // list + count-reply per arc
-                c.message_bytes = (4.0 * s.sum_deg2) as u64 + 8 * s.arcs as u64;
-            }
-            Algorithm::Cdlp => {
-                c.edges_scanned = s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-                // No combiner exists for the mode: full label volume.
-                c.message_bytes = 8 * c.messages;
-                c.random_accesses = s.edge_traversals as u64;
-            }
-            _ => {
-                c.edges_scanned = s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-                // Min/sum combiners collapse wire volume towards the
-                // vertex count per superstep.
-                let combined = (2.0 * vertices as f64 * s.supersteps as f64)
-                    .min(s.edge_traversals);
-                c.message_bytes = 8 * combined as u64;
-            }
-        }
-        c
     }
 }

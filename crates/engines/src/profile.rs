@@ -1,11 +1,14 @@
-//! Per-engine performance profiles.
+//! Per-engine performance profiles: the analytic model, kept apart from
+//! the measured `Platform` lifecycle.
 //!
-//! A [`PerfProfile`] holds every constant that distinguishes an engine in
-//! the simulation: cost coefficients (counters → seconds), the memory
-//! model, startup/upload overheads, variability, partitioning strategy and
-//! preferred network. The constants are calibrated **once** against the
-//! paper's published single-machine measurements and reused unchanged for
-//! every experiment:
+//! A [`PerfProfile`] holds everything that distinguishes an engine in
+//! the simulation: its counter [`Estimator`] for datasets too large to
+//! execute, cost coefficients (counters → seconds), the memory model,
+//! startup/upload overheads, variability, partitioning strategy and
+//! preferred network. Each engine's profile is one associated constant
+//! (`PerfProfile::PREGEL` …), which `Platform::profile` returns. The
+//! constants are calibrated **once** against the paper's published
+//! single-machine measurements and reused unchanged for every experiment:
 //!
 //! * Table 8 — `T_proc` and makespan of BFS on D300(L) fix the compute
 //!   coefficients and the startup/load overheads;
@@ -17,13 +20,15 @@
 //!   message penalty; GraphMat's single-machine PR outlier fixes the swap
 //!   behaviour.
 //!
-//! Figures 4–9 are then *predictions* from measured counters plus these
-//! profiles (see EXPERIMENTS.md for paper-vs-model deltas).
+//! Figures 4–9 are then *predictions* from counters (measured, or
+//! estimated at paper scale) plus these profiles.
 
 use graphalytics_cluster::cost::CostCoefficients;
 use graphalytics_cluster::memory::{MemoryModel, OomBehavior};
 use graphalytics_cluster::partition::PartitionStrategy;
 use graphalytics_core::Algorithm;
+
+use crate::estimate::{self, Estimator};
 
 /// Which interconnect an engine is deployed on (Table 7 lists both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +50,11 @@ pub struct PerfProfile {
     /// not: Table 5 classifies it `S`).
     pub supports_distributed: bool,
     pub cost: CostCoefficients,
+    /// Estimates the counters a run would produce from a published graph
+    /// size and traits, without executing — analytic mode, for
+    /// paper-scale datasets that cannot be materialized
+    /// ([`crate::estimate`]).
+    pub estimate: Estimator,
     pub memory: MemoryModel,
     /// Fixed job startup (JVM boot, container allocation...), seconds.
     pub startup_secs: f64,
@@ -82,239 +92,233 @@ impl PerfProfile {
     /// Giraph-like BSP vertex-centric engine (community, distributed,
     /// JVM-based). Slow per-message object churn, heavyweight startup,
     /// high distributed serialization penalty (the 1→2 machine cliff).
-    pub fn pregel() -> Self {
-        PerfProfile {
-            model_name: "pregel",
-            paper_analog: "Giraph",
-            industry: false,
-            supports_distributed: true,
-            cost: CostCoefficients {
-                secs_per_edge: 50.0e-9,
-                secs_per_vertex: 150.0e-9,
-                secs_per_message: 140.0e-9,
-                secs_per_random_access: 30.0e-9,
-                wire_overhead_factor: 3.0, // Java object serialization
-                barrier_secs: 0.10,
-                serial_fraction: 0.12,
-                distributed_msg_penalty: 4.0,
-                network_efficiency: 0.80,
-                barrier_machine_overhead: 0.06,
-            },
-            memory: MemoryModel {
-                base_bytes: 4.0e9, // JVM heaps + Hadoop daemons
-                bytes_per_vertex: 120.0,
-                bytes_per_edge: 50.0,
-                skew_sensitivity: 0.07,
-                oom: OomBehavior::Crash,
-            },
-            startup_secs: 40.0,
-            load_secs_per_edge: 0.70e-6,
-            cv_single: 0.050,
-            cv_distributed: 0.098,
-            partition: PartitionStrategy::HashEdgeCut,
-            network: NetworkKind::Ethernet1G,
-            cdlp_peak_bytes_per_message: 24.0,
-            lcc_peak_bytes_per_entry: 8.0,
-        }
-    }
+    pub const PREGEL: PerfProfile = PerfProfile {
+        model_name: "pregel",
+        paper_analog: "Giraph",
+        industry: false,
+        supports_distributed: true,
+        cost: CostCoefficients {
+            secs_per_edge: 50.0e-9,
+            secs_per_vertex: 150.0e-9,
+            secs_per_message: 140.0e-9,
+            secs_per_random_access: 30.0e-9,
+            wire_overhead_factor: 3.0, // Java object serialization
+            barrier_secs: 0.10,
+            serial_fraction: 0.12,
+            distributed_msg_penalty: 4.0,
+            network_efficiency: 0.80,
+            barrier_machine_overhead: 0.06,
+        },
+        estimate: estimate::pregel,
+        memory: MemoryModel {
+            base_bytes: 4.0e9, // JVM heaps + Hadoop daemons
+            bytes_per_vertex: 120.0,
+            bytes_per_edge: 50.0,
+            skew_sensitivity: 0.07,
+            oom: OomBehavior::Crash,
+        },
+        startup_secs: 40.0,
+        load_secs_per_edge: 0.70e-6,
+        cv_single: 0.050,
+        cv_distributed: 0.098,
+        partition: PartitionStrategy::HashEdgeCut,
+        network: NetworkKind::Ethernet1G,
+        cdlp_peak_bytes_per_message: 24.0,
+        lcc_peak_bytes_per_entry: 8.0,
+    };
 
     /// GraphX-like RDD dataflow engine (community, distributed, JVM).
     /// Materializes datasets per iteration — the two-orders-of-magnitude
     /// engine of Figure 4 — and cannot stream CDLP multisets.
-    pub fn dataflow() -> Self {
-        PerfProfile {
-            model_name: "dataflow",
-            paper_analog: "GraphX",
-            industry: false,
-            supports_distributed: true,
-            cost: CostCoefficients {
-                secs_per_edge: 55.0e-9,
-                secs_per_vertex: 270.0e-9,
-                secs_per_message: 23.0e-9,
-                secs_per_random_access: 40.0e-9,
-                wire_overhead_factor: 3.0,
-                barrier_secs: 0.45, // per-iteration stage scheduling
-                serial_fraction: 0.18,
-                distributed_msg_penalty: 1.6,
-                network_efficiency: 0.65,
-                barrier_machine_overhead: 1.2, // stage scheduling grows with the cluster
-            },
-            memory: MemoryModel {
-                base_bytes: 5.0e9,
-                bytes_per_vertex: 150.0,
-                bytes_per_edge: 105.0,
-                skew_sensitivity: 0.07,
-                oom: OomBehavior::Crash,
-            },
-            startup_secs: 25.0,
-            load_secs_per_edge: 0.565e-6,
-            cv_single: 0.026,
-            cv_distributed: 0.045,
-            partition: PartitionStrategy::HashEdgeCut,
-            network: NetworkKind::Ethernet1G,
-            cdlp_peak_bytes_per_message: 300.0, // groupByKey, boxed records
-            lcc_peak_bytes_per_entry: 16.0,
-        }
-    }
+    pub const DATAFLOW: PerfProfile = PerfProfile {
+        model_name: "dataflow",
+        paper_analog: "GraphX",
+        industry: false,
+        supports_distributed: true,
+        cost: CostCoefficients {
+            secs_per_edge: 55.0e-9,
+            secs_per_vertex: 270.0e-9,
+            secs_per_message: 23.0e-9,
+            secs_per_random_access: 40.0e-9,
+            wire_overhead_factor: 3.0,
+            barrier_secs: 0.45, // per-iteration stage scheduling
+            serial_fraction: 0.18,
+            distributed_msg_penalty: 1.6,
+            network_efficiency: 0.65,
+            barrier_machine_overhead: 1.2, // stage scheduling grows with the cluster
+        },
+        estimate: estimate::dataflow,
+        memory: MemoryModel {
+            base_bytes: 5.0e9,
+            bytes_per_vertex: 150.0,
+            bytes_per_edge: 105.0,
+            skew_sensitivity: 0.07,
+            oom: OomBehavior::Crash,
+        },
+        startup_secs: 25.0,
+        load_secs_per_edge: 0.565e-6,
+        cv_single: 0.026,
+        cv_distributed: 0.045,
+        partition: PartitionStrategy::HashEdgeCut,
+        network: NetworkKind::Ethernet1G,
+        cdlp_peak_bytes_per_message: 300.0, // groupByKey, boxed records
+        lcc_peak_bytes_per_entry: 16.0,
+    };
 
     /// PowerGraph-like GAS engine (community, distributed, C++).
     /// Vertex cuts for skewed graphs; streams gather contributions, so it
     /// is one of the two engines that survive LCC.
-    pub fn gas() -> Self {
-        PerfProfile {
-            model_name: "gas",
-            paper_analog: "PowerGraph",
-            industry: false,
-            supports_distributed: true,
-            cost: CostCoefficients {
-                secs_per_edge: 15.0e-9,
-                secs_per_vertex: 50.0e-9,
-                secs_per_message: 5.0e-9,
-                secs_per_random_access: 18.0e-9,
-                wire_overhead_factor: 1.5,
-                barrier_secs: 0.02,
-                serial_fraction: 0.032,
-                distributed_msg_penalty: 2.0,
-                network_efficiency: 0.70,
-                barrier_machine_overhead: 0.08,
-            },
-            memory: MemoryModel {
-                base_bytes: 1.0e9,
-                bytes_per_vertex: 100.0, // replicas + gather state
-                bytes_per_edge: 40.0,
-                skew_sensitivity: 0.07,
-                oom: OomBehavior::Crash,
-            },
-            startup_secs: 5.0,
-            load_secs_per_edge: 0.68e-6, // greedy vertex-cut ingestion
-            cv_single: 0.015,
-            cv_distributed: 0.045,
-            partition: PartitionStrategy::GreedyVertexCut,
-            network: NetworkKind::Ethernet1G,
-            cdlp_peak_bytes_per_message: 0.0,
-            lcc_peak_bytes_per_entry: 0.0,
-        }
-    }
+    pub const GAS: PerfProfile = PerfProfile {
+        model_name: "gas",
+        paper_analog: "PowerGraph",
+        industry: false,
+        supports_distributed: true,
+        cost: CostCoefficients {
+            secs_per_edge: 15.0e-9,
+            secs_per_vertex: 50.0e-9,
+            secs_per_message: 5.0e-9,
+            secs_per_random_access: 18.0e-9,
+            wire_overhead_factor: 1.5,
+            barrier_secs: 0.02,
+            serial_fraction: 0.032,
+            distributed_msg_penalty: 2.0,
+            network_efficiency: 0.70,
+            barrier_machine_overhead: 0.08,
+        },
+        estimate: estimate::gas,
+        memory: MemoryModel {
+            base_bytes: 1.0e9,
+            bytes_per_vertex: 100.0, // replicas + gather state
+            bytes_per_edge: 40.0,
+            skew_sensitivity: 0.07,
+            oom: OomBehavior::Crash,
+        },
+        startup_secs: 5.0,
+        load_secs_per_edge: 0.68e-6, // greedy vertex-cut ingestion
+        cv_single: 0.015,
+        cv_distributed: 0.045,
+        partition: PartitionStrategy::GreedyVertexCut,
+        network: NetworkKind::Ethernet1G,
+        cdlp_peak_bytes_per_message: 0.0,
+        lcc_peak_bytes_per_entry: 0.0,
+    };
 
     /// GraphMat-like SpMV engine (industry/Intel, single-node + MPI).
     /// Flat-array semiring kernels — the fastest single-machine engine —
     /// but swaps rather than crashing when slightly over memory
     /// (the Section 4.4 single-machine PR outlier).
-    pub fn spmv() -> Self {
-        PerfProfile {
-            model_name: "spmv",
-            paper_analog: "GraphMat",
-            industry: true,
-            supports_distributed: true,
-            cost: CostCoefficients {
-                secs_per_edge: 2.0e-9,
-                secs_per_vertex: 8.0e-9,
-                secs_per_message: 2.0e-9,
-                secs_per_random_access: 26.0e-9, // hash accumulator, no SIMD
-                wire_overhead_factor: 1.5,
-                barrier_secs: 0.005,
-                serial_fraction: 0.050,
-                distributed_msg_penalty: 1.8,
-                network_efficiency: 0.80,
-                barrier_machine_overhead: 0.05,
-            },
-            memory: MemoryModel {
-                base_bytes: 0.5e9,
-                bytes_per_vertex: 64.0,
-                bytes_per_edge: 64.0, // CSR + CSC copies
-                skew_sensitivity: 0.07,
-                oom: OomBehavior::Swap { limit_factor: 1.25, slowdown: 25.0 },
-            },
-            startup_secs: 2.0,
-            load_secs_per_edge: 0.0674e-6,
-            cv_single: 0.097,
-            cv_distributed: 0.057,
-            partition: PartitionStrategy::RangeEdgeCut,
-            network: NetworkKind::Ethernet1G,
-            cdlp_peak_bytes_per_message: 0.0,
-            lcc_peak_bytes_per_entry: 12.0, // SpGEMM intermediates
-        }
-    }
+    pub const SPMV: PerfProfile = PerfProfile {
+        model_name: "spmv",
+        paper_analog: "GraphMat",
+        industry: true,
+        supports_distributed: true,
+        cost: CostCoefficients {
+            secs_per_edge: 2.0e-9,
+            secs_per_vertex: 8.0e-9,
+            secs_per_message: 2.0e-9,
+            secs_per_random_access: 26.0e-9, // hash accumulator, no SIMD
+            wire_overhead_factor: 1.5,
+            barrier_secs: 0.005,
+            serial_fraction: 0.050,
+            distributed_msg_penalty: 1.8,
+            network_efficiency: 0.80,
+            barrier_machine_overhead: 0.05,
+        },
+        estimate: estimate::spmv,
+        memory: MemoryModel {
+            base_bytes: 0.5e9,
+            bytes_per_vertex: 64.0,
+            bytes_per_edge: 64.0, // CSR + CSC copies
+            skew_sensitivity: 0.07,
+            oom: OomBehavior::Swap { limit_factor: 1.25, slowdown: 25.0 },
+        },
+        startup_secs: 2.0,
+        load_secs_per_edge: 0.0674e-6,
+        cv_single: 0.097,
+        cv_distributed: 0.057,
+        partition: PartitionStrategy::RangeEdgeCut,
+        network: NetworkKind::Ethernet1G,
+        cdlp_peak_bytes_per_message: 0.0,
+        lcc_peak_bytes_per_entry: 12.0, // SpGEMM intermediates
+    };
 
     /// OpenG-like native engine (industry/IBM-GaTech, single node only).
     /// Handwritten kernels; queue-based BFS touches only the reachable
     /// region (the R2 anomaly of Section 4.1).
-    pub fn native() -> Self {
-        PerfProfile {
-            model_name: "native",
-            paper_analog: "OpenG",
-            industry: true,
-            supports_distributed: false,
-            cost: CostCoefficients {
-                secs_per_edge: 16.0e-9,
-                secs_per_vertex: 30.0e-9,
-                secs_per_message: 10.0e-9,
-                secs_per_random_access: 2.0e-9, // array-based counting
-                wire_overhead_factor: 1.0,
-                barrier_secs: 0.002,
-                serial_fraction: 0.11,
-                distributed_msg_penalty: 1.0,
-                network_efficiency: 1.0,
-                barrier_machine_overhead: 0.0,
-            },
-            memory: MemoryModel {
-                base_bytes: 0.2e9,
-                bytes_per_vertex: 64.0,
-                bytes_per_edge: 36.0,
-                skew_sensitivity: 0.07,
-                oom: OomBehavior::Crash,
-            },
-            startup_secs: 0.5,
-            load_secs_per_edge: 10.2e-9,
-            cv_single: 0.048,
-            cv_distributed: 0.048, // unused: single-node platform
-            partition: PartitionStrategy::RangeEdgeCut,
-            network: NetworkKind::Ethernet1G,
-            cdlp_peak_bytes_per_message: 0.0,
-            lcc_peak_bytes_per_entry: 0.0,
-        }
-    }
+    pub const NATIVE: PerfProfile = PerfProfile {
+        model_name: "native",
+        paper_analog: "OpenG",
+        industry: true,
+        supports_distributed: false,
+        cost: CostCoefficients {
+            secs_per_edge: 16.0e-9,
+            secs_per_vertex: 30.0e-9,
+            secs_per_message: 10.0e-9,
+            secs_per_random_access: 2.0e-9, // array-based counting
+            wire_overhead_factor: 1.0,
+            barrier_secs: 0.002,
+            serial_fraction: 0.11,
+            distributed_msg_penalty: 1.0,
+            network_efficiency: 1.0,
+            barrier_machine_overhead: 0.0,
+        },
+        estimate: estimate::native,
+        memory: MemoryModel {
+            base_bytes: 0.2e9,
+            bytes_per_vertex: 64.0,
+            bytes_per_edge: 36.0,
+            skew_sensitivity: 0.07,
+            oom: OomBehavior::Crash,
+        },
+        startup_secs: 0.5,
+        load_secs_per_edge: 10.2e-9,
+        cv_single: 0.048,
+        cv_distributed: 0.048, // unused: single-node platform
+        partition: PartitionStrategy::RangeEdgeCut,
+        network: NetworkKind::Ethernet1G,
+        cdlp_peak_bytes_per_message: 0.0,
+        lcc_peak_bytes_per_entry: 0.0,
+    };
 
     /// PGX.D-like push–pull engine (industry/Oracle, distributed).
     /// Near-linear thread scaling (cooperative context switching),
     /// bandwidth-efficient messaging over InfiniBand, but memory-hungry
     /// ("optimized for machines with large amounts of cores and memory").
     /// Does not implement LCC.
-    pub fn pushpull() -> Self {
-        PerfProfile {
-            model_name: "pushpull",
-            paper_analog: "PGX.D",
-            industry: true,
-            supports_distributed: true,
-            cost: CostCoefficients {
-                secs_per_edge: 7.0e-9,
-                secs_per_vertex: 20.0e-9,
-                secs_per_message: 10.0e-9,
-                secs_per_random_access: 34.0e-9,
-                wire_overhead_factor: 1.1, // bandwidth-efficient wire format
-                barrier_secs: 0.003,
-                serial_fraction: 0.018,
-                distributed_msg_penalty: 1.3,
-                network_efficiency: 0.85,
-                barrier_machine_overhead: 0.04,
-            },
-            memory: MemoryModel {
-                base_bytes: 2.0e9,
-                bytes_per_vertex: 150.0,
-                bytes_per_edge: 110.0, // both directions + message buffers
-                skew_sensitivity: 0.07,
-                oom: OomBehavior::Crash,
-            },
-            startup_secs: 30.0,
-            load_secs_per_edge: 0.78e-6,
-            cv_single: 0.082,
-            cv_distributed: 0.071,
-            partition: PartitionStrategy::HashEdgeCut,
-            network: NetworkKind::InfinibandFdr,
-            cdlp_peak_bytes_per_message: 0.0,
-            lcc_peak_bytes_per_entry: 0.0,
-        }
-    }
+    pub const PUSHPULL: PerfProfile = PerfProfile {
+        model_name: "pushpull",
+        paper_analog: "PGX.D",
+        industry: true,
+        supports_distributed: true,
+        cost: CostCoefficients {
+            secs_per_edge: 7.0e-9,
+            secs_per_vertex: 20.0e-9,
+            secs_per_message: 10.0e-9,
+            secs_per_random_access: 34.0e-9,
+            wire_overhead_factor: 1.1, // bandwidth-efficient wire format
+            barrier_secs: 0.003,
+            serial_fraction: 0.018,
+            distributed_msg_penalty: 1.3,
+            network_efficiency: 0.85,
+            barrier_machine_overhead: 0.04,
+        },
+        estimate: estimate::pushpull,
+        memory: MemoryModel {
+            base_bytes: 2.0e9,
+            bytes_per_vertex: 150.0,
+            bytes_per_edge: 110.0, // both directions + message buffers
+            skew_sensitivity: 0.07,
+            oom: OomBehavior::Crash,
+        },
+        startup_secs: 30.0,
+        load_secs_per_edge: 0.78e-6,
+        cv_single: 0.082,
+        cv_distributed: 0.071,
+        partition: PartitionStrategy::HashEdgeCut,
+        network: NetworkKind::InfinibandFdr,
+        cdlp_peak_bytes_per_message: 0.0,
+        lcc_peak_bytes_per_entry: 0.0,
+    };
 }
 
 #[cfg(test)]
@@ -323,12 +327,12 @@ mod tests {
 
     fn all() -> Vec<PerfProfile> {
         vec![
-            PerfProfile::pregel(),
-            PerfProfile::dataflow(),
-            PerfProfile::gas(),
-            PerfProfile::spmv(),
-            PerfProfile::native(),
-            PerfProfile::pushpull(),
+            PerfProfile::PREGEL,
+            PerfProfile::DATAFLOW,
+            PerfProfile::GAS,
+            PerfProfile::SPMV,
+            PerfProfile::NATIVE,
+            PerfProfile::PUSHPULL,
         ]
     }
 
@@ -360,15 +364,15 @@ mod tests {
 
     #[test]
     fn peak_memory_terms() {
-        let pregel = PerfProfile::pregel();
+        let pregel = PerfProfile::PREGEL;
         assert!(pregel.peak_extra_bytes(Algorithm::Lcc, 1000, 1.0e9) > 1.0e9);
         assert_eq!(pregel.peak_extra_bytes(Algorithm::Bfs, 1000, 1.0e9), 0.0);
-        let dataflow = PerfProfile::dataflow();
+        let dataflow = PerfProfile::DATAFLOW;
         assert!(
             dataflow.peak_extra_bytes(Algorithm::Cdlp, 100_000_000, 0.0)
                 > pregel.peak_extra_bytes(Algorithm::Cdlp, 100_000_000, 0.0)
         );
-        let gas = PerfProfile::gas();
+        let gas = PerfProfile::GAS;
         assert_eq!(gas.peak_extra_bytes(Algorithm::Lcc, 1000, 1.0e12), 0.0);
     }
 

@@ -31,16 +31,16 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::fault::{self, FaultSite};
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
-use graphalytics_core::params::AlgorithmParams;
+use graphalytics_core::output::OutputValues;
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_core::validation::DEFAULT_EPSILON;
-use graphalytics_core::{Algorithm, Error, MutableGraph, MutationBatch, Result, VertexId};
+use graphalytics_core::{Error, MutableGraph, MutationBatch, Result, VertexId};
 
 use graphalytics_cluster::WorkCounters;
 
-use crate::platform::{Execution, Mutation, RunContext};
+use crate::platform::{Mutation, RunContext};
 
 use super::PushPullGraph;
 
@@ -86,18 +86,6 @@ impl PushPullGraph {
         self.delta.lock().unwrap().is_some()
     }
 
-    /// Outstanding delta-log arcs, fill ratio, and compaction count —
-    /// the counters `GET /metrics` surfaces. Zeroes when unmutated.
-    pub fn delta_metrics(&self) -> (u64, f64, u64) {
-        match self.delta.lock().unwrap().as_ref() {
-            Some(state) => {
-                let s = state.graph.stats();
-                (state.graph.delta_arcs(), state.graph.fill_ratio(), s.compactions)
-            }
-            None => (0, 0.0, 0),
-        }
-    }
-
     /// The materialized merged view for algorithms without incremental
     /// maintenance. Returns the cached snapshot, or builds one and
     /// reports its build time (the caller records it as `Materialize`).
@@ -134,13 +122,19 @@ pub(super) fn apply(
     let pool = ctx.pool;
     let start = Instant::now();
     let mut guard = g.delta.lock().unwrap();
-    let state = guard.get_or_insert_with(|| DeltaState {
-        graph: MutableGraph::new(g.csr.clone()),
-        wcc: None,
-        pr: None,
-        snapshot: None,
-    });
-    state.graph.validate_batch(batch)?;
+    // Validated before a first batch attaches its log, so a rejected
+    // batch leaves the upload unmutated.
+    let state = match guard.as_mut() {
+        Some(state) => {
+            state.graph.validate_batch(batch)?;
+            state
+        }
+        None => {
+            let graph = MutableGraph::new(g.csr.clone());
+            graph.validate_batch(batch)?;
+            guard.insert(DeltaState { graph, wcc: None, pr: None, snapshot: None })
+        }
+    };
 
     // Dense endpoint pairs of deletions that name a live edge — the
     // only ones whose removal can split a component.
@@ -181,58 +175,36 @@ pub(super) fn apply(
     Ok(Mutation { inserted, deleted, updated, compacted, delta_arcs, fill_ratio, wall_seconds })
 }
 
-/// WCC and PageRank on a mutated graph: serve/maintain the incremental
-/// state instead of dispatching a cold kernel. Callers guarantee
-/// `g.has_mutations()` and `algorithm ∈ {Wcc, PageRank}`.
-pub(super) fn run_incremental(
+/// WCC and PageRank on a mutated graph — the branch of
+/// `PushPullEngine::execute` for graphs that took mutations: serve and
+/// maintain the incremental state instead of dispatching a cold kernel.
+/// `run` sends every other algorithm to the materialized snapshot.
+pub(super) fn execute_incremental(
     g: &PushPullGraph,
-    algorithm: Algorithm,
-    params: &AlgorithmParams,
-    ctx: &mut RunContext<'_>,
-) -> Result<Execution> {
-    let pool = ctx.pool;
+    request: Request,
+    pool: &WorkerPool,
+    c: &mut WorkCounters,
+) -> Result<OutputValues> {
     let mut guard = g.delta.lock().unwrap();
     let state = guard.as_mut().expect("incremental run requires mutation state");
-    let start = Instant::now();
-    let mut c = WorkCounters::new();
-    ctx.check_cancelled()?;
-    ctx.begin_trace();
-    let values = fault::catch_abort(|| -> Result<OutputValues> {
-        Ok(match algorithm {
-            Algorithm::Wcc => {
-                let DeltaState { graph, wcc, .. } = state;
-                if wcc.is_none() {
-                    *wcc = Some(full_wcc(graph, &mut c));
-                }
-                let labels = wcc.as_ref().unwrap();
-                c.supersteps += 1;
-                c.vertices_processed += labels.len() as u64;
-                let out: Vec<VertexId> =
-                    labels.iter().map(|&l| graph.base().id_of(l)).collect();
-                OutputValues::Id(out)
+    Ok(match request {
+        Request::Wcc => {
+            let DeltaState { graph, wcc, .. } = state;
+            if wcc.is_none() {
+                *wcc = Some(full_wcc(graph, c));
             }
-            Algorithm::PageRank => OutputValues::F64(incremental_pagerank(
-                state,
-                params.pagerank_iterations,
-                params.damping_factor,
-                pool,
-                &mut c,
-            )),
-            other => {
-                return Err(Error::InvalidParameters(format!(
-                    "no incremental path for {other}"
-                )))
-            }
-        })
-    });
-    ctx.absorb_trace();
-    let values = values?;
-    let wall_seconds = start.elapsed().as_secs_f64();
-    ctx.record_phase("ProcessGraph", wall_seconds);
-    Ok(Execution {
-        output: AlgorithmOutput::from_dense(algorithm, &g.csr, values),
-        counters: c,
-        wall_seconds,
+            let labels = wcc.as_ref().unwrap();
+            c.supersteps += 1;
+            c.vertices_processed += labels.len() as u64;
+            let out: Vec<VertexId> = labels.iter().map(|&l| graph.base().id_of(l)).collect();
+            OutputValues::Id(out)
+        }
+        Request::PageRank { iterations, damping } => {
+            OutputValues::F64(incremental_pagerank(state, iterations, damping, pool, c))
+        }
+        other => {
+            return Err(Error::InvalidParameters(format!("no incremental path for {other:?}")))
+        }
     })
 }
 

@@ -37,9 +37,10 @@ mod sharded;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
+use graphalytics_core::output::OutputValues;
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::{Algorithm, Csr, VertexId};
 
@@ -47,7 +48,9 @@ use graphalytics_cluster::WorkCounters;
 
 use crate::common::frontier::Frontier;
 use crate::common::pool::{SharedSlice, WorkerPool};
-use crate::platform::{unsupported, Execution, LoadedGraph, Platform, RunContext};
+use crate::platform::{
+    downcast_graph, execute_phase, unsupported, Execution, LoadedGraph, Platform, RunContext,
+};
 use crate::profile::PerfProfile;
 use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
 use crate::trace::{IterTimer, SpanRecord};
@@ -263,41 +266,15 @@ fn build_graph(csr: Arc<Csr>, pool: &WorkerPool, shards: Option<ShardSet>) -> Pu
 }
 
 /// The PGX.D-like platform.
-pub struct PushPullEngine {
-    profile: PerfProfile,
-}
-
-impl PushPullEngine {
-    pub fn new() -> Self {
-        PushPullEngine { profile: PerfProfile::pushpull() }
-    }
-}
-
-impl PushPullEngine {
-    /// `graph` as this engine's own representation.
-    fn own<'g>(&self, graph: &'g dyn LoadedGraph) -> Result<&'g PushPullGraph> {
-        graph.as_any().downcast_ref::<PushPullGraph>().ok_or_else(|| {
-            graphalytics_core::Error::InvalidParameters(format!(
-                "graph was not uploaded through platform {}",
-                self.name()
-            ))
-        })
-    }
-}
-
-impl Default for PushPullEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct PushPullEngine;
 
 impl Platform for PushPullEngine {
     fn name(&self) -> &'static str {
         "pushpull"
     }
 
-    fn profile(&self) -> &PerfProfile {
-        &self.profile
+    fn profile(&self) -> &'static PerfProfile {
+        &PerfProfile::PUSHPULL
     }
 
     fn supports(&self, algorithm: Algorithm) -> bool {
@@ -335,7 +312,7 @@ impl Platform for PushPullEngine {
         batch: &graphalytics_core::MutationBatch,
         ctx: &mut RunContext<'_>,
     ) -> Result<crate::platform::Mutation> {
-        let g = self.own(graph)?;
+        let g = downcast_graph::<PushPullGraph>(self.name(), graph)?;
         if g.shards.is_some() {
             return Err(graphalytics_core::Error::InvalidParameters(
                 "sharded pushpull graphs do not take mutations; mutate an unsharded upload"
@@ -345,6 +322,11 @@ impl Platform for PushPullEngine {
         delta::apply(g, batch, ctx)
     }
 
+    /// Mutated resident graphs route through the delta view: WCC and
+    /// PageRank serve incrementally maintained state (a branch of
+    /// [`execute`](Platform::execute)); the other supported algorithms
+    /// run on a lazily materialized snapshot of the merged graph, built
+    /// once per mutation epoch and recorded as `Materialize`.
     fn run(
         &self,
         graph: &dyn LoadedGraph,
@@ -352,138 +334,51 @@ impl Platform for PushPullEngine {
         params: &AlgorithmParams,
         ctx: &mut RunContext<'_>,
     ) -> Result<Execution> {
-        let mut g = self.own(graph)?;
-        // Mutated resident graphs route through the delta view: WCC and
-        // PageRank serve incrementally maintained state; everything else
-        // runs on a lazily materialized snapshot of the merged graph
-        // (built once per mutation epoch, recorded as `Materialize`).
-        let snapshot_hold: Arc<PushPullGraph>;
-        if g.has_mutations() {
-            match algorithm {
-                Algorithm::Wcc | Algorithm::PageRank => {
-                    return delta::run_incremental(g, algorithm, params, ctx);
-                }
-                Algorithm::Lcc => return Err(unsupported(self.name(), algorithm)),
-                _ => {
-                    let (snap, built) = g.mutated_snapshot(ctx.pool)?;
-                    if let Some(secs) = built {
-                        ctx.record_phase("Materialize", secs);
-                    }
-                    snapshot_hold = snap;
-                    g = &snapshot_hold;
-                }
+        let g = downcast_graph::<PushPullGraph>(self.name(), graph)?;
+        let incremental = matches!(algorithm, Algorithm::Wcc | Algorithm::PageRank);
+        if g.has_mutations() && !incremental && self.supports(algorithm) {
+            let (snapshot, built) = g.mutated_snapshot(ctx.pool)?;
+            if let Some(secs) = built {
+                ctx.record_phase("Materialize", secs);
             }
+            return execute_phase(self, &*snapshot, algorithm, params, ctx);
         }
-        let csr = g.csr();
-        let lanes = g.lanes(ctx.pool);
-        let start = Instant::now();
-        let mut c = WorkCounters::new();
-        ctx.check_cancelled()?;
-        ctx.begin_trace();
-        let values = fault::catch_abort(|| -> Result<OutputValues> {
-            Ok(match algorithm {
-                Algorithm::Bfs => {
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(direction_optimizing_bfs(g, &lanes, root, &mut c))
-                }
-                Algorithm::PageRank => OutputValues::F64(pull_pagerank(
-                    g,
-                    &lanes,
-                    params.pagerank_iterations,
-                    params.damping_factor,
-                    &mut c,
-                )),
-                Algorithm::Wcc => OutputValues::Id(if lanes.is_sharded() {
-                    sharded::sharded_wcc(csr, &lanes, &mut c)
-                } else {
-                    pushpull_wcc(csr, &mut c)
-                }),
-                Algorithm::Cdlp => {
-                    OutputValues::Id(pull_cdlp(csr, &lanes, params.cdlp_iterations, &mut c))
-                }
-                Algorithm::Lcc => return Err(unsupported(self.name(), algorithm)),
-                Algorithm::Sssp => {
-                    if !csr.is_weighted() {
-                        return Err(graphalytics_core::Error::InvalidParameters(
-                            "SSSP requires a weighted graph".into(),
-                        ));
-                    }
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(if lanes.is_sharded() {
-                        sharded::sharded_sssp(csr, &lanes, root, &mut c)
-                    } else {
-                        label_correcting_sssp(csr, root, &mut c)
-                    })
-                }
-            })
-        });
-        ctx.absorb_trace();
-        let values = values?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ctx.record_phase("ProcessGraph", wall_seconds);
-        Ok(Execution {
-            output: AlgorithmOutput::from_dense(algorithm, csr, values),
-            counters: c,
-            wall_seconds,
-        })
+        execute_phase(self, graph, algorithm, params, ctx)
     }
 
-    fn estimate(
+    fn execute(
         &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters {
-        let s = crate::estimate::workload_shape(vertices, edges, traits_, directed, algorithm, params);
-        let mut c = WorkCounters::new();
-        c.supersteps = s.supersteps;
-        match algorithm {
-            Algorithm::Bfs => {
-                // Direction optimization: sparse push phases plus
-                // early-exit pull phases examine a small fraction of the
-                // arcs (~20% is the classic direction-optimizing figure),
-                // but every pulled edge is a pointer-chasing random read.
-                c.vertices_processed = 2 * vertices;
-                c.edges_scanned = (0.2 * s.arcs).min(2.0 * s.edge_traversals) as u64;
-                c.random_accesses = c.edges_scanned;
-                // Only the sparse push phases emit messages; their volume
-                // is bounded by a couple of frontier sweeps.
-                c.messages = (0.2 * s.edge_traversals).min(2.0 * vertices as f64) as u64;
-            }
-            Algorithm::PageRank => {
-                // Pure pull: streaming reads, no message buffers.
-                c.vertices_processed = s.active_vertex_rounds as u64 + vertices;
-                c.edges_scanned = s.edge_traversals as u64;
-            }
-            Algorithm::Cdlp => {
-                // Pull mode with multiset counting.
-                c.vertices_processed = s.active_vertex_rounds as u64 + vertices;
-                c.edges_scanned = s.edge_traversals as u64;
-                c.random_accesses = s.edge_traversals as u64;
-            }
-            Algorithm::Sssp => {
-                // The modelled platform's counts (PGX.D), not this
-                // kernel's: scans stay near one pass over the arcs and
-                // only successful relaxations become messages (roughly
-                // one per vertex plus a correction tail). The
-                // label-correcting kernel below re-scans more.
-                c.vertices_processed = s.active_vertex_rounds as u64 + vertices;
-                c.edges_scanned = s.edge_traversals as u64;
-                c.messages = (2.0 * vertices as f64).min(s.edge_traversals) as u64;
-            }
-            _ => {
-                // WCC: push relaxations emit one message per scanned
-                // edge.
-                c.vertices_processed = s.active_vertex_rounds as u64 + vertices;
-                c.edges_scanned = s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-            }
+        graph: &dyn LoadedGraph,
+        request: Request,
+        pool: &WorkerPool,
+        c: &mut WorkCounters,
+    ) -> Result<OutputValues> {
+        let g = downcast_graph::<PushPullGraph>(self.name(), graph)?;
+        if g.has_mutations() {
+            return delta::execute_incremental(g, request, pool, c);
         }
-        c.message_bytes = 8 * c.messages;
-        c
+        let csr = g.csr();
+        let lanes = g.lanes(pool);
+        Ok(match request {
+            Request::Bfs { root } => {
+                OutputValues::I64(direction_optimizing_bfs(g, &lanes, root, c))
+            }
+            Request::PageRank { iterations, damping } => {
+                OutputValues::F64(pull_pagerank(g, &lanes, iterations, damping, c))
+            }
+            Request::Wcc => OutputValues::Id(if lanes.is_sharded() {
+                sharded::sharded_wcc(csr, &lanes, c)
+            } else {
+                pushpull_wcc(csr, c)
+            }),
+            Request::Cdlp { iterations } => OutputValues::Id(pull_cdlp(csr, &lanes, iterations, c)),
+            Request::Lcc => return Err(unsupported(self.name(), Algorithm::Lcc)),
+            Request::Sssp { root } => OutputValues::F64(if lanes.is_sharded() {
+                sharded::sharded_sssp(csr, &lanes, root, c)
+            } else {
+                label_correcting_sssp(csr, root, c)
+            }),
+        })
     }
 }
 
@@ -889,6 +784,7 @@ fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_core::output::AlgorithmOutput;
     use graphalytics_core::GraphBuilder;
 
     fn sample(directed: bool) -> Csr {
@@ -919,13 +815,13 @@ mod tests {
     }
 
     fn upload(csr: Arc<Csr>, pool: &WorkerPool) -> Box<dyn LoadedGraph> {
-        PushPullEngine::new().upload(csr, pool).unwrap()
+        PushPullEngine.upload(csr, pool).unwrap()
     }
 
     #[test]
     fn supported_algorithms_match_reference() {
         for csr in [Arc::new(sample(true)), Arc::new(sample(false)), mid_weighted_csr()] {
-            let engine = PushPullEngine::new();
+            let engine = PushPullEngine;
             let params = AlgorithmParams::with_source(0);
             let pool = WorkerPool::new(2);
             let loaded = engine.upload(csr.clone(), &pool).unwrap();
@@ -970,7 +866,7 @@ mod tests {
     #[test]
     fn pull_pagerank_no_messages() {
         let csr = Arc::new(sample(true));
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(2);
         let loaded = engine.upload(csr, &pool).unwrap();
         let graph = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
@@ -1010,7 +906,7 @@ mod tests {
         let guard = g.delta.lock().unwrap();
         let merged = Arc::new(guard.as_ref().unwrap().graph.materialize(pool).unwrap());
         drop(guard);
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let loaded = engine.upload(merged, pool).unwrap();
         let mut ctx = RunContext::new(pool);
         engine.run(loaded.as_ref(), alg, params, &mut ctx).unwrap().output
@@ -1020,7 +916,7 @@ mod tests {
     fn mutated_wcc_is_bit_identical_to_cold_recompute() {
         for directed in [true, false] {
             let csr = Arc::new(sample(directed));
-            let engine = PushPullEngine::new();
+            let engine = PushPullEngine;
             let pool = WorkerPool::new(2);
             let loaded = engine.upload(csr.clone(), &pool).unwrap();
             let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
@@ -1057,7 +953,7 @@ mod tests {
     #[test]
     fn mutated_pagerank_matches_cold_recompute_within_epsilon() {
         let csr = Arc::new(sample(false));
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(2);
         let loaded = engine.upload(csr, &pool).unwrap();
         let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
@@ -1098,7 +994,7 @@ mod tests {
     #[test]
     fn mutated_snapshot_serves_traversals_and_is_cached() {
         let csr = Arc::new(sample(true));
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(2);
         let loaded = engine.upload(csr, &pool).unwrap();
         let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
@@ -1132,7 +1028,7 @@ mod tests {
     #[test]
     fn mutation_rejections_and_defaults() {
         let csr = Arc::new(sample(false));
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(2);
         assert!(engine.supports_mutation());
 
@@ -1145,7 +1041,7 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("undeclared vertex"), "{err}");
         let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        assert!(!g.has_mutations() || g.delta_metrics().0 == 0, "rejected batch left no log");
+        assert!(!g.has_mutations(), "rejected batch left no log");
 
         // Sharded uploads refuse mutations.
         let plan = ShardPlan::new(2);
@@ -1158,7 +1054,7 @@ mod tests {
         assert!(err.to_string().contains("sharded"), "{err}");
 
         // Engines without a delta path keep the trait default.
-        let gas = crate::gas::GasEngine::new();
+        let gas = crate::gas::GasEngine;
         assert!(!gas.supports_mutation());
         let gas_loaded = gas.upload(Arc::new(sample(false)), &pool).unwrap();
         let err = gas

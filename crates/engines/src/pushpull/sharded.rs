@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn all_supported_algorithms_bit_identical_across_shard_counts() {
         let csr = csr();
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(4);
         let params = AlgorithmParams::with_source(0);
         let single = engine.upload(csr.clone(), &pool).unwrap();
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn sharded_sssp_matches_single_shard_on_a_large_graph() {
         let csr = big_csr();
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(4);
         let params = AlgorithmParams::with_source(0);
         let single = engine.upload(csr.clone(), &pool).unwrap();
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn sharded_push_rounds_report_inter_shard_traffic() {
         let csr = csr();
-        let engine = PushPullEngine::new();
+        let engine = PushPullEngine;
         let pool = WorkerPool::new(2);
         let params = AlgorithmParams::with_source(0);
         let multi = engine

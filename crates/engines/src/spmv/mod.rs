@@ -17,19 +17,18 @@
 //! why queue-based OpenG beats it on the barely-reachable R2 BFS.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
-use graphalytics_core::output::{AlgorithmOutput, OutputValues};
-use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr, VertexId};
+use graphalytics_core::output::OutputValues;
+use graphalytics_core::{Csr, VertexId};
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::frontier::Frontier;
 use crate::common::pool::WorkerPool;
-use crate::platform::{downcast_graph, Execution, LoadedGraph, Platform, RunContext};
+use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 use crate::trace::IterTimer;
 
@@ -187,29 +186,15 @@ impl LoadedGraph for SpmvGraph {
 }
 
 /// The GraphMat-like platform.
-pub struct SpmvEngine {
-    profile: PerfProfile,
-}
-
-impl SpmvEngine {
-    pub fn new() -> Self {
-        SpmvEngine { profile: PerfProfile::spmv() }
-    }
-}
-
-impl Default for SpmvEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct SpmvEngine;
 
 impl Platform for SpmvEngine {
     fn name(&self) -> &'static str {
         "spmv"
     }
 
-    fn profile(&self) -> &PerfProfile {
-        &self.profile
+    fn profile(&self) -> &'static PerfProfile {
+        &PerfProfile::SPMV
     }
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
@@ -225,97 +210,25 @@ impl Platform for SpmvEngine {
         Ok(Box::new(SpmvGraph { csr, out_degrees: degrees.into() }))
     }
 
-    fn run(
+    fn execute(
         &self,
         graph: &dyn LoadedGraph,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Execution> {
+        request: Request,
+        pool: &WorkerPool,
+        c: &mut WorkCounters,
+    ) -> Result<OutputValues> {
         let loaded = downcast_graph::<SpmvGraph>(self.name(), graph)?;
         let csr = loaded.csr();
-        let pool = ctx.pool;
-        let start = Instant::now();
-        let mut c = WorkCounters::new();
-        ctx.check_cancelled()?;
-        ctx.begin_trace();
-        let values = fault::catch_abort(|| -> Result<OutputValues> {
-            Ok(match algorithm {
-                Algorithm::Bfs => {
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::I64(bfs(csr, root, &mut c))
-                }
-                Algorithm::PageRank => OutputValues::F64(pagerank(
-                    loaded,
-                    params.pagerank_iterations,
-                    params.damping_factor,
-                    pool,
-                    &mut c,
-                )),
-                Algorithm::Wcc => OutputValues::Id(wcc(csr, &mut c)),
-                Algorithm::Cdlp => {
-                    OutputValues::Id(cdlp(csr, params.cdlp_iterations, pool, &mut c))
-                }
-                Algorithm::Lcc => OutputValues::F64(lcc(csr, pool, &mut c)),
-                Algorithm::Sssp => {
-                    if !csr.is_weighted() {
-                        return Err(graphalytics_core::Error::InvalidParameters(
-                            "SSSP requires a weighted graph".into(),
-                        ));
-                    }
-                    let root = graphalytics_core::algorithms::resolve_root(csr, params)?;
-                    OutputValues::F64(sssp(csr, root, &mut c))
-                }
-            })
-        });
-        ctx.absorb_trace();
-        let values = values?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ctx.record_phase("ProcessGraph", wall_seconds);
-        Ok(Execution {
-            output: AlgorithmOutput::from_dense(algorithm, csr, values),
-            counters: c,
-            wall_seconds,
+        Ok(match request {
+            Request::Bfs { root } => OutputValues::I64(bfs(csr, root, c)),
+            Request::PageRank { iterations, damping } => {
+                OutputValues::F64(pagerank(loaded, iterations, damping, pool, c))
+            }
+            Request::Wcc => OutputValues::Id(wcc(csr, c)),
+            Request::Cdlp { iterations } => OutputValues::Id(cdlp(csr, iterations, pool, c)),
+            Request::Lcc => OutputValues::F64(lcc(csr, pool, c)),
+            Request::Sssp { root } => OutputValues::F64(sssp(csr, root, c)),
         })
-    }
-
-    fn estimate(
-        &self,
-        vertices: u64,
-        edges: u64,
-        traits_: &graphalytics_core::datasets::GraphTraits,
-        directed: bool,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-    ) -> WorkCounters {
-        let s = crate::estimate::workload_shape(vertices, edges, traits_, directed, algorithm, params);
-        let mut c = WorkCounters::new();
-        c.supersteps = s.supersteps;
-        // Dense vector maintenance every iteration.
-        c.vertices_processed = vertices * s.supersteps;
-        match algorithm {
-            Algorithm::Lcc => {
-                c.edges_scanned = s.sum_deg2 as u64;
-                c.messages = s.sum_deg2 as u64;
-                c.message_bytes = 12 * c.messages;
-            }
-            Algorithm::Cdlp => {
-                c.edges_scanned = s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-                c.message_bytes = 8 * c.messages;
-                c.random_accesses = s.edge_traversals as u64;
-            }
-            _ => {
-                c.edges_scanned = s.edge_traversals as u64;
-                c.messages = s.edge_traversals as u64;
-                // MPI ranks exchange boundary vector segments once per
-                // iteration, not per-edge products.
-                let combined =
-                    (vertices as f64 * s.supersteps as f64).min(s.edge_traversals);
-                c.message_bytes = 8 * combined as u64;
-            }
-        }
-        c
     }
 }
 
@@ -511,7 +424,9 @@ fn sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphalytics_core::GraphBuilder;
+    use crate::platform::RunContext;
+    use graphalytics_core::params::AlgorithmParams;
+    use graphalytics_core::{Algorithm, GraphBuilder};
 
     fn sample() -> Csr {
         let mut b = GraphBuilder::new(true);
@@ -527,7 +442,7 @@ mod tests {
     fn all_algorithms_match_reference() {
         // One upload serves every algorithm (the lifecycle contract).
         let csr = Arc::new(sample());
-        let engine = SpmvEngine::new();
+        let engine = SpmvEngine;
         let params = AlgorithmParams::with_source(0);
         let pool = WorkerPool::new(2);
         let loaded = engine.upload(csr.clone(), &pool).unwrap();

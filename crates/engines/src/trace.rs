@@ -8,8 +8,9 @@
 //! nest per-shard child spans (compute time) under each superstep and
 //! add the inter-shard queue depth and barrier drain time to it.
 //!
-//! Collection is **thread-local**: [`Platform::run`] installs a
-//! collector for the duration of one execution (via
+//! Collection is **thread-local**: the execute-phase scaffold
+//! ([`execute_phase`]) installs a collector for the duration of one
+//! execution (via
 //! [`RunContext::begin_trace`] / [`RunContext::absorb_trace`]), and the
 //! iteration loops deep inside the
 //! kernels report laps through [`IterTimer`] without any signature
@@ -20,7 +21,7 @@
 //! back into algorithm state: monitoring is strictly data-plane
 //! passive, so outputs stay bit-identical with tracing on or off.
 //!
-//! [`Platform::run`]: crate::platform::Platform::run
+//! [`execute_phase`]: crate::platform::execute_phase
 //! [`RunContext::begin_trace`]: crate::platform::RunContext::begin_trace
 //! [`RunContext::absorb_trace`]: crate::platform::RunContext::absorb_trace
 

@@ -619,7 +619,7 @@ impl Driver {
             return result;
         };
         let desc = JobDescription { dataset: spec.dataset, algorithm: spec.algorithm };
-        let counters = platform.estimate(
+        let counters = (platform.profile().estimate)(
             admission.vertices,
             admission.edges,
             &spec.dataset.traits_,
@@ -1235,15 +1235,13 @@ mod tests {
                 self
             }
         }
-        struct LyingPlatform {
-            profile: graphalytics_engines::PerfProfile,
-        }
+        struct LyingPlatform;
         impl Platform for LyingPlatform {
             fn name(&self) -> &'static str {
                 "lying"
             }
-            fn profile(&self) -> &graphalytics_engines::PerfProfile {
-                &self.profile
+            fn profile(&self) -> &'static graphalytics_engines::PerfProfile {
+                &graphalytics_engines::PerfProfile::NATIVE
             }
             fn upload(
                 &self,
@@ -1252,6 +1250,16 @@ mod tests {
             ) -> Result<Box<dyn LoadedGraph>> {
                 Ok(Box::new(LyingGraph(csr)))
             }
+            fn execute(
+                &self,
+                _graph: &dyn LoadedGraph,
+                _request: graphalytics_core::algorithms::Request,
+                _pool: &WorkerPool,
+                _counters: &mut WorkCounters,
+            ) -> Result<graphalytics_core::output::OutputValues> {
+                unreachable!("`run` skips the input rules")
+            }
+            // Skips the scaffold's input rules on purpose.
             fn run(
                 &self,
                 graph: &dyn LoadedGraph,
@@ -1270,19 +1278,8 @@ mod tests {
                     wall_seconds: 0.0,
                 })
             }
-            fn estimate(
-                &self,
-                _v: u64,
-                _e: u64,
-                _t: &graphalytics_core::datasets::GraphTraits,
-                _d: bool,
-                _a: Algorithm,
-                _p: &AlgorithmParams,
-            ) -> WorkCounters {
-                WorkCounters::new()
-            }
         }
-        let platform = LyingPlatform { profile: graphalytics_engines::PerfProfile::native() };
+        let platform = LyingPlatform;
         let csr = proxy_csr("G22"); // unweighted: the reference rejects SSSP
         let driver = Driver::default();
         let r = driver.run(

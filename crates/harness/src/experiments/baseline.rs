@@ -126,7 +126,7 @@ impl DatasetVariety {
         table.render()
     }
 
-    /// Raw BFS D300 results (for EXPERIMENTS.md paper-vs-model rows).
+    /// Raw BFS D300 results (the paper-vs-model rows).
     pub fn bfs_d300(&self) -> Option<&Vec<JobResult>> {
         self.rows
             .iter()

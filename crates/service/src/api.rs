@@ -18,8 +18,8 @@
 //! | `POST /graphs/:id/mutations` | apply a streaming mutation batch to a  |
 //! |                      | resident graph's delta log (explicit           |
 //! |                      | insert/delete rows or a `generate` shorthand)  |
-//! | `GET /metrics`       | job/store/mutation counters, EPS / EVPS        |
-//! |                      | aggregates, and monitor telemetry              |
+//! | `GET /metrics`       | job/store/mutation counters, measured EPS /    |
+//! |                      | EVPS aggregates, and monitor telemetry         |
 //! |                      | (`?format=prometheus` for the text format)     |
 //!
 //! Requests are validated before they reach the queue: unknown platforms,
@@ -28,6 +28,7 @@
 
 use graphalytics_core::Algorithm;
 use graphalytics_granula::json::Json;
+use graphalytics_harness::metrics::{eps, evps};
 use graphalytics_harness::results::result_json;
 
 use crate::http::{Request, Response};
@@ -597,31 +598,61 @@ fn metrics(state: &ServiceState, request: &Request) -> Response {
     )
 }
 
-/// EPS / EVPS aggregates over successful results, overall and per
-/// platform (the paper's throughput metrics, served live). Computed with
-/// a no-clone fold: `/metrics` is the polled endpoint and must not copy
-/// every stored result (and its archive) per call.
+/// Sums of *measured* EPS / EVPS — `harness::metrics` over each executed
+/// job's mean wall-clock processing time — and how many jobs they cover.
+#[derive(Default)]
+struct Throughput {
+    jobs: u64,
+    eps_sum: f64,
+    evps_sum: f64,
+}
+
+impl Throughput {
+    fn add(&mut self, r: &graphalytics_harness::JobResult) {
+        if let Some(secs) = r.measured_wall_secs {
+            self.jobs += 1;
+            self.eps_sum += eps(r.edges, secs);
+            self.evps_sum += evps(r.vertices, r.edges, secs);
+        }
+    }
+
+    /// `(mean_eps, mean_evps)`; `null` when no job executed (analytic
+    /// jobs have nothing measured to average).
+    fn means(&self) -> [(&'static str, Json); 2] {
+        let mean = |sum: f64| {
+            if self.jobs == 0 {
+                Json::Null
+            } else {
+                Json::Num(sum / self.jobs as f64)
+            }
+        };
+        [("mean_eps", mean(self.eps_sum)), ("mean_evps", mean(self.evps_sum))]
+    }
+}
+
+/// Job counts and measured EPS / EVPS over successful results, overall
+/// and per platform (the paper's throughput metrics, served live).
+/// Computed with a no-clone fold: `/metrics` is the polled endpoint and
+/// must not copy every stored result (and its archive) per call.
 fn results_aggregates(state: &ServiceState) -> Json {
     #[derive(Default)]
     struct Agg {
         count: u64,
         successful: u64,
-        eps_sum: f64,
-        evps_sum: f64,
+        measured: Throughput,
         /// Sharded-execution traffic over successful runs.
         sharded_jobs: u64,
         inter_shard_messages: u64,
         inter_shard_bytes: u64,
-        /// platform → (jobs, Σeps, Σevps); BTreeMap for sorted output.
-        per_platform: std::collections::BTreeMap<String, (u64, f64, f64)>,
+        /// platform → (successful jobs, measured throughput); BTreeMap
+        /// for sorted output.
+        per_platform: std::collections::BTreeMap<String, (u64, Throughput)>,
     }
     let agg = state.results.fold(Agg::default(), |mut agg, r| {
         agg.count += 1;
         if r.status.is_success() {
             agg.successful += 1;
-            let (eps, evps) = (r.eps(), r.evps());
-            agg.eps_sum += eps;
-            agg.evps_sum += evps;
+            agg.measured.add(r);
             if r.shards > 1 {
                 agg.sharded_jobs += 1;
             }
@@ -629,38 +660,29 @@ fn results_aggregates(state: &ServiceState) -> Json {
             agg.inter_shard_bytes += r.counters.inter_shard_bytes;
             let row = agg.per_platform.entry(r.platform.clone()).or_default();
             row.0 += 1;
-            row.1 += eps;
-            row.2 += evps;
+            row.1.add(r);
         }
         agg
     });
-    let mean = |sum: f64| -> Json {
-        if agg.successful == 0 {
-            Json::Null
-        } else {
-            Json::Num(sum / agg.successful as f64)
-        }
-    };
     let per_platform: Vec<Json> = agg
         .per_platform
         .iter()
-        .map(|(name, (jobs, eps_sum, evps_sum))| {
-            Json::obj(vec![
-                ("platform", Json::str(name)),
-                ("jobs", Json::Num(*jobs as f64)),
-                ("mean_eps", Json::Num(eps_sum / *jobs as f64)),
-                ("mean_evps", Json::Num(evps_sum / *jobs as f64)),
-            ])
+        .map(|(name, (jobs, measured))| {
+            let mut fields =
+                vec![("platform", Json::str(name)), ("jobs", Json::Num(*jobs as f64))];
+            fields.extend(measured.means());
+            Json::obj(fields)
         })
         .collect();
     let success_rate =
         if agg.count == 0 { 1.0 } else { agg.successful as f64 / agg.count as f64 };
+    let [mean_eps, mean_evps] = agg.measured.means();
     Json::obj(vec![
         ("count", Json::Num(agg.count as f64)),
         ("successful", Json::Num(agg.successful as f64)),
         ("success_rate", Json::Num(success_rate)),
-        ("mean_eps", mean(agg.eps_sum)),
-        ("mean_evps", mean(agg.evps_sum)),
+        mean_eps,
+        mean_evps,
         (
             "sharded",
             Json::obj(vec![
@@ -898,6 +920,46 @@ mod tests {
         assert_eq!(sharded.get("jobs"), Some(&Json::Num(1.0)));
         assert!(sharded.get("inter_shard_messages").and_then(Json::as_u64).unwrap() > 0);
         assert!(sharded.get("inter_shard_bytes").and_then(Json::as_u64).unwrap() > 0);
+    }
+
+    #[test]
+    fn metrics_throughput_is_measured_not_simulated() {
+        let state = state();
+        let request = |mode| crate::jobs::JobRequest {
+            platform: "native".into(),
+            dataset: "G22".into(),
+            algorithm: Algorithm::Bfs,
+            mode,
+            repetitions: 1,
+            shards: 1,
+            timeout_millis: None,
+        };
+        let results = |state: &ServiceState| {
+            let body = Json::parse(&handle(state, &get("/metrics")).body).unwrap();
+            body.get("results").unwrap().clone()
+        };
+        let token = graphalytics_core::fault::CancelToken::new();
+
+        // An analytic job counts, but has no measured time to average.
+        let analytic = state.execute(1, &request(JobMode::Analytic), &token, 0).unwrap();
+        assert!(analytic.status.is_success(), "{:?}", analytic.status);
+        state.results.insert(analytic);
+        let aggregates = results(&state);
+        assert_eq!(aggregates.get("successful"), Some(&Json::Num(1.0)));
+        assert_eq!(aggregates.get("mean_eps"), Some(&Json::Null));
+        assert_eq!(aggregates.get("mean_evps"), Some(&Json::Null));
+
+        let measured = state.execute(2, &request(JobMode::Measured), &token, 0).unwrap();
+        assert!(measured.status.is_success(), "{:?}", measured.status);
+        let eps = measured.edges as f64 / measured.measured_wall_secs.unwrap();
+        assert_ne!(eps, measured.eps(), "the cost model's figure is not the measured one");
+        state.results.insert(measured);
+        let aggregates = results(&state);
+        assert_eq!(aggregates.get("successful"), Some(&Json::Num(2.0)));
+        assert_eq!(aggregates.get("mean_eps").and_then(Json::as_f64), Some(eps));
+        let per_platform = aggregates.get("per_platform").and_then(Json::as_arr).unwrap();
+        assert_eq!(per_platform[0].get("jobs"), Some(&Json::Num(2.0)));
+        assert_eq!(per_platform[0].get("mean_eps").and_then(Json::as_f64), Some(eps));
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn estimates_track_measured_counters() {
             }
             let mut ctx = RunContext::new(&pool);
             let run = platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
-            let est = platform.estimate(
+            let est = (platform.profile().estimate)(
                 stats.vertices,
                 stats.edges,
                 &traits_,

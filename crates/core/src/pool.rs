@@ -59,17 +59,6 @@ pub struct SharedSlice<T>(*mut T);
 unsafe impl<T: Send> Sync for SharedSlice<T> {}
 unsafe impl<T: Send> Send for SharedSlice<T> {}
 
-// Copying the base pointer shares access; every use site still carries
-// the disjoint-range proof obligation of `at`/`slice_mut`. Needed so the
-// sharded engine runtimes can hand one slice to several shard drivers.
-impl<T> Clone for SharedSlice<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for SharedSlice<T> {}
-
 impl<T> SharedSlice<T> {
     /// Wraps a base pointer (typically `vec.as_mut_ptr()`).
     pub fn new(ptr: *mut T) -> Self {

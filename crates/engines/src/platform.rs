@@ -122,10 +122,9 @@ pub struct PhaseRecord {
 pub struct RunContext<'a> {
     /// The shared execution runtime. Owned by whoever owns the benchmark
     /// run (one per run in the harness, one per daemon in the service);
-    /// a monolithic upload runs on it alone. A sharded upload brings its
-    /// own per-shard pools (built at upload) and spawns one scoped driver
-    /// thread per extra shard every superstep ([`crate::sharded::Lanes`];
-    /// ROADMAP item 1). Outputs are bit-identical for every pool width.
+    /// every upload, monolithic or sharded, runs on it alone and spawns
+    /// nothing ([`crate::sharded::Lanes`]). Outputs are bit-identical
+    /// for every pool width.
     pub pool: &'a WorkerPool,
     /// Repetition index of this execution within the job (0-based).
     pub run_index: u64,
@@ -255,7 +254,7 @@ pub trait Platform: Send + Sync {
     /// result is reused by every subsequent [`run`](Platform::run).
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>>;
 
-    /// Whether the engine has a sharded (multi-pool) execution path.
+    /// Whether the engine has a sharded execution path.
     /// Engines that do guarantee N-shard output bit-identical to
     /// single-shard for every supported algorithm.
     fn supports_sharded(&self) -> bool {
@@ -263,9 +262,9 @@ pub trait Platform: Send + Sync {
     }
 
     /// The sharded upload variant: partitions `csr` per `plan` and
-    /// builds a representation whose runs execute the same kernels
-    /// across per-shard pools ([`crate::sharded::Lanes`]), counting the
-    /// traffic that crosses the cut. The default
+    /// builds a representation whose runs execute the same kernels on
+    /// per-shard lanes of the caller's pool ([`crate::sharded::Lanes`]),
+    /// counting the traffic that crosses the cut. The default
     /// accepts `plan.shards <= 1` (a plain [`upload`](Platform::upload))
     /// and rejects more for engines without a sharded path.
     fn upload_sharded(

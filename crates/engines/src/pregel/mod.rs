@@ -335,7 +335,7 @@ fn deliver<M>(mut groups: Vec<GroupOut<ComputeCtx<'_, M>>>, inboxes: &mut [Vec<M
 /// The uploaded representation: the partition store. Giraph's load phase
 /// reads the edge list into per-worker partitions; here the load product
 /// is the pinned CSR plus, for a sharded upload, the [`ShardSet`] that
-/// assigns its vertices to per-shard pools.
+/// assigns its vertices to per-shard lanes.
 pub struct PregelGraph {
     csr: Arc<Csr>,
     shards: Option<ShardSet>,
@@ -388,7 +388,7 @@ impl Platform for PregelEngine {
         if plan.shards <= 1 {
             return self.upload(csr, pool);
         }
-        let shards = Some(ShardSet::build(csr.clone(), plan, pool)?);
+        let shards = Some(ShardSet::build(csr.clone(), plan)?);
         Ok(Box::new(PregelGraph { csr, shards }))
     }
 

@@ -31,7 +31,7 @@ mod tests {
         let mut base = WorkCounters::new();
         let baseline = run_pregel(&csr, &program, &Lanes::new(200, &pool, None), &mut base);
         for shards in [2u32, 3, 4] {
-            let set = ShardSet::build(csr.clone(), &ShardPlan::new(shards), &pool).unwrap();
+            let set = ShardSet::build(csr.clone(), &ShardPlan::new(shards)).unwrap();
             let mut c = WorkCounters::new();
             let values = run_pregel(set.csr(), &program, &Lanes::new(200, &pool, Some(&set)), &mut c);
             assert_eq!(values, baseline, "{shards} shards");
@@ -48,7 +48,7 @@ mod tests {
     fn sharded_supersteps_carry_per_shard_spans() {
         let csr = csr();
         let pool = WorkerPool::new(2);
-        let set = ShardSet::build(csr, &ShardPlan::new(2), &pool).unwrap();
+        let set = ShardSet::build(csr, &ShardPlan::new(2)).unwrap();
         let program = BfsProgram { root: 0 };
         trace::install(true);
         let mut c = WorkCounters::new();
@@ -77,7 +77,7 @@ mod tests {
         let program = WccProgram;
         let mut base = WorkCounters::new();
         let baseline = run_pregel(&csr, &program, &Lanes::new(200, &pool, None), &mut base);
-        let set = ShardSet::build(csr, &ShardPlan::new(1), &pool).unwrap();
+        let set = ShardSet::build(csr, &ShardPlan::new(1)).unwrap();
         let mut c = WorkCounters::new();
         let values = run_pregel(set.csr(), &program, &Lanes::new(200, &pool, Some(&set)), &mut c);
         assert_eq!(values, baseline);

@@ -20,7 +20,7 @@
 //!
 //! BFS, PageRank and CDLP are written once against
 //! [`Lanes`](crate::sharded::Lanes), so a sharded upload runs the same
-//! kernels on per-shard pools; only WCC and SSSP, whose monolithic
+//! kernels on per-shard lanes; only WCC and SSSP, whose monolithic
 //! kernels relax in place, have sharded counterparts (`sharded.rs` says
 //! why).
 //!
@@ -298,7 +298,7 @@ impl Platform for PushPullEngine {
         if plan.shards <= 1 {
             return self.upload(csr, pool);
         }
-        let shards = ShardSet::build(csr.clone(), plan, pool)?;
+        let shards = ShardSet::build(csr.clone(), plan)?;
         Ok(Box::new(build_graph(csr, pool, Some(shards))))
     }
 
@@ -426,8 +426,8 @@ fn bfs_kernel<const TRACED: bool>(
     let mut dir = DirectionState::new(g.total_out_degree(), frontier_degree);
     let mut level = 0i64;
     let mut it = TRACED.then(|| IterTimer::new("Iteration", c));
-    // Sharded rounds always go through the lanes: every shard's pool does
-    // its share and reports a `Shard` span. Monolithic rounds below the
+    // Sharded rounds always go through the lanes: every shard's lanes do
+    // its share and it reports a `Shard` span. Monolithic rounds below the
     // dispatch cutoff run inline on the caller.
     let dispatch = |len: usize, work: u64| lanes.is_sharded() || parallel_worth(len, work);
     while !frontier.is_empty() {

@@ -1,15 +1,15 @@
-//! Sharded (multi-pool) execution: a shard is a *lane assignment*.
+//! Sharded execution: a shard is a *lane assignment*, not a runtime.
 //!
 //! An engine's kernels do not know whether an upload is sharded. They
 //! are written once against [`Lanes`] — which ascending list of owned
-//! vertices each worker walks, on which pool, and which owner map prices
-//! the cut — and the monolithic upload is the one-group instance:
-//! contiguous ranges of `0..n` on the caller's pool, no owner map. A
-//! [`ShardSet`] (built by [`Platform::upload_sharded`] from one of the
-//! `cluster` crate's edge-cut placements) supplies the `N`-group
-//! instance: one [`WorkerPool`] per shard, each walking the ascending
-//! list of vertices its shard owns, all reading adjacency from the one
-//! parent CSR by global id.
+//! vertices each worker walks, and which owner map prices the cut — and
+//! the monolithic upload is the one-group instance: contiguous ranges of
+//! `0..n`, no owner map. A [`ShardSet`] (built by
+//! [`Platform::upload_sharded`] from one of the `cluster` crate's
+//! edge-cut placements) supplies the `N`-group instance: the ascending
+//! list of vertices each shard owns, all reading adjacency from the one
+//! parent CSR by global id. Either way every lane runs on the caller's
+//! one [`WorkerPool`]: a shard owns no threads.
 //!
 //! The contract: output bit-identical to the monolithic upload for every
 //! algorithm and every shard count (`tests/sharded_equivalence.rs`), and
@@ -17,8 +17,9 @@
 //! (`tests/shard_lanes.rs`). It holds because of one **delivery-order
 //! argument**: every lane walks its vertices in ascending global id, and
 //! a group's workers take contiguous slices of the group's ascending
-//! list, so whatever a group produces comes out ascending in the
-//! producing vertex. With one group that is already the global order.
+//! list (any contiguous split of an ascending list keeps it ascending),
+//! so whatever a group produces comes out ascending in the producing
+//! vertex. With one group that is already the global order.
 //! With `k` groups the barrier either needs no order at all (a pull
 //! kernel writes only slots its lane owns; a min-reduction is
 //! order-free) or recovers the global order by a `k`-way merge of the
@@ -38,14 +39,14 @@ use std::time::Instant;
 
 use graphalytics_cluster::partition::{edge_cut_seeded, PartitionStrategy};
 use graphalytics_core::error::Result;
-use graphalytics_core::pool::WorkerPool;
+use graphalytics_core::pool::{split_ranges, WorkerPool};
 use graphalytics_core::{Csr, ShardedCsr};
 
 use crate::platform::{LoadedGraph, Platform};
 use crate::trace::SpanRecord;
 
-/// How to shard an upload: shard count and placement. Each shard's pool
-/// is an even share of the caller's pool width (at least one thread).
+/// How to shard an upload: shard count and placement. Each shard's
+/// lanes are an even share of the caller's pool width (at least one).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPlan {
     /// Number of shards (1 = monolithic upload).
@@ -76,28 +77,23 @@ pub struct ShardLayout {
 }
 
 /// The sharded half of an uploaded representation: the owner map and
-/// per-shard vertex lists over the parent CSR, one pool per shard, and
-/// the partition statistics of the cut that produced them.
+/// per-shard vertex lists over the parent CSR, and the partition
+/// statistics of the cut that produced them.
 pub struct ShardSet {
     sharded: ShardedCsr,
-    pools: Vec<WorkerPool>,
     cut_arcs: u64,
     total_arcs: u64,
     strategy: PartitionStrategy,
 }
 
 impl ShardSet {
-    /// Partitions `csr` per `plan` and spins up one pool per shard, each
-    /// an even share of the caller's `pool` width.
-    pub fn build(csr: Arc<Csr>, plan: &ShardPlan, pool: &WorkerPool) -> Result<ShardSet> {
+    /// Partitions `csr` per `plan`.
+    pub fn build(csr: Arc<Csr>, plan: &ShardPlan) -> Result<ShardSet> {
         let parts = plan.shards.max(1);
         let partition = edge_cut_seeded(&csr, parts, plan.strategy, plan.seed);
         let sharded = ShardedCsr::partition(csr, &partition.owner, parts)?;
-        let per_shard = (pool.threads() / parts).max(1);
-        let pools = (0..parts).map(|_| WorkerPool::new(per_shard)).collect();
         Ok(ShardSet {
             sharded,
-            pools,
             cut_arcs: partition.cut_arcs,
             total_arcs: partition.total_arcs,
             strategy: plan.strategy,
@@ -114,12 +110,6 @@ impl ShardSet {
     #[inline]
     pub fn csr(&self) -> &Csr {
         self.sharded.csr().as_ref()
-    }
-
-    /// The per-shard pools, in shard order.
-    #[inline]
-    pub fn pools(&self) -> &[WorkerPool] {
-        &self.pools
     }
 
     /// Number of shards.
@@ -156,7 +146,6 @@ impl ShardSet {
 }
 
 /// The vertices one lane (or one whole group) walks, ascending.
-#[derive(Clone)]
 enum Walk<'a> {
     Range(Range<usize>),
     List(&'a [u32]),
@@ -212,30 +201,32 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// What one group hands back from [`Lanes::run`]: its wall seconds
-/// (measured only when tracing a sharded upload) and its workers'
-/// results in worker order.
+/// What one group hands back from [`Lanes::run`]: its compute seconds
+/// (the sum of its lanes' seconds, measured only when tracing a sharded
+/// upload) and its lanes' results in lane order.
 pub type GroupOut<R> = (f64, Vec<R>);
 
-/// The lane assignment of one run: groups of workers, each group a pool
-/// and the ascending vertex list its workers split between them. See
-/// the module docs.
+/// The lane assignment of one run: groups of lanes, each group an
+/// ascending vertex list its lanes split between them, all on one pool.
+/// See the module docs.
 pub struct Lanes<'a> {
-    /// Pool and owned vertices per group.
-    groups: Vec<(&'a WorkerPool, Walk<'a>)>,
+    pool: &'a WorkerPool,
+    /// Owned vertices per group.
+    groups: Vec<Walk<'a>>,
     owner: Option<&'a [u32]>,
 }
 
 impl<'a> Lanes<'a> {
-    /// The lanes of an upload of `n` vertices: its shard set's pools and
-    /// vertex lists when it has one, else one group — all of `0..n` on
-    /// the caller's `pool`.
+    /// The lanes of an upload of `n` vertices on the caller's `pool`:
+    /// one group per shard of its shard set when it has one, else one
+    /// group — all of `0..n`.
     pub fn new(n: usize, pool: &'a WorkerPool, shards: Option<&'a ShardSet>) -> Lanes<'a> {
         match shards {
-            None => Lanes { groups: vec![(pool, Walk::Range(0..n))], owner: None },
+            None => Lanes { pool, groups: vec![Walk::Range(0..n)], owner: None },
             Some(set) => Lanes {
-                groups: (set.pools.iter().enumerate())
-                    .map(|(s, pool)| (pool, Walk::List(set.sharded.shard(s))))
+                pool,
+                groups: (0..set.num_shards() as usize)
+                    .map(|s| Walk::List(set.sharded.shard(s)))
                     .collect(),
                 owner: Some(set.sharded.owner()),
             },
@@ -256,16 +247,16 @@ impl<'a> Lanes<'a> {
         self.owner.is_some()
     }
 
-    /// One superstep's compute phase over every vertex: each group's
-    /// pool runs `f` on contiguous slices of the group's ascending
-    /// vertex list, all groups concurrently. Returns once every group is
-    /// done, results in group order.
+    /// One superstep's compute phase over every vertex: `f` runs on
+    /// contiguous slices of each group's ascending vertex list, all
+    /// groups in one pool run. Returns once every lane is done, results
+    /// in group order.
     pub fn run<R, F>(&self, tracing: bool, f: F) -> Vec<GroupOut<R>>
     where
         R: Send,
         F: Fn(&Lane<'_>) -> R + Sync,
     {
-        self.run_walks(tracing, f, |s| self.groups[s].1.clone())
+        self.run_walks(tracing, f, &self.groups)
     }
 
     /// As [`Lanes::run`], over `members` only: each group walks the
@@ -276,47 +267,54 @@ impl<'a> Lanes<'a> {
         F: Fn(&Lane<'_>) -> R + Sync,
     {
         let Some(owner) = self.owner else {
-            return self.run_walks(tracing, f, |_| Walk::List(members));
+            return self.run_walks(tracing, f, &[Walk::List(members)]);
         };
         let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.groups.len()];
         for &u in members {
             routed[owner[u as usize] as usize].push(u);
         }
-        self.run_walks(tracing, f, |s| Walk::List(&routed[s]))
+        let walks: Vec<Walk<'_>> = routed.iter().map(|r| Walk::List(r)).collect();
+        self.run_walks(tracing, f, &walks)
     }
 
-    /// Group 0 runs on the calling thread, every further group on a
-    /// scoped driver thread — so one group costs no spawn at all, and
-    /// the drivers report their seconds back rather than touch the
+    /// Splits each group's walk into `max(1, threads / groups)`
+    /// contiguous lanes — on one group exactly `pool.split(n)` — and
+    /// runs the `(group, lane)` items, flattened in group order, in one
+    /// pool run: with more items than threads a worker walks several in
+    /// turn. Lanes report their seconds back rather than touch the
     /// caller's thread-local trace collector.
-    fn run_walks<'w, R, F>(
-        &'w self,
-        tracing: bool,
-        f: F,
-        walk_of: impl Fn(usize) -> Walk<'w> + Sync,
-    ) -> Vec<GroupOut<R>>
+    fn run_walks<R, F>(&self, tracing: bool, f: F, walks: &[Walk<'_>]) -> Vec<GroupOut<R>>
     where
         R: Send,
         F: Fn(&Lane<'_>) -> R + Sync,
     {
         let timing = tracing && self.is_sharded();
-        let drive = |s: usize| -> GroupOut<R> {
-            let walk = walk_of(s);
-            let t = timing.then(Instant::now);
-            let out = self.groups[s].0.run(walk.len(), |_, part| {
-                f(&Lane { walk: walk.slice(part), shard: s as u32, owner: self.owner })
-            });
-            (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
-        };
-        let drive = &drive;
-        std::thread::scope(|scope| {
-            let rest: Vec<_> =
-                (1..self.groups.len()).map(|s| scope.spawn(move || drive(s))).collect();
-            let mut outs = Vec::with_capacity(self.groups.len());
-            outs.push(drive(0));
-            outs.extend(rest.into_iter().map(|h| h.join().expect("shard driver panicked")));
-            outs
-        })
+        let per_group = (self.pool.threads() / walks.len() as u32).max(1);
+        let items: Vec<Lane<'_>> = (walks.iter().enumerate())
+            .flat_map(|(s, walk)| {
+                split_ranges(per_group, walk.len()).into_iter().map(move |part| Lane {
+                    walk: walk.slice(part),
+                    shard: s as u32,
+                    owner: self.owner,
+                })
+            })
+            .collect();
+        let done = self.pool.run(items.len(), |_, range| {
+            (items[range].iter())
+                .map(|lane| {
+                    let t = timing.then(Instant::now);
+                    let out = f(lane);
+                    (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut groups: Vec<GroupOut<R>> = walks.iter().map(|_| (0.0, Vec::new())).collect();
+        for (lane, (secs, out)) in items.iter().zip(done.into_iter().flatten()) {
+            let group = &mut groups[lane.shard as usize];
+            group.0 += secs;
+            group.1.push(out);
+        }
+        groups
     }
 
     /// What a sharded barrier adds to a superstep span: the groups'
@@ -341,8 +339,8 @@ impl<'a> Lanes<'a> {
     }
 }
 
-/// The `Shard` child span of group `s`: its compute seconds this
-/// superstep.
+/// The `Shard` child span of group `s`: its lanes' summed compute
+/// seconds this superstep.
 pub fn shard_span(s: usize, secs: f64) -> SpanRecord {
     SpanRecord::new("Shard", secs).with_info("shard", s)
 }
@@ -380,12 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn build_splits_pools_and_reports_cut() {
+    fn build_splits_lanes_and_reports_cut() {
         let pool = WorkerPool::new(4);
-        let set = ShardSet::build(csr(), &ShardPlan::new(2), &pool).unwrap();
+        let set = ShardSet::build(csr(), &ShardPlan::new(2)).unwrap();
         assert_eq!(set.num_shards(), 2);
-        assert_eq!(set.pools().len(), 2);
-        assert_eq!(set.pools()[0].threads(), 2, "4 caller threads over 2 shards");
+        let groups = Lanes::new(64, &pool, Some(&set)).run(false, |_| ());
+        let lanes: Vec<usize> = groups.iter().map(|(_, workers)| workers.len()).collect();
+        assert_eq!(lanes, [2, 2], "4 caller threads over 2 shards");
         let f = set.cut_fraction();
         assert!((0.0..=1.0).contains(&f));
         assert!(f > 0.0, "hash placement must cut something on a ring");
@@ -422,17 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lanes_walk_owned_vertices_ascending_on_shard_pools() {
+    fn sharded_lanes_walk_owned_vertices_ascending_on_the_callers_pool() {
         let pool = WorkerPool::new(4);
-        let set = ShardSet::build(csr(), &ShardPlan::new(2), &pool).unwrap();
+        let set = ShardSet::build(csr(), &ShardPlan::new(2)).unwrap();
         let lanes = Lanes::new(64, &pool, Some(&set));
         let owner = lanes.owner().expect("sharded lanes carry the owner map");
         // Untraced runs report zero seconds; groups come back in shard
-        // order, each group's workers splitting its ascending list.
+        // order, each group's lanes splitting its ascending list — all
+        // in one run of the caller's pool.
+        let before = pool.stats();
         let groups = lanes.run(false, walk);
+        assert_eq!(pool.stats().runs, before.runs + 1);
+        assert_eq!(pool.stats().dispatches, before.dispatches + 1);
         assert!(groups.iter().all(|(secs, _)| *secs == 0.0));
         for (s, workers) in walked(groups).into_iter().enumerate() {
-            assert_eq!(workers.len(), 2, "two threads per shard pool");
+            assert_eq!(workers.len(), 2, "two lanes per shard on a 4-wide pool");
             assert!(workers.iter().all(|(shard, _)| *shard == s as u32));
             let all: Vec<u32> = workers.into_iter().flat_map(|(_, seen)| seen).collect();
             assert_eq!(all, set.sharded().shard(s));
@@ -453,21 +456,42 @@ mod tests {
 
     #[test]
     fn greedy_strategy_shards_with_real_placement() {
-        let pool = WorkerPool::inline();
         let plan = ShardPlan {
             strategy: PartitionStrategy::GreedyVertexCut,
             ..ShardPlan::new(2)
         };
-        let set = ShardSet::build(csr(), &plan, &pool).unwrap();
+        let set = ShardSet::build(csr(), &plan).unwrap();
         // No hash fallback anymore: the greedy placement shards directly.
         assert_eq!(set.strategy(), PartitionStrategy::GreedyVertexCut);
         assert_eq!(set.num_shards(), 2);
     }
 
     #[test]
-    fn single_shard_pool_keeps_at_least_one_thread() {
+    fn every_shard_keeps_at_least_one_lane() {
         let pool = WorkerPool::new(2);
-        let set = ShardSet::build(csr(), &ShardPlan::new(4), &pool).unwrap();
-        assert!(set.pools().iter().all(|p| p.threads() == 1));
+        let set = ShardSet::build(csr(), &ShardPlan::new(4)).unwrap();
+        // Four shards on two threads: one lane each, all four in one
+        // pool run (each worker walks two in turn).
+        let groups = walked(Lanes::new(64, &pool, Some(&set)).run(false, walk));
+        assert_eq!(pool.stats().runs, 1);
+        for (s, workers) in groups.into_iter().enumerate() {
+            assert_eq!(workers, [(s as u32, set.sharded().shard(s).to_vec())]);
+        }
+    }
+
+    #[test]
+    fn a_lane_panic_reaches_the_caller_with_its_payload() {
+        let pool = WorkerPool::new(2);
+        let set = ShardSet::build(csr(), &ShardPlan::new(2)).unwrap();
+        let lanes = Lanes::new(64, &pool, Some(&set));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lanes.run(false, |lane| {
+                if lane.shard() == 1 {
+                    panic!("lane of shard 1 failed");
+                }
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"lane of shard 1 failed"));
     }
 }

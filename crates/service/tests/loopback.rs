@@ -94,6 +94,8 @@ fn concurrent_jobs_share_generated_graphs() {
     // The shared-pool gate: every measured execution (and both CSR
     // uploads) must have run on the daemon's single worker pool — if the
     // pool were bypassed (or per-job pools spawned), `runs` would be 0.
+    // Sharded jobs are covered too, by
+    // `sharded_job_serves_granula_archive_with_telemetry`.
     let pool = metrics.get("pool").expect("pool metrics present");
     assert_eq!(pool.get("threads").and_then(Json::as_u64), Some(2));
     assert!(
@@ -198,6 +200,10 @@ fn bad_requests_are_rejected_not_fatal() {
 #[test]
 fn sharded_job_serves_granula_archive_with_telemetry() {
     let (service, client) = start_service(2);
+    let pool_stat = |metrics: &Json, key: &str| {
+        metrics.get("pool").and_then(|p| p.get(key)).and_then(Json::as_u64).unwrap()
+    };
+    let before = client.metrics().expect("metrics");
     // A sharded (shards=2) measured pregel BFS, submitted raw so the
     // shards field reaches the API.
     let body = Json::obj(vec![
@@ -254,6 +260,17 @@ fn sharded_job_serves_granula_archive_with_telemetry() {
 
     // The monitor registry surfaces the run through both formats.
     let metrics = client.metrics().expect("metrics");
+    // The shared-pool gate, sharded: both shards' lanes ran on the
+    // daemon's one pool, at least one pool run per superstep.
+    let supersteps = process.children.len() as u64;
+    assert!(
+        pool_stat(&metrics, "runs") - pool_stat(&before, "runs") >= supersteps,
+        "every sharded superstep runs on the shared pool: {metrics:?}"
+    );
+    assert!(
+        pool_stat(&metrics, "dispatches") > pool_stat(&before, "dispatches"),
+        "a sharded job must dispatch to the shared pool's worker: {metrics:?}"
+    );
     let monitor = metrics.get("monitor").expect("monitor section");
     let histograms = monitor.get("histograms").and_then(Json::as_arr).unwrap();
     let job_seconds = histograms

@@ -60,6 +60,12 @@ impl AlgorithmOutput {
         AlgorithmOutput { algorithm, vertex_ids: csr.vertex_ids().to_vec(), values }
     }
 
+    /// Heap bytes held: the id column plus the value column (every value
+    /// type is eight bytes wide).
+    pub fn resident_bytes(&self) -> u64 {
+        ((self.vertex_ids.len() + self.values.len()) * 8) as u64
+    }
+
     /// The value for a sparse vertex id, rendered as a string (for report
     /// files and debugging).
     pub fn value_string(&self, v: VertexId) -> Option<String> {

@@ -78,6 +78,17 @@ pub fn validate_with_epsilon(
             actual.vertex_ids.len()
         )));
     }
+    // The comparisons below index both sides by the reference's vertex
+    // positions: a value vector of any other length is malformed output.
+    for output in [reference, actual] {
+        let (k, n) = (output.values.len(), output.vertex_ids.len());
+        if k != n {
+            return Err(Error::ValidationFailed(format!(
+                "{}: {k} values for {n} vertices",
+                output.algorithm
+            )));
+        }
+    }
 
     let mut report = ValidationReport {
         algorithm: reference.algorithm,
@@ -236,6 +247,39 @@ mod tests {
         let mut wrong_ids = out(Algorithm::Bfs, OutputValues::I64(vec![0, 1]));
         wrong_ids.vertex_ids = vec![5, 6];
         assert!(validate(&r, &wrong_ids).is_err());
+    }
+
+    #[test]
+    fn value_vectors_of_the_wrong_length_are_errors() {
+        let with_len = |alg, values: OutputValues| AlgorithmOutput {
+            algorithm: alg,
+            vertex_ids: vec![0, 1, 2],
+            values,
+        };
+        let cases = [
+            (Algorithm::Bfs, OutputValues::I64(vec![0, 1, 1]), OutputValues::I64(vec![0, 1]), 2),
+            (
+                Algorithm::PageRank,
+                OutputValues::F64(vec![0.2, 0.3, 0.5]),
+                OutputValues::F64(vec![0.2, 0.3, 0.5, 0.0]),
+                4,
+            ),
+            (Algorithm::Wcc, OutputValues::Id(vec![0, 0, 2]), OutputValues::Id(vec![0, 0]), 2),
+            (
+                Algorithm::Wcc,
+                OutputValues::Id(vec![0, 0, 2]),
+                OutputValues::Id(vec![0, 0, 2, 2]),
+                4,
+            ),
+        ];
+        for (alg, good, bad, k) in cases {
+            let want = format!("{alg}: {k} values for 3 vertices");
+            for (r, a) in [(&good, &bad), (&bad, &good)] {
+                let err = validate(&with_len(alg, r.clone()), &with_len(alg, a.clone()))
+                    .expect_err("a short or long value vector must not validate");
+                assert!(matches!(err, Error::ValidationFailed(ref m) if *m == want), "{err}");
+            }
+        }
     }
 
     #[test]

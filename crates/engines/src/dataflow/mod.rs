@@ -223,7 +223,7 @@ impl DataflowGraph {
 }
 
 impl LoadedGraph for DataflowGraph {
-    fn csr(&self) -> &Csr {
+    fn csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

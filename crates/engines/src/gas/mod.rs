@@ -286,7 +286,7 @@ pub struct GasGraph {
 }
 
 impl LoadedGraph for GasGraph {
-    fn csr(&self) -> &Csr {
+    fn csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

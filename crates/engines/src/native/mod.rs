@@ -43,7 +43,7 @@ pub struct NativeGraph {
 }
 
 impl LoadedGraph for NativeGraph {
-    fn csr(&self) -> &Csr {
+    fn csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

@@ -88,8 +88,10 @@ pub struct Mutation {
 /// to another is an error, exactly like pointing a Giraph job at a
 /// GraphMat heap.
 pub trait LoadedGraph: Send + Sync {
-    /// The generic CSR this representation was built from.
-    fn csr(&self) -> &Csr;
+    /// The generic CSR this representation was built from: the very
+    /// allocation handed to [`Platform::upload`], so its identity names
+    /// the graph the engine answers for.
+    fn csr(&self) -> &Arc<Csr>;
 
     /// Downcast hook for the owning engine.
     fn as_any(&self) -> &dyn std::any::Any;

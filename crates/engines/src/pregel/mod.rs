@@ -342,7 +342,7 @@ pub struct PregelGraph {
 }
 
 impl LoadedGraph for PregelGraph {
-    fn csr(&self) -> &Csr {
+    fn csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

@@ -225,7 +225,7 @@ impl PushPullGraph {
 }
 
 impl LoadedGraph for PushPullGraph {
-    fn csr(&self) -> &Csr {
+    fn csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

@@ -172,7 +172,7 @@ impl SpmvGraph {
 }
 
 impl LoadedGraph for SpmvGraph {
-    fn csr(&self) -> &Csr {
+    fn csr(&self) -> &Arc<Csr> {
         &self.csr
     }
 

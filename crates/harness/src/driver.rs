@@ -14,23 +14,29 @@
 //!    `T_proc` (and therefore EPS/EVPS). Each repetition draws its own
 //!    deterministic noise sample (keyed by `run_index + repetition`).
 //! 4. **validate** — outputs are checked against the reference
-//!    implementation (a reference-side failure is a
-//!    [`JobStatus::ValidationFailed`], never a panic).
+//!    implementation's output for the graph, computed once per (graph,
+//!    request) and kept resident in the driver's [`ReferenceCache`] (a
+//!    reference-side failure is a [`JobStatus::ValidationFailed`], never
+//!    a panic).
 //! 5. **delete** — release the engine-owned representation.
 //!
 //! Analytic jobs (paper-scale datasets) skip upload/delete and estimate
 //! counters instead, but still produce one [`RunMeasurement`] per
 //! repetition so mean/min/max and CV work identically in both modes.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
 use graphalytics_cluster::cost::{noise_factor, processing_time};
 use graphalytics_cluster::memory::MemoryOutcome;
 use graphalytics_cluster::partition::{estimate_replication, PartitionStrategy};
 use graphalytics_cluster::{ClusterSpec, NetworkSpec, WorkCounters};
+use graphalytics_core::algorithms::{run_reference, Request};
 use graphalytics_core::datasets::DatasetSpec;
 use graphalytics_core::fault::{self, CancelToken, FaultScript, FaultSite};
+use graphalytics_core::output::AlgorithmOutput;
+use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_core::{random_batch, Algorithm, Csr, DeltaConfig, MutableGraph, MutationBatch};
 use graphalytics_engines::profile::NetworkKind;
@@ -335,6 +341,97 @@ impl JobResult {
     }
 }
 
+/// Validation references as resident data: one reference output per
+/// (graph, request), reused by every job validated on that graph — the
+/// way Graphalytics ships reference outputs with each dataset instead of
+/// recomputing them per run.
+///
+/// The key is the graph's identity (`Arc::as_ptr`) plus the resolved
+/// [`Request`]. Each entry holds a [`Weak`] to its graph, which keeps the
+/// allocation's address from being reused while the entry exists, so a
+/// pointer match against a live `Arc` is that very graph. Invalidation is
+/// therefore by construction: a mutation batch yields a new snapshot
+/// `Arc` (a new key), and a graph nobody holds can never be looked up
+/// again; its entry is dropped at the next insert. A job that holds an
+/// older snapshot still validates against that snapshot's reference.
+/// Reference-side errors are never cached.
+#[derive(Default)]
+pub struct ReferenceCache {
+    entries: Mutex<Vec<ReferenceEntry>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// One resident reference: its graph (held weakly), the resolved request
+/// and the output.
+type ReferenceEntry = (Weak<Csr>, Request, Arc<AlgorithmOutput>);
+
+/// Counter snapshot of a [`ReferenceCache`].
+#[derive(Debug, Clone, Copy)]
+pub struct ReferenceStats {
+    /// Lookups answered by a resident reference.
+    pub hits: u64,
+    /// Lookups that ran the reference implementation.
+    pub misses: u64,
+    /// Resident entries (an entry whose graph died goes at the next
+    /// insert).
+    pub entries: u64,
+    /// Bytes of the resident reference outputs.
+    pub resident_bytes: u64,
+}
+
+impl ReferenceCache {
+    fn lock(&self) -> MutexGuard<'_, Vec<ReferenceEntry>> {
+        // Every update (a `retain`, a `push`) leaves the list valid, so
+        // recovering a poisoned lock is safe.
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The reference output of `algorithm` with `params` on `graph`: the
+    /// resident one if an earlier lookup on this graph resolved to the
+    /// same request, otherwise computed (outside the lock) and kept. An
+    /// input the reference rejects is an `Err` and is not counted.
+    pub fn get(
+        &self,
+        graph: &Arc<Csr>,
+        algorithm: Algorithm,
+        params: &AlgorithmParams,
+    ) -> graphalytics_core::Result<Arc<AlgorithmOutput>> {
+        let request = Request::resolve(graph, algorithm, params)?;
+        let find = |entries: &[ReferenceEntry]| {
+            entries
+                .iter()
+                .find(|(g, r, _)| g.as_ptr() == Arc::as_ptr(graph) && *r == request)
+                .map(|(_, _, output)| Arc::clone(output))
+        };
+        if let Some(resident) = find(&self.lock()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(resident);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let output = Arc::new(run_reference(graph, algorithm, params)?);
+        let mut entries = self.lock();
+        entries.retain(|(g, ..)| g.strong_count() > 0);
+        // A concurrent miss on the same key may have inserted first.
+        if let Some(resident) = find(&entries) {
+            return Ok(resident);
+        }
+        entries.push((Arc::downgrade(graph), request, Arc::clone(&output)));
+        Ok(output)
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> ReferenceStats {
+        let entries = self.lock();
+        ReferenceStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: entries.len() as u64,
+            resident_bytes: entries.iter().map(|(_, _, output)| output.resident_bytes()).sum(),
+        }
+    }
+}
+
 /// The job driver.
 pub struct Driver {
     /// Validate measured outputs against the reference implementation.
@@ -350,6 +447,14 @@ pub struct Driver {
     ///
     /// [`Runner`]: crate::runner::Runner
     pub pool: Arc<WorkerPool>,
+    /// The validation references measured jobs compare against. Owned
+    /// like `pool`: one per benchmark run in the [`Runner`] (so each
+    /// (dataset, algorithm) reference is computed once, not once per
+    /// platform), one per daemon in the service; the default is a cache
+    /// private to this driver.
+    ///
+    /// [`Runner`]: crate::runner::Runner
+    pub references: Arc<ReferenceCache>,
     /// Granula-monitor gate: when enabled (the default), measured runs
     /// trace per-superstep spans into the archive and a background
     /// sampler attaches resource samples ([`MonitorConfig::disabled`]
@@ -375,6 +480,7 @@ impl Default for Driver {
             noise: true,
             seed: 0xB5ED,
             pool: WorkerPool::shared(),
+            references: Arc::new(ReferenceCache::default()),
             monitor: MonitorConfig::default(),
             cancel: CancelToken::new(),
             faults: FaultScript::empty(),
@@ -671,18 +777,14 @@ impl Driver {
             }
         }
 
-        // The reference output is computed once — on the materialized
-        // post-mutation graph when a mutation script ran, since that is
-        // the graph the engine now answers for. A reference-side failure
-        // is recorded as a validation failure instead of panicking the
-        // benchmark mid-run.
-        let reference_csr = replay.as_ref().map(|r| r.merged.as_ref()).unwrap_or(csr);
+        // The reference output belongs to the graph the engine now
+        // answers for: the materialized post-mutation graph when a
+        // mutation script ran (a fresh `Arc`, so a fresh key), the upload's
+        // own graph otherwise. A reference-side failure is recorded as a
+        // validation failure instead of panicking the benchmark mid-run.
+        let reference_csr = replay.as_ref().map_or(csr, |r| &r.merged);
         let reference = if self.validate {
-            match graphalytics_core::algorithms::run_reference(
-                reference_csr,
-                spec.algorithm,
-                &params,
-            ) {
+            match self.references.get(reference_csr, spec.algorithm, &params) {
                 Ok(reference) => Some(reference),
                 Err(e) => {
                     result.status =
@@ -1079,8 +1181,6 @@ mod tests {
     use super::*;
     use graphalytics_core::datasets::dataset;
     use graphalytics_core::error::Result;
-    use graphalytics_core::output::AlgorithmOutput;
-    use graphalytics_core::params::AlgorithmParams;
     use graphalytics_engines::{platform_by_name, Execution};
 
     fn spec(ds: &'static str, alg: Algorithm, machines: u32) -> JobSpec {
@@ -1228,7 +1328,7 @@ mod tests {
         // missing weights); the driver must record ValidationFailed.
         struct LyingGraph(Arc<Csr>);
         impl LoadedGraph for LyingGraph {
-            fn csr(&self) -> &Csr {
+            fn csr(&self) -> &Arc<Csr> {
                 &self.0
             }
             fn as_any(&self) -> &dyn std::any::Any {
@@ -1293,6 +1393,36 @@ mod tests {
             }
             other => panic!("expected ValidationFailed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn references_are_keyed_by_graph_identity_and_request() {
+        let cache = ReferenceCache::default();
+        let csr = proxy_csr("G22");
+        let root = csr.vertex_ids()[0];
+        let params = AlgorithmParams::with_source(root);
+        let first = cache.get(&csr, Algorithm::Bfs, &params).unwrap();
+        let again = cache.get(&csr, Algorithm::Bfs, &params).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "same graph, same request: resident");
+        assert_eq!(*first, run_reference(&csr, Algorithm::Bfs, &params).unwrap());
+        // Another request on the same graph, and an equal graph in
+        // another allocation, are other keys.
+        let other_root = AlgorithmParams::with_source(csr.vertex_ids()[1]);
+        cache.get(&csr, Algorithm::Bfs, &other_root).unwrap();
+        let twin = Arc::new((*csr).clone());
+        let on_twin = cache.get(&twin, Algorithm::Bfs, &params).unwrap();
+        assert!(!Arc::ptr_eq(&first, &on_twin));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
+        assert_eq!(stats.resident_bytes, 3 * first.resident_bytes());
+        // Inputs the reference rejects are errors, neither counted nor kept.
+        assert!(cache.get(&csr, Algorithm::Sssp, &params).is_err());
+        assert_eq!(cache.stats().misses, 3);
+        // A graph nobody holds leaves at the next insert.
+        drop(twin);
+        cache.get(&csr, Algorithm::Wcc, &params).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.entries), (4, 3));
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod survey;
 pub use config::BenchmarkConfig;
 pub use description::BenchmarkDescription;
 pub use driver::{
-    Driver, JobResult, JobSpec, JobStatus, MutationScript, MutationSummary, RunMeasurement,
-    RunMode,
+    Driver, JobResult, JobSpec, JobStatus, MutationScript, MutationSummary, ReferenceCache,
+    ReferenceStats, RunMeasurement, RunMode,
 };
 pub use results::ResultsDatabase;
 pub use runner::{Runner, RunnerMode};

@@ -90,7 +90,9 @@ impl Runner {
     /// build, every engine upload and every measured execution; no job
     /// spawns threads of its own. Measured mode uploads once per
     /// (platform, dataset) and executes `benchmark.repetitions` times
-    /// per job.
+    /// per job. Every job validates through the run's one driver, whose
+    /// reference cache computes each (dataset, algorithm) reference once
+    /// for all platforms.
     pub fn run(&self) -> Result<ResultsDatabase> {
         let pool = Arc::new(WorkerPool::new(self.config.pool_threads()));
         let driver = Driver { seed: self.config.seed, pool: pool.clone(), ..Driver::default() };

@@ -536,11 +536,33 @@ fn refresh_mutation_gauges(state: &ServiceState) {
     state.metrics.gauge("mutation_delta_arcs").set(m.delta_arcs as f64);
 }
 
+/// The validation-reference section of `GET /metrics`: how often a job
+/// reused a resident reference, and what the resident ones hold.
+fn references_json(state: &ServiceState) -> Json {
+    let r = state.references.stats();
+    Json::obj(vec![
+        ("hits", Json::Num(r.hits as f64)),
+        ("misses", Json::Num(r.misses as f64)),
+        ("entries", Json::Num(r.entries as f64)),
+        ("resident_bytes", Json::Num(r.resident_bytes as f64)),
+    ])
+}
+
+/// The same numbers as gauges, for the Prometheus exposition.
+fn refresh_reference_gauges(state: &ServiceState) {
+    let r = state.references.stats();
+    state.metrics.gauge("reference_hits").set(r.hits as f64);
+    state.metrics.gauge("reference_misses").set(r.misses as f64);
+    state.metrics.gauge("reference_entries").set(r.entries as f64);
+    state.metrics.gauge("reference_resident_bytes").set(r.resident_bytes as f64);
+}
+
 fn metrics(state: &ServiceState, request: &Request) -> Response {
     match request.query_param("format") {
         Some("prometheus") => {
             refresh_pool_gauges(state);
             refresh_mutation_gauges(state);
+            refresh_reference_gauges(state);
             return Response::text(200, state.metrics.snapshot().to_prometheus());
         }
         Some(other) => {
@@ -593,6 +615,7 @@ fn metrics(state: &ServiceState, request: &Request) -> Response {
                 ]),
             ),
             ("mutations", mutations_json(state)),
+            ("references", references_json(state)),
             ("results", results_aggregates(state)),
         ]),
     )

@@ -19,7 +19,9 @@ use graphalytics_core::fault::{Backoff, CancelToken, FaultPlan, FaultScript};
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_engines::platform_by_name;
 use graphalytics_granula::{MetricsRegistry, PerformanceArchive};
-use graphalytics_harness::{Driver, JobResult, JobSpec, JobStatus, ResultsDatabase, RunMode};
+use graphalytics_harness::{
+    Driver, JobResult, JobSpec, JobStatus, ReferenceCache, ResultsDatabase, RunMode,
+};
 
 use crate::api;
 use crate::http::{Request, Response};
@@ -86,6 +88,12 @@ pub struct ServiceState {
     /// The daemon-wide execution runtime: one pool, shared by every job
     /// worker (and the store's CSR builds) for the process lifetime.
     pub pool: Arc<WorkerPool>,
+    /// The daemon-wide validation references, handed to every job's
+    /// driver: each (graph snapshot, request) reference is computed once
+    /// and reused by every later job on that snapshot. Keyed by graph
+    /// identity, so a mutation batch or a store eviction invalidates by
+    /// construction (see [`ReferenceCache`]).
+    pub references: Arc<ReferenceCache>,
     /// The Granula monitor's metrics registry: job-latency histograms and
     /// run counters, exported by `GET /metrics` (JSON or Prometheus).
     pub metrics: MetricsRegistry,
@@ -117,6 +125,7 @@ impl ServiceState {
             queue: JobQueue::bounded(config.queue_capacity),
             results: ResultsDatabase::new(),
             pool,
+            references: Arc::new(ReferenceCache::default()),
             metrics: MetricsRegistry::new(),
             seed: config.seed,
             fault_plan: config.fault_plan.clone(),
@@ -171,6 +180,7 @@ impl ServiceState {
         let driver = Driver {
             seed: self.seed,
             pool: self.pool.clone(),
+            references: self.references.clone(),
             cancel: token.clone(),
             faults,
             ..Driver::default()

@@ -386,6 +386,63 @@ fn mutations_reject_undeclared_vertices_and_jobs_run_on_mutated_graphs() {
 }
 
 #[test]
+fn validation_references_are_resident_per_graph_snapshot() {
+    // A one-byte store: every newly generated graph evicts the others.
+    let service = Service::start(ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        store: GraphStoreConfig {
+            capacity_bytes: 1,
+            scale_divisor: 8192,
+            ..GraphStoreConfig::default()
+        },
+        seed: 0xB5ED,
+        pool_threads: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let client = Client::new(service.addr().to_string());
+    let run = |platform: &str, dataset: &str| {
+        let id = client.submit(platform, dataset, "pr", JobMode::Measured).unwrap();
+        let record = client.wait(id, Duration::from_secs(120)).unwrap();
+        let status = record.get("result").and_then(|r| r.get("status")).and_then(Json::as_str);
+        assert_eq!(status, Some("completed"), "{platform} pr on {dataset}: {record:?}");
+        let metrics = client.metrics().unwrap();
+        let references = metrics.get("references").expect("references section").clone();
+        let field = |key: &str| references.get(key).and_then(Json::as_u64).unwrap();
+        (field("hits"), field("misses"), field("entries"), field("resident_bytes"))
+    };
+
+    // The same cell twice on one graph: the second job reuses the first
+    // job's reference, and so does another engine on that graph.
+    let (hits, misses, entries, _) = run("native", "G22");
+    assert_eq!((hits, misses, entries), (0, 1, 1));
+    let (hits, misses, entries, bytes) = run("native", "G22");
+    assert_eq!((hits, misses, entries), (1, 1, 1));
+    assert!(bytes > 0);
+    assert_eq!(run("spmv", "G22").0, 2);
+
+    // R1 evicts G22 from the store; inserting R1's reference drops the
+    // entry of the graph nobody holds any more.
+    let (hits, misses, entries, _) = run("native", "R1");
+    assert_eq!((hits, misses, entries), (2, 2, 1));
+
+    // A mutation batch makes a new snapshot: the next job is a miss.
+    client.mutate_generated("R1", 16, 4, 7).expect("batch applies");
+    let (hits, misses, entries, _) = run("native", "R1");
+    assert_eq!((hits, misses, entries), (2, 3, 2), "the pre-batch graph is still resident");
+    let (hits, misses, _, _) = run("native", "R1");
+    assert_eq!((hits, misses), (3, 3), "the snapshot's reference is resident in turn");
+
+    // The Prometheus exposition carries the same numbers as gauges.
+    let text = client.metrics_prometheus().unwrap();
+    assert!(text.contains("reference_hits 3"), "{text}");
+    assert!(text.contains("reference_misses 3"), "{text}");
+    assert!(text.contains("# TYPE reference_resident_bytes gauge"), "{text}");
+    service.shutdown();
+}
+
+#[test]
 fn queued_jobs_can_be_cancelled() {
     // Single worker: two heavy head-of-line jobs occupy it while we
     // cancel a job that is still safely queued behind them.

@@ -41,8 +41,8 @@
 //! [`reduce_by_key`] folds each key's records, in stream order, into a
 //! direct-addressed slot table as they pass (the group is consumed as it
 //! forms and never stored); [`group_by_key`], the one place a grouping is
-//! materialised, is a counting pass and a scatter into one
-//! `offsets`/`values` layout ([`Grouped`]). What the model charges is
+//! materialised, calls [`Grouped::regroup`], the same counting pass and
+//! stable fill that builds the Pregel inbox. What the model charges is
 //! untouched: one shuffled record per distinct key where a combiner
 //! exists, every record where none does.
 
@@ -58,6 +58,7 @@ use graphalytics_core::Csr;
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::WorkerPool;
+use crate::common::Grouped;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 
@@ -122,74 +123,20 @@ pub fn reduce_by_key<V>(
     reduced
 }
 
-/// The output of [`group_by_key`]: key `k`'s values are
-/// `values[offsets[k]..offsets[k + 1]]`, in stream order.
-#[derive(Debug)]
-pub struct Grouped<V> {
-    offsets: Vec<usize>,
-    values: Vec<V>,
-}
-
-impl<V> Grouped<V> {
-    /// The values grouped under `key` (empty if it had no record).
-    pub fn group(&self, key: u32) -> &[V] {
-        &self.values[self.offsets[key as usize]..self.offsets[key as usize + 1]]
-    }
-
-    /// [`Grouped::group`], mutably (`cdlp::mode_label` sorts its votes).
-    pub fn group_mut(&mut self, key: u32) -> &mut [V] {
-        &mut self.values[self.offsets[key as usize]..self.offsets[key as usize + 1]]
-    }
-
-    /// Turns every group into a set, in place: sorted, duplicates dropped,
-    /// the survivors compacted to the front of `values`.
-    pub fn sort_dedup(&mut self)
-    where
-        V: Ord + Copy,
-    {
-        let (mut kept, mut lo) = (0, 0);
-        for k in 0..self.offsets.len() - 1 {
-            let hi = self.offsets[k + 1];
-            self.values[lo..hi].sort_unstable();
-            self.offsets[k] = kept;
-            for i in lo..hi {
-                if kept == self.offsets[k] || self.values[kept - 1] != self.values[i] {
-                    self.values[kept] = self.values[i];
-                    kept += 1;
-                }
-            }
-            lo = hi;
-        }
-        *self.offsets.last_mut().expect("offsets hold n + 1 entries") = kept;
-        self.values.truncate(kept);
-    }
-}
-
 /// Groups values by key **without a combiner** (Spark's `groupByKey`):
 /// every record of the stream `chunks` over keys `0..n` crosses the
 /// shuffle, is charged to `counters`, and the full multiset is
-/// materialized per key. This is the CDLP path.
-pub fn group_by_key<V: Copy + Default>(
+/// materialized per key ([`Grouped::regroup`]). This is the CDLP path.
+pub fn group_by_key<V: Clone + Default>(
     chunks: Vec<Vec<(u32, V)>>,
     n: usize,
     bytes_per_record: u64,
     counters: &mut WorkCounters,
 ) -> Grouped<V> {
-    let mut offsets = vec![0usize; n + 1];
-    for &(k, _) in chunks.iter().flatten() {
-        offsets[k as usize + 1] += 1;
-    }
-    for k in 0..n {
-        offsets[k + 1] += offsets[k];
-    }
-    counters.add_messages(offsets[n] as u64, bytes_per_record);
-    let mut values = vec![V::default(); offsets[n]];
-    let mut next = offsets.clone();
-    for (k, v) in chunks.into_iter().flatten() {
-        values[next[k as usize]] = v;
-        next[k as usize] += 1;
-    }
-    Grouped { offsets, values }
+    counters.add_messages(chunks.iter().map(Vec::len).sum::<usize>() as u64, bytes_per_record);
+    let mut grouped = Grouped::default();
+    grouped.regroup(n, chunks.iter().map(Vec::as_slice));
+    grouped
 }
 
 /// The uploaded representation: the GraphX property-graph pair. The

@@ -10,7 +10,7 @@
 //! * **supersteps** are global synchronous barriers;
 //! * a vertex *votes to halt* by returning `false`; it is re-activated by
 //!   incoming messages; execution ends when no vertex is active and no
-//!   messages are in flight (or the program's superstep cap is reached);
+//!   messages are in flight (or a fixed-iteration program's cap is hit);
 //! * a global **sum aggregator** is available with Pregel semantics (values
 //!   contributed in superstep `s` are visible in `s+1`) — PageRank uses it
 //!   for dangling-vertex mass.
@@ -24,11 +24,13 @@
 //! One superstep loop ([`run_pregel`]) serves every upload. A sharded
 //! upload only changes the *lane assignment* ([`crate::sharded`]): which
 //! pool computes which ascending list of vertices, and which owner map
-//! prices a message as cut traffic when it is sent. Inboxes fill in
-//! ascending-sender order either way — a straight walk of one group's
-//! outboxes, a `k`-way merge of per-sender runs for `k` shards
-//! ([`deliver`]) — so every vertex reads bit-identical inputs under
-//! every layout, and nothing is sorted.
+//! prices a message as cut traffic when it is sent. The inbox is one
+//! [`Grouped`] of the superstep's messages by target — the dataflow
+//! shuffle's grouping — refilled in place every superstep. Its stream is
+//! in ascending-sender order under every layout: one group's outboxes in
+//! worker order, or a `k`-way merge of per-sender run slices for `k`
+//! shards ([`deliver`]). So every vertex reads bit-identical inputs,
+//! nothing is sorted, and a warm run allocates per superstep, not vertex.
 
 mod programs;
 #[cfg(test)]
@@ -36,6 +38,7 @@ mod sharded;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,6 +51,7 @@ use graphalytics_core::Csr;
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::{SharedSlice, WorkerPool};
+use crate::common::Grouped;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
@@ -56,12 +60,13 @@ use crate::trace::{IterTimer, SpanRecord};
 pub use programs::{BfsProgram, CdlpProgram, LccMessage, LccProgram, PageRankProgram, SsspProgram, WccProgram};
 
 /// Per-worker compute context: outgoing messages, counters, aggregation.
+#[derive(Default)]
 pub struct ComputeCtx<'a, M> {
     outbox: Vec<(u32, M)>,
-    /// `(sender, messages sent)` per sending vertex, in the order the
+    /// `(sender, outbox range)` per sending vertex, in the order the
     /// lane walked them — what the barrier merges on. Recorded only on
     /// a sharded upload.
-    runs: Vec<(u32, u32)>,
+    runs: Vec<(u32, Range<usize>)>,
     /// The owner map and this worker's shard; `None` when monolithic.
     cut: Option<(&'a [u32], u32)>,
     /// Reusable buffer a program may sort or fold incoming messages in
@@ -74,30 +79,16 @@ pub struct ComputeCtx<'a, M> {
     inter_shard_messages: u64,
     inter_shard_bytes: u64,
     aggregate: f64,
-    default_msg_bytes: u64,
 }
 
-impl<'a, M> ComputeCtx<'a, M> {
-    fn new(default_msg_bytes: u64, cut: Option<(&'a [u32], u32)>) -> Self {
-        ComputeCtx {
-            outbox: Vec::new(),
-            runs: Vec::new(),
-            cut,
-            scratch: Vec::new(),
-            edges_scanned: 0,
-            random_accesses: 0,
-            message_bytes: 0,
-            inter_shard_messages: 0,
-            inter_shard_bytes: 0,
-            aggregate: 0.0,
-            default_msg_bytes,
-        }
-    }
+/// Serialized payload size of a fixed-size message.
+const MESSAGE_BYTES: u64 = 8;
 
+impl<'a, M> ComputeCtx<'a, M> {
     /// Sends `msg` to vertex `target` for delivery next superstep.
     #[inline]
     pub fn send(&mut self, target: u32, msg: M) {
-        self.send_sized(target, msg, self.default_msg_bytes);
+        self.send_sized(target, msg, MESSAGE_BYTES);
     }
 
     /// Sends a variable-size message (LCC neighbour lists).
@@ -117,7 +108,7 @@ impl<'a, M> ComputeCtx<'a, M> {
     #[inline]
     fn end_run(&mut self, sender: u32, mark: usize) {
         if self.cut.is_some() && self.outbox.len() > mark {
-            self.runs.push((sender, (self.outbox.len() - mark) as u32));
+            self.runs.push((sender, mark..self.outbox.len()));
         }
     }
 
@@ -149,7 +140,7 @@ impl<'a, M> ComputeCtx<'a, M> {
 
 /// A Pregel vertex program.
 pub trait VertexProgram: Sync {
-    type Message: Clone + Send + Sync;
+    type Message: Clone + Default + Send + Sync;
     type Value: Clone + Send;
 
     /// Initial vertex value.
@@ -170,14 +161,10 @@ pub trait VertexProgram: Sync {
         ctx: &mut ComputeCtx<'_, Self::Message>,
     ) -> bool;
 
-    /// Serialized payload size of a fixed-size message.
-    fn message_bytes(&self) -> u64 {
-        8
-    }
-
-    /// Upper bound on supersteps (fixed-iteration algorithms).
+    /// Upper bound on supersteps, for fixed-iteration programs; none by
+    /// default: BFS, WCC and SSSP halt by vote within `n + 1` supersteps.
     fn max_supersteps(&self) -> u64 {
-        10_000
+        u64::MAX
     }
 }
 
@@ -185,7 +172,8 @@ pub trait VertexProgram: Sync {
 /// `counters`. The one superstep loop, for every lane assignment: each
 /// worker computes the vertices of its [`Lane`](crate::sharded::Lane)
 /// (mutated through [`SharedSlice`] — lanes are disjoint) and the
-/// barrier [`deliver`]s the outboxes and folds the worker contexts.
+/// barrier folds the worker contexts and regroups the inbox from their
+/// outboxes ([`deliver`]).
 ///
 /// The global sum aggregator is *canonical*: each vertex's contribution
 /// lands in a per-vertex slot and the barrier sums the slots in
@@ -200,11 +188,11 @@ pub fn run_pregel<P: VertexProgram>(
 ) -> Vec<P::Value> {
     let n = csr.num_vertices();
     let mut values: Vec<P::Value> = (0..n as u32).map(|u| program.init(u, csr)).collect();
-    let mut inboxes: Vec<Vec<P::Message>> = (0..n).map(|_| Vec::new()).collect();
+    let mut inbox = Grouped::default();
+    inbox.regroup(n, std::iter::empty());
     let mut active = vec![true; n];
     let mut agg_contrib = vec![0.0f64; n];
     let mut aggregate = 0.0f64;
-    let msg_bytes = program.message_bytes();
     let owner = lanes.owner();
 
     let mut superstep = 0u64;
@@ -220,22 +208,21 @@ pub fn run_pregel<P: VertexProgram>(
         let values_ptr = SharedSlice::new(values.as_mut_ptr());
         let active_ptr = SharedSlice::new(active.as_mut_ptr());
         let agg_ptr = SharedSlice::new(agg_contrib.as_mut_ptr());
-        let inbox_ref: &Vec<Vec<P::Message>> = &inboxes;
         let groups = lanes.run(tracing, |lane| {
-            let mut ctx = ComputeCtx::new(msg_bytes, owner.map(|o| (o, lane.shard())));
+            let mut ctx = ComputeCtx { cut: owner.map(|o| (o, lane.shard())), ..Default::default() };
             lane.for_each(|u| {
                 let i = u as usize;
-                let has_messages = !inbox_ref[i].is_empty();
+                let messages = inbox.group(u);
                 // SAFETY: lanes are disjoint; only this worker touches u.
                 let (value, act) = unsafe { (values_ptr.at(i), active_ptr.at(i)) };
                 unsafe { *agg_ptr.at(i) = 0.0 };
-                if !(*act || has_messages) {
+                if !*act && messages.is_empty() {
                     return;
                 }
                 ctx.aggregate = 0.0;
                 let mark = ctx.outbox.len();
                 let still_active =
-                    program.compute(superstep, u, csr, value, &inbox_ref[i], aggregate, &mut ctx);
+                    program.compute(superstep, u, csr, value, messages, aggregate, &mut ctx);
                 ctx.end_run(u, mark);
                 unsafe { *agg_ptr.at(i) = ctx.aggregate };
                 *act = still_active;
@@ -267,11 +254,8 @@ pub fn run_pregel<P: VertexProgram>(
                 );
             }
         }
-        for inbox in inboxes.iter_mut() {
-            inbox.clear();
-        }
         let drain_t = (tracing && lanes.is_sharded()).then(Instant::now);
-        deliver(groups, &mut inboxes);
+        deliver(&groups, n, &mut inbox);
         let drain_secs = drain_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
         // Canonical aggregate: ascending vertex order, every slot.
         aggregate = agg_contrib.iter().sum();
@@ -289,47 +273,38 @@ pub fn run_pregel<P: VertexProgram>(
     values
 }
 
-/// Moves every outbox into the inboxes so that each inbox ends up in
-/// ascending-sender order with per-sender send order kept — the one
-/// delivery order, whatever the lanes (see [`crate::sharded`]).
-///
-/// One group's workers hold contiguous slices of one ascending list, so
-/// walking them in worker order *is* sender order. With `k` groups each
-/// group's stream is still ascending in sender and every sender has one
-/// owner, so a `k`-way merge of the groups' per-sender runs on the
-/// sender id restores the same order; no message is compared or moved
-/// twice.
-fn deliver<M>(mut groups: Vec<GroupOut<ComputeCtx<'_, M>>>, inboxes: &mut [Vec<M>]) {
-    if groups.len() == 1 {
-        for ctx in groups.remove(0).1 {
-            for (target, msg) in ctx.outbox {
-                inboxes[target as usize].push(msg);
-            }
-        }
+/// Regroups `inbox` from every outbox so that each vertex's messages
+/// come in ascending-sender order with per-sender send order kept — the
+/// one delivery order, whatever the lanes (see [`crate::sharded`]).
+/// One group's outboxes in worker order *are* sender order; `k` groups'
+/// runs are each ascending and every sender has one owner, so a `k`-way
+/// merge of the run slices on the sender id restores the same order.
+fn deliver<M: Clone + Default>(
+    groups: &[GroupOut<ComputeCtx<'_, M>>],
+    n: usize,
+    inbox: &mut Grouped<M>,
+) {
+    if let [(_, workers)] = groups {
+        inbox.regroup(n, workers.iter().map(|ctx| ctx.outbox.as_slice()));
         return;
     }
-    let mut streams: Vec<_> = groups
-        .into_iter()
-        .map(|(_, workers)| {
-            let (runs, outboxes): (Vec<_>, Vec<_>) =
-                workers.into_iter().map(|ctx| (ctx.runs, ctx.outbox)).unzip();
-            (runs.into_iter().flatten(), outboxes.into_iter().flatten())
-        })
+    let mut streams: Vec<_> = (groups.iter())
+        .map(|(_, workers)| workers.iter().flat_map(|ctx| {
+            ctx.runs.iter().map(move |(sender, run)| (*sender, &ctx.outbox[run.clone()]))
+        }))
+        .map(Iterator::peekable)
         .collect();
-    let mut heads: BinaryHeap<Reverse<(u32, u32, usize)>> = streams
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(g, (runs, _))| runs.next().map(|(sender, len)| Reverse((sender, len, g))))
+    let mut heads: BinaryHeap<Reverse<(u32, usize)>> = (streams.iter_mut().enumerate())
+        .filter_map(|(g, runs)| Some(Reverse((runs.peek()?.0, g))))
         .collect();
-    while let Some(Reverse((_, len, g))) = heads.pop() {
-        let (runs, messages) = &mut streams[g];
-        for (target, msg) in messages.by_ref().take(len as usize) {
-            inboxes[target as usize].push(msg);
-        }
-        if let Some((sender, len)) = runs.next() {
-            heads.push(Reverse((sender, len, g)));
+    let mut order = Vec::new();
+    while let Some(Reverse((_, g))) = heads.pop() {
+        order.extend(streams[g].next().map(|(_, run)| run));
+        if let Some(&(sender, _)) = streams[g].peek() {
+            heads.push(Reverse((sender, g)));
         }
     }
+    inbox.regroup(n, order.iter().copied());
 }
 
 /// The uploaded representation: the partition store. Giraph's load phase

@@ -220,6 +220,12 @@ pub enum LccMessage {
     Count(u64),
 }
 
+impl Default for LccMessage {
+    fn default() -> Self {
+        LccMessage::Count(0)
+    }
+}
+
 /// LCC: superstep 0 ships each vertex's neighbourhood to its neighbours;
 /// superstep 1 intersects and replies counts; superstep 2 folds counts
 /// into the coefficient. The neighbourhood-list messages are exactly the
@@ -281,10 +287,6 @@ impl VertexProgram for LccProgram {
                 false
             }
         }
-    }
-
-    fn message_bytes(&self) -> u64 {
-        8
     }
 
     fn max_supersteps(&self) -> u64 {
@@ -438,6 +440,30 @@ mod tests {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
         assert!(c.message_bytes > 0);
+    }
+
+    #[test]
+    fn min_propagation_runs_past_ten_thousand_supersteps() {
+        // A directed path 0 -> 1 -> ... -> 10 049: BFS and SSSP from 0
+        // settle one hop per superstep and halt by vote alone.
+        let n = 10_050u64;
+        let mut b = GraphBuilder::new(true);
+        b.add_vertex_range(n);
+        b.set_weighted(true);
+        for v in 0..n - 1 {
+            b.add_weighted_edge(v, v + 1, 1.0);
+        }
+        let csr = b.build().unwrap().to_csr();
+        let pool = WorkerPool::new(1);
+        let mut c = WorkCounters::new();
+        let depths = run(&csr, &BfsProgram { root: 0 }, &pool, &mut c);
+        let last = depths.len() - 1;
+        assert!(depths == graphalytics_core::algorithms::bfs(&csr, 0), "BFS: depth {}", depths[last]);
+        assert_eq!(c.supersteps, n);
+        let mut c = WorkCounters::new();
+        let dist = run(&csr, &SsspProgram { root: 0 }, &pool, &mut c);
+        assert!(dist == graphalytics_core::algorithms::sssp(&csr, 0), "SSSP: distance {}", dist[last]);
+        assert_eq!(c.supersteps, n);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! order-free) or recovers the global order by a `k`-way merge of the
 //! groups' streams on the producing vertex — each vertex has exactly one
 //! owner, so the merge has no ties and never compares anything else.
-//! Nothing is sorted.
+//! Pregel merges per-sender run slices, not messages. Nothing is sorted.
 //!
 //! Messages whose sender and target have different owners are the
 //! traffic a real deployment would put on the wire; a lane counts them

@@ -51,8 +51,11 @@ pub fn community_pass(
         // member: d_intra members wired at density p need ~d/p peers.
         let first = &persons[block[start] as usize];
         let d_intra = (first.target_degree as f64 * dim.degree_fraction()).max(1.0);
-        let size = ((d_intra / p).ceil() as usize + 1).clamp(3, block.len() - start.min(block.len() - 1));
-        let end = (start + size).min(block.len());
+        // At least a triangle, but never past the block: a tail of one or
+        // two persons forms a community of its own.
+        let remaining = block.len() - start;
+        let size = ((d_intra / p).ceil() as usize + 1).max(3).min(remaining);
+        let end = start + size;
         let members = &block[start..end];
         wire_community(persons, members, p, &mut out, rng);
         // Bridge consecutive communities so they are "weakly connected to
@@ -146,6 +149,20 @@ mod tests {
             "too many components: {}",
             s.components
         );
+    }
+
+    #[test]
+    fn short_block_tail_forms_its_own_community() {
+        // Dense targets size communities at three persons; a block of
+        // 3k + 1 or 3k + 2 persons leaves a tail shorter than that.
+        let persons = generate_persons(8, 1.0, 2, 5);
+        for len in 1..=8u32 {
+            let block: Vec<u32> = (0..len).collect();
+            let mut rng = SmallRng::seed_from_u64(1);
+            let edges = community_pass(&persons, &block, Dimension::University, 0.95, &mut rng);
+            let ids: Vec<u64> = block.iter().map(|&i| persons[i as usize].id).collect();
+            assert!(edges.iter().all(|(s, d)| ids.contains(s) && ids.contains(d)), "len={len}");
+        }
     }
 
     #[test]

@@ -118,6 +118,16 @@ mod tests {
     }
 
     #[test]
+    fn dense_cc_datagen_proxy_materializes_at_service_divisors() {
+        // D100″ (cc target 0.15) sizes some communities at three persons,
+        // so a block can end on a shorter tail.
+        let spec = dataset("D100\"").unwrap();
+        for (divisor, seed) in [(256, 1), (256, 7), (1024, 1)] {
+            materialize(spec, divisor, seed).validate().unwrap();
+        }
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let spec = dataset("G23").unwrap();
         let a = materialize(spec, 8192, 9);

@@ -192,7 +192,6 @@ fn sort_by_total_key(pool: &WorkerPool, vertices: &[VertexId], mut edges: Vec<Ed
     }
     // SAFETY: the row counts sum to m, so the scatter wrote every slot.
     unsafe { rows.set_len(m) };
-    drop(edges);
 
     let base = SharedSlice::new(rows.as_mut_ptr());
     pool.run(n, |_, vrange| {

@@ -46,7 +46,7 @@ impl RmatConfig {
 
     /// Generates the graph, finalizing the edge list (ordering, dedup and
     /// validation) on `pool` via [`GraphBuilder::build_with`]. Edge
-    /// *sampling*, the dominant cost (about four fifths of generation at
+    /// *sampling*, the dominant cost (about three quarters of generation at
     /// the service's proxy sizes), stays sequential — one RNG stream keyed
     /// by the seed — so the output is identical to
     /// [`RmatConfig::generate`] for every pool width.

@@ -91,7 +91,8 @@ impl Graph500Config {
     }
 
     /// Generates the graph, finalizing the edge list on `pool` (see
-    /// [`RmatConfig::generate_with`]); output is identical to
+    /// [`RmatConfig::generate_with`]; the sequential edge sampling is the
+    /// dominant cost, not the finalize); output is identical to
     /// [`Graph500Config::generate`] for every pool width.
     pub fn generate_with(self, pool: &graphalytics_core::pool::WorkerPool) -> Graph {
         self.rmat().generate_with(pool)

@@ -21,9 +21,11 @@ pub fn materialize(spec: &DatasetSpec, divisor: u64, seed: u64) -> Graph {
 }
 
 /// Materializes a proxy instance with the generator's edge-list
-/// finalization running on `pool` (the [`Runner`](crate::runner::Runner)
-/// and the service graph store pass their shared execution runtime).
-/// Output is identical to [`materialize`] for every pool width.
+/// finalization (ordering, dedup, validation) running on `pool` (the
+/// [`Runner`](crate::runner::Runner) and the service graph store pass
+/// their shared execution runtime). Edge generation itself is sequential
+/// and costs most of the time. Output is identical to [`materialize`] for
+/// every pool width.
 pub fn materialize_with(spec: &DatasetSpec, divisor: u64, seed: u64, pool: &WorkerPool) -> Graph {
     let divisor = divisor.max(1);
     let target_vertices = (spec.vertices / divisor).max(64);

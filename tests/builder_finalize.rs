@@ -24,7 +24,14 @@ struct Input {
     edges: Vec<(u64, u64, f64)>,
 }
 
-fn arbitrary_input(seed: u64, n: u64, regime: u32, faults: u32, directed: bool, dedup: bool) -> Input {
+fn arbitrary_input(
+    seed: u64,
+    n: u64,
+    regime: u32,
+    faults: u32,
+    directed: bool,
+    dedup: bool,
+) -> Input {
     let stride = [1, 3, 1 << 40][regime as usize];
     let id = |v: u64| v * stride;
     // Not a declared id: past the end of a dense range, inside a gap
@@ -32,7 +39,9 @@ fn arbitrary_input(seed: u64, n: u64, regime: u32, faults: u32, directed: bool, 
     let hole = |v: u64| if stride == 1 { n + v } else { v * stride + 1 };
     let mut x = seed | 1;
     let mut next = |bound: u64| {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (x >> 33) % bound
     };
     let weighted = next(2) == 1;
@@ -41,7 +50,11 @@ fn arbitrary_input(seed: u64, n: u64, regime: u32, faults: u32, directed: bool, 
     let mut edges = Vec::new();
     for _ in 0..next(4 * n) {
         let (s, d) = (next(n), next(n));
-        let w = if weighted { WEIGHTS[next(WEIGHTS.len() as u64) as usize] } else { 1.0 };
+        let w = if weighted {
+            WEIGHTS[next(WEIGHTS.len() as u64) as usize]
+        } else {
+            1.0
+        };
         // faults: 0 none, 1 self loops, 2 undeclared endpoints, 3 both.
         let (s, d) = match (faults, next(16)) {
             (1 | 3, 0) => (id(s), id(s)),
@@ -52,7 +65,13 @@ fn arbitrary_input(seed: u64, n: u64, regime: u32, faults: u32, directed: bool, 
         };
         edges.push((s, d, w));
     }
-    Input { directed, weighted, dedup, vertices, edges }
+    Input {
+        directed,
+        weighted,
+        dedup,
+        vertices,
+        edges,
+    }
 }
 
 fn build(input: &Input, pool: &WorkerPool) -> Result<Vec<(u64, u64, u64)>, String> {
@@ -66,7 +85,11 @@ fn build(input: &Input, pool: &WorkerPool) -> Result<Vec<(u64, u64, u64)>, Strin
         b.add_weighted_edge(s, d, w);
     }
     match b.build_with(pool) {
-        Ok(g) => Ok(g.edges().iter().map(|e| (e.src, e.dst, e.weight.to_bits())).collect()),
+        Ok(g) => Ok(g
+            .edges()
+            .iter()
+            .map(|e| (e.src, e.dst, e.weight.to_bits()))
+            .collect()),
         Err(Error::InvalidGraph(msg)) => Err(msg),
         Err(e) => panic!("unexpected error kind: {e}"),
     }
@@ -76,7 +99,13 @@ fn model(input: &Input) -> Result<Vec<(u64, u64, u64)>, String> {
     let mut edges: Vec<(u64, u64, f64)> = input
         .edges
         .iter()
-        .map(|&(s, d, w)| if input.directed || s < d { (s, d, w) } else { (d, s, w) })
+        .map(|&(s, d, w)| {
+            if input.directed || s < d {
+                (s, d, w)
+            } else {
+                (d, s, w)
+            }
+        })
         .collect();
     edges.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
     if input.dedup {
@@ -94,7 +123,10 @@ fn model(input: &Input) -> Result<Vec<(u64, u64, u64)>, String> {
             return Err(format!("duplicate edge ({s}, {d})"));
         }
     }
-    Ok(edges.into_iter().map(|(s, d, w)| (s, d, w.to_bits())).collect())
+    Ok(edges
+        .into_iter()
+        .map(|(s, d, w)| (s, d, w.to_bits()))
+        .collect())
 }
 
 proptest! {
@@ -120,7 +152,14 @@ proptest! {
 fn model_cases_cover_success_and_every_error_class() {
     let mut seen = [false; 4];
     for seed in 0..400u64 {
-        let input = arbitrary_input(seed, 1 + seed % 60, (seed % 3) as u32, (seed % 4) as u32, seed % 2 == 0, seed % 5 < 2);
+        let input = arbitrary_input(
+            seed,
+            1 + seed % 60,
+            (seed % 3) as u32,
+            (seed % 4) as u32,
+            seed % 2 == 0,
+            seed % 5 < 2,
+        );
         let class = match model(&input) {
             Ok(_) => 0,
             Err(msg) if msg.starts_with("self loop") => 1,

@@ -53,8 +53,10 @@ fn pinned_row(name: String, generate: impl Fn(&WorkerPool) -> Graph) -> Row {
 }
 
 fn check(computed: Vec<Row>, pinned: &[(&str, usize, usize, u64, u64)]) {
-    let pinned: Vec<Row> =
-        pinned.iter().map(|&(n, v, e, vh, eh)| (n.to_string(), v, e, vh, eh)).collect();
+    let pinned: Vec<Row> = pinned
+        .iter()
+        .map(|&(n, v, e, vh, eh)| (n.to_string(), v, e, vh, eh))
+        .collect();
     if computed != pinned {
         for (n, v, e, vh, eh) in &computed {
             println!("    ({n:?}, {v}, {e}, {vh:#018x}, {eh:#018x}),");
@@ -64,7 +66,11 @@ fn check(computed: Vec<Row>, pinned: &[(&str, usize, usize, u64, u64)]) {
             .filter(|r| !pinned.contains(r))
             .map(|r| r.0.as_str())
             .collect();
-        panic!("{} computed vs {} pinned rows; differing: {differ:?}", computed.len(), pinned.len());
+        panic!(
+            "{} computed vs {} pinned rows; differing: {differ:?}",
+            computed.len(),
+            pinned.len()
+        );
     }
 }
 
@@ -78,7 +84,9 @@ fn proxy_rows(family: fn(&ProxyRecipe) -> bool) -> Vec<Row> {
             }
             for seed in SEEDS {
                 let name = format!("{}/{divisor}/{seed}", spec.id);
-                rows.push(pinned_row(name, |pool| materialize_with(spec, divisor, seed, pool)));
+                rows.push(pinned_row(name, |pool| {
+                    materialize_with(spec, divisor, seed, pool)
+                }));
             }
         }
     }
@@ -92,12 +100,18 @@ fn rmat_proxies_are_pinned() {
 
 #[test]
 fn graph500_proxies_are_pinned() {
-    check(proxy_rows(|r| matches!(r, ProxyRecipe::Graph500 { .. })), GRAPH500);
+    check(
+        proxy_rows(|r| matches!(r, ProxyRecipe::Graph500 { .. })),
+        GRAPH500,
+    );
 }
 
 #[test]
 fn datagen_proxies_are_pinned() {
-    check(proxy_rows(|r| matches!(r, ProxyRecipe::Datagen { .. })), DATAGEN);
+    check(
+        proxy_rows(|r| matches!(r, ProxyRecipe::Datagen { .. })),
+        DATAGEN,
+    );
 }
 
 /// The graphs the benchmark's library workloads generate for their
@@ -107,7 +121,11 @@ fn benchmark_setup_graphs_are_pinned() {
     let mut rows = Vec::new();
     for scale in [14, 15] {
         rows.push(pinned_row(format!("graph500-{scale}w"), |pool| {
-            Graph500Config::new(scale).with_edge_factor(16).with_seed(1).with_weights(true).generate_with(pool)
+            Graph500Config::new(scale)
+                .with_edge_factor(16)
+                .with_seed(1)
+                .with_weights(true)
+                .generate_with(pool)
         }));
     }
     rows.push(pinned_row("rmat-15d".into(), |pool| {
@@ -127,6 +145,7 @@ fn benchmark_setup_graphs_are_pinned() {
     check(rows, SETUP);
 }
 
+#[rustfmt::skip]
 const RMAT: &[(&str, usize, usize, u64, u64)] = &[
     ("R1/256/1", 3850, 15035, 0x7d6e1722b7356de1, 0x5aaed0f17b198d4f),
     ("R1/256/7", 3864, 15038, 0xfa3a3e8eb1a076dd, 0x3ad3b0ec29ba96ac),
@@ -158,6 +177,7 @@ const RMAT: &[(&str, usize, usize, u64, u64)] = &[
     ("R6/8192/7", 7633, 209540, 0x265fbc8d139cb858, 0x02736d9a11e05351),
 ];
 
+#[rustfmt::skip]
 const GRAPH500: &[(&str, usize, usize, u64, u64)] = &[
     ("G22/256/1", 12501, 213030, 0xaf433f03a9edbc6a, 0x454695336d2366c5),
     ("G22/256/7", 12527, 213053, 0xea93abf49b0369e2, 0x7aafbb02fc748be3),
@@ -191,6 +211,7 @@ const GRAPH500: &[(&str, usize, usize, u64, u64)] = &[
     ("G26/8192/7", 6443, 101955, 0xa507bc109b428fc7, 0x9b0a2856fad3a6d1),
 ];
 
+#[rustfmt::skip]
 const DATAGEN: &[(&str, usize, usize, u64, u64)] = &[
     ("R5/1024/1", 64062, 1124571, 0xc990fe131390e6f8, 0x8858f8f1dc35ca88),
     ("R5/1024/7", 64062, 1125020, 0xc990fe131390e6f8, 0xb1861f694bbc08ea),
@@ -228,6 +249,7 @@ const DATAGEN: &[(&str, usize, usize, u64, u64)] = &[
     ("D1000/8192/7", 1562, 14424, 0x0f8c108fe7d92628, 0x59c2da052cc53b0a),
 ];
 
+#[rustfmt::skip]
 const SETUP: &[(&str, usize, usize, u64, u64)] = &[
     ("graph500-14w", 12619, 213230, 0xf5173807ae40a895, 0x43fc11a7cfb87009),
     ("graph500-15w", 24277, 441486, 0xca37adef08e73aa0, 0x00106c0b45e03f31),

@@ -1,9 +1,7 @@
 //! Incremental construction of [`Graph`]s with invariant enforcement.
 
-use super::csr::exclusive_offsets;
-use super::{Edge, Graph, Remap, VertexId};
+use super::{Edge, Graph, VertexId};
 use crate::error::{Error, Result};
-use crate::pool::{SharedSlice, WorkerPool};
 
 /// Builds a [`Graph`] while enforcing the Graphalytics data-model rules:
 /// unique vertices, unique edges between distinct declared vertices.
@@ -105,23 +103,38 @@ impl GraphBuilder {
 
     /// Finalizes the graph, checking all invariants.
     pub fn build(self) -> Result<Graph> {
-        self.build_with(&WorkerPool::inline())
+        self.build_with(&crate::pool::WorkerPool::inline())
     }
 
-    /// Finalizes the graph on a worker pool. Edges end up ordered by the
-    /// *total* key `(src, dst, weight)`, a deterministic layout independent
-    /// of insertion order and pool width (so identical to
-    /// [`build`](Self::build)), and deduplication keeps the smallest
-    /// weight. A list already in that order (a file written from a
-    /// [`Graph`]) is kept as is; any other list is grouped into rows by a
-    /// counting scatter on `src` and each row sorted by `(dst, weight)`.
-    pub fn build_with(mut self, pool: &WorkerPool) -> Result<Graph> {
+    /// Finalizes the graph on a worker pool: the edge sort — the dominant
+    /// cost for generator-sized graphs — runs as parallel chunk sorts plus
+    /// a k-way merge, and is skipped when the edges arrived in order (a
+    /// file written from a [`Graph`]). The total `(src, dst, weight)` sort
+    /// key makes the result identical for every pool width (including
+    /// [`build`](Self::build)).
+    pub fn build_with(mut self, pool: &crate::pool::WorkerPool) -> Result<Graph> {
         self.vertices.sort_unstable();
         self.vertices.dedup();
+        // Sort edges by the *total* key (src, dst, weight) for a
+        // deterministic layout independent of insertion order and pool
+        // width, and for cheap dedup (which keeps the smallest weight).
+        // The weight component uses the sign-flipped bit encoding whose
+        // integer order matches `f64::total_cmp`, so negative weights
+        // (rejected later by `validate`, but representable here) still
+        // sort numerically.
+        fn weight_key(w: f64) -> u64 {
+            let bits = w.to_bits();
+            if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | (1 << 63)
+            }
+        }
         // Equal total keys are identical edges, so a list already
         // non-descending by it is exactly what the sort would return.
-        if !self.edges.is_sorted_by_key(total_key) {
-            self.edges = sort_by_total_key(pool, &self.vertices, std::mem::take(&mut self.edges));
+        let key = |e: &Edge| (e.src, e.dst, weight_key(e.weight));
+        if !self.edges.is_sorted_by_key(key) {
+            crate::pool::par_sort_by_key(pool, &mut self.edges, key);
         }
         if self.dedup {
             self.edges.dedup_by(|a, b| a.src == b.src && a.dst == b.dst);
@@ -130,79 +143,6 @@ impl GraphBuilder {
         g.validate()?;
         Ok(g)
     }
-}
-
-/// The weight's sign-flipped bit encoding, whose integer order matches
-/// `f64::total_cmp`, so negative weights (rejected later by `validate`,
-/// but representable here) still sort numerically.
-fn weight_key(w: f64) -> u64 {
-    let bits = w.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
-
-fn total_key(e: &Edge) -> (VertexId, VertexId, u64) {
-    (e.src, e.dst, weight_key(e.weight))
-}
-
-/// Orders `edges` by [`total_key`] without a comparison sort over the
-/// whole list: per-worker row counts by the dense index of `src`, a
-/// scatter into those rows (the [`Csr`](super::Csr) build's technique),
-/// then a sort of each row by `(dst, weight)`. The dense index grows with
-/// `src`, so the rows come out in `src` order. Peak edge storage is the
-/// input plus the output. An undeclared `src` has no row; such a list
-/// takes a plain sort instead, and `validate` then names the edge.
-fn sort_by_total_key(pool: &WorkerPool, vertices: &[VertexId], mut edges: Vec<Edge>) -> Vec<Edge> {
-    let remap = Remap::new(vertices);
-    let (n, m) = (vertices.len(), edges.len());
-    let counted = pool.run(m, |_, chunk| -> Option<Vec<u32>> {
-        let mut counts = vec![0u32; n];
-        for e in &edges[chunk] {
-            counts[remap.index_of(e.src)? as usize] += 1;
-        }
-        Some(counts)
-    });
-    let Some(mut counts) = counted.into_iter().collect::<Option<Vec<_>>>() else {
-        edges.sort_unstable_by_key(total_key);
-        return edges;
-    };
-    let offsets = exclusive_offsets(pool, n, &mut counts);
-
-    let mut rows: Vec<Edge> = Vec::with_capacity(m);
-    {
-        let out = SharedSlice::new(rows.spare_capacity_mut().as_mut_ptr());
-        let cursors: Vec<SharedSlice<u32>> =
-            counts.iter_mut().map(|c| SharedSlice::new(c.as_mut_ptr())).collect();
-        let edges = &edges;
-        pool.run(m, |w, chunk| {
-            for e in &edges[chunk] {
-                let s = remap.index_of(e.src).expect("counted above") as usize;
-                // SAFETY: cursor row w belongs to worker w alone, and the
-                // slots its exclusive cursors reserve are globally unique.
-                unsafe {
-                    let c = cursors[w].at(s);
-                    out.at(offsets[s] as usize + *c as usize).write(*e);
-                    *c += 1;
-                }
-            }
-        });
-    }
-    // SAFETY: the row counts sum to m, so the scatter wrote every slot.
-    unsafe { rows.set_len(m) };
-
-    let base = SharedSlice::new(rows.as_mut_ptr());
-    pool.run(n, |_, vrange| {
-        for v in vrange {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            // SAFETY: vertex ranges are disjoint, hence so are their rows.
-            let row = unsafe { base.slice_mut(lo, hi - lo) };
-            row.sort_unstable_by_key(|e| (e.dst, weight_key(e.weight)));
-        }
-    });
-    rows
 }
 
 #[cfg(test)]

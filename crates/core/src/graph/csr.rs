@@ -54,7 +54,7 @@ pub struct Csr {
 /// worker's exclusive prefix within row `v` and returns the global row
 /// offsets. Parallel over vertex ranges: each task owns a disjoint set
 /// of columns across all worker rows.
-pub(super) fn exclusive_offsets(pool: &WorkerPool, n: usize, counts: &mut [Vec<u32>]) -> Vec<u64> {
+fn exclusive_offsets(pool: &WorkerPool, n: usize, counts: &mut [Vec<u32>]) -> Vec<u64> {
     let mut offsets = vec![0u64; n + 1];
     {
         let off = SharedSlice::new(offsets.as_mut_ptr());

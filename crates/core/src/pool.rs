@@ -538,6 +538,57 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Sorts `data` by a total key on the pool: chunks sort in parallel, a
+/// k-way merge (ties resolved by chunk order, i.e. original position)
+/// reassembles them. Identical output for every thread count as long as
+/// `key` is a total order.
+pub fn par_sort_by_key<T, K, F>(pool: &WorkerPool, data: &mut Vec<T>, key: F)
+where
+    T: Copy + Send,
+    K: Ord,
+    F: Fn(&T) -> K + Sync,
+{
+    let n = data.len();
+    let ranges = pool.split(n);
+    if ranges.len() <= 1 {
+        data.sort_unstable_by_key(|a| key(a));
+        return;
+    }
+    let mut src = std::mem::take(data);
+    {
+        let base = SharedSlice::new(src.as_mut_ptr());
+        pool.run(n, |_, range| {
+            // SAFETY: chunk ranges are disjoint.
+            let chunk = unsafe { base.slice_mut(range.start, range.len()) };
+            chunk.sort_unstable_by_key(|a| key(a));
+        });
+    }
+    let mut heads: Vec<usize> = ranges.iter().map(|r| r.start).collect();
+    // One cached key per chunk head: the scan below compares cached keys
+    // instead of re-evaluating `key` ~2(k-1) times per output element.
+    let mut head_keys: Vec<Option<K>> = ranges
+        .iter()
+        .map(|r| if r.start < r.end { Some(key(&src[r.start])) } else { None })
+        .collect();
+    let mut merged: Vec<T> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut best: Option<usize> = None;
+        for c in 0..ranges.len() {
+            let Some(ck) = &head_keys[c] else { continue };
+            best = match best {
+                Some(b) if head_keys[b].as_ref().is_some_and(|bk| bk <= ck) => Some(b),
+                _ => Some(c),
+            };
+        }
+        let b = best.expect("merge consumes exactly n elements");
+        merged.push(src[heads[b]]);
+        heads[b] += 1;
+        head_keys[b] =
+            if heads[b] < ranges[b].end { Some(key(&src[heads[b]])) } else { None };
+    }
+    *data = merged;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,6 +716,27 @@ mod tests {
         let b = WorkerPool::shared();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(a.threads() >= 1);
+    }
+
+    #[test]
+    fn par_sort_matches_sequential_sort() {
+        let mk = |seed: u64| -> Vec<u64> {
+            let mut x = seed;
+            (0..4097)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    x >> 33
+                })
+                .collect()
+        };
+        for threads in [1u32, 2, 5, 8] {
+            let pool = WorkerPool::new(threads);
+            let mut data = mk(42);
+            par_sort_by_key(&pool, &mut data, |&x| x);
+            let mut expected = mk(42);
+            expected.sort_unstable();
+            assert_eq!(data, expected, "threads={threads}");
+        }
     }
 
     #[test]

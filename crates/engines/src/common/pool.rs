@@ -7,5 +7,5 @@
 //! merged in worker order, bit-identical outputs across thread counts).
 
 pub use graphalytics_core::pool::{
-    default_threads, split_ranges, PoolStats, SharedSlice, WorkerPool,
+    default_threads, par_sort_by_key, split_ranges, PoolStats, SharedSlice, WorkerPool,
 };

@@ -5,7 +5,8 @@
 //! undeclared endpoint or repeats its predecessor. The builder must return
 //! the same edges bit for bit, or the same error text, at every pool width
 //! and in every id regime (dense, gapped and sparse over a wide span,
-//! which take the builder's offset, table and binary-search remaps).
+//! which `validate` checks through its offset, table and binary-search
+//! remaps).
 
 use graphalytics::core::pool::WorkerPool;
 use graphalytics::core::Error;

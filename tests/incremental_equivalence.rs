@@ -5,7 +5,9 @@
 //! the materialized post-mutation graph, at every pool width 1/2/4/8 —
 //! and the incremental outputs themselves must be width-invariant.
 //! Plus the compaction round-trip: folding the delta log equals
-//! building a fresh CSR from the merged edge list.
+//! building a fresh CSR from the merged edge list, and the driver-level
+//! property: a `MutationScript` job replays its batches and completes
+//! with validation on, at every pool width.
 
 use std::sync::Arc;
 
@@ -14,7 +16,10 @@ use proptest::prelude::*;
 use graphalytics::core::{
     random_batch, AlgorithmOutput, Csr, DeltaConfig, MutableGraph, MutationBatch,
 };
+use graphalytics::core::datasets::dataset;
+use graphalytics::granula::MonitorConfig;
 use graphalytics::graph500::RmatConfig;
+use graphalytics::harness::{JobStatus, MutationScript};
 use graphalytics::prelude::*;
 
 /// Enough pull iterations that a cold run is converged well past the
@@ -47,8 +52,66 @@ fn batches_for(csr: &Csr, seed: u64) -> Vec<MutationBatch> {
         .collect()
 }
 
+/// The (engine, shard count) cells a `MutationScript` job must complete
+/// on.
+fn mutation_cells() -> Vec<(&'static str, u32)> {
+    vec![("pushpull", 1)]
+}
+
+fn pool_of(threads: u32) -> WorkerPool {
+    if threads == 1 {
+        WorkerPool::inline()
+    } else {
+        WorkerPool::new(threads)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A measured job carrying three random batches replays them and
+    /// completes with validation on, for every algorithm each cell
+    /// supports, at pool widths 1/2/4/8.
+    #[test]
+    fn mutation_script_jobs_complete_with_validation_across_widths(
+        scale in 6u32..9,
+        seed in 0u64..1000,
+        directed in proptest::bool::ANY,
+    ) {
+        let inline = WorkerPool::inline();
+        let csr = Arc::new(rmat(scale, seed, directed).to_csr_with(&inline).unwrap());
+        let m = (csr.num_edges() / 20).max(4) as usize;
+        let script = MutationScript::new(3, m, m, seed);
+        for threads in [1u32, 2, 4, 8] {
+            let driver = Driver {
+                pool: Arc::new(pool_of(threads)),
+                monitor: MonitorConfig::disabled(),
+                ..Driver::default()
+            };
+            for (name, shards) in mutation_cells() {
+                let platform = platform_by_name(name).unwrap();
+                for algorithm in Algorithm::ALL {
+                    if !platform.supports(algorithm) {
+                        continue;
+                    }
+                    let spec = JobSpec::new(
+                        dataset("G22").unwrap(),
+                        algorithm,
+                        ClusterSpec::single_machine(),
+                    )
+                    .with_shards(shards)
+                    .with_mutations(script);
+                    let r = driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &csr });
+                    prop_assert_eq!(
+                        &r.status, &JobStatus::Completed,
+                        "scale {} seed {} directed {} width {}: {} x{} {}",
+                        scale, seed, directed, threads, name, shards, algorithm
+                    );
+                    prop_assert_eq!(r.mutation.map(|s| s.batches), Some(3));
+                }
+            }
+        }
+    }
 
     #[test]
     fn incremental_matches_cold_recompute_across_widths(

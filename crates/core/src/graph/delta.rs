@@ -18,8 +18,7 @@
 //! and tombstones back into a fresh CSR on the worker pool (the same
 //! pool-parallel, width-invariant build as `Csr::from_graph_with`) and
 //! resets the log. Compaction preserves the vertex set and its dense
-//! index order, so cached per-vertex algorithm state (labels, ranks)
-//! survives across compactions.
+//! index order.
 //!
 //! Mutations are edge-only by design: a batch referencing a vertex that
 //! is not declared in the base graph is rejected *before anything is
@@ -318,15 +317,6 @@ impl MutableGraph {
         &self.stats
     }
 
-    /// Counts a batch applied through the split
-    /// [`apply_deletions`](MutableGraph::apply_deletions) /
-    /// [`apply_insertions`](MutableGraph::apply_insertions) path
-    /// (callers interleaving incremental maintenance between the two
-    /// halves; [`MutableGraph::apply`] counts automatically).
-    pub fn note_batch_applied(&mut self) {
-        self.stats.applied_batches += 1;
-    }
-
     /// The active policy.
     pub fn config(&self) -> &DeltaConfig {
         &self.config
@@ -387,7 +377,7 @@ impl MutableGraph {
     /// and every insertion against the data-model invariants, *without
     /// applying anything*. [`MutableGraph::apply`] calls this first, so
     /// a rejected batch leaves the graph untouched.
-    pub fn validate_batch(&self, batch: &MutationBatch) -> Result<()> {
+    fn validate_batch(&self, batch: &MutationBatch) -> Result<()> {
         let check = |a: VertexId, b: VertexId| -> Result<(u32, u32)> {
             let u = self.base.index_of(a).ok_or_else(|| {
                 Error::InvalidGraph(format!("mutation references undeclared vertex {a}"))
@@ -426,7 +416,7 @@ impl MutableGraph {
         self.validate_batch(batch)?;
         let deleted = self.apply_deletions(&batch.deletions);
         let (inserted, updated) = self.apply_insertions(&batch.insertions);
-        self.note_batch_applied();
+        self.stats.applied_batches += 1;
         let mut outcome = ApplyOutcome { inserted, deleted, updated, compacted: false };
         if self.config.auto_compact && self.needs_compaction() {
             self.compact(pool)?;
@@ -436,11 +426,7 @@ impl MutableGraph {
     }
 
     /// Applies pre-validated deletions; returns how many edges existed.
-    /// Callers interleaving incremental algorithm maintenance between
-    /// the two halves of a batch use this and
-    /// [`MutableGraph::apply_insertions`] directly (after
-    /// [`MutableGraph::validate_batch`]).
-    pub fn apply_deletions(&mut self, deletions: &[(VertexId, VertexId)]) -> u64 {
+    fn apply_deletions(&mut self, deletions: &[(VertexId, VertexId)]) -> u64 {
         let mut deleted = 0u64;
         for &(a, b) in deletions {
             let (u, v) = (self.index(a), self.index(b));
@@ -458,7 +444,7 @@ impl MutableGraph {
     }
 
     /// Applies pre-validated insertions; returns `(added, updated)`.
-    pub fn apply_insertions(&mut self, insertions: &[Edge]) -> (u64, u64) {
+    fn apply_insertions(&mut self, insertions: &[Edge]) -> (u64, u64) {
         let (mut added, mut updated) = (0u64, 0u64);
         for e in insertions {
             let (u, v) = (self.index(e.src), self.index(e.dst));

@@ -62,7 +62,7 @@ impl Edge {
 }
 
 /// The one weight rule of the data model, shared by the file parser,
-/// [`Graph::validate`] and [`MutableGraph::validate_batch`]: finite and
+/// [`Graph::validate`] and [`MutableGraph::apply`]'s batch check: finite and
 /// non-negative (`-0.0` is zero). An infinite weight would make SSSP's
 /// "reachable at ∞" indistinguishable from unreachable.
 pub(crate) fn valid_weight(w: f64) -> bool {

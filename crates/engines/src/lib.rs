@@ -52,8 +52,8 @@ pub mod spmv;
 pub mod trace;
 
 pub use platform::{
-    all_platforms, platform_by_name, run_once, Execution, LoadedGraph, Mutation, PhaseRecord,
-    Platform, RunContext,
+    all_platforms, platform_by_name, run_once, Execution, LoadedGraph, PhaseRecord, Platform,
+    RunContext,
 };
 pub use trace::SpanRecord;
 pub use profile::PerfProfile;

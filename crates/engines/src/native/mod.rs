@@ -140,17 +140,11 @@ fn pull_pagerank(csr: &Csr, iterations: u32, damping: f64, pool: &WorkerPool, c:
         c.supersteps += 1;
         c.vertices_processed += n as u64;
         let rank_ref = &rank;
-        let dangling: f64 = pool
-            .run(n, |_, r| {
-                let mut local = 0.0f64;
-                for u in r {
-                    if csr.out_degree(u as u32) == 0 {
-                        local += rank_ref[u];
-                    }
-                }
-                local
-            })
-            .into_iter()
+        // Summed in vertex order, as the reference does: per-range
+        // partials would make the float sum depend on the pool width.
+        let dangling: f64 = (0..n)
+            .filter(|&u| csr.out_degree(u as u32) == 0)
+            .map(|u| rank_ref[u])
             .sum();
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
         let edges: u64 = {
@@ -349,6 +343,26 @@ mod tests {
         let b = pull_pagerank(&csr, 10, 0.85, &WorkerPool::new(4), &mut c2);
         assert_eq!(a, b, "pull PR is bit-identical across thread counts");
         assert_eq!(c1.edges_scanned, c2.edges_scanned);
+    }
+
+    #[test]
+    fn pagerank_dangling_mass_is_width_invariant() {
+        // A directed graph where every third vertex is dangling: the
+        // redistributed mass must not depend on how the pool splits it.
+        let n = 3000u64;
+        let mut b = GraphBuilder::new(true);
+        b.add_vertex_range(n);
+        for v in (0..n).filter(|v| v % 3 != 0) {
+            b.add_edge(v, (v * 7 + 1) % n);
+            b.add_edge(v, (v * 13 + 5) % n);
+        }
+        let csr = b.build().unwrap().to_csr();
+        let mut c = WorkCounters::new();
+        let a = pull_pagerank(&csr, 10, 0.85, &WorkerPool::inline(), &mut c);
+        for threads in [2, 3, 8] {
+            let b = pull_pagerank(&csr, 10, 0.85, &WorkerPool::new(threads), &mut c);
+            assert_eq!(a, b, "width {threads}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use graphalytics_core::fault;
 use graphalytics_core::output::{AlgorithmOutput, OutputValues};
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{Algorithm, Csr, MutationBatch};
+use graphalytics_core::{Algorithm, Csr};
 
 use graphalytics_cluster::WorkCounters;
 
@@ -56,35 +56,13 @@ pub struct Execution {
     pub wall_seconds: f64,
 }
 
-/// The result of one [`Platform::apply_mutations`] call — the `Mutate`
-/// phase's analogue of [`Execution`]. Counts reflect what actually
-/// changed (set semantics: re-inserting a present edge or deleting an
-/// absent one is a no-op, not an error).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mutation {
-    /// Edges added.
-    pub inserted: u64,
-    /// Edges removed.
-    pub deleted: u64,
-    /// Existing edges whose weight changed.
-    pub updated: u64,
-    /// Whether this apply crossed the fill ratio and compacted the log.
-    pub compacted: bool,
-    /// Outstanding delta-log entries after the apply (0 if compacted).
-    pub delta_arcs: u64,
-    /// Log size relative to the resident base CSR after the apply.
-    pub fill_ratio: f64,
-    /// Wall-clock seconds of the apply (incl. incremental maintenance
-    /// and any compaction) — recorded as the `Mutate` phase on the
-    /// [`RunContext`].
-    pub wall_seconds: f64,
-}
-
 /// An engine-owned, preprocessed graph representation produced by
 /// [`Platform::upload`].
 ///
-/// Engines downcast ([`downcast_graph`]) to their own concrete type
-/// inside [`Platform::execute`]; handing a graph uploaded by one engine
+/// Immutable once uploaded: a job on a mutated graph uploads the
+/// materialized post-mutation snapshot like any other graph. Engines
+/// downcast ([`downcast_graph`]) to their own concrete type inside
+/// [`Platform::execute`]; handing a graph uploaded by one engine
 /// to another is an error, exactly like pointing a Giraph job at a
 /// GraphMat heap.
 pub trait LoadedGraph: Send + Sync {
@@ -280,33 +258,6 @@ pub trait Platform: Send + Sync {
         }
         Err(Error::InvalidParameters(format!(
             "platform {} has no sharded execution path",
-            self.name()
-        )))
-    }
-
-    /// Whether the engine can apply streaming mutations to a resident
-    /// uploaded graph. Engines that do guarantee post-mutation results
-    /// bit-identical (discrete outputs) or validator-epsilon-equal
-    /// (PageRank) to a cold run on the materialized post-mutation graph.
-    fn supports_mutation(&self) -> bool {
-        false
-    }
-
-    /// The mutate lifecycle verb: applies `batch` (edge insertions and
-    /// deletions) to a resident uploaded graph in place, maintaining any
-    /// cached incremental algorithm state, and compacts the delta log
-    /// when it crosses the engine's fill ratio. Wall time is recorded as
-    /// a measured `Mutate` phase on `ctx`. The default rejects —
-    /// engines without a delta-log representation cannot mutate.
-    fn apply_mutations(
-        &self,
-        graph: &dyn LoadedGraph,
-        batch: &MutationBatch,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Mutation> {
-        let _ = (graph, batch, ctx);
-        Err(Error::InvalidParameters(format!(
-            "platform {} has no mutation path",
             self.name()
         )))
     }

@@ -22,7 +22,8 @@
 //! [`Lanes`](crate::sharded::Lanes), so a sharded upload runs the same
 //! kernels on per-shard lanes; only WCC and SSSP, whose monolithic
 //! kernels relax in place, have sharded counterparts (`sharded.rs` says
-//! why).
+//! why). Like every engine's, an upload is immutable: a mutated graph
+//! arrives as its materialized snapshot, uploaded like any other.
 //!
 //! Profile-wise this engine mirrors PGX.D: near-linear thread scaling
 //! (cooperative context switching ⇒ tiny serial fraction), a compact wire
@@ -31,7 +32,6 @@
 //! like the real system — **no LCC implementation** (Figure 6 marks it
 //! `NA`).
 
-mod delta;
 mod sharded;
 
 use std::sync::{Arc, OnceLock};
@@ -41,16 +41,13 @@ use graphalytics_core::algorithms::Request;
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::output::OutputValues;
-use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::{Algorithm, Csr, VertexId};
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::frontier::Frontier;
 use crate::common::pool::{SharedSlice, WorkerPool};
-use crate::platform::{
-    downcast_graph, execute_phase, unsupported, Execution, LoadedGraph, Platform, RunContext,
-};
+use crate::platform::{downcast_graph, unsupported, LoadedGraph, Platform};
 use crate::profile::PerfProfile;
 use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
 use crate::trace::{IterTimer, SpanRecord};
@@ -198,9 +195,6 @@ pub struct PushPullGraph {
     out_degrees: Box<[u32]>,
     /// Σ out-degrees — the BFS `m_u` starting point.
     total_out_degree: u64,
-    /// Streaming-mutation state; `None` until the first
-    /// [`Platform::apply_mutations`] batch arrives.
-    delta: delta::DeltaSlot,
     /// The lane assignment of a sharded upload.
     shards: Option<ShardSet>,
 }
@@ -244,7 +238,7 @@ impl LoadedGraph for PushPullGraph {
 }
 
 /// Builds the dual-direction representation with its cached degree
-/// table — the upload phase, also reused for mutated-graph snapshots.
+/// table — the upload phase, monolithic or sharded.
 fn build_graph(csr: Arc<Csr>, pool: &WorkerPool, shards: Option<ShardSet>) -> PushPullGraph {
     let n = csr.num_vertices();
     let csr_ref = &csr;
@@ -260,7 +254,6 @@ fn build_graph(csr: Arc<Csr>, pool: &WorkerPool, shards: Option<ShardSet>) -> Pu
         csr,
         out_degrees: degrees.into(),
         total_out_degree,
-        delta: delta::empty_slot(),
         shards,
     }
 }
@@ -302,50 +295,6 @@ impl Platform for PushPullEngine {
         Ok(Box::new(build_graph(csr, pool, Some(shards))))
     }
 
-    fn supports_mutation(&self) -> bool {
-        true
-    }
-
-    fn apply_mutations(
-        &self,
-        graph: &dyn LoadedGraph,
-        batch: &graphalytics_core::MutationBatch,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<crate::platform::Mutation> {
-        let g = downcast_graph::<PushPullGraph>(self.name(), graph)?;
-        if g.shards.is_some() {
-            return Err(graphalytics_core::Error::InvalidParameters(
-                "sharded pushpull graphs do not take mutations; mutate an unsharded upload"
-                    .into(),
-            ));
-        }
-        delta::apply(g, batch, ctx)
-    }
-
-    /// Mutated resident graphs route through the delta view: WCC and
-    /// PageRank serve incrementally maintained state (a branch of
-    /// [`execute`](Platform::execute)); the other supported algorithms
-    /// run on a lazily materialized snapshot of the merged graph, built
-    /// once per mutation epoch and recorded as `Materialize`.
-    fn run(
-        &self,
-        graph: &dyn LoadedGraph,
-        algorithm: Algorithm,
-        params: &AlgorithmParams,
-        ctx: &mut RunContext<'_>,
-    ) -> Result<Execution> {
-        let g = downcast_graph::<PushPullGraph>(self.name(), graph)?;
-        let incremental = matches!(algorithm, Algorithm::Wcc | Algorithm::PageRank);
-        if g.has_mutations() && !incremental && self.supports(algorithm) {
-            let (snapshot, built) = g.mutated_snapshot(ctx.pool)?;
-            if let Some(secs) = built {
-                ctx.record_phase("Materialize", secs);
-            }
-            return execute_phase(self, &*snapshot, algorithm, params, ctx);
-        }
-        execute_phase(self, graph, algorithm, params, ctx)
-    }
-
     fn execute(
         &self,
         graph: &dyn LoadedGraph,
@@ -354,9 +303,6 @@ impl Platform for PushPullEngine {
         c: &mut WorkCounters,
     ) -> Result<OutputValues> {
         let g = downcast_graph::<PushPullGraph>(self.name(), graph)?;
-        if g.has_mutations() {
-            return delta::execute_incremental(g, request, pool, c);
-        }
         let csr = g.csr();
         let lanes = g.lanes(pool);
         Ok(match request {
@@ -784,7 +730,8 @@ fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphalytics_core::output::AlgorithmOutput;
+    use crate::platform::RunContext;
+    use graphalytics_core::params::AlgorithmParams;
     use graphalytics_core::GraphBuilder;
 
     fn sample(directed: bool) -> Csr {
@@ -893,173 +840,5 @@ mod tests {
         assert_eq!(c.edges_scanned, 5);
         assert_eq!(c.messages, 3, "only successful relaxations are messages");
         assert_eq!(c.message_bytes, 36);
-    }
-
-    /// Cold-run an algorithm on the materialized post-mutation graph —
-    /// the correctness anchor for every incremental path.
-    fn cold_on_materialized(
-        g: &PushPullGraph,
-        alg: Algorithm,
-        params: &AlgorithmParams,
-        pool: &WorkerPool,
-    ) -> AlgorithmOutput {
-        let guard = g.delta.lock().unwrap();
-        let merged = Arc::new(guard.as_ref().unwrap().graph.materialize(pool).unwrap());
-        drop(guard);
-        let engine = PushPullEngine;
-        let loaded = engine.upload(merged, pool).unwrap();
-        let mut ctx = RunContext::new(pool);
-        engine.run(loaded.as_ref(), alg, params, &mut ctx).unwrap().output
-    }
-
-    #[test]
-    fn mutated_wcc_is_bit_identical_to_cold_recompute() {
-        for directed in [true, false] {
-            let csr = Arc::new(sample(directed));
-            let engine = PushPullEngine;
-            let pool = WorkerPool::new(2);
-            let loaded = engine.upload(csr.clone(), &pool).unwrap();
-            let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-            let params = AlgorithmParams::default();
-
-            // Batch 1 (no cached labels yet → full merged compute),
-            // splitting 3–4 off and bridging 5 in.
-            let mut batch = graphalytics_core::MutationBatch::new();
-            batch.delete(2, 3).insert(4, 5);
-            let mut ctx = RunContext::new(&pool);
-            let m = engine.apply_mutations(loaded.as_ref(), &batch, &mut ctx).unwrap();
-            assert_eq!((m.inserted, m.deleted), (1, 1));
-            assert!(ctx.phases().iter().any(|p| p.name == "Mutate"), "Mutate phase recorded");
-            let mut ctx = RunContext::new(&pool);
-            let warm = engine.run(loaded.as_ref(), Algorithm::Wcc, &params, &mut ctx).unwrap();
-            let cold = cold_on_materialized(g, Algorithm::Wcc, &params, &pool);
-            assert_eq!(warm.output.values, cold.values, "directed={directed} batch 1");
-
-            // Batch 2 exercises the incremental maintenance proper
-            // (cached labels now exist): another split + a merge.
-            let mut batch = graphalytics_core::MutationBatch::new();
-            batch.delete(0, 1).insert(3, 5);
-            engine
-                .apply_mutations(loaded.as_ref(), &batch, &mut RunContext::new(&pool))
-                .unwrap();
-            let mut ctx = RunContext::new(&pool);
-            let warm = engine.run(loaded.as_ref(), Algorithm::Wcc, &params, &mut ctx).unwrap();
-            let cold = cold_on_materialized(g, Algorithm::Wcc, &params, &pool);
-            assert_eq!(warm.output.values, cold.values, "directed={directed} batch 2");
-            engine.delete(loaded);
-        }
-    }
-
-    #[test]
-    fn mutated_pagerank_matches_cold_recompute_within_epsilon() {
-        let csr = Arc::new(sample(false));
-        let engine = PushPullEngine;
-        let pool = WorkerPool::new(2);
-        let loaded = engine.upload(csr, &pool).unwrap();
-        let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        // 120 iterations: converged for n=6, so the warm path engages
-        // on the second run.
-        let params = AlgorithmParams { pagerank_iterations: 120, ..AlgorithmParams::default() };
-
-        let mut batch = graphalytics_core::MutationBatch::new();
-        batch.insert(0, 4).delete(2, 3);
-        engine.apply_mutations(loaded.as_ref(), &batch, &mut RunContext::new(&pool)).unwrap();
-        // First post-mutation run: cold replay over the merged view —
-        // bit-identical to the materialized cold run.
-        let mut ctx = RunContext::new(&pool);
-        let first = engine.run(loaded.as_ref(), Algorithm::PageRank, &params, &mut ctx).unwrap();
-        let cold = cold_on_materialized(g, Algorithm::PageRank, &params, &pool);
-        assert_eq!(first.output.values, cold.values, "full replay is bitwise");
-
-        // Second mutation: the cached ranks warm-start the solve, which
-        // must stay within the validator's epsilon of a cold run.
-        let mut batch = graphalytics_core::MutationBatch::new();
-        batch.insert(1, 5).insert(3, 5);
-        engine.apply_mutations(loaded.as_ref(), &batch, &mut RunContext::new(&pool)).unwrap();
-        let mut ctx = RunContext::new(&pool);
-        let warm = engine.run(loaded.as_ref(), Algorithm::PageRank, &params, &mut ctx).unwrap();
-        let cold = cold_on_materialized(g, Algorithm::PageRank, &params, &pool);
-        assert!(
-            warm.counters.supersteps < 120,
-            "warm start converges early, took {} supersteps",
-            warm.counters.supersteps
-        );
-        graphalytics_core::validation::validate(&cold, &warm.output)
-            .unwrap()
-            .into_result()
-            .unwrap();
-        engine.delete(loaded);
-    }
-
-    #[test]
-    fn mutated_snapshot_serves_traversals_and_is_cached() {
-        let csr = Arc::new(sample(true));
-        let engine = PushPullEngine;
-        let pool = WorkerPool::new(2);
-        let loaded = engine.upload(csr, &pool).unwrap();
-        let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        let params = AlgorithmParams::with_source(0);
-
-        let mut batch = graphalytics_core::MutationBatch::new();
-        batch.insert_weighted(4, 5, 1.5).delete(0, 2);
-        engine.apply_mutations(loaded.as_ref(), &batch, &mut RunContext::new(&pool)).unwrap();
-
-        let mut ctx = RunContext::new(&pool);
-        let bfs = engine.run(loaded.as_ref(), Algorithm::Bfs, &params, &mut ctx).unwrap();
-        assert!(
-            ctx.phases().iter().any(|p| p.name == "Materialize"),
-            "first non-incremental run builds the snapshot"
-        );
-        let cold = cold_on_materialized(g, Algorithm::Bfs, &params, &pool);
-        assert_eq!(bfs.output.values, cold.values);
-
-        // The snapshot is cached within the mutation epoch.
-        let mut ctx = RunContext::new(&pool);
-        let sssp = engine.run(loaded.as_ref(), Algorithm::Sssp, &params, &mut ctx).unwrap();
-        assert!(
-            ctx.phases().iter().all(|p| p.name != "Materialize"),
-            "second run reuses the snapshot"
-        );
-        let cold = cold_on_materialized(g, Algorithm::Sssp, &params, &pool);
-        assert_eq!(sssp.output.values, cold.values);
-        engine.delete(loaded);
-    }
-
-    #[test]
-    fn mutation_rejections_and_defaults() {
-        let csr = Arc::new(sample(false));
-        let engine = PushPullEngine;
-        let pool = WorkerPool::new(2);
-        assert!(engine.supports_mutation());
-
-        // Undeclared endpoints reject before anything applies.
-        let loaded = engine.upload(csr.clone(), &pool).unwrap();
-        let mut bad = graphalytics_core::MutationBatch::new();
-        bad.insert(0, 999);
-        let err = engine
-            .apply_mutations(loaded.as_ref(), &bad, &mut RunContext::new(&pool))
-            .unwrap_err();
-        assert!(err.to_string().contains("undeclared vertex"), "{err}");
-        let g = loaded.as_any().downcast_ref::<PushPullGraph>().unwrap();
-        assert!(!g.has_mutations(), "rejected batch left no log");
-
-        // Sharded uploads refuse mutations.
-        let plan = ShardPlan::new(2);
-        let sharded = engine.upload_sharded(csr, &plan, &pool).unwrap();
-        let mut ok = graphalytics_core::MutationBatch::new();
-        ok.insert(0, 3);
-        let err = engine
-            .apply_mutations(sharded.as_ref(), &ok, &mut RunContext::new(&pool))
-            .unwrap_err();
-        assert!(err.to_string().contains("sharded"), "{err}");
-
-        // Engines without a delta path keep the trait default.
-        let gas = crate::gas::GasEngine;
-        assert!(!gas.supports_mutation());
-        let gas_loaded = gas.upload(Arc::new(sample(false)), &pool).unwrap();
-        let err = gas
-            .apply_mutations(gas_loaded.as_ref(), &ok, &mut RunContext::new(&pool))
-            .unwrap_err();
-        assert!(err.to_string().contains("no mutation path"), "{err}");
     }
 }

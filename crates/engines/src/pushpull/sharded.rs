@@ -176,7 +176,9 @@ pub(super) fn sharded_sssp(
 #[cfg(test)]
 mod tests {
     use super::super::*;
+    use crate::platform::RunContext;
     use crate::sharded::ShardPlan;
+    use graphalytics_core::params::AlgorithmParams;
     use graphalytics_core::GraphBuilder;
 
     fn csr() -> Arc<Csr> {

@@ -38,7 +38,7 @@ use graphalytics_core::fault::{self, CancelToken, FaultScript, FaultSite};
 use graphalytics_core::output::AlgorithmOutput;
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{random_batch, Algorithm, Csr, DeltaConfig, MutableGraph, MutationBatch};
+use graphalytics_core::{random_batch, Algorithm, Csr, MutableGraph, MutationBatch};
 use graphalytics_engines::profile::NetworkKind;
 use graphalytics_engines::{LoadedGraph, PhaseRecord, Platform, RunContext, SpanRecord};
 use graphalytics_granula::monitor::ResourceSample;
@@ -73,12 +73,11 @@ pub struct JobSpec {
     /// [`Platform::upload_sharded`] and are rejected as `Unsupported` on
     /// platforms without a sharded run path.
     pub shards: u32,
-    /// Optional mutation script (measured mode only): the driver replays
-    /// these deterministic batches against the resident upload through
-    /// [`Platform::apply_mutations`] before the execute phase, and
-    /// validates outputs against a reference computed on the materialized
-    /// post-mutation graph. Rejected as `Unsupported` on platforms
-    /// without a mutation path.
+    /// Optional mutation script (measured mode only): the driver applies
+    /// these deterministic batches to a core [`MutableGraph`] delta log
+    /// over the job's graph, and the job then runs — upload, execute,
+    /// validate — on the materialized post-mutation snapshot, on any
+    /// platform and at any shard count.
     pub mutations: Option<MutationScript>,
     /// Optional wall-clock deadline for the whole job. The driver arms
     /// it on its [`CancelToken`](graphalytics_core::fault::CancelToken)
@@ -128,7 +127,7 @@ impl JobSpec {
 }
 
 /// A deterministic stream of mutation batches a measured job replays
-/// against the resident upload before executing. The batches derive
+/// into a delta log over its graph before uploading. The batches derive
 /// entirely from (base graph, script), so the same spec replays
 /// identically across pool widths and sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -488,11 +487,10 @@ impl Default for Driver {
     }
 }
 
-/// What a mutation replay hands to the execute phase: the materialized
-/// post-mutation graph (validation anchor), the aggregate summary, and
-/// the measured `Mutate` phases for the archive.
+/// What a mutation replay hands to the execute phase: the aggregate
+/// summary and the measured `Mutate`/`Materialize` phases for the
+/// archive. The snapshot itself is the uploaded graph.
 struct MutationReplay {
-    merged: Arc<Csr>,
     summary: MutationSummary,
     phases: Vec<PhaseRecord>,
 }
@@ -537,14 +535,19 @@ impl Driver {
             RunMode::Analytic => self.run_analytic(platform, spec),
             RunMode::Measured { csr } => {
                 let mut result = self.blank_result(platform, spec);
-                if spec.mutations.is_some() && (!platform.supports_mutation() || spec.shards > 1)
-                {
-                    // Mutation scripts need the platform's delta-log path
-                    // and an unsharded resident upload.
-                    result.status = JobStatus::Unsupported;
-                    return result;
-                }
-                if let Some(admission) = self.admit(platform, spec, Some(csr), &mut result) {
+                // A mutation script replays into one delta log; the job
+                // then answers for its snapshot, from admission on.
+                let (csr, replay) = match spec.mutations {
+                    Some(script) => match self.replay_mutations(csr, &script) {
+                        Ok((snapshot, replay)) => (snapshot, Some(replay)),
+                        Err(e) => {
+                            result.status = JobStatus::from_error(&e);
+                            return result;
+                        }
+                    },
+                    None => (csr.clone(), None),
+                };
+                if let Some(admission) = self.admit(platform, spec, Some(&csr), &mut result) {
                     if let Err(e) = fault::checkpoint(FaultSite::Upload) {
                         result.status = JobStatus::from_error(&e);
                         return result;
@@ -552,31 +555,13 @@ impl Driver {
                     let upload_start = Instant::now();
                     match graphalytics_engines::upload_with_shards(
                         platform,
-                        csr.clone(),
+                        csr,
                         spec.shards,
                         self.seed,
                         &self.pool,
                     ) {
                         Ok(loaded) => {
                             let upload_secs = upload_start.elapsed().as_secs_f64();
-                            let replay = match spec.mutations {
-                                Some(script) => {
-                                    match self.replay_mutations(
-                                        platform,
-                                        loaded.as_ref(),
-                                        csr,
-                                        &script,
-                                    ) {
-                                        Ok(replay) => Some(replay),
-                                        Err(e) => {
-                                            result.status = JobStatus::from_error(&e);
-                                            platform.delete(loaded);
-                                            return result;
-                                        }
-                                    }
-                                }
-                                None => None,
-                            };
                             result = self.execute_repetitions(
                                 platform,
                                 loaded.as_ref(),
@@ -634,46 +619,44 @@ impl Driver {
         }
     }
 
-    /// Replays a mutation script against the resident upload while a
-    /// core-side mirror delta log tracks the identical batches; the
-    /// mirror's materialized post-mutation graph anchors validation. Any
-    /// apply-side failure comes back as the job's failure message.
+    /// Replays a mutation script into one core delta log over `csr` (the
+    /// daemon's default compaction policy) and materializes the
+    /// post-mutation snapshot the job then uploads. Each apply is a
+    /// measured `Mutate` phase, the materialization a `Materialize`
+    /// phase. Any apply-side failure comes back as the job's failure.
     fn replay_mutations(
         &self,
-        platform: &dyn Platform,
-        loaded: &dyn LoadedGraph,
         csr: &Arc<Csr>,
         script: &MutationScript,
-    ) -> Result<MutationReplay, graphalytics_core::Error> {
+    ) -> Result<(Arc<Csr>, MutationReplay), graphalytics_core::Error> {
         let batches = script.batches_for(csr);
-        let mut mirror = MutableGraph::with_config(
-            csr.clone(),
-            DeltaConfig { auto_compact: false, ..DeltaConfig::default() },
-        );
-        let mut summary = MutationSummary { batches: batches.len() as u32, ..Default::default() };
+        let mut log = MutableGraph::new(csr.clone());
         let mut phases: Vec<PhaseRecord> = Vec::new();
+        let mut apply_secs = 0.0;
         for batch in &batches {
-            let mut ctx = RunContext::new(&self.pool);
-            ctx.set_cancel(self.cancel.clone());
-            let outcome = platform
-                .apply_mutations(loaded, batch, &mut ctx)
-                .map_err(|e| stage_error("mutation apply failed", e))?;
-            mirror
-                .apply(batch, &self.pool)
-                .map_err(|e| stage_error("mutation mirror diverged", e))?;
-            summary.inserted += outcome.inserted;
-            summary.deleted += outcome.deleted;
-            summary.updated += outcome.updated;
-            summary.compactions += u64::from(outcome.compacted);
-            summary.apply_secs += outcome.wall_seconds;
-            summary.delta_arcs = outcome.delta_arcs;
-            summary.fill_ratio = outcome.fill_ratio;
-            phases.extend(ctx.take_phases());
+            let start = Instant::now();
+            log.apply(batch, &self.pool).map_err(|e| stage_error("mutation apply failed", e))?;
+            let secs = start.elapsed().as_secs_f64();
+            apply_secs += secs;
+            phases.push(PhaseRecord { name: "Mutate", secs });
         }
-        let merged = mirror
+        let start = Instant::now();
+        let snapshot = log
             .materialize(&self.pool)
-            .map_err(|e| stage_error("mutation mirror materialize failed", e))?;
-        Ok(MutationReplay { merged: Arc::new(merged), summary, phases })
+            .map_err(|e| stage_error("mutation materialize failed", e))?;
+        phases.push(PhaseRecord { name: "Materialize", secs: start.elapsed().as_secs_f64() });
+        let stats = log.stats();
+        let summary = MutationSummary {
+            batches: batches.len() as u32,
+            inserted: stats.inserted_edges,
+            deleted: stats.deleted_edges,
+            updated: stats.updated_edges,
+            compactions: stats.compactions,
+            apply_secs,
+            delta_arcs: log.delta_arcs(),
+            fill_ratio: log.fill_ratio(),
+        };
+        Ok((Arc::new(snapshot), MutationReplay { summary, phases }))
     }
 
     /// Admission without execution: returns the rejection row
@@ -777,14 +760,12 @@ impl Driver {
             }
         }
 
-        // The reference output belongs to the graph the engine now
-        // answers for: the materialized post-mutation graph when a
-        // mutation script ran (a fresh `Arc`, so a fresh key), the upload's
-        // own graph otherwise. A reference-side failure is recorded as a
+        // The reference output belongs to the uploaded graph — after a
+        // mutation script, the materialized snapshot (a fresh `Arc`, so a
+        // fresh key). A reference-side failure is recorded as a
         // validation failure instead of panicking the benchmark mid-run.
-        let reference_csr = replay.as_ref().map_or(csr, |r| &r.merged);
         let reference = if self.validate {
-            match self.references.get(reference_csr, spec.algorithm, &params) {
+            match self.references.get(csr, spec.algorithm, &params) {
                 Ok(reference) => Some(reference),
                 Err(e) => {
                     result.status =
@@ -1262,22 +1243,35 @@ mod tests {
     }
 
     #[test]
-    fn mutation_script_needs_a_mutation_platform_and_one_shard() {
+    fn mutation_script_runs_on_any_platform_and_shard_count() {
         let csr = proxy_csr("G22");
         let driver = Driver::default();
-        let job = spec("G22", Algorithm::Wcc, 1)
-            .with_mutations(MutationScript::new(1, 8, 8, 7));
-        let gas = platform_by_name("gas").unwrap();
-        let rejected = driver.run(gas.as_ref(), &job, RunMode::Measured { csr: &csr });
-        assert_eq!(rejected.status, JobStatus::Unsupported, "no mutation path on gas");
-        assert!(rejected.mutation.is_none());
-        let pushpull = platform_by_name("pushpull").unwrap();
-        let sharded = driver.run(
-            pushpull.as_ref(),
-            &job.with_shards(2),
-            RunMode::Measured { csr: &csr },
-        );
-        assert_eq!(sharded.status, JobStatus::Unsupported, "mutations need a resident upload");
+        // Batches large enough to cross the default fill ratio.
+        let script = MutationScript::new(3, 400, 400, 7);
+        // The summary reports exactly what one delta log over the same
+        // batches counts.
+        let mut log = MutableGraph::new(csr.clone());
+        for batch in script.batches_for(&csr) {
+            log.apply(&batch, &driver.pool).unwrap();
+        }
+        let stats = log.stats();
+        assert!(stats.compactions > 0, "the script must compact at least once");
+        for (name, shards) in [("gas", 1), ("pregel", 2)] {
+            let platform = platform_by_name(name).unwrap();
+            let job = spec("G22", Algorithm::Wcc, 1).with_shards(shards).with_mutations(script);
+            let r = driver.run(platform.as_ref(), &job, RunMode::Measured { csr: &csr });
+            assert_eq!(r.status, JobStatus::Completed, "{name} x{shards}");
+            assert_eq!(r.shards, shards);
+            let summary = r.mutation.expect("mutation summary recorded");
+            assert_eq!(summary.batches, 3);
+            assert_eq!(
+                (summary.inserted, summary.deleted, summary.updated, summary.compactions),
+                (stats.inserted_edges, stats.deleted_edges, stats.updated_edges, stats.compactions),
+                "{name} x{shards}"
+            );
+            let archive = r.archive.as_ref().unwrap();
+            assert!(archive.duration_of("Materialize").is_some(), "{name}: Materialize archived");
+        }
     }
 
     #[test]

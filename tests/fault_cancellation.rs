@@ -171,18 +171,11 @@ fn fault_leaves_no_trace(
     let before = store.status("G22").unwrap();
     let snapshot = store.snapshot("G22").unwrap();
 
-    // The push–pull engine also replays a driver-side mutation script, so
-    // its delta path (apply → incremental recompute) is in the blast
-    // radius too.
-    let mut spec = JobSpec::new(dataset, algorithm, ClusterSpec::single_machine());
-    if platform_name == "pushpull" {
-        spec = spec.with_mutations(MutationScript {
-            batches: 2,
-            insertions: 8,
-            deletions: 2,
-            seed: 5,
-        });
-    }
+    // The job also replays a driver-side mutation script, so its delta
+    // path (apply → materialize → upload of the snapshot) is in the
+    // blast radius too.
+    let spec = JobSpec::new(dataset, algorithm, ClusterSpec::single_machine())
+        .with_mutations(MutationScript { batches: 2, insertions: 8, deletions: 2, seed: 5 });
 
     let baseline = run_with(&pool, platform_name, &spec, &snapshot, FaultScript::empty());
     prop_assert!(baseline.status.is_success(), "{:?}", baseline.status);
@@ -238,15 +231,19 @@ proptest! {
     fn faults_at_arbitrary_supersteps_leave_no_trace(
         k in 0u64..12,
         kind_sel in 0usize..3,
-        scenario_sel in 0usize..3,
         seed in 1u64..500,
     ) {
         let kind = [FaultKind::Cancel, FaultKind::Transient, FaultKind::Alloc][kind_sel];
-        let (platform_name, algorithm) = [
+        // Every engine, each on one algorithm.
+        for (platform_name, algorithm) in [
             ("native", Algorithm::Bfs),
             ("pregel", Algorithm::PageRank),
             ("pushpull", Algorithm::Wcc),
-        ][scenario_sel];
-        fault_leaves_no_trace(platform_name, algorithm, k, kind, seed);
+            ("gas", Algorithm::Cdlp),
+            ("dataflow", Algorithm::Wcc),
+            ("spmv", Algorithm::Lcc),
+        ] {
+            fault_leaves_no_trace(platform_name, algorithm, k, kind, seed);
+        }
     }
 }

@@ -1,32 +1,28 @@
-//! Correctness anchor of the streaming-mutation subsystem: for random
-//! R-MAT base graphs and random insert/delete batches, the push–pull
-//! engine's incremental results must be **bit-identical** (WCC) or
-//! **validator-epsilon-equal** (PageRank) to a cold full recompute on
-//! the materialized post-mutation graph, at every pool width 1/2/4/8 —
-//! and the incremental outputs themselves must be width-invariant.
-//! Plus the compaction round-trip: folding the delta log equals
-//! building a fresh CSR from the merged edge list, and the driver-level
-//! property: a `MutationScript` job replays its batches and completes
-//! with validation on, at every pool width.
+//! Correctness anchor of the streaming-mutation subsystem, which has one
+//! path: a core [`MutableGraph`] delta log whose materialized snapshot is
+//! uploaded like any other graph.
+//!
+//! * For random R-MAT bases and three random insert/delete batches, a
+//!   measured `MutationScript` job completes with validation on for
+//!   every algorithm each engine supports — all six engines unsharded,
+//!   Pregel and push–pull at two shards — at pool widths 1/2/4/8. Its
+//!   work counters, and every engine's output on the materialized
+//!   snapshot, are bit-identical to a cold `Csr::from_graph` of the
+//!   merged edge list, and the same at every width.
+//! * Compaction round-trip: folding the delta log equals building a
+//!   fresh CSR from the merged edge list.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use graphalytics::core::{
-    random_batch, AlgorithmOutput, Csr, DeltaConfig, MutableGraph, MutationBatch,
-};
 use graphalytics::core::datasets::dataset;
+use graphalytics::core::{random_batch, AlgorithmOutput, Csr, DeltaConfig, MutableGraph};
+use graphalytics::engines::upload_with_shards;
 use graphalytics::granula::MonitorConfig;
 use graphalytics::graph500::RmatConfig;
 use graphalytics::harness::{JobStatus, MutationScript};
 use graphalytics::prelude::*;
-
-/// Enough pull iterations that a cold run is converged well past the
-/// validator's tolerance at these graph sizes (`2·0.85^150 ≈ 5.5e-11`,
-/// two orders under `ε·(1−d)/n` at n = 512) — the regime where the
-/// warm-start path engages and "converged" is the right answer.
-const PR_ITERATIONS: u32 = 150;
 
 fn rmat(scale: u32, seed: u64, directed: bool) -> Graph {
     RmatConfig {
@@ -43,20 +39,32 @@ fn rmat(scale: u32, seed: u64, directed: bool) -> Graph {
     .generate()
 }
 
-/// Three deterministic batches, each mutating ~5% of the base edges in
-/// both directions (inserts + deletes).
-fn batches_for(csr: &Csr, seed: u64) -> Vec<MutationBatch> {
-    let m = (csr.num_edges() / 20).max(4);
-    (0..3)
-        .map(|i| random_batch(csr, m, m, seed.wrapping_mul(0x9E37).wrapping_add(i)))
-        .collect()
-}
-
 /// The (engine, shard count) cells a `MutationScript` job must complete
 /// on.
 fn mutation_cells() -> Vec<(&'static str, u32)> {
-    vec![("pushpull", 1)]
+    let mut cells: Vec<_> = all_platforms().iter().map(|p| (p.name(), 1)).collect();
+    cells.extend([("pregel", 2), ("pushpull", 2)]);
+    cells
 }
+
+/// One upload → run → delete of `algorithm` on `csr` at `shards`.
+fn output_on(
+    platform: &dyn Platform,
+    csr: &Arc<Csr>,
+    shards: u32,
+    algorithm: Algorithm,
+    params: &AlgorithmParams,
+    pool: &WorkerPool,
+) -> AlgorithmOutput {
+    let loaded = upload_with_shards(platform, csr.clone(), shards, SHARD_SEED, pool).unwrap();
+    let mut ctx = RunContext::new(pool);
+    let output = platform.run(loaded.as_ref(), algorithm, params, &mut ctx).unwrap().output;
+    platform.delete(loaded);
+    output
+}
+
+/// Placement seed of the direct sharded uploads.
+const SHARD_SEED: u64 = 0x5EED;
 
 fn pool_of(threads: u32) -> WorkerPool {
     if threads == 1 {
@@ -71,7 +79,8 @@ proptest! {
 
     /// A measured job carrying three random batches replays them and
     /// completes with validation on, for every algorithm each cell
-    /// supports, at pool widths 1/2/4/8.
+    /// supports, at pool widths 1/2/4/8 — and answers exactly as a cold
+    /// build of the merged edge list does.
     #[test]
     fn mutation_script_jobs_complete_with_validation_across_widths(
         scale in 6u32..9,
@@ -80,14 +89,30 @@ proptest! {
     ) {
         let inline = WorkerPool::inline();
         let csr = Arc::new(rmat(scale, seed, directed).to_csr_with(&inline).unwrap());
-        let m = (csr.num_edges() / 20).max(4) as usize;
+        let m = (csr.num_edges() / 20).max(4);
         let script = MutationScript::new(3, m, m, seed);
+
+        // The same batches through one delta log (the driver's policy),
+        // its materialized snapshot, and a cold build of the merged
+        // edge list.
+        let mut mg = MutableGraph::new(csr.clone());
+        for batch in script.batches_for(&csr) {
+            mg.apply(&batch, &inline).unwrap();
+        }
+        let snapshot = Arc::new(mg.materialize(&inline).unwrap());
+        let cold = Arc::new(Csr::from_graph(&mg.to_graph()).unwrap());
+        let root = SourceSelection::MaxOutDegree.resolve(&snapshot).unwrap();
+        let params = AlgorithmParams::with_source(root);
+
+        let mut width1: Vec<AlgorithmOutput> = Vec::new();
         for threads in [1u32, 2, 4, 8] {
+            let pool = Arc::new(pool_of(threads));
             let driver = Driver {
-                pool: Arc::new(pool_of(threads)),
+                pool: pool.clone(),
                 monitor: MonitorConfig::disabled(),
                 ..Driver::default()
             };
+            let mut cell = 0;
             for (name, shards) in mutation_cells() {
                 let platform = platform_by_name(name).unwrap();
                 for algorithm in Algorithm::ALL {
@@ -99,8 +124,9 @@ proptest! {
                         algorithm,
                         ClusterSpec::single_machine(),
                     )
-                    .with_shards(shards)
-                    .with_mutations(script);
+                    .with_shards(shards);
+                    let plain = driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &cold });
+                    let spec = spec.with_mutations(script);
                     let r = driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &csr });
                     prop_assert_eq!(
                         &r.status, &JobStatus::Completed,
@@ -108,95 +134,31 @@ proptest! {
                         scale, seed, directed, threads, name, shards, algorithm
                     );
                     prop_assert_eq!(r.mutation.map(|s| s.batches), Some(3));
-                }
-            }
-        }
-    }
+                    prop_assert_eq!(
+                        (r.vertices, r.edges, r.counters), (plain.vertices, plain.edges, plain.counters),
+                        "{} x{} {} width {}: job on the script vs job on the cold build",
+                        name, shards, algorithm, threads
+                    );
 
-    #[test]
-    fn incremental_matches_cold_recompute_across_widths(
-        scale in 6u32..9,
-        seed in 0u64..1000,
-        directed in proptest::bool::ANY,
-    ) {
-        let inline = WorkerPool::inline();
-        let csr = Arc::new(rmat(scale, seed, directed).to_csr_with(&inline).unwrap());
-        let platform = platform_by_name("pushpull").unwrap();
-        let params =
-            AlgorithmParams { pagerank_iterations: PR_ITERATIONS, ..AlgorithmParams::default() };
-        let batches = batches_for(&csr, seed);
-
-        // The validator's mirror: apply the same batches to a plain
-        // core-side delta log and materialize the post-mutation graph.
-        let mut mirror = MutableGraph::with_config(
-            csr.clone(),
-            DeltaConfig { auto_compact: false, ..DeltaConfig::default() },
-        );
-        for b in &batches {
-            mirror.apply(b, &inline).unwrap();
-        }
-        let merged = Arc::new(mirror.materialize(&inline).unwrap());
-
-        // Cold full recomputes on the materialized post-mutation graph.
-        let cold_wcc = run_once(platform.as_ref(), &merged, Algorithm::Wcc, &params, &inline)
-            .unwrap()
-            .output;
-        let cold_pr =
-            run_once(platform.as_ref(), &merged, Algorithm::PageRank, &params, &inline)
-                .unwrap()
-                .output;
-
-        let mut width1: Option<(AlgorithmOutput, AlgorithmOutput)> = None;
-        for threads in [1u32, 2, 4, 8] {
-            let pool = if threads == 1 { WorkerPool::inline() } else { WorkerPool::new(threads) };
-            let loaded = platform.upload(csr.clone(), &pool).unwrap();
-            for (i, b) in batches.iter().enumerate() {
-                let mut ctx = RunContext::new(&pool);
-                platform.apply_mutations(loaded.as_ref(), b, &mut ctx).unwrap();
-                if i == 0 {
-                    // Populate the incremental caches after the first
-                    // batch so the remaining batches exercise the
-                    // maintenance paths (label merge/split, warm ranks)
-                    // rather than the first-run full compute.
-                    let mut ctx = RunContext::new(&pool);
-                    platform
-                        .run(loaded.as_ref(), Algorithm::Wcc, &params, &mut ctx)
-                        .unwrap();
-                    let mut ctx = RunContext::new(&pool);
-                    platform
-                        .run(loaded.as_ref(), Algorithm::PageRank, &params, &mut ctx)
-                        .unwrap();
-                }
-            }
-            let mut ctx = RunContext::new(&pool);
-            let wcc =
-                platform.run(loaded.as_ref(), Algorithm::Wcc, &params, &mut ctx).unwrap().output;
-            let mut ctx = RunContext::new(&pool);
-            let pr = platform
-                .run(loaded.as_ref(), Algorithm::PageRank, &params, &mut ctx)
-                .unwrap()
-                .output;
-            platform.delete(loaded);
-
-            // WCC: bit-identical to the cold recompute.
-            prop_assert_eq!(
-                &wcc, &cold_wcc,
-                "scale {} seed {} directed {} width {}: incremental WCC diverged",
-                scale, seed, directed, threads
-            );
-            // PageRank: within the validator's epsilon of the cold run.
-            let verdict = validate(&cold_pr, &pr).unwrap().into_result();
-            prop_assert!(
-                verdict.is_ok(),
-                "scale {} seed {} directed {} width {}: incremental PageRank outside epsilon: {:?}",
-                scale, seed, directed, threads, verdict.err()
-            );
-            // And the incremental outputs are width-invariant, bitwise.
-            match &width1 {
-                None => width1 = Some((wcc, pr)),
-                Some((w1_wcc, w1_pr)) => {
-                    prop_assert_eq!(w1_wcc, &wcc, "incremental WCC must not depend on width");
-                    prop_assert_eq!(w1_pr, &pr, "incremental PageRank must not depend on width");
+                    let on_snapshot =
+                        output_on(platform.as_ref(), &snapshot, shards, algorithm, &params, &pool);
+                    let on_cold =
+                        output_on(platform.as_ref(), &cold, shards, algorithm, &params, &pool);
+                    prop_assert_eq!(
+                        &on_snapshot, &on_cold,
+                        "{} x{} {} width {}: snapshot vs cold build",
+                        name, shards, algorithm, threads
+                    );
+                    if threads == 1 {
+                        width1.push(on_snapshot);
+                    } else {
+                        prop_assert_eq!(
+                            &width1[cell], &on_snapshot,
+                            "{} x{} {}: output depends on width {}",
+                            name, shards, algorithm, threads
+                        );
+                    }
+                    cell += 1;
                 }
             }
         }

@@ -9,16 +9,13 @@
 //!   so the next traced run on the thread holds only its own spans;
 //! * (e) a graph uploaded by one engine is refused by every other;
 //! * (f) push–pull declines LCC as `Error::Unsupported`;
-//! * (g) with tracing off, nothing is collected;
-//! * (h) a mutated push–pull upload records `Materialize` once per
-//!   mutation epoch, and only for algorithms without incremental state.
+//! * (g) with tracing off, nothing is collected.
 
 use std::sync::Arc;
 
 use graphalytics::core::datasets::dataset;
 use graphalytics::core::error::Error;
 use graphalytics::core::fault::{self, CancelToken, FaultKind, FaultScript, FaultSite, Injection};
-use graphalytics::core::MutationBatch;
 use graphalytics::engines::{upload_with_shards, Execution};
 use graphalytics::harness::proxy;
 use graphalytics::prelude::*;
@@ -266,45 +263,18 @@ fn foreign_graphs_are_refused_by_every_other_engine() {
 }
 
 #[test]
-fn pushpull_declines_lcc_and_materializes_once_per_mutation_epoch() {
+fn pushpull_declines_lcc() {
     let pool = WorkerPool::new(2);
     let (_, csr) = proxies(&pool).remove(0);
     let params = source_params(&csr);
     let pushpull = platform_by_name("pushpull").unwrap();
-    let loaded = pushpull.upload(csr.clone(), &pool).unwrap();
+    let loaded = pushpull.upload(csr, &pool).unwrap();
 
-    // (f) on a fresh upload...
+    // (f)
     let mut ctx = RunContext::new(&pool);
     let err =
         run(pushpull.as_ref(), loaded.as_ref(), Algorithm::Lcc, &params, &mut ctx).unwrap_err();
     assert!(matches!(err, Error::Unsupported { .. }), "{err:?}");
-
-    // (h) mutate, then: incremental algorithms never materialize; the
-    // first snapshot-served run does, the second reuses it.
-    let mut batch = MutationBatch::new();
-    batch.insert_weighted(csr.id_of(0), csr.id_of(5), 1.5).delete(csr.id_of(0), csr.id_of(1));
-    pushpull.apply_mutations(loaded.as_ref(), &batch, &mut RunContext::new(&pool)).unwrap();
-
-    let phases_of = |algorithm: Algorithm| {
-        let mut ctx = RunContext::new(&pool);
-        let exec = run(pushpull.as_ref(), loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
-        let process = ctx.phases().iter().find(|p| p.name == "ProcessGraph").unwrap();
-        assert_eq!(process.secs.to_bits(), exec.wall_seconds.to_bits(), "{algorithm}");
-        phase_names(&ctx)
-    };
-    assert_eq!(phases_of(Algorithm::Wcc), ["ProcessGraph"]);
-    assert_eq!(phases_of(Algorithm::PageRank), ["ProcessGraph"]);
-    assert_eq!(phases_of(Algorithm::Bfs), ["Materialize", "ProcessGraph"]);
-    assert_eq!(phases_of(Algorithm::Bfs), ["ProcessGraph"]);
-    assert_eq!(phases_of(Algorithm::Wcc), ["ProcessGraph"]);
-
-    // ...and (f) on the mutated one, before any snapshot work.
-    pushpull.apply_mutations(loaded.as_ref(), &batch, &mut RunContext::new(&pool)).unwrap();
-    let mut ctx = RunContext::new(&pool);
-    let err =
-        run(pushpull.as_ref(), loaded.as_ref(), Algorithm::Lcc, &params, &mut ctx).unwrap_err();
-    assert!(matches!(err, Error::Unsupported { .. }), "{err:?}");
-    assert!(ctx.phases().is_empty(), "no Materialize for a declined algorithm");
-    assert_eq!(phases_of(Algorithm::Sssp), ["Materialize", "ProcessGraph"]);
+    assert!(ctx.phases().is_empty(), "a declined run records no phase");
     pushpull.delete(loaded);
 }

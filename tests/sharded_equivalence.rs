@@ -29,11 +29,13 @@ fn sharded_platforms() -> Vec<Box<dyn Platform>> {
 fn n_shard_output_bit_identical_on_proxy_graphs() {
     // The acceptance gate: a registry proxy dataset (G22, unweighted)
     // and a weighted Graph500 instance, all supported algorithms, shard
-    // counts 1/2/4 against the monolithic upload.
+    // counts 1/2/4 on caller pools 1, 2 and 4 wide against the
+    // monolithic upload on the 4-wide pool.
     let spec = graphalytics::core::datasets::dataset("G22").unwrap();
     let proxy = graphalytics::harness::proxy::materialize(spec, 1 << 14, 21);
     let weighted = Graph500Config::new(9).with_seed(21).with_weights(true).generate();
     let pool = WorkerPool::new(4);
+    let callers = [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)];
     for (name, graph) in [("G22-proxy", &proxy), ("graph500-9w", &weighted)] {
         let csr = Arc::new(graph.to_csr_with(&pool).unwrap());
         let root = SourceSelection::MaxOutDegree.resolve(&csr).unwrap();
@@ -49,25 +51,27 @@ fn n_shard_output_bit_identical_on_proxy_graphs() {
                 let mut ctx = RunContext::new(&pool);
                 let baseline =
                     platform.run(mono.as_ref(), algorithm, &params, &mut ctx).unwrap();
-                for shards in [1u32, 2, 4] {
-                    let plan = ShardPlan::new(shards);
-                    let loaded =
-                        platform.upload_sharded(csr.clone(), &plan, &pool).unwrap();
-                    let mut ctx = RunContext::new(&pool);
-                    let run =
-                        platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
-                    platform.delete(loaded);
-                    assert_eq!(
-                        baseline.output, run.output,
-                        "{} {algorithm} on {name}: {shards} shards changed the output",
-                        platform.name()
-                    );
-                    if shards > 1 {
-                        assert!(
-                            run.counters.inter_shard_messages <= run.counters.messages,
-                            "{} {algorithm} on {name}: cut traffic exceeds total messages",
+                for caller in &callers {
+                    let width = caller.threads();
+                    for shards in [1u32, 2, 4] {
+                        let plan = ShardPlan::new(shards);
+                        let loaded =
+                            platform.upload_sharded(csr.clone(), &plan, caller).unwrap();
+                        let mut ctx = RunContext::new(caller);
+                        let run =
+                            platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
+                        platform.delete(loaded);
+                        let what = format!(
+                            "{} {algorithm} on {name}, {shards} shards on a {width}-wide pool",
                             platform.name()
                         );
+                        assert_eq!(baseline.output, run.output, "{what}: changed the output");
+                        if shards > 1 {
+                            assert!(
+                                run.counters.inter_shard_messages <= run.counters.messages,
+                                "{what}: cut traffic exceeds total messages"
+                            );
+                        }
                     }
                 }
             }

@@ -9,21 +9,21 @@
 //! direction-optimizing BFS, driven by Beamer-style α/β scanned-edge
 //! estimates rather than a fixed density threshold.
 //!
-//! The traversal kernels (BFS, SSSP) run on the shared [`WorkerPool`]:
-//! workers scan contiguous chunks of the frontier (or vertex range) and
-//! stage sparse candidate buffers; the caller merges them in range
-//! order, which reproduces the exact discovery/relaxation order of a
-//! sequential sweep — so outputs *and* work counters are bit-identical
-//! at every pool width. SSSP is a sequential label-correcting sweep that
-//! relaxes in place over a double-buffered [`Frontier`]; it needs nothing
-//! beyond the uploaded CSR.
+//! BFS runs on the shared [`WorkerPool`]: workers scan contiguous chunks
+//! of the frontier (or vertex range) and stage sparse candidate buffers;
+//! the caller merges them in range order, which reproduces the exact
+//! discovery order of a sequential sweep — so outputs *and* work
+//! counters are bit-identical at every pool width.
 //!
 //! BFS, PageRank and CDLP are written once against
 //! [`Lanes`](crate::sharded::Lanes), so a sharded upload runs the same
-//! kernels on per-shard lanes; only WCC and SSSP, whose monolithic
-//! kernels relax in place, have sharded counterparts (`sharded.rs` says
-//! why). Like every engine's, an upload is immutable: a mutated graph
-//! arrives as its materialized snapshot, uploaded like any other.
+//! kernels on per-shard lanes. WCC and SSSP relax **in place**, which is
+//! sequential, so each runs one caller-thread kernel on every upload and
+//! reads a sharded upload's owner map only to price the cut: SSSP per
+//! successful relaxation, WCC in a pass over the active rows outside its
+//! sensitive per-edge loop ([`pushpull_wcc`]). Like every engine's, an
+//! upload is immutable: a mutated graph arrives as its materialized
+//! snapshot, uploaded like any other.
 //!
 //! Profile-wise this engine mirrors PGX.D: near-linear thread scaling
 //! (cooperative context switching ⇒ tiny serial fraction), a compact wire
@@ -31,8 +31,6 @@
 //! machines with large amounts of cores and memory", Section 4.6) and —
 //! like the real system — **no LCC implementation** (Figure 6 marks it
 //! `NA`).
-
-mod sharded;
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -123,11 +121,11 @@ impl DirectionState {
     }
 }
 
-/// One worker's staged push traffic: `(target, payload)` candidates plus
-/// its scanned-edge and cut-crossing tallies.
+/// One worker's staged BFS push traffic: the undiscovered targets it
+/// found plus its scanned-edge and cut-crossing tallies.
 #[derive(Default)]
-struct PushOut<T> {
-    msgs: Vec<(u32, T)>,
+struct PushOut {
+    msgs: Vec<u32>,
     edges: u64,
     inter: u64,
 }
@@ -152,16 +150,16 @@ impl Barrier {
         lanes: &Lanes<'_>,
         tracing: bool,
         groups: Vec<GroupOut<R>>,
-        mut fold: impl FnMut(usize, &R) -> usize,
+        mut fold: impl FnMut(&R) -> usize,
     ) {
         let timing = tracing && lanes.is_sharded();
         let t = timing.then(Instant::now);
-        for (s, (secs, workers)) in groups.iter().enumerate() {
+        for (secs, workers) in &groups {
             if timing {
                 self.group_secs.push(*secs);
             }
             for out in workers {
-                self.queue_depth += fold(s, out);
+                self.queue_depth += fold(out);
             }
         }
         self.drain_secs = t.map_or(0.0, |t| t.elapsed().as_secs_f64());
@@ -312,18 +310,12 @@ impl Platform for PushPullEngine {
             Request::PageRank { iterations, damping } => {
                 OutputValues::F64(pull_pagerank(g, &lanes, iterations, damping, c))
             }
-            Request::Wcc => OutputValues::Id(if lanes.is_sharded() {
-                sharded::sharded_wcc(csr, &lanes, c)
-            } else {
-                pushpull_wcc(csr, c)
-            }),
+            Request::Wcc => OutputValues::Id(pushpull_wcc(csr, lanes.owner(), c)),
             Request::Cdlp { iterations } => OutputValues::Id(pull_cdlp(csr, &lanes, iterations, c)),
             Request::Lcc => return Err(unsupported(self.name(), Algorithm::Lcc)),
-            Request::Sssp { root } => OutputValues::F64(if lanes.is_sharded() {
-                sharded::sharded_sssp(csr, &lanes, root, c)
-            } else {
-                label_correcting_sssp(csr, root, c)
-            }),
+            Request::Sssp { root } => {
+                OutputValues::F64(label_correcting_sssp(csr, lanes.owner(), root, c))
+            }
         })
     }
 }
@@ -417,18 +409,18 @@ fn bfs_kernel<const TRACED: bool>(
                         out.inter += lane.crossing(targets);
                         for &v in targets {
                             if depth_ref[v as usize] == i64::MAX {
-                                out.msgs.push((v, ()));
+                                out.msgs.push(v);
                             }
                         }
                     });
                     out
                 });
-                barrier.drain(lanes, TRACED, groups, |_, out| {
+                barrier.drain(lanes, TRACED, groups, |out| {
                     c.edges_scanned += out.edges;
                     c.add_messages(out.edges, 8);
                     c.inter_shard_messages += out.inter;
                     c.inter_shard_bytes += 8 * out.inter;
-                    for &(v, ()) in &out.msgs {
+                    for &v in &out.msgs {
                         if depth[v as usize] == i64::MAX {
                             depth[v as usize] = level;
                             next.insert(v);
@@ -488,7 +480,7 @@ fn bfs_kernel<const TRACED: bool>(
                     });
                     (found, edges)
                 });
-                barrier.drain(lanes, TRACED, groups, |_, (found, edges)| {
+                barrier.drain(lanes, TRACED, groups, |(found, edges)| {
                     c.edges_scanned += edges;
                     c.random_accesses += edges;
                     for &v in found {
@@ -562,7 +554,7 @@ fn pull_pagerank(
             edges
         });
         let mut barrier = Barrier::default();
-        barrier.drain(lanes, tracing, groups, |_, edges| {
+        barrier.drain(lanes, tracing, groups, |edges| {
             c.edges_scanned += edges;
             0
         });
@@ -572,21 +564,27 @@ fn pull_pagerank(
     rank
 }
 
-/// WCC: push rounds on the shrinking active set, with messages.
+/// WCC: in-place push rounds on the shrinking active set, with messages.
 ///
 /// Dispatches on the tracing state *outside* the kernel: the per-edge
 /// loop is sensitive enough that merely having the trace hooks in the
 /// function body deoptimizes it ~2x even when they never run, so the
-/// untraced instantiation must contain no trace code at all.
-fn pushpull_wcc(csr: &Csr, c: &mut WorkCounters) -> Vec<VertexId> {
+/// untraced instantiation must contain no trace code at all. For the
+/// same reason a sharded upload's cut is priced by [`cut_edges`], once
+/// per superstep, and never inside that loop.
+fn pushpull_wcc(csr: &Csr, owner: Option<&[u32]>, c: &mut WorkCounters) -> Vec<VertexId> {
     if crate::trace::active() {
-        wcc_kernel::<true>(csr, c)
+        wcc_kernel::<true>(csr, owner, c)
     } else {
-        wcc_kernel::<false>(csr, c)
+        wcc_kernel::<false>(csr, owner, c)
     }
 }
 
-fn wcc_kernel<const TRACED: bool>(csr: &Csr, c: &mut WorkCounters) -> Vec<VertexId> {
+fn wcc_kernel<const TRACED: bool>(
+    csr: &Csr,
+    owner: Option<&[u32]>,
+    c: &mut WorkCounters,
+) -> Vec<VertexId> {
     let n = csr.num_vertices();
     let mut label: Vec<u32> = (0..n as u32).collect();
     let mut active = Frontier::new(n);
@@ -627,6 +625,11 @@ fn wcc_kernel<const TRACED: bool>(csr: &Csr, c: &mut WorkCounters) -> Vec<Vertex
         }
         c.edges_scanned += edges;
         c.add_messages(edges, 8);
+        if let Some(owner) = owner {
+            let cut = cut_edges(csr, active.members(), owner);
+            c.inter_shard_messages += cut;
+            c.inter_shard_bytes += 8 * cut;
+        }
         let active_count = active.len();
         std::mem::swap(&mut active, &mut next);
         next.clear();
@@ -637,6 +640,23 @@ fn wcc_kernel<const TRACED: bool>(csr: &Csr, c: &mut WorkCounters) -> Vec<Vertex
         }
     }
     label.into_iter().map(|l| csr.id_of(l)).collect()
+}
+
+/// How many of the edges a WCC superstep scans from `members` (out-rows,
+/// plus in-rows on a directed graph) end at a vertex another shard owns:
+/// every scanned edge is one message, so this is the superstep's exact
+/// cut traffic.
+#[inline(never)]
+fn cut_edges(csr: &Csr, members: &[u32], owner: &[u32]) -> u64 {
+    let crossing = |u: u32, row: &[u32]| {
+        row.iter().filter(|&&v| owner[v as usize] != owner[u as usize]).count() as u64
+    };
+    (members.iter())
+        .map(|&u| {
+            let inn = if csr.is_directed() { crossing(u, csr.in_neighbors(u)) } else { 0 };
+            crossing(u, csr.out_neighbors(u)) + inn
+        })
+        .sum()
 }
 
 /// CDLP: pull mode — each vertex reads neighbour labels directly. Fully
@@ -672,7 +692,7 @@ fn pull_cdlp(
             edges
         });
         let mut barrier = Barrier::default();
-        barrier.drain(lanes, tracing, groups, |_, edges| {
+        barrier.drain(lanes, tracing, groups, |edges| {
             c.edges_scanned += edges;
             c.random_accesses += edges;
             0
@@ -689,8 +709,30 @@ fn pull_cdlp(
 /// double-buffered [`Frontier`] pair, sequentially on the caller thread.
 /// The min-plus fixpoint does not depend on the relaxation schedule, so
 /// the output is bitwise what any other schedule reaches. Messages count
-/// only *successful* relaxations (12 bytes each: target + f64 distance).
-fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64> {
+/// only *successful* relaxations (12 bytes each: target + f64 distance),
+/// and on a sharded upload those whose endpoints `owner` places on
+/// different shards are also inter-shard messages.
+fn label_correcting_sssp(
+    csr: &Csr,
+    owner: Option<&[u32]>,
+    root: u32,
+    c: &mut WorkCounters,
+) -> Vec<f64> {
+    // One out-of-line instantiation per case: the monolithic relaxation
+    // loop carries no owner lookup and no code from `execute`'s other arms.
+    match owner {
+        Some(o) => sssp_kernel(csr, root, c, |u, v| o[u as usize] != o[v as usize]),
+        None => sssp_kernel(csr, root, c, |_, _| false),
+    }
+}
+
+#[inline(never)]
+fn sssp_kernel(
+    csr: &Csr,
+    root: u32,
+    c: &mut WorkCounters,
+    crosses: impl Fn(u32, u32) -> bool,
+) -> Vec<f64> {
     let n = csr.num_vertices();
     let mut dist = vec![f64::INFINITY; n];
     dist[root as usize] = 0.0;
@@ -704,6 +746,7 @@ fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64>
         c.vertices_processed += active_count as u64;
         let mut edges = 0u64;
         let mut relaxed = 0u64;
+        let mut cut = 0u64;
         for &u in active.members() {
             let du = dist[u as usize];
             let out = csr.out_neighbors(u);
@@ -714,12 +757,15 @@ fn label_correcting_sssp(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<f64>
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
                     relaxed += 1;
+                    cut += crosses(u, v) as u64;
                     next.insert(v);
                 }
             }
         }
         c.edges_scanned += edges;
         c.add_messages(relaxed, 12);
+        c.inter_shard_messages += cut;
+        c.inter_shard_bytes += 12 * cut;
         std::mem::swap(&mut active, &mut next);
         next.clear();
         it.lap(c, |s| s.with_info("active", active_count));
@@ -761,8 +807,31 @@ mod tests {
         Arc::new(b.build().unwrap().to_csr())
     }
 
+    /// 150 vertices on a ring plus a stride-53 chord each, weighted: big
+    /// enough that hash placement cuts both WCC's and SSSP's traffic.
+    fn ring(directed: bool) -> Arc<Csr> {
+        let mut b = GraphBuilder::new(directed);
+        b.set_weighted(true);
+        b.add_vertex_range(150);
+        for v in 0..150u64 {
+            b.add_weighted_edge(v, (v + 1) % 150, ((v % 7) + 1) as f64);
+            b.add_weighted_edge(v, (v + 53) % 150, ((v % 5) + 1) as f64);
+        }
+        Arc::new(b.build().unwrap().to_csr())
+    }
+
     fn upload(csr: Arc<Csr>, pool: &WorkerPool) -> Box<dyn LoadedGraph> {
         PushPullEngine.upload(csr, pool).unwrap()
+    }
+
+    fn counters(
+        loaded: &dyn LoadedGraph,
+        alg: Algorithm,
+        params: &AlgorithmParams,
+        pool: &WorkerPool,
+    ) -> WorkCounters {
+        let mut ctx = RunContext::new(pool);
+        PushPullEngine.run(loaded, alg, params, &mut ctx).unwrap().counters
     }
 
     #[test]
@@ -835,10 +904,81 @@ mod tests {
         }
         let csr = b.build().unwrap().to_csr();
         let mut c = WorkCounters::new();
-        let dist = label_correcting_sssp(&csr, 0, &mut c);
+        let dist = label_correcting_sssp(&csr, None, 0, &mut c);
         assert_eq!(dist, vec![0.0, 1.0, 2.0]);
         assert_eq!(c.edges_scanned, 5);
         assert_eq!(c.messages, 3, "only successful relaxations are messages");
         assert_eq!(c.message_bytes, 36);
+    }
+
+    #[test]
+    fn all_supported_algorithms_bit_identical_across_shard_counts() {
+        let csr = ring(true);
+        let engine = PushPullEngine;
+        let pool = WorkerPool::new(4);
+        let params = AlgorithmParams::with_source(0);
+        let single = engine.upload(csr.clone(), &pool).unwrap();
+        for shards in [2u32, 3] {
+            let plan = ShardPlan::new(shards);
+            let multi = engine.upload_sharded(csr.clone(), &plan, &pool).unwrap();
+            assert_eq!(multi.shard_layout().unwrap().shards, shards);
+            for alg in Algorithm::ALL {
+                if alg == Algorithm::Lcc {
+                    continue;
+                }
+                let mut c1 = RunContext::new(&pool);
+                let mut c2 = RunContext::new(&pool);
+                let base = engine.run(single.as_ref(), alg, &params, &mut c1).unwrap();
+                let run = engine.run(multi.as_ref(), alg, &params, &mut c2).unwrap();
+                assert_eq!(base.output, run.output, "{alg:?} at {shards} shards");
+                assert!(
+                    run.counters.inter_shard_messages <= run.counters.messages,
+                    "{alg:?}: inter-shard messages are a subset of messages"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn large_graph_sssp_bit_identical_across_shard_counts() {
+        let csr = mid_weighted_csr();
+        let engine = PushPullEngine;
+        let pool = WorkerPool::new(4);
+        let params = AlgorithmParams::with_source(0);
+        let single = engine.upload(csr.clone(), &pool).unwrap();
+        for shards in [2u32, 4] {
+            let multi =
+                engine.upload_sharded(csr.clone(), &ShardPlan::new(shards), &pool).unwrap();
+            let mut c1 = RunContext::new(&pool);
+            let mut c2 = RunContext::new(&pool);
+            let base = engine.run(single.as_ref(), Algorithm::Sssp, &params, &mut c1).unwrap();
+            let run = engine.run(multi.as_ref(), Algorithm::Sssp, &params, &mut c2).unwrap();
+            assert_eq!(base.output, run.output, "SSSP at {shards} shards");
+            assert!(run.counters.inter_shard_messages <= run.counters.messages);
+        }
+    }
+
+    #[test]
+    fn sharded_push_rounds_report_inter_shard_traffic() {
+        // WCC sends 8 bytes along every scanned edge, SSSP 12 per
+        // successful relaxation; only sends between shards are cut
+        // traffic, and a monolithic upload has none.
+        let pool = WorkerPool::new(2);
+        let params = AlgorithmParams::with_source(0);
+        for directed in [true, false] {
+            let csr = ring(directed);
+            let mono = upload(csr.clone(), &pool);
+            let two = PushPullEngine.upload_sharded(csr, &ShardPlan::new(2), &pool).unwrap();
+            for (alg, bytes) in [(Algorithm::Wcc, 8), (Algorithm::Sssp, 12)] {
+                let what = format!("{alg:?}, directed: {directed}");
+                let m = counters(mono.as_ref(), alg, &params, &pool);
+                assert_eq!((m.inter_shard_messages, m.inter_shard_bytes), (0, 0), "{what}");
+                let c = counters(two.as_ref(), alg, &params, &pool);
+                assert!(c.inter_shard_messages > 0, "{what}: hash placement cuts the ring");
+                assert!(c.inter_shard_messages <= c.messages, "{what}");
+                assert_eq!(c.inter_shard_bytes, bytes * c.inter_shard_messages, "{what}");
+                assert_eq!(c, counters(two.as_ref(), alg, &params, &pool), "{what}: repeated");
+            }
+        }
     }
 }

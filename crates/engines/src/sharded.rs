@@ -13,23 +13,25 @@
 //!
 //! The contract: output bit-identical to the monolithic upload for every
 //! algorithm and every shard count (`tests/sharded_equivalence.rs`), and
-//! every base work counter too wherever the schedule is the same
-//! (`tests/shard_lanes.rs`). It holds because of one **delivery-order
-//! argument**: every lane walks its vertices in ascending global id, and
-//! a group's workers take contiguous slices of the group's ascending
-//! list (any contiguous split of an ascending list keeps it ascending),
-//! so whatever a group produces comes out ascending in the producing
-//! vertex. With one group that is already the global order.
-//! With `k` groups the barrier either needs no order at all (a pull
-//! kernel writes only slots its lane owns; a min-reduction is
-//! order-free) or recovers the global order by a `k`-way merge of the
-//! groups' streams on the producing vertex — each vertex has exactly one
-//! owner, so the merge has no ties and never compares anything else.
-//! Pregel merges per-sender run slices, not messages. Nothing is sorted.
+//! every base work counter too (`tests/shard_lanes.rs`). Push–pull WCC
+//! and SSSP relax in place, so they run no lanes: one caller-thread
+//! kernel on every upload, reading only the owner map. Everything else
+//! holds because of one **delivery-order argument**: every lane walks
+//! its vertices in ascending global id, and a group's workers take
+//! contiguous slices of the group's ascending list (any contiguous split
+//! of an ascending list keeps it ascending), so whatever a group
+//! produces comes out ascending in the producing vertex. With one group
+//! that is already the global order. With `k` groups the barrier either
+//! needs no order at all (a pull kernel writes only slots its lane owns;
+//! a min-reduction is order-free) or recovers the global order by a
+//! `k`-way merge of the groups' streams on the producing vertex — each
+//! vertex has exactly one owner, so the merge has no ties and never
+//! compares anything else. Pregel merges per-sender run slices, not
+//! messages. Nothing is sorted.
 //!
 //! Messages whose sender and target have different owners are the
 //! traffic a real deployment would put on the wire; a lane counts them
-//! as they are produced ([`Lane::crosses`], [`Lane::crossing`]) into
+//! as they are produced ([`Lane::crossing`]) into
 //! `WorkCounters::inter_shard_messages` / `inter_shard_bytes`, while the
 //! base counters keep their monolithic values.
 

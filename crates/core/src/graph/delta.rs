@@ -522,9 +522,11 @@ impl MutableGraph {
                 match tombstoned {
                     Ok(i) => {
                         // Deleted base edge coming back: clear the
-                        // tombstone when the weight matches, otherwise
-                        // keep it and overlay the new weight.
-                        if bw == w {
+                        // tombstone when the weight matches bit for bit
+                        // (`-0.0 == 0.0`, yet an absent edge takes the
+                        // weight it is given), otherwise keep it and
+                        // overlay the new weight.
+                        if bw.to_bits() == w.to_bits() {
                             self.out_del[u as usize].remove(i);
                             self.delta_arcs -= 1;
                         } else {
@@ -577,7 +579,7 @@ impl MutableGraph {
                 let bw = self.base.in_weights(u)[bi];
                 match self.in_del[u as usize].binary_search(&v) {
                     Ok(i) => {
-                        if bw == w {
+                        if bw.to_bits() == w.to_bits() {
                             self.in_del[u as usize].remove(i);
                         } else {
                             let pos = self.in_add[u as usize]

@@ -50,6 +50,16 @@ pub struct Csr {
     in_weights: Box<[f64]>,
 }
 
+/// One direction of a CSR's adjacency as finished arrays: `offsets` has
+/// `n + 1` ascending entries ending at `targets.len()`, each row's
+/// targets ascend and lie below `n`, and `weights` parallels `targets`.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    pub(crate) offsets: Vec<u64>,
+    pub(crate) targets: Vec<u32>,
+    pub(crate) weights: Vec<f64>,
+}
+
 /// Rewrites `counts[w][v]` (per-worker degree contributions) into each
 /// worker's exclusive prefix within row `v` and returns the global row
 /// offsets. Parallel over vertex ranges: each task owns a disjoint set
@@ -221,6 +231,33 @@ impl Csr {
             in_targets: in_targets.into(),
             in_weights: in_weights.into(),
         })
+    }
+
+    /// Assembles a CSR from rows laid out by the caller (the delta log's
+    /// snapshot, [`MutableGraph::materialize`](super::MutableGraph::materialize),
+    /// which checks every row it merges). `inn` is empty for undirected
+    /// graphs, whose in-structure aliases the out-structure.
+    pub(crate) fn from_rows(
+        directed: bool,
+        weighted: bool,
+        vertex_ids: Box<[VertexId]>,
+        out: Rows,
+        inn: Rows,
+    ) -> Csr {
+        debug_assert_eq!(out.offsets.len(), vertex_ids.len() + 1);
+        debug_assert_eq!(out.offsets.last().copied(), Some(out.targets.len() as u64));
+        debug_assert_eq!(inn.offsets.len(), if directed { vertex_ids.len() + 1 } else { 0 });
+        Csr {
+            directed,
+            weighted,
+            vertex_ids,
+            out_offsets: out.offsets.into(),
+            out_targets: out.targets.into(),
+            out_weights: out.weights.into(),
+            in_offsets: inn.offsets.into(),
+            in_targets: inn.targets.into(),
+            in_weights: inn.weights.into(),
+        }
     }
 
     /// Number of vertices.

@@ -13,12 +13,18 @@
 //! in row order therefore produce *bit-identical* results on the delta
 //! view and on the materialized graph.
 //!
+//! A snapshot ([`MutableGraph::materialize`]) is written straight from
+//! the base and the log, without an edge list: the offsets are prefix
+//! sums of the merged degrees, a row the log never touched is copied
+//! from the base, and a touched row is written from its merged view.
+//! Rows are filled pool-parallel over disjoint vertex ranges, so the
+//! snapshot is bit-identical at every pool width and to a cold
+//! `Csr::from_graph` of [`MutableGraph::to_graph`].
+//!
 //! The log is bounded: once [`MutableGraph::fill_ratio`] crosses
-//! [`DeltaConfig::compact_fill`], [`MutableGraph::compact`] folds overlay
-//! and tombstones back into a fresh CSR on the worker pool (the same
-//! pool-parallel, width-invariant build as `Csr::from_graph_with`) and
-//! resets the log. Compaction preserves the vertex set and its dense
-//! index order.
+//! [`DeltaConfig::compact_fill`], [`MutableGraph::compact`] makes that
+//! snapshot the new base and resets the log. Compaction preserves the
+//! vertex set and its dense index order.
 //!
 //! Mutations are edge-only by design: a batch referencing a vertex that
 //! is not declared in the base graph is rejected *before anything is
@@ -33,8 +39,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{Error, Result};
+use crate::graph::csr::Rows;
 use crate::graph::{valid_weight, Csr, Edge, Graph, VertexId};
-use crate::pool::WorkerPool;
+use crate::pool::{SharedSlice, WorkerPool};
 
 /// A batch of edge insertions and deletions against a resident graph.
 ///
@@ -151,8 +158,8 @@ pub struct DeltaConfig {
     /// ratio, the next [`MutableGraph::apply`] folds the log into a
     /// fresh CSR. 0.25 by default — the overlay's binary-searched rows
     /// stay a small fraction of every scan, and compaction cost (one
-    /// pool-parallel CSR build) amortizes over at least a quarter-graph
-    /// of mutations.
+    /// pool-parallel snapshot, [`MutableGraph::materialize`]) amortizes
+    /// over at least a quarter-graph of mutations.
     pub compact_fill: f64,
     /// When true (default), [`MutableGraph::apply`] compacts
     /// automatically once the fill ratio crosses `compact_fill`.
@@ -320,18 +327,6 @@ impl MutableGraph {
     /// The active policy.
     pub fn config(&self) -> &DeltaConfig {
         &self.config
-    }
-
-    /// Approximate resident bytes of base + log.
-    pub fn resident_bytes(&self) -> u64 {
-        let overlay: usize = self
-            .out_add
-            .iter()
-            .chain(self.in_add.iter())
-            .map(|r| r.len() * 12)
-            .sum::<usize>()
-            + self.out_del.iter().chain(self.in_del.iter()).map(|r| r.len() * 4).sum::<usize>();
-        self.base.resident_bytes() + overlay as u64 + 4 * self.degrees.len() as u64
     }
 
     /// Merged out-edges of dense vertex `u`, sorted by target — exactly
@@ -608,6 +603,8 @@ impl MutableGraph {
 
     /// The merged graph as an edge list — the exact input
     /// [`Csr::from_graph`] would receive for the post-mutation graph.
+    /// This is the cold-build oracle: `Csr::from_graph(&mg.to_graph())`
+    /// is what [`MutableGraph::materialize`] must equal bit for bit.
     pub fn to_graph(&self) -> Graph {
         let n = self.num_vertices();
         let directed = self.is_directed();
@@ -625,9 +622,29 @@ impl MutableGraph {
     }
 
     /// Builds a fresh CSR of the merged view on `pool` without touching
-    /// the log (bit-identical at every pool width).
+    /// the log, by patching the base rows (see the module docs). The
+    /// result is bit-identical at every pool width and to the cold build
+    /// of [`MutableGraph::to_graph`].
+    ///
+    /// Fails with [`Error::InvalidGraph`] when a touched row does not
+    /// merge into a strictly ascending row of exactly its degree with
+    /// targets below `n` — possible only if the log's invariants broke.
     pub fn materialize(&self, pool: &WorkerPool) -> Result<Csr> {
-        Csr::from_graph_with(&self.to_graph(), pool)
+        crate::fault::checkpoint(crate::fault::FaultSite::Build)?;
+        let n = self.num_vertices();
+        let out = patch_rows(pool, n, |u| self.degrees[u as usize] as usize, |u| self.out_edges(u))?;
+        let inn = if self.is_directed() {
+            // Every tombstone names a base arc and no overlay target
+            // coexists with a live base target, so this is exact.
+            let in_degree = |u: u32| {
+                self.base.in_degree(u) + self.in_add[u as usize].len()
+                    - self.in_del[u as usize].len()
+            };
+            patch_rows(pool, n, in_degree, |u| self.in_edges(u))?
+        } else {
+            Rows::default()
+        };
+        Ok(Csr::from_rows(self.is_directed(), self.is_weighted(), self.vertex_ids().into(), out, inn))
     }
 
     /// Folds the delta log into a fresh base CSR on `pool` and resets
@@ -654,6 +671,45 @@ impl MutableGraph {
     }
 }
 
+/// One direction of a snapshot: offsets are the prefix sum of `degree`,
+/// and each pool task writes the rows of one vertex range into their
+/// own, disjoint slots.
+fn patch_rows<'a>(
+    pool: &WorkerPool,
+    n: usize,
+    degree: impl Fn(u32) -> usize,
+    row: impl Fn(u32) -> MergedEdges<'a> + Sync,
+) -> Result<Rows> {
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut end = 0u64;
+    offsets.push(end);
+    for u in 0..n as u32 {
+        end += degree(u) as u64;
+        offsets.push(end);
+    }
+    // Zeroed, so every slot is initialized even if a row fails midway.
+    let mut targets = vec![0u32; end as usize];
+    let mut weights = vec![0.0f64; end as usize];
+    {
+        let tgt = SharedSlice::new(targets.as_mut_ptr());
+        let wts = SharedSlice::new(weights.as_mut_ptr());
+        let offsets = &offsets;
+        pool.run(n, |_, vrange| -> Result<()> {
+            for u in vrange {
+                let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+                // SAFETY: offsets ascend, so the slots of disjoint vertex
+                // ranges are disjoint; only this task writes `lo..hi`.
+                let (t, w) = unsafe { (tgt.slice_mut(lo, hi - lo), wts.slice_mut(lo, hi - lo)) };
+                row(u as u32).write_row(u as u32, n, t, w)?;
+            }
+            Ok(())
+        })
+        .into_iter()
+        .collect::<Result<()>>()?;
+    }
+    Ok(Rows { offsets, targets, weights })
+}
+
 /// Sorted merge of a base CSR row (minus tombstones) with its overlay.
 pub struct MergedEdges<'a> {
     base_t: &'a [u32],
@@ -663,6 +719,40 @@ pub struct MergedEdges<'a> {
     bi: usize,
     di: usize,
     ai: usize,
+}
+
+impl MergedEdges<'_> {
+    /// Writes the row of vertex `u` into `t` / `w`, which hold exactly its
+    /// slots. A row the log never touched is a copy of the base row; any
+    /// other is merged, then checked.
+    fn write_row(self, u: u32, n: usize, t: &mut [u32], w: &mut [f64]) -> Result<()> {
+        if self.del.is_empty() && self.add.is_empty() && self.base_t.len() == t.len() {
+            t.copy_from_slice(self.base_t);
+            w.copy_from_slice(self.base_w);
+            return Ok(());
+        }
+        // Entries past the row's end are counted, not written: `k` ends
+        // at the merged length, which the check compares.
+        let mut k = 0;
+        for (v, weight) in self {
+            if k < t.len() {
+                t[k] = v;
+                w[k] = weight;
+            }
+            k += 1;
+        }
+        let ascending = t.windows(2).all(|p| p[0] < p[1]);
+        if k != t.len() || !ascending || t.last().is_some_and(|&v| v as usize >= n) {
+            return Err(bad_row(u, t.len()));
+        }
+        Ok(())
+    }
+}
+
+fn bad_row(u: u32, degree: usize) -> Error {
+    Error::InvalidGraph(format!(
+        "delta log row {u} does not merge into {degree} strictly ascending in-range targets"
+    ))
 }
 
 impl Iterator for MergedEdges<'_> {
@@ -915,5 +1005,114 @@ mod tests {
         assert_eq!(out.deleted, 10, "random deletions name existing edges");
         assert_eq!(out.inserted, 10, "random insertions name absent edges");
         assert_view_matches_materialized(&mg);
+    }
+}
+
+#[cfg(test)]
+mod materialize_tests {
+    use super::*;
+    use crate::fault::{self, CancelToken, FaultKind, FaultScript, FaultSite, Injection};
+    use crate::graph::GraphBuilder;
+
+    /// A weighted pseudo-random graph with a few random batches applied
+    /// (auto-compaction off, so the log keeps them).
+    fn mutated(directed: bool) -> MutableGraph {
+        let mut b = GraphBuilder::new(directed);
+        b.set_weighted(true);
+        b.dedup_edges(true);
+        let n = 300u64;
+        b.add_vertex_range(n);
+        let mut x = 0xBA5Eu64;
+        for _ in 0..2400 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (s, d) = ((x >> 33) % n, (x >> 13) % n);
+            if s != d {
+                b.add_weighted_edge(s, d, ((x >> 3) % 13) as f64 / 4.0);
+            }
+        }
+        let base = Arc::new(b.build().unwrap().to_csr());
+        let config = DeltaConfig { auto_compact: false, ..DeltaConfig::default() };
+        let mut mg = MutableGraph::with_config(base.clone(), config);
+        let pool = WorkerPool::inline();
+        for seed in 0..3 {
+            mg.apply(&random_batch(mg.base(), 150, 150, seed), &pool).unwrap();
+        }
+        // A weight update of a live base edge: tombstone plus overlay.
+        let u = (0..n as u32).find(|&u| base.out_degree(u) > 0).unwrap();
+        let (v, w) = (base.out_neighbors(u)[0], base.out_weights(u)[0]);
+        let mut update = MutationBatch::new();
+        update.insert_weighted(base.id_of(u), base.id_of(v), w + 1.0);
+        mg.apply(&update, &pool).unwrap();
+        mg
+    }
+
+    /// Same rows in both directions, weights by bits (equal rows and an
+    /// equal arc count mean equal offsets).
+    fn assert_bit_identical(got: &Csr, want: &Csr) {
+        let bits = |w: &[f64]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.vertex_ids(), want.vertex_ids());
+        assert_eq!((got.num_arcs(), got.is_directed()), (want.num_arcs(), want.is_directed()));
+        assert_eq!(got.resident_bytes(), want.resident_bytes());
+        for u in 0..want.num_vertices() as u32 {
+            assert_eq!(got.out_neighbors(u), want.out_neighbors(u), "out row {u}");
+            assert_eq!(bits(got.out_weights(u)), bits(want.out_weights(u)), "out weights {u}");
+            assert_eq!(got.in_neighbors(u), want.in_neighbors(u), "in row {u}");
+            assert_eq!(bits(got.in_weights(u)), bits(want.in_weights(u)), "in weights {u}");
+        }
+    }
+
+    #[test]
+    fn patched_snapshot_equals_cold_build_at_every_width() {
+        for directed in [true, false] {
+            let mg = mutated(directed);
+            assert!(mg.delta_arcs() > 0);
+            let cold = Csr::from_graph(&mg.to_graph()).unwrap();
+            for threads in [1u32, 2, 4, 8] {
+                let snapshot = mg.materialize(&WorkerPool::new(threads)).unwrap();
+                assert_bit_identical(&snapshot, &cold);
+            }
+        }
+    }
+
+    #[test]
+    fn broken_log_row_is_invalid_graph_not_panic() {
+        type Corrupt = fn(&mut MutableGraph, usize, u32);
+        let corruptions: [(&str, Corrupt); 4] = [
+            ("degree too large", |mg, u, _| mg.degrees[u] += 1),
+            ("degree too small", |mg, u, _| mg.degrees[u] -= 1),
+            ("overlay out of range", |mg, u, n| {
+                mg.out_add[u].push((n + 7, 1.0));
+                mg.degrees[u] += 1;
+            }),
+            ("overlay out of order", |mg, u, _| {
+                let first = mg.out_edges(u as u32).next().unwrap().0;
+                mg.out_add[u].push((first, 1.0));
+                mg.degrees[u] += 1;
+            }),
+        ];
+        for directed in [true, false] {
+            for (what, corrupt) in corruptions {
+                let mut mg = mutated(directed);
+                let n = mg.num_vertices() as u32;
+                let u = (0..n).find(|&u| mg.out_degree(u) > 0).unwrap() as usize;
+                corrupt(&mut mg, u, n);
+                for threads in [1u32, 3] {
+                    let err = mg.materialize(&WorkerPool::new(threads)).unwrap_err();
+                    assert!(matches!(err, Error::InvalidGraph(_)), "{what}: {err}");
+                    assert!(err.to_string().contains(&format!("row {u} ")), "{what}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_checkpoint_fails_the_snapshot() {
+        let mg = mutated(true);
+        let script = FaultScript::new(vec![Injection::new(FaultSite::Build, 0, FaultKind::Alloc)]);
+        let guard = fault::install(CancelToken::new(), script);
+        let err = mg.materialize(&WorkerPool::new(2)).unwrap_err();
+        assert!(matches!(err, Error::Injected { site: "build", transient: false }), "{err}");
+        assert!(mg.materialize(&WorkerPool::new(2)).is_ok(), "one injection, one failure");
+        drop(guard);
     }
 }

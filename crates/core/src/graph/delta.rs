@@ -632,19 +632,22 @@ impl MutableGraph {
     pub fn materialize(&self, pool: &WorkerPool) -> Result<Csr> {
         crate::fault::checkpoint(crate::fault::FaultSite::Build)?;
         let n = self.num_vertices();
-        let out = patch_rows(pool, n, |u| self.degrees[u as usize] as usize, |u| self.out_edges(u))?;
+        let out_degree = |u: u32| self.degrees[u as usize] as usize;
+        let out = patch_rows(pool, n, out_degree, |u| self.out_edges(u))?;
         let inn = if self.is_directed() {
             // Every tombstone names a base arc and no overlay target
-            // coexists with a live base target, so this is exact.
+            // coexists with a live base target, so this is exact. (A log
+            // that broke this fails the row check instead of underflowing.)
             let in_degree = |u: u32| {
-                self.base.in_degree(u) + self.in_add[u as usize].len()
-                    - self.in_del[u as usize].len()
+                (self.base.in_degree(u) + self.in_add[u as usize].len())
+                    .saturating_sub(self.in_del[u as usize].len())
             };
             patch_rows(pool, n, in_degree, |u| self.in_edges(u))?
         } else {
             Rows::default()
         };
-        Ok(Csr::from_rows(self.is_directed(), self.is_weighted(), self.vertex_ids().into(), out, inn))
+        let ids = self.vertex_ids().into();
+        Ok(Csr::from_rows(self.is_directed(), self.is_weighted(), ids, out, inn))
     }
 
     /// Folds the delta log into a fresh base CSR on `pool` and resets
@@ -697,7 +700,8 @@ fn patch_rows<'a>(
         pool.run(n, |_, vrange| -> Result<()> {
             for u in vrange {
                 let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-                // SAFETY: offsets ascend, so the slots of disjoint vertex
+                // SAFETY: offsets ascend from 0 to the arrays' length, so
+                // `lo..hi` is in bounds and the slots of disjoint vertex
                 // ranges are disjoint; only this task writes `lo..hi`.
                 let (t, w) = unsafe { (tgt.slice_mut(lo, hi - lo), wts.slice_mut(lo, hi - lo)) };
                 row(u as u32).write_row(u as u32, n, t, w)?;

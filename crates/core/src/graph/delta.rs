@@ -747,16 +747,13 @@ impl MergedEdges<'_> {
         }
         let ascending = t.windows(2).all(|p| p[0] < p[1]);
         if k != t.len() || !ascending || t.last().is_some_and(|&v| v as usize >= n) {
-            return Err(bad_row(u, t.len()));
+            return Err(Error::InvalidGraph(format!(
+                "delta log row {u} does not merge into {} strictly ascending in-range targets",
+                t.len()
+            )));
         }
         Ok(())
     }
-}
-
-fn bad_row(u: u32, degree: usize) -> Error {
-    Error::InvalidGraph(format!(
-        "delta log row {u} does not merge into {degree} strictly ascending in-range targets"
-    ))
 }
 
 impl Iterator for MergedEdges<'_> {

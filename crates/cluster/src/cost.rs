@@ -17,7 +17,7 @@
 //! ```
 //!
 //! All Greek letters are per-engine constants ([`CostCoefficients`],
-//! instantiated in `graphalytics-engines::profile`); everything else comes
+//! instantiated in [`crate::profile`]); everything else comes
 //! from measured [`WorkCounters`] and the [`ClusterSpec`]. The barrier term
 //! does not shrink with threads, which is what bounds vertical speedups
 //! (Table 9); the σ term is classic Amdahl.

@@ -10,12 +10,12 @@
 //! rounds, how many edge relaxations the *algorithm* needs); one
 //! [`Estimator`] per engine ([`pregel`] … [`pushpull`]) then maps the
 //! shape onto the counter pattern that engine's kernels produce. Each is
-//! reached through its engine's [`PerfProfile`](crate::PerfProfile) —
-//! the analytic model is not part of the `Platform` lifecycle —
-//! and `tests/estimate_consistency.rs` checks estimate-vs-measured
-//! agreement on generated graphs.
+//! reached through its engine's [`PerfProfile`](crate::PerfProfile)
+//! (`PerfProfile::of(name).estimate`), never through the engines' measured
+//! `Platform` lifecycle, and `tests/estimate_consistency.rs` checks
+//! estimate-vs-measured agreement on generated graphs.
 
-use graphalytics_cluster::WorkCounters;
+use crate::counters::WorkCounters;
 use graphalytics_core::datasets::GraphTraits;
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::Algorithm;

@@ -21,19 +21,24 @@
 //!   by per-engine [`cost::CostCoefficients`];
 //! * [`memory`] — the footprint model behind the stress-test experiment
 //!   (out-of-memory crashes, Section 4.6) and GraphMat's single-machine
-//!   swapping outlier (Section 4.4).
+//!   swapping outlier (Section 4.4);
+//! * [`estimate`] — counter estimators for datasets too large to execute;
+//! * [`profile`] — the per-engine constants ([`PerfProfile`]), admission
+//!   and pricing.
 //!
-//! Keeping the *formulas* here and the per-engine *constants* in
-//! `graphalytics-engines::profile` means every engine is costed through the
-//! same physics, so cross-engine comparisons (who wins, where crossovers
-//! fall) emerge from counters and coefficients rather than per-figure
-//! tuning.
+//! This crate is the whole analytic model; `graphalytics-engines` only
+//! executes and counts. Keeping the *formulas* and the per-engine
+//! *constants* together means every engine is costed through the same
+//! physics, so cross-engine comparisons (who wins, where crossovers fall)
+//! emerge from counters and coefficients rather than per-figure tuning.
 
 pub mod cost;
 pub mod counters;
+pub mod estimate;
 pub mod machine;
 pub mod memory;
 pub mod partition;
+pub mod profile;
 pub mod topology;
 
 pub use cost::CostCoefficients;
@@ -41,4 +46,5 @@ pub use counters::WorkCounters;
 pub use machine::MachineSpec;
 pub use memory::MemoryModel;
 pub use partition::{EdgeCutPartition, PartitionStrategy, VertexCutStats};
+pub use profile::{Admission, PerfProfile, Pricing};
 pub use topology::{ClusterSpec, NetworkSpec};

@@ -1,14 +1,15 @@
 //! Per-engine performance profiles: the analytic model, kept apart from
-//! the measured `Platform` lifecycle.
+//! the measured `Platform` lifecycle in `graphalytics-engines`.
 //!
 //! A [`PerfProfile`] holds everything that distinguishes an engine in
 //! the simulation: its counter [`Estimator`] for datasets too large to
 //! execute, cost coefficients (counters → seconds), the memory model,
 //! startup/upload overheads, variability, partitioning strategy and
-//! preferred network. Each engine's profile is one associated constant
-//! (`PerfProfile::PREGEL` …), which `Platform::profile` returns. The
-//! constants are calibrated **once** against the paper's published
-//! single-machine measurements and reused unchanged for every experiment:
+//! network. Each engine's profile is one associated constant
+//! (`PerfProfile::PREGEL` …), which [`PerfProfile::of`] looks up by
+//! engine name. The constants are calibrated **once** against the
+//! paper's published single-machine measurements and reused unchanged
+//! for every experiment:
 //!
 //! * Table 8 — `T_proc` and makespan of BFS on D300(L) fix the compute
 //!   coefficients and the startup/load overheads;
@@ -21,21 +22,23 @@
 //!   behaviour.
 //!
 //! Figures 4–9 are then *predictions* from counters (measured, or
-//! estimated at paper scale) plus these profiles.
+//! estimated at paper scale) plus these profiles: [`PerfProfile::admit`]
+//! sizes a job against the cluster (deployment mode, replication, cut
+//! fraction, memory) and [`Admission::price`] turns its counters into
+//! simulated upload, processing and offload seconds.
 
-use graphalytics_cluster::cost::CostCoefficients;
-use graphalytics_cluster::memory::{MemoryModel, OomBehavior};
-use graphalytics_cluster::partition::PartitionStrategy;
+use std::ops::Range;
+
+use graphalytics_core::datasets::DatasetSpec;
+use graphalytics_core::error::{Error, Result};
 use graphalytics_core::Algorithm;
 
+use crate::cost::{noise_factor, processing_time, CostBreakdown, CostCoefficients};
+use crate::counters::WorkCounters;
 use crate::estimate::{self, Estimator};
-
-/// Which interconnect an engine is deployed on (Table 7 lists both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetworkKind {
-    Ethernet1G,
-    InfinibandFdr,
-}
+use crate::memory::{MemoryModel, MemoryOutcome, OomBehavior};
+use crate::partition::{estimate_replication, PartitionStrategy};
+use crate::topology::{ClusterSpec, NetworkSpec};
 
 /// All simulation constants for one engine.
 #[derive(Debug, Clone)]
@@ -67,7 +70,8 @@ pub struct PerfProfile {
     pub cv_distributed: f64,
     /// Partitioning strategy in distributed mode.
     pub partition: PartitionStrategy,
-    pub network: NetworkKind,
+    /// The interconnect the engine is deployed on (Table 7 lists both).
+    pub network: NetworkSpec,
     /// Per-message bytes a CDLP label shuffle materializes simultaneously
     /// (0 when the engine streams/combines). Drives GraphX's CDLP failures.
     pub cdlp_peak_bytes_per_message: f64,
@@ -122,7 +126,7 @@ impl PerfProfile {
         cv_single: 0.050,
         cv_distributed: 0.098,
         partition: PartitionStrategy::HashEdgeCut,
-        network: NetworkKind::Ethernet1G,
+        network: NetworkSpec::ethernet_1g(),
         cdlp_peak_bytes_per_message: 24.0,
         lcc_peak_bytes_per_entry: 8.0,
     };
@@ -160,7 +164,7 @@ impl PerfProfile {
         cv_single: 0.026,
         cv_distributed: 0.045,
         partition: PartitionStrategy::HashEdgeCut,
-        network: NetworkKind::Ethernet1G,
+        network: NetworkSpec::ethernet_1g(),
         cdlp_peak_bytes_per_message: 300.0, // groupByKey, boxed records
         lcc_peak_bytes_per_entry: 16.0,
     };
@@ -198,7 +202,7 @@ impl PerfProfile {
         cv_single: 0.015,
         cv_distributed: 0.045,
         partition: PartitionStrategy::GreedyVertexCut,
-        network: NetworkKind::Ethernet1G,
+        network: NetworkSpec::ethernet_1g(),
         cdlp_peak_bytes_per_message: 0.0,
         lcc_peak_bytes_per_entry: 0.0,
     };
@@ -237,7 +241,7 @@ impl PerfProfile {
         cv_single: 0.097,
         cv_distributed: 0.057,
         partition: PartitionStrategy::RangeEdgeCut,
-        network: NetworkKind::Ethernet1G,
+        network: NetworkSpec::ethernet_1g(),
         cdlp_peak_bytes_per_message: 0.0,
         lcc_peak_bytes_per_entry: 12.0, // SpGEMM intermediates
     };
@@ -275,7 +279,7 @@ impl PerfProfile {
         cv_single: 0.048,
         cv_distributed: 0.048, // unused: single-node platform
         partition: PartitionStrategy::RangeEdgeCut,
-        network: NetworkKind::Ethernet1G,
+        network: NetworkSpec::ethernet_1g(),
         cdlp_peak_bytes_per_message: 0.0,
         lcc_peak_bytes_per_entry: 0.0,
     };
@@ -315,10 +319,121 @@ impl PerfProfile {
         cv_single: 0.082,
         cv_distributed: 0.071,
         partition: PartitionStrategy::HashEdgeCut,
-        network: NetworkKind::InfinibandFdr,
+        network: NetworkSpec::infiniband_fdr(),
         cdlp_peak_bytes_per_message: 0.0,
         lcc_peak_bytes_per_entry: 0.0,
     };
+
+    /// The profile of the engine named `engine_name` (`pregel` …
+    /// `pushpull`), or `None` for a name the model does not know.
+    pub fn of(engine_name: &str) -> Option<&'static PerfProfile> {
+        [&Self::PREGEL, &Self::DATAFLOW, &Self::GAS, &Self::SPMV, &Self::NATIVE, &Self::PUSHPULL]
+            .into_iter()
+            .find(|p| p.model_name == engine_name)
+    }
+
+    /// Admission of a job of `algorithm` on `dataset`, sized at `(v, e)`,
+    /// on `cluster`. A single-node engine cannot go distributed
+    /// ([`Error::Unsupported`]); the partitioning fixes replication and cut
+    /// fraction; the per-machine footprint plus the algorithm's peak extra
+    /// bytes fits, swaps or runs out of memory ([`Error::OutOfMemory`], the
+    /// stress-test mechanism).
+    pub fn admit(
+        &'static self,
+        cluster: ClusterSpec,
+        algorithm: Algorithm,
+        dataset: &DatasetSpec,
+        (v, e): (u64, u64),
+    ) -> Result<Admission> {
+        if cluster.is_distributed() && !self.supports_distributed {
+            return Err(Error::Unsupported {
+                platform: self.paper_analog.to_string(),
+                algorithm: format!("{algorithm} on {} machines", cluster.machines),
+            });
+        }
+        let cluster = ClusterSpec { network: self.network, ..cluster };
+        let skew = dataset.traits_.degree_skew;
+        let arcs = if dataset.directed { e } else { 2 * e };
+        let mean_degree = arcs as f64 / v.max(1) as f64;
+        let sum_deg2 = estimate::estimate_sum_deg2(v, arcs as f64, skew);
+
+        // Partitioning characteristics drive replication and cut fraction.
+        let m = cluster.machines;
+        let replication = match self.partition {
+            PartitionStrategy::GreedyVertexCut => estimate_replication(m, mean_degree, skew),
+            _ => 1.0,
+        };
+        let cut_fraction = match self.partition {
+            _ if m <= 1 => 0.0,
+            PartitionStrategy::HashEdgeCut => 1.0 - 1.0 / m as f64,
+            PartitionStrategy::RangeEdgeCut => 0.9 * (1.0 - 1.0 / m as f64),
+            PartitionStrategy::GreedyVertexCut => 1.0 - 1.0 / replication.max(1.0),
+        };
+
+        let footprint = self.memory.footprint_per_machine(v, e, skew, m, replication)
+            + (self.peak_extra_bytes(algorithm, arcs, sum_deg2) / m as f64) as u64;
+        let swap_slowdown = match self.memory.check(footprint, cluster.machine.memory_bytes) {
+            MemoryOutcome::Fits { .. } => 1.0,
+            MemoryOutcome::Swapping { slowdown, .. } => slowdown,
+            MemoryOutcome::OutOfMemory { required_bytes, available_bytes } => {
+                return Err(Error::OutOfMemory { required_bytes, available_bytes })
+            }
+        };
+        Ok(Admission { profile: self, cluster, vertices: v, edges: e, swap_slowdown, cut_fraction })
+    }
+}
+
+/// What [`PerfProfile::admit`] resolves for a job it admits: the engine's
+/// profile, the job's cluster on the engine's interconnect, the graph size
+/// it is priced at, the swap slowdown (1.0 when it fits) and the fraction
+/// of message traffic that crosses machines.
+#[derive(Debug, Clone, Copy)]
+pub struct Admission {
+    pub profile: &'static PerfProfile,
+    cluster: ClusterSpec,
+    pub vertices: u64,
+    pub edges: u64,
+    swap_slowdown: f64,
+    cut_fraction: f64,
+}
+
+impl Admission {
+    /// Prices the job once its run produced (or was estimated to produce)
+    /// `counters`: startup plus per-edge load, a 5 ns/vertex output
+    /// offload, the cost model's processing breakdown, and one `T_proc` per
+    /// repetition in `runs` — the breakdown's total, slowed by swapping,
+    /// times the deployment's noise factor on the stream keyed by
+    /// `noise_seed` (no noise when `None`).
+    pub fn price(
+        &self,
+        counters: &WorkCounters,
+        noise_seed: Option<u64>,
+        runs: Range<u64>,
+    ) -> Pricing {
+        let (profile, m) = (self.profile, self.cluster.machines);
+        let breakdown = processing_time(&profile.cost, counters, &self.cluster, self.cut_fraction);
+        let cv = if m > 1 { profile.cv_distributed } else { profile.cv_single };
+        let noise = |run_index| noise_seed.map_or(1.0, |seed| noise_factor(cv, seed, run_index));
+        let tproc = |run_index| breakdown.total() * self.swap_slowdown * noise(run_index);
+        Pricing {
+            upload_secs: profile.startup_secs
+                + profile.load_secs_per_edge * self.edges as f64 / m as f64,
+            offload_secs: self.vertices as f64 * 5.0e-9,
+            processing_secs: runs.map(tproc).collect(),
+            breakdown,
+        }
+    }
+}
+
+/// The simulated cost of one admitted job ([`Admission::price`]):
+/// upload (startup + load) and offload seconds, the noise-free processing
+/// breakdown, and each repetition's `T_proc`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pricing {
+    pub upload_secs: f64,
+    pub offload_secs: f64,
+    pub breakdown: CostBreakdown,
+    pub processing_secs: Vec<f64>,
 }
 
 #[cfg(test)]

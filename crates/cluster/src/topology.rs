@@ -13,13 +13,13 @@ pub struct NetworkSpec {
 
 impl NetworkSpec {
     /// 1 Gbit/s Ethernet (Table 7) — what the community platforms use.
-    pub fn ethernet_1g() -> Self {
+    pub const fn ethernet_1g() -> Self {
         NetworkSpec { bandwidth_bytes_per_s: 117.0e6, latency_s: 100.0e-6 }
     }
 
     /// FDR InfiniBand (Table 7) — available on DAS-5; PGX.D-class engines
     /// exploit it.
-    pub fn infiniband_fdr() -> Self {
+    pub const fn infiniband_fdr() -> Self {
         NetworkSpec { bandwidth_bytes_per_s: 6.8e9, latency_s: 1.5e-6 }
     }
 }

@@ -60,7 +60,6 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::pool::WorkerPool;
 use crate::common::Grouped;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
-use crate::profile::PerfProfile;
 
 pub use algorithms::{edge_dataset, pregel_loop};
 
@@ -192,10 +191,6 @@ pub struct DataflowEngine;
 impl Platform for DataflowEngine {
     fn name(&self) -> &'static str {
         "dataflow"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        &PerfProfile::DATAFLOW
     }
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {

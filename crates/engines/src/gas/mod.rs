@@ -36,7 +36,6 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::frontier::Frontier;
 use crate::common::pool::WorkerPool;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
-use crate::profile::PerfProfile;
 use crate::trace::IterTimer;
 
 /// Which incident edges a stage visits.
@@ -301,10 +300,6 @@ pub struct GasEngine;
 impl Platform for GasEngine {
     fn name(&self) -> &'static str {
         "gas"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        &PerfProfile::GAS
     }
 
     fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {

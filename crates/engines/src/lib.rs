@@ -23,12 +23,13 @@
 //! engine populates [`WorkCounters`] (vertices, edges, messages, bytes,
 //! supersteps).
 //!
-//! The analytic model is not part of that lifecycle: the per-engine
-//! [`profile::PerfProfile`] carries the counter estimator for graphs too
-//! large to execute ([`estimate`]) and the constants that turn counters
+//! This crate holds no analytic model. The counter estimators for graphs
+//! too large to execute, and the per-engine constants that turn counters
 //! into simulated cluster time, memory footprints, startup/upload
-//! overheads and run-to-run variability — calibrated once against the
-//! paper's published Tables 8–11 and reused unchanged everywhere.
+//! overheads and run-to-run variability, live in `graphalytics-cluster`
+//! (`PerfProfile::of(engine_name)`). Engines read only two things from
+//! it: the paper analogue [`platform_by_name`] resolves, and the
+//! placement [`upload_with_shards`] partitions by.
 //!
 //! The fundamental asymmetries the paper reports emerge structurally here:
 //! the dataflow engine re-materializes datasets every iteration (GraphX's
@@ -40,12 +41,10 @@
 
 pub mod common;
 pub mod dataflow;
-pub mod estimate;
 pub mod gas;
 pub mod native;
 pub mod platform;
 pub mod pregel;
-pub mod profile;
 pub mod pushpull;
 pub mod sharded;
 pub mod spmv;
@@ -56,7 +55,6 @@ pub use platform::{
     RunContext,
 };
 pub use trace::SpanRecord;
-pub use profile::PerfProfile;
 pub use sharded::{upload_with_shards, ShardLayout, ShardPlan, ShardSet};
 
 pub use graphalytics_cluster::WorkCounters;

@@ -31,7 +31,6 @@ use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
-use crate::profile::PerfProfile;
 use crate::trace::IterTimer;
 
 /// The uploaded representation: the bare CSR. OpenG's kernels operate on
@@ -58,10 +57,6 @@ pub struct NativeEngine;
 impl Platform for NativeEngine {
     fn name(&self) -> &'static str {
         "native"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        &PerfProfile::NATIVE
     }
 
     fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {

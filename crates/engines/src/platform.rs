@@ -28,8 +28,9 @@
 //! records the harness folds into the Granula archive; the returned
 //! [`Execution`] carries the output (validated by the harness against the
 //! reference implementation), measured wall time, and the
-//! [`WorkCounters`] the run accumulated — which the harness feeds through
-//! the engine's [`PerfProfile`] to obtain simulated cluster time.
+//! [`WorkCounters`] the run accumulated — which the harness prices through
+//! the analytic model in `graphalytics-cluster` to obtain simulated
+//! cluster time. The trait itself is only the measured lifecycle.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,9 +43,7 @@ use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_core::{Algorithm, Csr};
 
-use graphalytics_cluster::WorkCounters;
-
-use crate::profile::PerfProfile;
+use graphalytics_cluster::{PerfProfile, WorkCounters};
 
 /// The result of one real execution (one repetition of the execute phase).
 #[derive(Debug, Clone)]
@@ -219,10 +218,6 @@ pub trait Platform: Send + Sync {
     /// `pushpull`.
     fn name(&self) -> &'static str;
 
-    /// The engine's analytic model: counter estimator, cost/memory
-    /// constants, overheads.
-    fn profile(&self) -> &'static PerfProfile;
-
     /// Whether the engine implements `algorithm`. Defaults to yes; the
     /// push–pull engine declines LCC like PGX.D in the paper.
     fn supports(&self, _algorithm: Algorithm) -> bool {
@@ -389,7 +384,9 @@ pub fn all_platforms() -> Vec<Box<dyn Platform>> {
 pub fn platform_by_name(name: &str) -> Option<Box<dyn Platform>> {
     let lower = name.to_ascii_lowercase();
     all_platforms().into_iter().find(|p| {
-        p.name() == lower || p.profile().paper_analog.to_ascii_lowercase() == lower
+        p.name() == lower
+            || PerfProfile::of(p.name())
+                .is_some_and(|profile| profile.paper_analog.to_ascii_lowercase() == lower)
     })
 }
 
@@ -421,6 +418,33 @@ mod tests {
         assert!(platform_by_name("Giraph").is_some());
         assert!(platform_by_name("GraphMat").is_some());
         assert!(platform_by_name("PGX.D").is_some());
+        assert!(platform_by_name("nope").is_none());
+    }
+
+    #[test]
+    fn every_engine_has_a_profile_and_resolves_by_its_analogue() {
+        for platform in all_platforms() {
+            let name = platform.name();
+            let profile = PerfProfile::of(name).unwrap_or_else(|| panic!("{name} has a profile"));
+            assert_eq!(profile.model_name, name);
+            let analog = profile.paper_analog;
+            let mixed: String = analog
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c.to_ascii_uppercase()
+                    }
+                })
+                .collect();
+            for alias in [analog.to_ascii_uppercase(), analog.to_ascii_lowercase(), mixed] {
+                let found = platform_by_name(&alias).unwrap_or_else(|| panic!("{alias} resolves"));
+                assert_eq!(found.name(), name, "{alias}");
+            }
+        }
+        assert!(PerfProfile::of("nope").is_none());
         assert!(platform_by_name("nope").is_none());
     }
 

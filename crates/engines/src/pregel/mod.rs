@@ -53,7 +53,6 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::common::Grouped;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
-use crate::profile::PerfProfile;
 use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
 use crate::trace::{IterTimer, SpanRecord};
 
@@ -340,10 +339,6 @@ pub struct PregelEngine;
 impl Platform for PregelEngine {
     fn name(&self) -> &'static str {
         "pregel"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        &PerfProfile::PREGEL
     }
 
     fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {

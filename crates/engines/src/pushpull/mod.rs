@@ -46,7 +46,6 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::frontier::Frontier;
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::platform::{downcast_graph, unsupported, LoadedGraph, Platform};
-use crate::profile::PerfProfile;
 use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
 use crate::trace::{IterTimer, SpanRecord};
 
@@ -262,10 +261,6 @@ pub struct PushPullEngine;
 impl Platform for PushPullEngine {
     fn name(&self) -> &'static str {
         "pushpull"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        &PerfProfile::PUSHPULL
     }
 
     fn supports(&self, algorithm: Algorithm) -> bool {

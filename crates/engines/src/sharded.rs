@@ -40,7 +40,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use graphalytics_cluster::partition::{edge_cut_seeded, PartitionStrategy};
-use graphalytics_core::error::Result;
+use graphalytics_cluster::PerfProfile;
+use graphalytics_core::error::{Error, Result};
 use graphalytics_core::pool::{split_ranges, WorkerPool};
 use graphalytics_core::{Csr, ShardedCsr};
 
@@ -348,8 +349,9 @@ pub fn shard_span(s: usize, secs: f64) -> SpanRecord {
 }
 
 /// Upload through the sharded path when `shards > 1` (placement from the
-/// engine's profile), through the plain path otherwise — the harness's
-/// single entry point for shard-aware uploads.
+/// engine's [`PerfProfile`]; an engine without one cannot be placed),
+/// through the plain path otherwise — the harness's single entry point
+/// for shard-aware uploads.
 pub fn upload_with_shards(
     platform: &dyn Platform,
     csr: Arc<Csr>,
@@ -360,7 +362,10 @@ pub fn upload_with_shards(
     if shards <= 1 {
         return platform.upload(csr, pool);
     }
-    let plan = ShardPlan { shards, strategy: platform.profile().partition, seed };
+    let profile = PerfProfile::of(platform.name()).ok_or_else(|| {
+        Error::InvalidParameters(format!("platform {} has no placement profile", platform.name()))
+    })?;
+    let plan = ShardPlan { shards, strategy: profile.partition, seed };
     platform.upload_sharded(csr, &plan, pool)
 }
 

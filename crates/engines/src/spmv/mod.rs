@@ -29,7 +29,6 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::frontier::Frontier;
 use crate::common::pool::WorkerPool;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
-use crate::profile::PerfProfile;
 use crate::trace::IterTimer;
 
 /// A semiring-style kernel for one sparse iteration.
@@ -191,10 +190,6 @@ pub struct SpmvEngine;
 impl Platform for SpmvEngine {
     fn name(&self) -> &'static str {
         "spmv"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        &PerfProfile::SPMV
     }
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {

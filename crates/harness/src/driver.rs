@@ -28,10 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
-use graphalytics_cluster::cost::{noise_factor, processing_time};
-use graphalytics_cluster::memory::MemoryOutcome;
-use graphalytics_cluster::partition::{estimate_replication, PartitionStrategy};
-use graphalytics_cluster::{ClusterSpec, NetworkSpec, WorkCounters};
+use graphalytics_cluster::{Admission, ClusterSpec, PerfProfile, WorkCounters};
 use graphalytics_core::algorithms::{run_reference, Request};
 use graphalytics_core::datasets::DatasetSpec;
 use graphalytics_core::fault::{self, CancelToken, FaultScript, FaultSite};
@@ -39,7 +36,6 @@ use graphalytics_core::output::AlgorithmOutput;
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_core::{random_batch, Algorithm, Csr, MutableGraph, MutationBatch};
-use graphalytics_engines::profile::NetworkKind;
 use graphalytics_engines::{LoadedGraph, PhaseRecord, Platform, RunContext, SpanRecord};
 use graphalytics_granula::monitor::ResourceSample;
 use graphalytics_granula::{Archiver, MonitorConfig, OperationRecord, PerformanceArchive, Sampler};
@@ -433,8 +429,6 @@ impl ReferenceCache {
 
 /// The job driver.
 pub struct Driver {
-    /// Validate measured outputs against the reference implementation.
-    pub validate: bool,
     /// Apply the deterministic variability noise to simulated times.
     pub noise: bool,
     /// Base seed for the noise stream.
@@ -475,7 +469,6 @@ pub struct Driver {
 impl Default for Driver {
     fn default() -> Self {
         Driver {
-            validate: true,
             noise: true,
             seed: 0xB5ED,
             pool: WorkerPool::shared(),
@@ -503,15 +496,6 @@ struct MeasuredPhases {
     replay: Option<MutationReplay>,
 }
 
-/// Everything admission resolves before any phase runs.
-struct Admission {
-    cluster: ClusterSpec,
-    vertices: u64,
-    edges: u64,
-    swap_slowdown: f64,
-    cut_fraction: f64,
-}
-
 impl Driver {
     /// Arms the job deadline (if any) and installs the thread-local
     /// fault/cancellation scope for one job's lifecycle. Kernels observe
@@ -531,10 +515,29 @@ impl Driver {
     /// (platform, dataset)).
     pub fn run(&self, platform: &dyn Platform, spec: &JobSpec, mode: RunMode<'_>) -> JobResult {
         let _scope = self.fault_scope(spec);
+        let (profile, mut result) = self.blank_result(platform, spec);
         match mode {
-            RunMode::Analytic => self.run_analytic(platform, spec),
+            // Counters estimated at the published size, one simulated
+            // measurement per repetition.
+            RunMode::Analytic => {
+                let published = (spec.dataset.vertices, spec.dataset.edges);
+                let Some(admission) = self.admit(platform, profile, spec, published, &mut result)
+                else {
+                    return result;
+                };
+                let desc = JobDescription { dataset: spec.dataset, algorithm: spec.algorithm };
+                result.counters = (admission.profile.estimate)(
+                    admission.vertices,
+                    admission.edges,
+                    &spec.dataset.traits_,
+                    spec.dataset.directed,
+                    spec.algorithm,
+                    &desc.params_analytic(),
+                );
+                let archiver = Archiver::new(platform.name(), job_name(spec));
+                self.finish_with_cost_model(spec, admission, result, archiver, &[])
+            }
             RunMode::Measured { csr } => {
-                let mut result = self.blank_result(platform, spec);
                 // A mutation script replays into one delta log; the job
                 // then answers for its snapshot, from admission on.
                 let (csr, replay) = match spec.mutations {
@@ -547,7 +550,8 @@ impl Driver {
                     },
                     None => (csr.clone(), None),
                 };
-                if let Some(admission) = self.admit(platform, spec, Some(&csr), &mut result) {
+                let admitted = self.admit(platform, profile, spec, size(&csr), &mut result);
+                if let Some(admission) = admitted {
                     if let Err(e) = fault::checkpoint(FaultSite::Upload) {
                         result.status = JobStatus::from_error(&e);
                         return result;
@@ -598,15 +602,8 @@ impl Driver {
         measured_upload_secs: Option<f64>,
     ) -> JobResult {
         let _scope = self.fault_scope(spec);
-        let mut result = self.blank_result(platform, spec);
-        let csr = loaded.csr();
-        match self.admit_sized(
-            platform,
-            spec,
-            csr.num_vertices() as u64,
-            csr.num_edges() as u64,
-            &mut result,
-        ) {
+        let (profile, mut result) = self.blank_result(platform, spec);
+        match self.admit(platform, profile, spec, size(loaded.csr()), &mut result) {
             Some(admission) => self.execute_repetitions(
                 platform,
                 loaded,
@@ -671,14 +668,8 @@ impl Driver {
         spec: &JobSpec,
         csr: &Csr,
     ) -> Option<JobResult> {
-        let mut result = self.blank_result(platform, spec);
-        match self.admit_sized(
-            platform,
-            spec,
-            csr.num_vertices() as u64,
-            csr.num_edges() as u64,
-            &mut result,
-        ) {
+        let (profile, mut result) = self.blank_result(platform, spec);
+        match self.admit(platform, profile, spec, size(csr), &mut result) {
             Some(_) => None,
             None => Some(result),
         }
@@ -693,32 +684,10 @@ impl Driver {
         csr: &Csr,
         message: String,
     ) -> JobResult {
-        let mut result = self.blank_result(platform, spec);
-        result.vertices = csr.num_vertices() as u64;
-        result.edges = csr.num_edges() as u64;
+        let (_, mut result) = self.blank_result(platform, spec);
+        (result.vertices, result.edges) = size(csr);
         result.status = JobStatus::ValidationFailed(message);
         result
-    }
-
-    /// One analytic job: counters estimated at the published size, one
-    /// simulated measurement per repetition.
-    fn run_analytic(&self, platform: &dyn Platform, spec: &JobSpec) -> JobResult {
-        let mut result = self.blank_result(platform, spec);
-        let Some(admission) = self.admit(platform, spec, None, &mut result) else {
-            return result;
-        };
-        let desc = JobDescription { dataset: spec.dataset, algorithm: spec.algorithm };
-        let counters = (platform.profile().estimate)(
-            admission.vertices,
-            admission.edges,
-            &spec.dataset.traits_,
-            spec.dataset.directed,
-            spec.algorithm,
-            &desc.params_analytic(),
-        );
-        result.counters = counters;
-        let archiver = Archiver::new(platform.name(), job_name(spec));
-        self.finish_with_cost_model(platform, spec, admission, result, archiver, &[])
     }
 
     /// The execute×N + validate phases, shared by `run` and
@@ -764,17 +733,13 @@ impl Driver {
         // mutation script, the materialized snapshot (a fresh `Arc`, so a
         // fresh key). A reference-side failure is recorded as a
         // validation failure instead of panicking the benchmark mid-run.
-        let reference = if self.validate {
-            match self.references.get(csr, spec.algorithm, &params) {
-                Ok(reference) => Some(reference),
-                Err(e) => {
-                    result.status =
-                        JobStatus::ValidationFailed(format!("reference implementation: {e}"));
-                    return result;
-                }
+        let reference = match self.references.get(csr, spec.algorithm, &params) {
+            Ok(reference) => reference,
+            Err(e) => {
+                result.status =
+                    JobStatus::ValidationFailed(format!("reference implementation: {e}"));
+                return result;
             }
-        } else {
-            None
         };
 
         // The Granula monitor rides along while repetitions execute: a
@@ -846,21 +811,18 @@ impl Driver {
             match execution {
                 Ok(exec) => {
                     if rep == 0 {
-                        if let Some(reference) = &reference {
-                            match graphalytics_core::validation::validate(reference, &exec.output)
-                            {
-                                Ok(report) if report.is_valid() => {}
-                                Ok(report) => {
-                                    result.status = JobStatus::ValidationFailed(format!(
-                                        "{} mismatches",
-                                        report.mismatches
-                                    ));
-                                    return result;
-                                }
-                                Err(e) => {
-                                    result.status = JobStatus::ValidationFailed(e.to_string());
-                                    return result;
-                                }
+                        match graphalytics_core::validation::validate(&reference, &exec.output) {
+                            Ok(report) if report.is_valid() => {}
+                            Ok(report) => {
+                                result.status = JobStatus::ValidationFailed(format!(
+                                    "{} mismatches",
+                                    report.mismatches
+                                ));
+                                return result;
+                            }
+                            Err(e) => {
+                                result.status = JobStatus::ValidationFailed(e.to_string());
+                                return result;
                             }
                         }
                         result.counters = exec.counters;
@@ -879,45 +841,31 @@ impl Driver {
             let duration = sampler.elapsed_secs();
             archiver.record_op(monitor_op(sampler.stop(), duration));
         }
-        self.finish_with_cost_model(platform, spec, admission, result, archiver, &walls)
+        self.finish_with_cost_model(spec, admission, result, archiver, &walls)
     }
 
-    /// Counters → simulated per-repetition times through the shared cost
-    /// model, aggregation, archive records, SLA verdict.
+    /// Counters → simulated per-repetition times through the model's
+    /// pricing, aggregation, archive records, SLA verdict.
     fn finish_with_cost_model(
         &self,
-        platform: &dyn Platform,
         spec: &JobSpec,
         admission: Admission,
         mut result: JobResult,
         mut archiver: Archiver,
         walls: &[f64],
     ) -> JobResult {
-        let profile = platform.profile();
-        let Admission { cluster, vertices: v, edges: e, swap_slowdown, cut_fraction } = admission;
-        let breakdown = processing_time(&profile.cost, &result.counters, &cluster, cut_fraction);
-        let m = cluster.machines;
-        let cv = if m > 1 { profile.cv_distributed } else { profile.cv_single };
-        let upload = profile.startup_secs + profile.load_secs_per_edge * e as f64 / m as f64;
-        let offload = v as f64 * 5.0e-9;
-
-        let repetitions = spec.repetitions.max(1) as u64;
-        let mut runs = Vec::with_capacity(repetitions as usize);
-        for rep in 0..repetitions {
-            let run_index = spec.run_index + rep;
-            let noise = if self.noise {
-                noise_factor(cv, self.seed ^ job_seed(&result), run_index)
-            } else {
-                1.0
-            };
-            let tproc = breakdown.total() * swap_slowdown * noise;
-            runs.push(RunMeasurement {
+        let noise_seed = self.noise.then(|| self.seed ^ job_seed(&result));
+        let run_indices = spec.run_index..spec.run_index + spec.repetitions.max(1) as u64;
+        let price = admission.price(&result.counters, noise_seed, run_indices.clone());
+        let (upload, offload, breakdown) = (price.upload_secs, price.offload_secs, price.breakdown);
+        let runs: Vec<RunMeasurement> = run_indices.zip(&price.processing_secs).enumerate()
+            .map(|(rep, (run_index, &tproc))| RunMeasurement {
                 run_index,
                 processing_secs: tproc,
                 makespan_secs: upload + tproc + offload,
-                measured_wall_secs: walls.get(rep as usize).copied(),
-            });
-        }
+                measured_wall_secs: walls.get(rep).copied(),
+            })
+            .collect();
         let mean = runs.iter().map(|r| r.processing_secs).sum::<f64>() / runs.len() as f64;
         result.upload_secs = upload;
         result.processing_secs = mean;
@@ -927,12 +875,10 @@ impl Driver {
             runs.iter().map(|r| r.processing_secs).fold(0.0, f64::max);
         result.makespan_secs = upload + mean + offload;
 
-        archiver.record_simulated("Startup", profile.startup_secs, &[]);
-        archiver.record_simulated(
-            "LoadGraph",
-            upload - profile.startup_secs,
-            &[("edges", &e.to_string())],
-        );
+        let startup = admission.profile.startup_secs;
+        archiver.record_simulated("Startup", startup, &[]);
+        let edges = admission.edges.to_string();
+        archiver.record_simulated("LoadGraph", upload - startup, &[("edges", &edges)]);
         let counters = &result.counters;
         for run in &runs {
             archiver.record_simulated(
@@ -959,13 +905,19 @@ impl Driver {
         result
     }
 
-    /// An empty result shell for `spec` (sizes default to the published
-    /// ones; admission overwrites for measured runs).
-    fn blank_result(&self, platform: &dyn Platform, spec: &JobSpec) -> JobResult {
-        let profile = platform.profile();
-        JobResult {
+    /// The platform's profile, looked up once per job, and an empty result
+    /// shell for `spec` (sizes default to the published ones; admission
+    /// overwrites for measured runs). A platform the model has no profile
+    /// for has no paper analogue.
+    fn blank_result(
+        &self,
+        platform: &dyn Platform,
+        spec: &JobSpec,
+    ) -> (Option<&'static PerfProfile>, JobResult) {
+        let profile = PerfProfile::of(platform.name());
+        let result = JobResult {
             platform: platform.name().to_string(),
-            paper_analog: profile.paper_analog.to_string(),
+            paper_analog: profile.map_or("", |p| p.paper_analog).to_string(),
             dataset: spec.dataset.id.to_string(),
             algorithm: spec.algorithm,
             machines: spec.cluster.machines,
@@ -986,90 +938,42 @@ impl Driver {
             counters: WorkCounters::new(),
             archive: None,
             mutation: None,
-        }
+        };
+        (profile, result)
     }
 
-    /// Admission for `spec`, sized from `csr` when measured.
+    /// Admission of `spec` on a graph of `(vertices, edges)`: a profile
+    /// for the platform, algorithm and shard support (the lifecycle's
+    /// checks), then the model's deployment and memory sizing
+    /// ([`PerfProfile::admit`]). `None` means the job was rejected (status
+    /// already set on `result`).
     fn admit(
         &self,
         platform: &dyn Platform,
+        profile: Option<&'static PerfProfile>,
         spec: &JobSpec,
-        csr: Option<&Arc<Csr>>,
+        (v, e): (u64, u64),
         result: &mut JobResult,
     ) -> Option<Admission> {
-        let (v, e) = match csr {
-            Some(csr) => (csr.num_vertices() as u64, csr.num_edges() as u64),
-            None => (spec.dataset.vertices, spec.dataset.edges),
-        };
-        self.admit_sized(platform, spec, v, e, result)
-    }
-
-    /// Admission: algorithm support, deployment mode, memory. `None`
-    /// means the job was rejected (status already set on `result`).
-    fn admit_sized(
-        &self,
-        platform: &dyn Platform,
-        spec: &JobSpec,
-        v: u64,
-        e: u64,
-        result: &mut JobResult,
-    ) -> Option<Admission> {
-        let profile = platform.profile().clone();
-        let mut cluster = spec.cluster;
-        cluster.network = match profile.network {
-            NetworkKind::Ethernet1G => NetworkSpec::ethernet_1g(),
-            NetworkKind::InfinibandFdr => NetworkSpec::infiniband_fdr(),
-        };
-        result.machines = cluster.machines;
-        result.threads = cluster.threads_per_machine;
-        result.vertices = v;
-        result.edges = e;
-
-        if !platform.supports(spec.algorithm)
-            || (cluster.is_distributed() && !profile.supports_distributed)
-            || (spec.shards > 1 && !platform.supports_sharded())
-        {
-            result.status = JobStatus::Unsupported;
-            return None;
-        }
-
-        let traits_ = spec.dataset.traits_;
-        let directed = spec.dataset.directed;
-        let arcs = if directed { e } else { 2 * e };
-        let mean_degree = arcs as f64 / v.max(1) as f64;
-        let sum_deg2 =
-            graphalytics_engines::estimate::estimate_sum_deg2(v, arcs as f64, traits_.degree_skew);
-
-        // Partitioning characteristics drive replication and cut fraction.
-        let m = cluster.machines;
-        let replication = if m > 1 && profile.partition == PartitionStrategy::GreedyVertexCut {
-            estimate_replication(m, mean_degree, traits_.degree_skew)
-        } else {
-            1.0
-        };
-        let cut_fraction = if m <= 1 {
-            0.0
-        } else {
-            match profile.partition {
-                PartitionStrategy::HashEdgeCut => 1.0 - 1.0 / m as f64,
-                PartitionStrategy::RangeEdgeCut => 0.9 * (1.0 - 1.0 / m as f64),
-                PartitionStrategy::GreedyVertexCut => 1.0 - 1.0 / replication.max(1.0),
+        (result.vertices, result.edges) = (v, e);
+        let supported =
+            platform.supports(spec.algorithm) && (spec.shards <= 1 || platform.supports_sharded());
+        let admission = match profile {
+            Some(profile) if supported => {
+                profile.admit(spec.cluster, spec.algorithm, spec.dataset, (v, e))
             }
-        };
-
-        // Memory admission (the stress-test mechanism).
-        let footprint = profile.memory.footprint_per_machine(v, e, traits_.degree_skew, m, replication)
-            + (profile.peak_extra_bytes(spec.algorithm, arcs, sum_deg2) / m as f64) as u64;
-        let swap_slowdown = match profile.memory.check(footprint, cluster.machine.memory_bytes) {
-            MemoryOutcome::Fits { .. } => 1.0,
-            MemoryOutcome::Swapping { slowdown, .. } => slowdown,
-            MemoryOutcome::OutOfMemory { .. } => {
-                result.status = JobStatus::OutOfMemory;
+            _ => {
+                result.status = JobStatus::Unsupported;
                 return None;
             }
         };
-        Some(Admission { cluster, vertices: v, edges: e, swap_slowdown, cut_fraction })
+        admission.map_err(|e| result.status = JobStatus::from_error(&e)).ok()
     }
+}
+
+/// A graph's `(vertices, edges)`, the size a measured job is admitted at.
+fn size(csr: &Csr) -> (u64, u64) {
+    (csr.num_vertices() as u64, csr.num_edges() as u64)
 }
 
 /// Wraps a stage failure in its stage prefix — except fault-plane errors
@@ -1332,10 +1236,7 @@ mod tests {
         struct LyingPlatform;
         impl Platform for LyingPlatform {
             fn name(&self) -> &'static str {
-                "lying"
-            }
-            fn profile(&self) -> &'static graphalytics_engines::PerfProfile {
-                &graphalytics_engines::PerfProfile::NATIVE
+                "native"
             }
             fn upload(
                 &self,
@@ -1387,6 +1288,45 @@ mod tests {
             }
             other => panic!("expected ValidationFailed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn platform_without_profile_is_unsupported_in_both_modes() {
+        // The analytic model has no profile for this name: admission turns
+        // the job away in either mode, never a panic.
+        struct Unprofiled(Box<dyn Platform>);
+        impl Platform for Unprofiled {
+            fn name(&self) -> &'static str {
+                "unprofiled"
+            }
+            fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
+                self.0.upload(csr, pool)
+            }
+            fn execute(
+                &self,
+                graph: &dyn LoadedGraph,
+                request: Request,
+                pool: &WorkerPool,
+                counters: &mut WorkCounters,
+            ) -> Result<graphalytics_core::output::OutputValues> {
+                self.0.execute(graph, request, pool, counters)
+            }
+        }
+        let platform = Unprofiled(platform_by_name("native").unwrap());
+        let driver = Driver::default();
+        let job = spec("G22", Algorithm::Bfs, 1);
+        let analytic = driver.run(&platform, &job, RunMode::Analytic);
+        assert_eq!(analytic.status, JobStatus::Unsupported);
+        assert!(analytic.archive.is_none());
+        let csr = proxy_csr("G22");
+        let measured = driver.run(&platform, &job, RunMode::Measured { csr: &csr });
+        assert_eq!(measured.status, JobStatus::Unsupported);
+        assert_eq!(measured.vertices, csr.num_vertices() as u64);
+        assert!(measured.measured_upload_secs.is_none(), "rejected before upload");
+        assert!(driver.preflight(&platform, &job, &csr).is_some());
+        // Nor can a sharded upload be placed without a profile.
+        let sharded = graphalytics_engines::upload_with_shards(&platform, csr, 2, 0, &driver.pool);
+        assert!(sharded.is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod variability;
 pub mod vertical;
 pub mod weak;
 
-use graphalytics_cluster::ClusterSpec;
+use graphalytics_cluster::{ClusterSpec, PerfProfile};
 use graphalytics_core::datasets::DatasetSpec;
 use graphalytics_core::Algorithm;
 use graphalytics_engines::{all_platforms, Platform};
@@ -70,7 +70,9 @@ impl ExperimentSuite {
 
     /// Paper-facing platform labels, in Table 5 order.
     pub fn platform_labels(&self) -> Vec<String> {
-        self.platforms.iter().map(|p| p.profile().paper_analog.to_string()).collect()
+        // Empty for a platform the model has no profile for.
+        let label = |p: &dyn Platform| PerfProfile::of(p.name()).map_or("", |p| p.paper_analog);
+        self.platforms.iter().map(|p| label(p.as_ref()).to_string()).collect()
     }
 }
 

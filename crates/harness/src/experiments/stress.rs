@@ -29,7 +29,8 @@ pub fn run(suite: &ExperimentSuite) -> Vec<StressOutcome> {
     suite
         .platforms
         .iter()
-        .map(|p| {
+        .zip(suite.platform_labels())
+        .map(|(p, platform)| {
             let smallest_failure = datasets
                 .iter()
                 .find(|d| {
@@ -45,7 +46,7 @@ pub fn run(suite: &ExperimentSuite) -> Vec<StressOutcome> {
                         .is_success()
                 })
                 .copied();
-            StressOutcome { platform: p.profile().paper_analog.to_string(), smallest_failure }
+            StressOutcome { platform, smallest_failure }
         })
         .collect()
 }

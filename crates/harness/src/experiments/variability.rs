@@ -38,7 +38,8 @@ pub fn run(suite: &ExperimentSuite) -> Variability {
         suite
             .platforms
             .iter()
-            .map(|p| {
+            .zip(suite.platform_labels())
+            .map(|(p, platform)| {
                 let samples: Vec<f64> = (0..REPETITIONS)
                     .map(|i| suite.run_analytic(p.as_ref(), dataset, Algorithm::Bfs, cluster, i))
                     .filter(|r| r.status.is_success())
@@ -46,16 +47,12 @@ pub fn run(suite: &ExperimentSuite) -> Variability {
                     .collect();
                 if samples.len() == REPETITIONS as usize {
                     VariabilityRow {
-                        platform: p.profile().paper_analog.to_string(),
+                        platform,
                         mean_secs: Some(mean(&samples)),
                         cv: Some(coefficient_of_variation(&samples)),
                     }
                 } else {
-                    VariabilityRow {
-                        platform: p.profile().paper_analog.to_string(),
-                        mean_secs: None,
-                        cv: None,
-                    }
+                    VariabilityRow { platform, mean_secs: None, cv: None }
                 }
             })
             .collect()

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use graphalytics::cluster::cost::processing_time;
+use graphalytics::cluster::PerfProfile;
 use graphalytics::harness::proxy;
 use graphalytics::prelude::*;
 
@@ -34,11 +35,12 @@ fn main() {
     // Lifecycle: each platform uploads once; both algorithms then run on
     // the same uploaded representation.
     for platform in all_platforms() {
+        let profile = PerfProfile::of(platform.name()).expect("every engine has a profile");
         let upload_start = Instant::now();
         let loaded = platform.upload(csr.clone(), &pool).expect("upload succeeds");
         println!(
             "-- {} (upload {:.2} ms) --",
-            platform.profile().paper_analog,
+            profile.paper_analog,
             upload_start.elapsed().as_secs_f64() * 1e3
         );
         println!(
@@ -51,7 +53,7 @@ fn main() {
             let run =
                 platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).expect("supported");
             let valid = validate(&reference, &run.output).unwrap().is_valid();
-            let sim = processing_time(&platform.profile().cost, &run.counters, &cluster, 0.0);
+            let sim = processing_time(&profile.cost, &run.counters, &cluster, 0.0);
             println!(
                 "{:<6} {:>12.2} {:>13.3}s {:>12} {:>10}",
                 algorithm.acronym(),

@@ -16,7 +16,7 @@
 //! LCC is exempt: its superstep 0 ships every vertex's neighbour list as
 //! one shared allocation per sender. That list is the §4.2 payload the
 //! paper's message-buffering platforms fail on, and what
-//! `engines::estimate` models, so its count grows with `|V|` by design.
+//! `cluster::estimate` models, so its count grows with `|V|` by design.
 //!
 //! The file holds one `#[test]`: libtest runs tests on parallel threads,
 //! and they would share the counter.

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use graphalytics::cluster::PerfProfile;
 use graphalytics::core::datasets::{DegreeDistribution, GraphTraits};
 use graphalytics::core::graph::GraphStats;
 use graphalytics::prelude::*;
@@ -57,7 +58,7 @@ fn estimates_track_measured_counters() {
             }
             let mut ctx = RunContext::new(&pool);
             let run = platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
-            let est = (platform.profile().estimate)(
+            let est = (PerfProfile::of(platform.name()).unwrap().estimate)(
                 stats.vertices,
                 stats.edges,
                 &traits_,

@@ -28,7 +28,7 @@ use graphalytics::core::datasets::{dataset, DatasetSpec};
 use graphalytics::core::fault::CancelToken;
 use graphalytics::core::output::{AlgorithmOutput, OutputValues};
 use graphalytics::core::Result;
-use graphalytics::engines::{Execution, PerfProfile};
+use graphalytics::engines::Execution;
 use graphalytics::harness::description::JobDescription;
 use graphalytics::harness::JobStatus;
 use graphalytics::prelude::*;
@@ -59,11 +59,7 @@ impl CannedPlatform {
 
 impl Platform for CannedPlatform {
     fn name(&self) -> &'static str {
-        "canned"
-    }
-
-    fn profile(&self) -> &'static PerfProfile {
-        self.inner.profile()
+        self.inner.name()
     }
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {

@@ -11,6 +11,17 @@
 //!
 //! Undirected graphs treat each edge as two directed edges (so `outdeg` is
 //! the full degree and ranks flow both ways).
+//!
+//! Each iteration divides once per vertex, not once per arc: one ascending
+//! pass ([`into_shares`]) adds every dangling vertex's rank to `dangling`
+//! and overwrites every other `rank[u]` in place with its share
+//! `PR(u)/outdeg(u)`; the pull loop then sums the shares over each
+//! in-row. A share is the very f64 quotient the per-arc form computes for
+//! each of `u`'s arcs, and the sums add the same terms in the same (CSR)
+//! order, so every output bit equals the per-arc form's. A dangling
+//! vertex keeps its rank: it is no vertex's in-neighbour, so the pull
+//! loop never reads it. The reference stays sequential; push–pull, native
+//! and SpMV run the same share pass and parallelize only the pull loop.
 
 use crate::graph::Csr;
 
@@ -26,23 +37,35 @@ pub fn pagerank(csr: &Csr, iterations: u32, damping: f64) -> Vec<f64> {
     let mut rank = vec![inv_n; n];
     let mut next = vec![0.0f64; n];
     for _ in 0..iterations {
-        let mut dangling = 0.0f64;
-        for (u, r) in rank.iter().enumerate() {
-            if csr.out_degree(u as u32) == 0 {
-                dangling += r;
-            }
-        }
+        let dangling = into_shares(&mut rank, (0..n as u32).map(|u| csr.out_degree(u)));
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
         for v in 0..n as u32 {
             let mut sum = 0.0f64;
             for &u in csr.in_neighbors(v) {
-                sum += rank[u as usize] / csr.out_degree(u) as f64;
+                sum += rank[u as usize];
             }
             next[v as usize] = base + damping * sum;
         }
         std::mem::swap(&mut rank, &mut next);
     }
     rank
+}
+
+/// The pass that opens every PageRank iteration: adds each dangling
+/// vertex's rank to the returned dangling mass, in ascending vertex
+/// order, and overwrites every other `rank[u]` in place with its share
+/// `rank[u] / outdeg(u)`. `out_degrees` yields `outdeg(u)` for ascending
+/// `u`. Engines that divide per vertex call this too, so their shares and
+/// dangling sums are the reference's bit for bit.
+pub fn into_shares(rank: &mut [f64], out_degrees: impl IntoIterator<Item = usize>) -> f64 {
+    let mut dangling = 0.0f64;
+    for (r, d) in rank.iter_mut().zip(out_degrees) {
+        match d {
+            0 => dangling += *r,
+            d => *r /= d as f64,
+        }
+    }
+    dangling
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use graphalytics_core::algorithms::{cdlp, Request};
+use graphalytics_core::algorithms::{cdlp, pagerank::into_shares, Request};
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::output::OutputValues;
@@ -118,9 +118,9 @@ fn queue_bfs(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<i64> {
     depth
 }
 
-/// Pull-based PageRank; bit-identical to the reference (same traversal
-/// order), parallel over vertex ranges on the shared pool with
-/// allocation-free double buffering.
+/// Pull-based PageRank; bit-identical to the reference (same share pass,
+/// same traversal order), parallel over vertex ranges on the shared pool
+/// with allocation-free double buffering.
 fn pull_pagerank(csr: &Csr, iterations: u32, damping: f64, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
     let n = csr.num_vertices();
     if n == 0 {
@@ -134,14 +134,11 @@ fn pull_pagerank(csr: &Csr, iterations: u32, damping: f64, pool: &WorkerPool, c:
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
         c.vertices_processed += n as u64;
-        let rank_ref = &rank;
-        // Summed in vertex order, as the reference does: per-range
-        // partials would make the float sum depend on the pool width.
-        let dangling: f64 = (0..n)
-            .filter(|&u| csr.out_degree(u as u32) == 0)
-            .map(|u| rank_ref[u])
-            .sum();
+        // The reference's sequential share pass: per-range partials would
+        // make the dangling sum depend on the pool width.
+        let dangling = into_shares(&mut rank, (0..n as u32).map(|u| csr.out_degree(u)));
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
+        let rank_ref = &rank;
         let edges: u64 = {
             let out = SharedSlice::new(next.as_mut_ptr());
             pool.run(n, |_, r| {
@@ -149,7 +146,7 @@ fn pull_pagerank(csr: &Csr, iterations: u32, damping: f64, pool: &WorkerPool, c:
                 for v in r {
                     let mut sum = 0.0f64;
                     for &u in csr.in_neighbors(v as u32) {
-                        sum += rank_ref[u as usize] / csr.out_degree(u) as f64;
+                        sum += rank_ref[u as usize];
                     }
                     edges += csr.in_degree(v as u32) as u64;
                     // SAFETY: vertex ranges are disjoint.

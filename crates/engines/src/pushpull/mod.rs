@@ -35,7 +35,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use graphalytics_core::algorithms::Request;
+use graphalytics_core::algorithms::{pagerank::into_shares, Request};
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::output::OutputValues;
@@ -502,11 +502,13 @@ fn bfs_kernel<const TRACED: bool>(
     depth
 }
 
-/// Pull PageRank (PGX.D's home turf: pure reads, no message buffers),
-/// dividing by the uploaded representation's cached out-degrees. The
-/// dangling-mass scan is one canonical ascending loop and each vertex's
-/// rank sum walks its own in-row, so term order — and f64 rounding — is
-/// the same on every lane assignment.
+/// Pull PageRank (PGX.D's home turf: pure reads, no message buffers).
+/// Each iteration opens with one sequential ascending pass that sums the
+/// dangling mass and turns every other rank, in place, into its share
+/// `rank / outdeg` (one division per vertex, by the upload's cached
+/// out-degrees); the lanes then sum shares along each vertex's own
+/// in-row. Term order, and so f64 rounding, is the reference's on every
+/// lane assignment.
 fn pull_pagerank(
     graph: &PushPullGraph,
     lanes: &Lanes<'_>,
@@ -529,10 +531,9 @@ fn pull_pagerank(
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
         c.vertices_processed += n as u64;
-        let rank_ref = &rank;
-        let dangling: f64 =
-            (0..n).filter(|&u| degrees[u] == 0).map(|u| rank_ref[u]).sum();
+        let dangling = into_shares(&mut rank, degrees.iter().map(|&d| d as usize));
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
+        let rank_ref = &rank;
         let next_ptr = SharedSlice::new(next.as_mut_ptr());
         let groups = lanes.run(tracing, |lane| {
             let mut edges = 0u64;
@@ -541,7 +542,7 @@ fn pull_pagerank(
                 edges += inn.len() as u64;
                 let mut sum = 0.0f64;
                 for &u in inn {
-                    sum += rank_ref[u as usize] / degrees[u as usize] as f64;
+                    sum += rank_ref[u as usize];
                 }
                 // SAFETY: lanes are disjoint; only this worker writes v.
                 unsafe { *next_ptr.at(v as usize) = base + damping * sum };

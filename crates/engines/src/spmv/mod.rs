@@ -10,6 +10,13 @@
 //! from the active vector — BFS/SSSP frontiers), exactly GraphMat's
 //! SPMV/SPMSPV split.
 //!
+//! PageRank's division by out-degree is GraphMat's per-vertex *send*
+//! step, not a per-edge `multiply`: before each product, one pass turns
+//! every non-dangling rank into its share `rank / outdeg`, and the
+//! product sums shares. That is one division per vertex, and the same
+//! quotient and summation order as the reference's, so the output is
+//! bit-identical to it.
+//!
 //! Flat-array kernels with sequential access make this the fastest
 //! single-machine engine, matching GraphMat's position in Figures 4–6.
 //! Like all vector-iteration platforms it still processes the dense
@@ -18,7 +25,7 @@
 
 use std::sync::Arc;
 
-use graphalytics_core::algorithms::Request;
+use graphalytics_core::algorithms::{pagerank::into_shares, Request};
 use graphalytics_core::error::Result;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::output::OutputValues;
@@ -33,14 +40,15 @@ use crate::trace::IterTimer;
 
 /// A semiring-style kernel for one sparse iteration.
 ///
-/// `multiply` produces a partial product from an edge and the source
-/// value; `add` combines partials (must be commutative and associative so
-/// sparse and dense schedules agree); `apply` integrates the combined
-/// product into the vertex state, returning whether the vertex becomes
-/// active.
+/// `multiply` produces an edge's partial product from the source vertex's
+/// value (already whatever that vertex sends, such as a PageRank share)
+/// and the edge weight; `add` combines partials (must be commutative and
+/// associative so sparse and dense schedules agree), starting from
+/// `identity`. The caller folds the combined product into the vertex
+/// state.
 pub trait SpmvKernel: Sync {
     type Partial: Copy + Send;
-    fn multiply(&self, src_value: f64, weight: f64, src_out_degree: usize) -> Self::Partial;
+    fn multiply(&self, src_value: f64, weight: f64) -> Self::Partial;
     fn add(&self, a: Self::Partial, b: Self::Partial) -> Self::Partial;
     fn identity(&self) -> Self::Partial;
 }
@@ -50,7 +58,7 @@ pub struct MinPlus;
 
 impl SpmvKernel for MinPlus {
     type Partial = f64;
-    fn multiply(&self, src_value: f64, weight: f64, _d: usize) -> f64 {
+    fn multiply(&self, src_value: f64, weight: f64) -> f64 {
         src_value + weight
     }
     fn add(&self, a: f64, b: f64) -> f64 {
@@ -61,13 +69,14 @@ impl SpmvKernel for MinPlus {
     }
 }
 
-/// Plus-times semiring weighted by out-degree (PageRank).
+/// Plus over per-vertex shares (PageRank): the source value is already
+/// `rank / outdeg`, so an edge passes it through unscaled.
 pub struct RankSpread;
 
 impl SpmvKernel for RankSpread {
     type Partial = f64;
-    fn multiply(&self, src_value: f64, _weight: f64, d: usize) -> f64 {
-        src_value / d as f64
+    fn multiply(&self, src_value: f64, _weight: f64) -> f64 {
+        src_value
     }
     fn add(&self, a: f64, b: f64) -> f64 {
         a + b
@@ -94,9 +103,8 @@ pub fn spmspv<K: SpmvKernel>(
         let weights = csr.out_weights(u);
         c.edges_scanned += out.len() as u64;
         c.add_messages(out.len() as u64, 8);
-        let d = out.len();
         for (&v, &w) in out.iter().zip(weights) {
-            let p = kernel.multiply(x[u as usize], w, d);
+            let p = kernel.multiply(x[u as usize], w);
             combined
                 .entry(v)
                 .and_modify(|acc| *acc = kernel.add(*acc, p))
@@ -110,14 +118,11 @@ pub fn spmspv<K: SpmvKernel>(
 
 /// One *dense* pull iteration (SPMV): for every vertex, combine over all
 /// in-edges. Parallel over rows on the shared pool; deterministic because
-/// each row folds its in-neighbours in CSR order. `out_degrees` is the
-/// cached column-population vector the upload phase builds (see
-/// [`SpmvGraph`]).
+/// each row folds its in-neighbours in CSR order.
 pub fn spmv_dense<K: SpmvKernel>(
     csr: &Csr,
     kernel: &K,
     x: &[f64],
-    out_degrees: &[u32],
     pool: &WorkerPool,
     c: &mut WorkCounters,
 ) -> Vec<K::Partial>
@@ -132,8 +137,7 @@ where
         *edges += inn.len() as u64;
         let mut acc = kernel.identity();
         for (&u, &w) in inn.iter().zip(weights) {
-            acc = kernel
-                .add(acc, kernel.multiply(x[u as usize], w, out_degrees[u as usize] as usize));
+            acc = kernel.add(acc, kernel.multiply(x[u as usize], w));
         }
         acc
     });
@@ -148,8 +152,8 @@ where
 /// upload phase pins the dual-direction CSR (the matrix and its
 /// transpose) and derives the per-column out-degree vector once — the
 /// column scaling GraphMat folds into `A` during its graph-ingestion
-/// step — so dense pull iterations stop re-deriving row extents from the
-/// offset array on every edge.
+/// step — so PageRank's per-vertex send step reads a cached degree
+/// instead of re-deriving row extents from the offset array.
 pub struct SpmvGraph {
     csr: Arc<Csr>,
     /// Per-vertex out-degree (matrix column population), built once.
@@ -157,12 +161,6 @@ pub struct SpmvGraph {
 }
 
 impl SpmvGraph {
-    /// The cached out-degree (column population) of vertex `u`.
-    #[inline]
-    pub fn out_degree(&self, u: u32) -> usize {
-        self.out_degrees[u as usize] as usize
-    }
-
     /// The full cached degree vector.
     #[inline]
     pub fn out_degrees(&self) -> &[u32] {
@@ -247,7 +245,7 @@ fn bfs(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<i64> {
             c.edges_scanned += out.len() as u64;
             c.add_messages(out.len() as u64, 8);
             for &v in out {
-                let p = kernel.multiply(dist[u as usize], 1.0, out.len());
+                let p = kernel.multiply(dist[u as usize], 1.0);
                 products.entry(v).and_modify(|a| *a = kernel.add(*a, p)).or_insert(p);
             }
         }
@@ -266,8 +264,9 @@ fn bfs(csr: &Csr, root: u32, c: &mut WorkCounters) -> Vec<i64> {
     dist.into_iter().map(|d| if d.is_finite() { d as i64 } else { i64::MAX }).collect()
 }
 
-/// PageRank as dense plus-times SPMV iterations with dangling mass,
-/// reading the uploaded matrix view (cached column degrees).
+/// PageRank as dense SPMV iterations over per-vertex shares with dangling
+/// mass: the send step divides each rank by its cached column degree in
+/// place, once per vertex, and the product sums the shares.
 fn pagerank(
     graph: &SpmvGraph,
     iterations: u32,
@@ -287,10 +286,9 @@ fn pagerank(
     for _ in 0..iterations {
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
-        let dangling: f64 =
-            (0..n).filter(|&u| degrees[u] == 0).map(|u| rank[u]).sum();
+        let dangling = into_shares(&mut rank, degrees.iter().map(|&d| d as usize));
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
-        let sums = spmv_dense(csr, &RankSpread, &rank, degrees, pool, c);
+        let sums = spmv_dense(csr, &RankSpread, &rank, pool, c);
         rank = sums.into_iter().map(|s| base + damping * s).collect();
         it.lap(c, |s| s.with_info("active", n));
     }
@@ -470,7 +468,7 @@ mod tests {
         assert_eq!(k.add(3.0, 5.0), 3.0);
         assert_eq!(k.add(k.identity(), 2.0), 2.0);
         let r = RankSpread;
-        assert_eq!(r.multiply(1.0, 0.0, 4), 0.25);
+        assert_eq!(r.multiply(0.25, 3.0), 0.25);
         assert_eq!(r.add(r.identity(), 2.0), 2.0);
     }
 }

@@ -1,13 +1,20 @@
-//! A warm Pregel run allocates per superstep, not per vertex (CI gate).
+//! A warm run allocates per superstep, not per vertex (CI gate).
 //!
 //! Pregel delivery groups each superstep's messages by target into one
-//! `offsets`/`values` layout that the next superstep refills, so the heap
-//! traffic of a run on a resident upload scales with supersteps and
-//! lanes, not with `|V|`. This binary wraps the system allocator in a
-//! counter (every `alloc`, `alloc_zeroed` and `realloc`) and, for Pregel
-//! BFS / PageRank / WCC / CDLP / SSSP on a warm upload of a Graph500
-//! proxy with `n >= 12 000` (monolithic and two shards, pool width 2,
-//! tracing off), asserts
+//! `offsets`/`values` layout that the next superstep refills, and the
+//! pull PageRanks of push–pull and native turn ranks into per-vertex
+//! shares in place, so the heap traffic of a run on a resident upload
+//! scales with supersteps and lanes, not with `|V|`. This binary wraps
+//! the system allocator in a counter (every `alloc`, `alloc_zeroed` and
+//! `realloc`) and, on one warm upload of a Graph500 proxy with
+//! `n >= 12 000` (pool width 2, tracing off), for
+//!
+//! * Pregel BFS / PageRank / WCC / CDLP / SSSP, monolithic and at two
+//!   shards,
+//! * push–pull PageRank, monolithic and at two shards,
+//! * native PageRank, monolithic,
+//!
+//! asserts
 //!
 //! ```text
 //! allocations per run <= 128 · supersteps · lanes
@@ -69,16 +76,24 @@ fn a_warm_pregel_run_allocates_per_superstep_not_per_vertex() {
     assert!(n >= 12_000, "the proxy must be large enough to tell per-vertex costs: n = {n}");
     let params =
         AlgorithmParams::with_source(SourceSelection::MaxOutDegree.resolve(&csr).unwrap());
-    let platform = platform_by_name("pregel").unwrap();
-    // Both layouts run one lane per pool thread: the monolithic upload
+    // Every layout runs one lane per pool thread: a monolithic upload
     // splits 0..n two ways, each of two shards takes one thread.
     let lanes = pool.threads() as u64;
-    let algorithms =
-        [Algorithm::Bfs, Algorithm::PageRank, Algorithm::Wcc, Algorithm::Cdlp, Algorithm::Sssp];
+    let pregel: &[Algorithm] =
+        &[Algorithm::Bfs, Algorithm::PageRank, Algorithm::Wcc, Algorithm::Cdlp, Algorithm::Sssp];
+    let pagerank: &[Algorithm] = &[Algorithm::PageRank];
+    let cells = [
+        ("pregel", 1u32, pregel),
+        ("pregel", 2, pregel),
+        ("pushpull", 1, pagerank),
+        ("pushpull", 2, pagerank),
+        ("native", 1, pagerank),
+    ];
     let mut over_budget = Vec::new();
-    for shards in [1u32, 2] {
+    for (engine, shards, algorithms) in cells {
+        let platform = platform_by_name(engine).unwrap();
         let loaded = platform.upload_sharded(csr.clone(), &ShardPlan::new(shards), &pool).unwrap();
-        for algorithm in algorithms {
+        for &algorithm in algorithms {
             let mut ctx = RunContext::new(&pool);
             ctx.set_tracing(false);
             platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
@@ -88,7 +103,7 @@ fn a_warm_pregel_run_allocates_per_superstep_not_per_vertex() {
             let supersteps = run.counters.supersteps;
             let budget = PER_SUPERSTEP_LANE * supersteps * lanes;
             let cell = format!(
-                "pregel {algorithm} at {shards} shard(s): {allocations} allocations over \
+                "{engine} {algorithm} at {shards} shard(s): {allocations} allocations over \
                  {supersteps} supersteps x {lanes} lanes ({:.1} per superstep-lane, \
                  {:.2} per vertex), budget {budget}",
                 allocations as f64 / (supersteps * lanes) as f64,

@@ -1,4 +1,4 @@
-//! Minimal, dependency-free stand-in for the [`rand`] crate (0.9 API
+//! Minimal, dependency-free stand-in for the `rand` crate (0.9 API
 //! subset), used because the build environment has no crates.io access.
 //!
 //! Provides what the workspace consumes — [`rngs::SmallRng`],

@@ -11,7 +11,7 @@ pub enum Error {
     /// A graph violated a data-model invariant (Section 2.2.1): duplicate
     /// edge, self loop, or an edge endpoint that is not a declared vertex.
     InvalidGraph(String),
-    /// A malformed vertex/edge file or benchmark configuration file.
+    /// A malformed vertex/edge file.
     Parse { file: String, line: u64, message: String },
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -21,12 +21,6 @@ pub enum Error {
     /// A platform does not implement the requested algorithm
     /// (e.g. LCC on PGX.D in the paper's evaluation).
     Unsupported { platform: String, algorithm: String },
-    /// A dataset id or name that is not in the benchmark registry
-    /// (Tables 3–4).
-    UnknownDataset(String),
-    /// A platform name that matches neither a model name nor a paper
-    /// analogue (Table 5).
-    UnknownPlatform(String),
     /// The (simulated) system ran out of memory; maps to the paper's
     /// crash-type SLA violations (Sections 2.3 and 4.6).
     OutOfMemory { required_bytes: u64, available_bytes: u64 },
@@ -59,8 +53,6 @@ impl fmt::Display for Error {
             Error::Unsupported { platform, algorithm } => {
                 write!(f, "platform {platform} does not support algorithm {algorithm}")
             }
-            Error::UnknownDataset(id) => write!(f, "unknown dataset {id}"),
-            Error::UnknownPlatform(name) => write!(f, "unknown platform {name}"),
             Error::OutOfMemory { required_bytes, available_bytes } => write!(
                 f,
                 "out of memory: required {required_bytes} B, available {available_bytes} B"
@@ -135,13 +127,6 @@ mod tests {
         let e = Error::InvalidGraph("self loop".into());
         assert!(!e.breaks_sla());
         assert!(e.to_string().contains("self loop"));
-        // Bad-request errors are user errors, not SLA failures.
-        let e = Error::UnknownDataset("R99".into());
-        assert!(!e.breaks_sla());
-        assert_eq!(e.to_string(), "unknown dataset R99");
-        let e = Error::UnknownPlatform("quantum".into());
-        assert!(!e.breaks_sla());
-        assert_eq!(e.to_string(), "unknown platform quantum");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    views, pre-built edge datasets. Built once, reused across runs *and*
 //!    algorithms.
 //! 2. **execute × N** — [`Platform::run`] executes one algorithm on the
-//!    uploaded graph. The harness repeats this `benchmark.repetitions`
+//!    uploaded graph. The harness repeats this `JobSpec::repetitions`
 //!    times; only this phase counts towards the paper's `T_proc`
 //!    (EPS/EVPS are derived from processing time, never from upload).
 //! 3. **delete** — [`Platform::delete`] releases the engine-owned

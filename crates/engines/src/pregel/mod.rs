@@ -29,7 +29,7 @@
 //! shuffle's grouping — refilled in place every superstep. Its stream is
 //! in ascending-sender order under every layout: one group's outboxes in
 //! worker order, or a `k`-way merge of per-sender run slices for `k`
-//! shards ([`deliver`]). So every vertex reads bit-identical inputs,
+//! shards (`deliver`). So every vertex reads bit-identical inputs,
 //! nothing is sorted, and a warm run allocates per superstep, not vertex.
 
 mod programs;
@@ -172,7 +172,7 @@ pub trait VertexProgram: Sync {
 /// worker computes the vertices of its [`Lane`](crate::sharded::Lane)
 /// (mutated through [`SharedSlice`] — lanes are disjoint) and the
 /// barrier folds the worker contexts and regroups the inbox from their
-/// outboxes ([`deliver`]).
+/// outboxes (`deliver`).
 ///
 /// The global sum aggregator is *canonical*: each vertex's contribution
 /// lands in a per-vertex slot and the barrier sums the slots in

@@ -16,12 +16,12 @@
 //! counters are bit-identical at every pool width.
 //!
 //! BFS, PageRank and CDLP are written once against
-//! [`Lanes`](crate::sharded::Lanes), so a sharded upload runs the same
+//! [`Lanes`], so a sharded upload runs the same
 //! kernels on per-shard lanes. WCC and SSSP relax **in place**, which is
 //! sequential, so each runs one caller-thread kernel on every upload and
 //! reads a sharded upload's owner map only to price the cut: SSSP per
 //! successful relaxation, WCC in a pass over the active rows outside its
-//! sensitive per-edge loop ([`pushpull_wcc`]). Like every engine's, an
+//! sensitive per-edge loop (`pushpull_wcc`). Like every engine's, an
 //! upload is immutable: a mutated graph arrives as its materialized
 //! snapshot, uploaded like any other.
 //!

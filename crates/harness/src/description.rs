@@ -1,13 +1,15 @@
-//! The benchmark description: datasets × algorithms × parameters.
+//! The per-job parameter rules of the benchmark description.
 //!
 //! "The Graphalytics team provides a benchmark description ... definitions
 //! of the algorithms, the datasets, and the algorithm parameters for each
 //! graph (e.g., the root for BFS or number of iterations for PR)"
-//! (Section 2.5, component 1 of Figure 1).
+//! (Section 2.5, component 1 of Figure 1). The datasets and algorithms
+//! live in `graphalytics_core`; this module resolves the parameters one
+//! job runs with.
 
-use graphalytics_core::datasets::{all_datasets, DatasetSpec};
+use graphalytics_core::datasets::DatasetSpec;
 use graphalytics_core::params::AlgorithmParams;
-use graphalytics_core::{Algorithm, Csr, Error, Result};
+use graphalytics_core::{Algorithm, Csr};
 
 /// One benchmark job blueprint: an algorithm on a dataset.
 #[derive(Debug, Clone)]
@@ -41,79 +43,9 @@ impl JobDescription {
     }
 }
 
-/// A full benchmark description.
-#[derive(Debug, Clone, Default)]
-pub struct BenchmarkDescription {
-    pub jobs: Vec<JobDescription>,
-}
-
-impl BenchmarkDescription {
-    /// The complete workload: every algorithm on every dataset (SSSP only
-    /// on weighted datasets).
-    pub fn full() -> Self {
-        let mut jobs = Vec::new();
-        for dataset in all_datasets() {
-            for algorithm in Algorithm::ALL {
-                if algorithm.needs_weights() && !dataset.weighted {
-                    continue;
-                }
-                jobs.push(JobDescription { dataset, algorithm });
-            }
-        }
-        BenchmarkDescription { jobs }
-    }
-
-    /// A selection of algorithms over a selection of dataset ids.
-    ///
-    /// Rejects ids that are not in the registry with
-    /// [`Error::UnknownDataset`] — the service and the config-driven runner
-    /// must refuse bad requests rather than die.
-    pub fn selection(dataset_ids: &[&str], algorithms: &[Algorithm]) -> Result<Self> {
-        let mut jobs = Vec::new();
-        for id in dataset_ids {
-            let dataset = graphalytics_core::datasets::dataset(id)
-                .ok_or_else(|| Error::UnknownDataset(id.to_string()))?;
-            for &algorithm in algorithms {
-                if algorithm.needs_weights() && !dataset.weighted {
-                    continue;
-                }
-                jobs.push(JobDescription { dataset, algorithm });
-            }
-        }
-        Ok(BenchmarkDescription { jobs })
-    }
-
-    /// Number of jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True when the description is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn full_description_covers_everything_runnable() {
-        let d = BenchmarkDescription::full();
-        // 16 datasets × 5 unweighted algorithms + weighted ones × SSSP.
-        let weighted = all_datasets().iter().filter(|d| d.weighted).count();
-        assert_eq!(d.len(), 16 * 5 + weighted);
-        assert!(!d.is_empty());
-        assert!(d.jobs.iter().all(|j| j.algorithm != Algorithm::Sssp || j.dataset.weighted));
-    }
-
-    #[test]
-    fn selection_filters_sssp_on_unweighted() {
-        let d = BenchmarkDescription::selection(&["G22"], &[Algorithm::Bfs, Algorithm::Sssp])
-            .unwrap();
-        assert_eq!(d.len(), 1, "G22 is unweighted; SSSP dropped");
-    }
 
     #[test]
     fn params_resolve_root() {
@@ -123,15 +55,12 @@ mod tests {
         b.add_edge(1, 0);
         b.add_edge(1, 2);
         let csr = b.build().unwrap().to_csr();
-        let d = BenchmarkDescription::selection(&["R1"], &[Algorithm::Bfs]).unwrap();
-        let params = d.jobs[0].params_for(&csr);
+        let job = JobDescription {
+            dataset: graphalytics_core::datasets::dataset("R1").unwrap(),
+            algorithm: Algorithm::Bfs,
+        };
+        let params = job.params_for(&csr);
         assert_eq!(params.source_vertex, Some(1), "max out-degree root");
         assert_eq!(params.pagerank_iterations, 10);
-    }
-
-    #[test]
-    fn unknown_dataset_is_rejected() {
-        let err = BenchmarkDescription::selection(&["R99"], &[Algorithm::Bfs]).unwrap_err();
-        assert!(matches!(err, Error::UnknownDataset(ref id) if id == "R99"), "{err}");
     }
 }

@@ -62,10 +62,10 @@ pub struct JobSpec {
     /// repetition `k` of this job uses `run_index + k`.
     pub run_index: u64,
     /// How many times the execute phase repeats on the uploaded graph
-    /// (`benchmark.repetitions`; clamped to at least 1).
+    /// (`"repetitions"` on a service job; clamped to at least 1).
     pub repetitions: u32,
-    /// Execution shards for measured runs (`benchmark.shards`; clamped to
-    /// at least 1). Values above 1 route the upload through
+    /// Execution shards for measured runs (`"shards"` on a service job;
+    /// clamped to at least 1). Values above 1 route the upload through
     /// [`Platform::upload_sharded`] and are rejected as `Unsupported` on
     /// platforms without a sharded run path.
     pub shards: u32,
@@ -76,9 +76,9 @@ pub struct JobSpec {
     /// platform and at any shard count.
     pub mutations: Option<MutationScript>,
     /// Optional wall-clock deadline for the whole job. The driver arms
-    /// it on its [`CancelToken`](graphalytics_core::fault::CancelToken)
-    /// before the first phase; the first checkpoint past the deadline
-    /// aborts the run with [`JobStatus::TimedOut`].
+    /// it on its [`CancelToken`] before the first phase; the first
+    /// checkpoint past the deadline aborts the run with
+    /// [`JobStatus::TimedOut`].
     pub timeout_secs: Option<f64>,
 }
 
@@ -433,20 +433,17 @@ pub struct Driver {
     pub noise: bool,
     /// Base seed for the noise stream.
     pub seed: u64,
-    /// The execution runtime measured runs execute on. Owned by whoever
-    /// owns the driver (one per benchmark run in the [`Runner`],
-    /// one per daemon in the service); the default is the process-wide
-    /// shared pool, so ad-hoc drivers never spawn private thread sets.
-    ///
-    /// [`Runner`]: crate::runner::Runner
+    /// The execution runtime measured runs execute on. The service
+    /// daemon owns one per process and hands it to every job's driver;
+    /// the default, which the experiment suite and ad-hoc drivers use, is
+    /// the process-wide shared pool, so they never spawn private thread
+    /// sets.
     pub pool: Arc<WorkerPool>,
-    /// The validation references measured jobs compare against. Owned
-    /// like `pool`: one per benchmark run in the [`Runner`] (so each
-    /// (dataset, algorithm) reference is computed once, not once per
-    /// platform), one per daemon in the service; the default is a cache
-    /// private to this driver.
-    ///
-    /// [`Runner`]: crate::runner::Runner
+    /// The validation references measured jobs compare against. The
+    /// service daemon owns one per process (so each (graph, request)
+    /// reference is computed once, not once per platform or job); the
+    /// default, which the experiment suite and ad-hoc drivers use, is a
+    /// cache private to this driver.
     pub references: Arc<ReferenceCache>,
     /// Granula-monitor gate: when enabled (the default), measured runs
     /// trace per-superstep spans into the archive and a background
@@ -490,9 +487,8 @@ struct MutationReplay {
 
 /// Measured-mode extras for `execute_repetitions`: the timed upload
 /// phase and any replayed mutation script.
-#[derive(Default)]
 struct MeasuredPhases {
-    upload_secs: Option<f64>,
+    upload_secs: f64,
     replay: Option<MutationReplay>,
 }
 
@@ -508,11 +504,11 @@ impl Driver {
         fault::install(self.cancel.clone(), self.faults.clone())
     }
 
-    /// Runs one job through the full lifecycle. Measured mode performs
-    /// upload (timed) → execute×N → validate → delete; use
-    /// [`Driver::run_uploaded`] directly to share one upload across
-    /// several jobs (the [`Runner`](crate::runner::Runner) shares per
-    /// (platform, dataset)).
+    /// Runs one job through the full lifecycle: admission, then either
+    /// measured upload (timed) → execute×N → validate → delete on `csr`,
+    /// or analytic counter estimation at the published size. This is the
+    /// harness's one entry point; every measured job uploads its own
+    /// graph.
     pub fn run(&self, platform: &dyn Platform, spec: &JobSpec, mode: RunMode<'_>) -> JobResult {
         let _scope = self.fault_scope(spec);
         let (profile, mut result) = self.blank_result(platform, spec);
@@ -572,7 +568,7 @@ impl Driver {
                                 spec,
                                 admission,
                                 result,
-                                MeasuredPhases { upload_secs: Some(upload_secs), replay },
+                                MeasuredPhases { upload_secs, replay },
                             );
                             platform.delete(loaded);
                         }
@@ -587,32 +583,6 @@ impl Driver {
                 }
                 result
             }
-        }
-    }
-
-    /// Runs the execute×N / validate phases of one measured job on a
-    /// graph some caller already uploaded to `platform` (upload-once,
-    /// execute-many across algorithms and repetitions). Pass the measured
-    /// upload wall time so it is reported on every job that shares it.
-    pub fn run_uploaded(
-        &self,
-        platform: &dyn Platform,
-        loaded: &dyn LoadedGraph,
-        spec: &JobSpec,
-        measured_upload_secs: Option<f64>,
-    ) -> JobResult {
-        let _scope = self.fault_scope(spec);
-        let (profile, mut result) = self.blank_result(platform, spec);
-        match self.admit(platform, profile, spec, size(loaded.csr()), &mut result) {
-            Some(admission) => self.execute_repetitions(
-                platform,
-                loaded,
-                spec,
-                admission,
-                result,
-                MeasuredPhases { upload_secs: measured_upload_secs, ..MeasuredPhases::default() },
-            ),
-            None => result,
         }
     }
 
@@ -656,42 +626,7 @@ impl Driver {
         Ok((Arc::new(snapshot), MutationReplay { summary, phases }))
     }
 
-    /// Admission without execution: returns the rejection row
-    /// (Unsupported / OutOfMemory) for a measured job that would not be
-    /// admitted, or `None` when the job may run. The
-    /// [`Runner`](crate::runner::Runner) uses this to skip the upload
-    /// phase entirely for (platform, dataset) groups whose every job is
-    /// rejected.
-    pub(crate) fn preflight(
-        &self,
-        platform: &dyn Platform,
-        spec: &JobSpec,
-        csr: &Csr,
-    ) -> Option<JobResult> {
-        let (profile, mut result) = self.blank_result(platform, spec);
-        match self.admit(platform, profile, spec, size(csr), &mut result) {
-            Some(_) => None,
-            None => Some(result),
-        }
-    }
-
-    /// A result row for a measured job whose upload phase failed: the
-    /// graph sizes are recorded, nothing executed.
-    pub(crate) fn upload_failed_result(
-        &self,
-        platform: &dyn Platform,
-        spec: &JobSpec,
-        csr: &Csr,
-        message: String,
-    ) -> JobResult {
-        let (_, mut result) = self.blank_result(platform, spec);
-        (result.vertices, result.edges) = size(csr);
-        result.status = JobStatus::ValidationFailed(message);
-        result
-    }
-
-    /// The execute×N + validate phases, shared by `run` and
-    /// `run_uploaded`.
+    /// The execute×N + validate phases of a measured job.
     fn execute_repetitions(
         &self,
         platform: &dyn Platform,
@@ -701,7 +636,7 @@ impl Driver {
         mut result: JobResult,
         measured: MeasuredPhases,
     ) -> JobResult {
-        let MeasuredPhases { upload_secs: measured_upload_secs, replay } = measured;
+        let MeasuredPhases { upload_secs, replay } = measured;
         let csr = loaded.csr();
         if let Some(layout) = loaded.shard_layout() {
             result.shards = layout.shards;
@@ -710,14 +645,12 @@ impl Driver {
         let desc = JobDescription { dataset: spec.dataset, algorithm: spec.algorithm };
         let params = desc.params_for(csr);
         let mut archiver = Archiver::new(platform.name(), job_name(spec));
-        if let Some(upload) = measured_upload_secs {
-            result.measured_upload_secs = Some(upload);
-            archiver.record_measured(
-                "UploadGraph",
-                upload,
-                &[("edges", &csr.num_edges().to_string())],
-            );
-        }
+        result.measured_upload_secs = Some(upload_secs);
+        archiver.record_measured(
+            "UploadGraph",
+            upload_secs,
+            &[("edges", &csr.num_edges().to_string())],
+        );
         if let Some(replay) = &replay {
             result.mutation = Some(replay.summary);
             for phase in &replay.phases {
@@ -1323,7 +1256,6 @@ mod tests {
         assert_eq!(measured.status, JobStatus::Unsupported);
         assert_eq!(measured.vertices, csr.num_vertices() as u64);
         assert!(measured.measured_upload_secs.is_none(), "rejected before upload");
-        assert!(driver.preflight(&platform, &job, &csr).is_some());
         // Nor can a sharded upload be placed without a profile.
         let sharded = graphalytics_engines::upload_with_shards(&platform, csr, 2, 0, &driver.pool);
         assert!(sharded.is_err());
@@ -1357,22 +1289,6 @@ mod tests {
         cache.get(&csr, Algorithm::Wcc, &params).unwrap();
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.entries), (4, 3));
-    }
-
-    #[test]
-    fn run_uploaded_matches_full_lifecycle() {
-        let platform = platform_by_name("spmv").unwrap();
-        let csr = proxy_csr("G22");
-        let driver = Driver::default();
-        let job = spec("G22", Algorithm::PageRank, 1).with_repetitions(3);
-        let full = driver.run(platform.as_ref(), &job, RunMode::Measured { csr: &csr });
-        let loaded = platform.upload(csr.clone(), &driver.pool).unwrap();
-        let shared = driver.run_uploaded(platform.as_ref(), loaded.as_ref(), &job, Some(0.5));
-        platform.delete(loaded);
-        assert_eq!(full.status, shared.status);
-        assert_eq!(full.processing_secs, shared.processing_secs);
-        assert_eq!(full.counters.edges_scanned, shared.counters.edges_scanned);
-        assert_eq!(shared.measured_upload_secs, Some(0.5));
     }
 
     #[test]

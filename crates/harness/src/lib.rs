@@ -1,14 +1,15 @@
 //! # graphalytics-harness
 //!
-//! The Graphalytics test harness (Figure 1 of the paper): it consumes a
-//! benchmark description and configuration, orchestrates drivers over the
-//! system under test, enforces the SLA, validates outputs against the
-//! reference implementations, collects Granula archives, stores results,
-//! and renders the paper's tables and figures.
+//! The Graphalytics test harness (Figure 1 of the paper): it runs jobs
+//! through one driver over the system under test, enforces the SLA,
+//! validates outputs against the reference implementations, collects
+//! Granula archives, stores results, and renders the paper's tables and
+//! figures. [`Driver::run`] is the one entry point; the service daemon's
+//! job queue and the [`experiments`] suite are its callers.
 //!
-//! * [`config`] — `.properties`-style benchmark configuration files;
-//! * [`description`] — the benchmark description: which algorithms run on
-//!   which datasets with which parameters (component 1 in Figure 1);
+//! * [`description`] — the per-job parameter rules: the BFS/SSSP root,
+//!   PageRank and CDLP iterations each dataset prescribes (component 1
+//!   in Figure 1);
 //! * [`proxy`] — materializes structure-matched stand-in graphs for the
 //!   registry datasets at a configurable fraction of the published size;
 //! * [`driver`] — runs one job (platform × dataset × algorithm × cluster):
@@ -21,7 +22,6 @@
 //! * [`results`] — the results database with JSON export;
 //! * [`report`] — text renderers for every table and figure.
 
-pub mod config;
 pub mod description;
 pub mod driver;
 pub mod experiments;
@@ -29,17 +29,13 @@ pub mod metrics;
 pub mod proxy;
 pub mod report;
 pub mod results;
-pub mod runner;
 pub mod survey;
 
-pub use config::BenchmarkConfig;
-pub use description::BenchmarkDescription;
 pub use driver::{
     Driver, JobResult, JobSpec, JobStatus, MutationScript, MutationSummary, ReferenceCache,
     ReferenceStats, RunMeasurement, RunMode,
 };
 pub use results::ResultsDatabase;
-pub use runner::{Runner, RunnerMode};
 
 /// The benchmark SLA: a job must complete with a makespan of at most one
 /// hour (Section 2.3).

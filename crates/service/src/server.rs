@@ -2,7 +2,7 @@
 //!
 //! [`Service::start`] binds a `TcpListener` (port 0 gives an ephemeral
 //! port), spawns the accept loop and a configurable pool of job workers,
-//! and returns a [`ServiceHandle`] for address discovery and graceful
+//! and returns the running [`Service`] for address discovery and graceful
 //! shutdown. The architecture mirrors GRAL's single-process, RAM-only
 //! server: all state — cached graphs, the job table, the results
 //! database — lives in one [`ServiceState`] shared across threads.

@@ -1,57 +1,29 @@
-//! End-to-end harness runs: configuration → description → proxy
-//! materialization → phased lifecycle (upload once / execute×N /
-//! validate / delete) → results database → JSON export → Granula
-//! archives.
+//! End-to-end harness runs: proxy materialization → phased lifecycle
+//! through `Driver::run` (admission / upload / execute×N / validate /
+//! delete) → results database → JSON export → Granula archives.
 
 use std::sync::Arc;
 
 use graphalytics::cluster::ClusterSpec;
-use graphalytics::harness::config::Properties;
 use graphalytics::harness::results::ResultsDatabase;
-use graphalytics::harness::{proxy, BenchmarkConfig, Driver, JobSpec, RunMode};
+use graphalytics::harness::{proxy, Driver, JobSpec, RunMode};
 use graphalytics::prelude::*;
 
 #[test]
 fn measured_benchmark_run_end_to_end() {
-    let config = BenchmarkConfig::parse(
-        "benchmark.name = integration\n\
-         benchmark.platforms = native, spmv, gas\n\
-         benchmark.datasets = R1, G22\n\
-         benchmark.algorithms = bfs, pr, wcc\n\
-         benchmark.scale-divisor = 4096\n\
-         benchmark.repetitions = 2\n\
-         benchmark.seed = 99\n",
-    )
-    .unwrap();
-    assert_eq!(config.name, "integration");
-
-    let driver = Driver { seed: config.seed, ..Driver::default() };
+    let (divisor, seed) = (4096, 99);
+    let driver = Driver { seed, ..Driver::default() };
     let db = ResultsDatabase::new();
-    for dataset_id in &config.datasets {
+    for dataset_id in ["R1", "G22"] {
         let dataset = graphalytics::core::datasets::dataset(dataset_id).unwrap();
-        let graph = proxy::materialize(dataset, config.scale_divisor, config.seed);
+        let graph = proxy::materialize(dataset, divisor, seed);
         let csr = Arc::new(graph.to_csr());
-        for platform_name in &config.platforms {
+        for platform_name in ["native", "spmv", "gas"] {
             let platform = platform_by_name(platform_name).unwrap();
-            // Upload once per (platform, dataset); every algorithm and
-            // repetition reuses the engine-owned representation.
-            let loaded = platform.upload(csr.clone(), &driver.pool).unwrap();
-            for &algorithm in &config.algorithms {
-                if algorithm.needs_weights() && !dataset.weighted {
-                    continue;
-                }
-                let spec = JobSpec {
-                    dataset,
-                    algorithm,
-                    cluster: ClusterSpec::single_machine(),
-                    run_index: 0,
-                    repetitions: config.repetitions,
-                    shards: config.shards,
-                    mutations: None,
-                    timeout_secs: None,
-                };
-                let result =
-                    driver.run_uploaded(platform.as_ref(), loaded.as_ref(), &spec, Some(0.01));
+            for algorithm in [Algorithm::Bfs, Algorithm::PageRank, Algorithm::Wcc] {
+                let spec = JobSpec::new(dataset, algorithm, ClusterSpec::single_machine())
+                    .with_repetitions(2);
+                let result = driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &csr });
                 assert!(
                     result.status.is_success(),
                     "{platform_name} {algorithm} on {dataset_id}: {:?}",
@@ -60,14 +32,13 @@ fn measured_benchmark_run_end_to_end() {
                 assert!(result.measured_wall_secs.is_some());
                 assert!(result.processing_secs > 0.0);
                 assert_eq!(result.repetitions(), 2);
-                assert_eq!(result.measured_upload_secs, Some(0.01));
+                assert!(result.measured_upload_secs.is_some_and(|s| s > 0.0));
                 let archive = result.archive.as_ref().expect("granula archive attached");
                 assert!(archive.duration_of("ProcessGraph").is_some());
                 assert!(archive.info("ProcessGraph", "supersteps").is_some());
                 assert!(archive.duration_of("UploadGraph").is_some());
                 db.insert(result);
             }
-            platform.delete(loaded);
         }
     }
     assert_eq!(db.len(), 3 * 3 * 2); // 3 platforms × 3 algorithms × 2 datasets
@@ -93,22 +64,6 @@ fn validation_catches_broken_outputs() {
     let bfs = run_reference(&csr, Algorithm::Bfs, &params).unwrap();
     let wcc = run_reference(&csr, Algorithm::Wcc, &params).unwrap();
     assert!(graphalytics::core::validation::validate(&bfs, &wcc).is_err());
-}
-
-#[test]
-fn properties_files_drive_the_workload_selection() {
-    let props = Properties::parse(
-        "# Graphalytics-style config\n\
-         benchmark.name = nightly\n\
-         benchmark.datasets = D300, \\\n    G22\n\
-         benchmark.repetitions = 3\n",
-    )
-    .unwrap();
-    let config = BenchmarkConfig::from_properties(&props).unwrap();
-    assert_eq!(config.datasets, vec!["D300", "G22"]);
-    assert_eq!(config.repetitions, 3);
-    // Defaults survive for unset keys.
-    assert_eq!(config.scale_divisor, 1);
 }
 
 #[test]

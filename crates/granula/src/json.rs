@@ -1,6 +1,6 @@
 //! A minimal, dependency-free JSON reader and writer.
 //!
-//! Granula archives and the harness results database serialize to JSON,
+//! Granula archives and the harness's job results serialize to JSON,
 //! and the benchmark service decodes request bodies and archives with the
 //! same type. The workspace deliberately avoids a `serde_json` dependency
 //! (see DESIGN.md §7); this module covers the subset we emit — objects,

@@ -3,7 +3,7 @@
 //! The Graphalytics test harness (Figure 1 of the paper): it runs jobs
 //! through one driver over the system under test, enforces the SLA,
 //! validates outputs against the reference implementations, collects
-//! Granula archives, stores results, and renders the paper's tables and
+//! Granula archives, serializes results, and renders the paper's tables and
 //! figures. [`Driver::run`] is the one entry point; the service daemon's
 //! job queue and the [`experiments`] suite are its callers.
 //!
@@ -19,7 +19,7 @@
 //! * [`survey`] — the two-stage workload selection process and the
 //!   Table 1 survey data behind it;
 //! * [`experiments`] — the eight-experiment suite of Table 6;
-//! * [`results`] — the results database with JSON export;
+//! * [`results`] — the one serialization of a result;
 //! * [`report`] — text renderers for every table and figure.
 
 pub mod description;
@@ -35,7 +35,6 @@ pub use driver::{
     Driver, JobResult, JobSpec, JobStatus, MutationScript, MutationSummary, ReferenceCache,
     ReferenceStats, RunMeasurement, RunMode,
 };
-pub use results::ResultsDatabase;
 
 /// The benchmark SLA: a job must complete with a makespan of at most one
 /// hour (Section 2.3).

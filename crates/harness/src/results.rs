@@ -1,93 +1,14 @@
-//! The results database (components 9 and 12 of Figure 1).
+//! The one serialization of a result (components 9 and 12 of Figure 1).
 //!
-//! Stores every [`JobResult`] of a benchmark run, supports the queries the
-//! experiments and reports need, and exports to JSON for the "public
-//! results" archive.
-//!
-//! The store is `Send + Sync` (interior locking): the benchmark service
-//! runs many driver jobs concurrently and records into one shared
-//! database, so `insert` takes `&self` and reads return snapshots.
+//! [`result_json`] is the shape every consumer of a [`JobResult`] reads:
+//! the service daemon's `GET /jobs/:id` and `GET /results`, whose job
+//! table is the results database, and the benchmark's replayed jobs.
 
-use std::sync::RwLock;
-
-use graphalytics_core::Algorithm;
 use graphalytics_granula::json::Json;
 
 use crate::driver::{JobResult, JobStatus};
 
-/// An in-memory, thread-safe results store with JSON export.
-#[derive(Default)]
-pub struct ResultsDatabase {
-    results: RwLock<Vec<JobResult>>,
-}
-
-impl ResultsDatabase {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Vec<JobResult>> {
-        self.results.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Records a result.
-    pub fn insert(&self, result: JobResult) {
-        self.results.write().unwrap_or_else(|e| e.into_inner()).push(result);
-    }
-
-    /// A snapshot of all results, in insertion order.
-    pub fn all(&self) -> Vec<JobResult> {
-        self.read().clone()
-    }
-
-    /// Number of stored results.
-    pub fn len(&self) -> usize {
-        self.read().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
-    }
-
-    /// Results for a platform × dataset × algorithm triple.
-    pub fn query(
-        &self,
-        platform: &str,
-        dataset: &str,
-        algorithm: Algorithm,
-    ) -> Vec<JobResult> {
-        self.read()
-            .iter()
-            .filter(|r| r.platform == platform && r.dataset == dataset && r.algorithm == algorithm)
-            .cloned()
-            .collect()
-    }
-
-    /// Folds over all results without cloning them — aggregation queries
-    /// (counts, EPS means) on a large database should not copy every
-    /// attached archive the way [`ResultsDatabase::all`] does.
-    pub fn fold<T>(&self, init: T, f: impl FnMut(T, &JobResult) -> T) -> T {
-        self.read().iter().fold(init, f)
-    }
-
-    /// Fraction of successful jobs.
-    pub fn success_rate(&self) -> f64 {
-        let results = self.read();
-        if results.is_empty() {
-            return 1.0;
-        }
-        results.iter().filter(|r| r.status.is_success()).count() as f64 / results.len() as f64
-    }
-
-    /// Serializes all results to pretty JSON.
-    pub fn to_json(&self) -> String {
-        Json::Arr(self.read().iter().map(result_json).collect()).to_string_pretty()
-    }
-}
-
-/// Serializes a single result to a JSON object (shared with the service's
-/// per-job endpoints).
+/// Serializes a single result to a JSON object.
 pub fn result_json(r: &JobResult) -> Json {
     Json::obj(vec![
         ("platform", Json::str(&r.platform)),
@@ -163,6 +84,7 @@ pub fn result_json(r: &JobResult) -> Json {
 mod tests {
     use super::*;
     use graphalytics_cluster::{ClusterSpec, WorkCounters};
+    use graphalytics_core::Algorithm;
 
     fn fake(platform: &str, dataset: &str, secs: f64, ok: bool) -> JobResult {
         let _ = ClusterSpec::single_machine();
@@ -198,83 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn query_and_success_rate() {
-        let db = ResultsDatabase::new();
-        db.insert(fake("spmv", "G22", 0.5, true));
-        db.insert(fake("spmv", "G22", 0.6, true));
-        db.insert(fake("pregel", "G22", 9.0, false));
-        assert_eq!(db.len(), 3);
-        assert!(!db.is_empty());
-        assert_eq!(db.query("spmv", "G22", Algorithm::Bfs).len(), 2);
-        assert_eq!(db.query("spmv", "G23", Algorithm::Bfs).len(), 0);
-        assert!((db.success_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn json_export_contains_fields() {
-        let db = ResultsDatabase::new();
-        db.insert(fake("native", "R1", 0.25, true));
-        let json = db.to_json();
+        let json = result_json(&fake("native", "R1", 0.25, true)).to_string_pretty();
         assert!(json.contains("\"platform\": \"native\""));
         assert!(json.contains("\"eps\""));
         assert!(json.contains("\"status\": \"completed\""));
         assert!(json.contains("\"shards\": 1"));
         assert!(json.contains("\"inter_shard_messages\""));
-    }
-
-    #[test]
-    fn fold_aggregates_without_snapshots() {
-        let db = ResultsDatabase::new();
-        db.insert(fake("spmv", "G22", 2.0, true));
-        db.insert(fake("spmv", "G22", 4.0, true));
-        db.insert(fake("gas", "G22", 1.0, false));
-        let (count, ok, secs) = db.fold((0u32, 0u32, 0.0f64), |(count, ok, secs), r| {
-            (count + 1, ok + u32::from(r.status.is_success()), secs + r.processing_secs)
-        });
-        assert_eq!((count, ok), (3, 2));
-        assert_eq!(secs, 7.0);
-    }
-
-    #[test]
-    fn concurrent_insert_and_query() {
-        // The service's worker pool records into one shared database while
-        // API threads read it: N writers × M inserts interleaved with
-        // readers must never lose a result or tear a snapshot.
-        const WRITERS: usize = 8;
-        const PER_WRITER: usize = 50;
-        let db = ResultsDatabase::new();
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let db = &db;
-                scope.spawn(move || {
-                    let dataset = format!("D{w}");
-                    for i in 0..PER_WRITER {
-                        db.insert(fake("spmv", &dataset, i as f64, true));
-                    }
-                });
-            }
-            // Concurrent readers only ever observe complete results.
-            for _ in 0..4 {
-                let db = &db;
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        let snapshot = db.all();
-                        assert!(snapshot.len() <= WRITERS * PER_WRITER);
-                        assert!(snapshot.iter().all(|r| r.platform == "spmv"));
-                        assert_eq!(db.success_rate(), 1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(db.len(), WRITERS * PER_WRITER);
-        for w in 0..WRITERS {
-            assert_eq!(db.query("spmv", &format!("D{w}"), Algorithm::Bfs).len(), PER_WRITER);
-        }
-    }
-
-    #[test]
-    fn database_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ResultsDatabase>();
     }
 }

@@ -13,7 +13,7 @@
 //! | `DELETE /jobs/:id`   | cancel a queued (200) or running (202) job —   |
 //! |                      | a running job aborts at the next superstep     |
 //! |                      | boundary via its cancellation token            |
-//! | `GET /results`       | the full results database (JSON export)        |
+//! | `GET /results`       | the results of completed jobs, in id order     |
 //! | `GET /graphs`        | resident graph store entries + configuration   |
 //! | `POST /graphs/:id/mutations` | apply a streaming mutation batch to a  |
 //! |                      | resident graph's delta log (explicit           |
@@ -46,7 +46,7 @@ pub fn handle(state: &ServiceState, request: &Request) -> Response {
         ("GET", ["jobs", id]) => get_job(state, id),
         ("GET", ["jobs", id, "archive"]) => get_archive(state, id),
         ("DELETE", ["jobs", id]) => cancel_job(state, id),
-        ("GET", ["results"]) => Response::raw_json(200, state.results.to_json()),
+        ("GET", ["results"]) => results(state),
         ("GET", ["graphs"]) => graphs(state),
         ("POST", ["graphs", id, "mutations"]) => mutate_graph(state, id, request),
         ("GET", ["metrics"]) => metrics(state, request),
@@ -225,6 +225,17 @@ pub fn job_json(record: &JobRecord) -> Json {
         fields.push(("result".to_string(), result_json(result)));
     }
     Json::Obj(fields)
+}
+
+/// `GET /results`: the results' `Arc`s are copied under the queue lock
+/// and serialized after it is released.
+fn results(state: &ServiceState) -> Response {
+    let results = state.queue.fold_completed(Vec::new(), |mut all, r| {
+        all.push(r.clone());
+        all
+    });
+    let rows = results.iter().map(|r| result_json(r)).collect();
+    Response::raw_json(200, Json::Arr(rows).to_string_pretty())
 }
 
 fn list_jobs(state: &ServiceState) -> Response {
@@ -431,15 +442,15 @@ fn get_archive(state: &ServiceState, raw_id: &str) -> Response {
         Ok(id) => id,
         Err(resp) => return resp,
     };
-    match state.archive(id) {
+    let Some(record) = state.queue.get(id) else {
+        return Response::error(404, format!("no job {id}"));
+    };
+    match record.result.as_ref().and_then(|r| r.archive.as_ref()) {
         Some(archive) => Response::json(200, &archive.to_json_value()),
-        None => match state.queue.get(id) {
-            Some(record) => Response::error(
-                404,
-                format!("job {id} is {}, no archive recorded", record.state.as_str()),
-            ),
-            None => Response::error(404, format!("no job {id}")),
-        },
+        None => Response::error(
+            404,
+            format!("job {id} is {}, no archive recorded", record.state.as_str()),
+        ),
     }
 }
 
@@ -655,8 +666,8 @@ impl Throughput {
 
 /// Job counts and measured EPS / EVPS over successful results, overall
 /// and per platform (the paper's throughput metrics, served live).
-/// Computed with a no-clone fold: `/metrics` is the polled endpoint and
-/// must not copy every stored result (and its archive) per call.
+/// Computed with a no-clone fold over the job table: `/metrics` must not
+/// copy every stored result (and its archive) per call.
 fn results_aggregates(state: &ServiceState) -> Json {
     #[derive(Default)]
     struct Agg {
@@ -671,7 +682,7 @@ fn results_aggregates(state: &ServiceState) -> Json {
         /// for sorted output.
         per_platform: std::collections::BTreeMap<String, (u64, Throughput)>,
     }
-    let agg = state.results.fold(Agg::default(), |mut agg, r| {
+    let agg = state.queue.fold_completed(Agg::default(), |mut agg, r| {
         agg.count += 1;
         if r.status.is_success() {
             agg.successful += 1;
@@ -722,6 +733,8 @@ fn results_aggregates(state: &ServiceState) -> Json {
 mod tests {
     use super::*;
     use crate::server::{ServiceConfig, ServiceState};
+    use graphalytics_harness::JobResult;
+    use std::sync::Arc;
 
     fn state() -> ServiceState {
         ServiceState::new(&ServiceConfig::default())
@@ -738,6 +751,16 @@ mod tests {
             headers: vec![],
             body: body.as_bytes().to_vec(),
         }
+    }
+
+    /// Runs the oldest queued job the way a worker does (dispatch,
+    /// execute, finish as `completed`) and returns its recorded result.
+    fn run_next(state: &ServiceState) -> Arc<JobResult> {
+        let (id, request, token) = state.queue.next_job().unwrap();
+        let result = state.execute(id, &request, &token, 0).unwrap();
+        assert!(result.status.is_success(), "{:?}", result.status);
+        state.queue.finish(id, JobState::Completed, Some(result));
+        state.queue.get(id).unwrap().result.unwrap()
     }
 
     #[test]
@@ -933,10 +956,8 @@ mod tests {
             shards: 2,
             timeout_millis: None,
         };
-        let token = graphalytics_core::fault::CancelToken::new();
-        let result = state.execute(1, &request, &token, 0).unwrap();
-        assert!(result.status.is_success(), "{:?}", result.status);
-        state.results.insert(result);
+        state.queue.submit(request).unwrap();
+        run_next(&state);
         let resp = handle(&state, &get("/metrics"));
         let body = Json::parse(&resp.body).unwrap();
         let sharded = body.get("results").and_then(|r| r.get("sharded")).unwrap();
@@ -961,22 +982,19 @@ mod tests {
             let body = Json::parse(&handle(state, &get("/metrics")).body).unwrap();
             body.get("results").unwrap().clone()
         };
-        let token = graphalytics_core::fault::CancelToken::new();
 
         // An analytic job counts, but has no measured time to average.
-        let analytic = state.execute(1, &request(JobMode::Analytic), &token, 0).unwrap();
-        assert!(analytic.status.is_success(), "{:?}", analytic.status);
-        state.results.insert(analytic);
+        state.queue.submit(request(JobMode::Analytic)).unwrap();
+        run_next(&state);
         let aggregates = results(&state);
         assert_eq!(aggregates.get("successful"), Some(&Json::Num(1.0)));
         assert_eq!(aggregates.get("mean_eps"), Some(&Json::Null));
         assert_eq!(aggregates.get("mean_evps"), Some(&Json::Null));
 
-        let measured = state.execute(2, &request(JobMode::Measured), &token, 0).unwrap();
-        assert!(measured.status.is_success(), "{:?}", measured.status);
+        state.queue.submit(request(JobMode::Measured)).unwrap();
+        let measured = run_next(&state);
         let eps = measured.edges as f64 / measured.measured_wall_secs.unwrap();
         assert_ne!(eps, measured.eps(), "the cost model's figure is not the measured one");
-        state.results.insert(measured);
         let aggregates = results(&state);
         assert_eq!(aggregates.get("successful"), Some(&Json::Num(2.0)));
         assert_eq!(aggregates.get("mean_eps").and_then(Json::as_f64), Some(eps));
@@ -1026,16 +1044,16 @@ mod tests {
         // A queued job exists but has no archive yet: 404 with the state.
         handle(
             &state,
-            &post("/jobs", r#"{"platform":"native","dataset":"G22","algorithm":"bfs"}"#),
+            &post(
+                "/jobs",
+                r#"{"platform":"native","dataset":"G22","algorithm":"bfs","mode":"analytic"}"#,
+            ),
         );
         let resp = handle(&state, &get("/jobs/1/archive"));
         assert_eq!(resp.status, 404);
         assert!(resp.body.contains("queued"), "{}", resp.body);
-        // Once an archive is filed under the id, it is served whole.
-        let mut archiver = graphalytics_granula::Archiver::new("native", "bfs@G22");
-        archiver.begin("ProcessGraph");
-        archiver.end();
-        state.store_archive(1, archiver.finish());
+        // Once the job has run, its result's archive is served whole.
+        run_next(&state);
         let resp = handle(&state, &get("/jobs/1/archive"));
         assert_eq!(resp.status, 200);
         let archive =

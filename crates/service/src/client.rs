@@ -269,7 +269,7 @@ impl Client {
         self.request("GET", "/jobs", None)
     }
 
-    /// The results database export.
+    /// The results of the completed jobs, in job-id order.
     pub fn results(&self) -> ClientResult<Json> {
         self.request("GET", "/results", None)
     }

@@ -3,12 +3,13 @@
 //! A job is one `(platform, dataset, algorithm, mode)` benchmark request.
 //! Submission is non-blocking: the queue assigns an id and a worker pool
 //! (see `server`) executes jobs through the existing harness
-//! [`Driver`](graphalytics_harness::Driver), recording into the shared
-//! results database. Clients poll job state and can cancel while queued.
+//! [`Driver`](graphalytics_harness::Driver) and records each outcome in
+//! the job's [`JobRecord`]: the job table is the daemon's results
+//! database. Clients poll job state and can cancel while queued.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use graphalytics_core::fault::CancelToken;
 use graphalytics_core::Algorithm;
@@ -107,17 +108,21 @@ impl JobState {
     }
 }
 
-/// One job as tracked by the queue.
+/// One job as tracked by the queue: the only per-job state the daemon
+/// keeps. Clones share the result.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
     pub id: u64,
     pub request: JobRequest,
     pub state: JobState,
-    /// Present once the state is `Completed`.
-    pub result: Option<JobResult>,
+    /// The driver's result with its Granula archive, once the driver ran.
+    pub result: Option<Arc<JobResult>>,
     /// A cancel arrived while the job was running; the token is signalled
     /// and the job will terminate at its next checkpoint.
     pub cancel_requested: bool,
+    /// The running job's cancel token, so `cancel` can signal the worker
+    /// mid-run. Set by `next_job`, cleared by `finish`.
+    token: Option<CancelToken>,
 }
 
 /// Why a submission was refused.
@@ -162,10 +167,7 @@ impl JobCounts {
 struct QueueInner {
     next_id: u64,
     pending: VecDeque<u64>,
-    jobs: HashMap<u64, JobRecord>,
-    /// Cancel tokens of currently running jobs, so `cancel` can signal a
-    /// worker mid-run. Inserted by `next_job`, removed by `finish`.
-    tokens: HashMap<u64, CancelToken>,
+    jobs: BTreeMap<u64, JobRecord>,
 }
 
 /// The thread-safe job queue, bounded to `capacity` open
@@ -177,18 +179,7 @@ pub struct JobQueue {
     capacity: usize,
 }
 
-impl Default for JobQueue {
-    fn default() -> Self {
-        Self::bounded(usize::MAX)
-    }
-}
-
 impl JobQueue {
-    /// An effectively unbounded queue (unit tests, ad-hoc embedding).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A queue refusing submissions beyond `capacity` open jobs.
     pub fn bounded(capacity: usize) -> Self {
         JobQueue {
@@ -225,7 +216,14 @@ impl JobQueue {
         let id = inner.next_id;
         inner.jobs.insert(
             id,
-            JobRecord { id, request, state: JobState::Queued, result: None, cancel_requested: false },
+            JobRecord {
+                id,
+                request,
+                state: JobState::Queued,
+                result: None,
+                cancel_requested: false,
+                token: None,
+            },
         );
         inner.pending.push_back(id);
         drop(inner);
@@ -240,10 +238,21 @@ impl JobQueue {
 
     /// Snapshots of all jobs, in submission order.
     pub fn list(&self) -> Vec<JobRecord> {
-        let inner = self.lock();
-        let mut jobs: Vec<JobRecord> = inner.jobs.values().cloned().collect();
-        jobs.sort_by_key(|j| j.id);
-        jobs
+        self.lock().jobs.values().cloned().collect()
+    }
+
+    /// Folds over the results of the jobs in state `Completed`, in id
+    /// order, under the lock and without cloning them: keep `f` short, it
+    /// holds up submissions and polls.
+    pub(crate) fn fold_completed<T>(
+        &self,
+        init: T,
+        mut f: impl FnMut(T, &Arc<JobResult>) -> T,
+    ) -> T {
+        self.lock().jobs.values().fold(init, |acc, job| match &job.result {
+            Some(result) if job.state == JobState::Completed => f(acc, result),
+            _ => acc,
+        })
     }
 
     /// Cancels a queued or running job. Queued jobs flip to `Cancelled`
@@ -258,18 +267,16 @@ impl JobQueue {
         match record.state {
             JobState::Queued => {
                 record.state = JobState::Cancelled;
-                let record = record.clone();
                 // The id stays in `pending`; `next_job` skips cancelled
                 // entries.
-                Ok(record)
+                Ok(record.clone())
             }
             JobState::Running => {
                 record.cancel_requested = true;
-                let record = record.clone();
-                if let Some(token) = inner.tokens.get(&id) {
+                if let Some(token) = &record.token {
                     token.cancel();
                 }
-                Ok(record)
+                Ok(record.clone())
             }
             _ => Err(CancelError::NotCancellable(record.state.as_str())),
         }
@@ -308,7 +315,7 @@ impl JobQueue {
                         record.state = JobState::Running;
                         let request = record.request.clone();
                         let token = CancelToken::new();
-                        inner.tokens.insert(id, token.clone());
+                        record.token = Some(token.clone());
                         return Some((id, request, token));
                     }
                     // Cancelled while queued: skip.
@@ -318,14 +325,14 @@ impl JobQueue {
         }
     }
 
-    /// Records the outcome of a running job.
+    /// Records the outcome of a running job; the record becomes the one
+    /// owner of its result.
     pub fn finish(&self, id: u64, state: JobState, result: Option<JobResult>) {
         debug_assert!(state.is_terminal());
-        let mut inner = self.lock();
-        inner.tokens.remove(&id);
-        if let Some(record) = inner.jobs.get_mut(&id) {
+        if let Some(record) = self.lock().jobs.get_mut(&id) {
             record.state = state;
-            record.result = result;
+            record.result = result.map(Arc::new);
+            record.token = None;
         }
     }
 
@@ -355,7 +362,7 @@ mod tests {
 
     #[test]
     fn submit_assigns_sequential_ids() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(8);
         assert_eq!(q.submit(request(Algorithm::Bfs)), Ok(1));
         assert_eq!(q.submit(request(Algorithm::Wcc)), Ok(2));
         assert_eq!(q.counts().queued, 2);
@@ -366,7 +373,7 @@ mod tests {
 
     #[test]
     fn fifo_dispatch_and_finish() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(8);
         let a = q.submit(request(Algorithm::Bfs)).unwrap();
         let b = q.submit(request(Algorithm::Wcc)).unwrap();
         let (id1, req1, _) = q.next_job().unwrap();
@@ -383,7 +390,7 @@ mod tests {
 
     #[test]
     fn cancel_queued_and_running() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(8);
         let a = q.submit(request(Algorithm::Bfs)).unwrap();
         let b = q.submit(request(Algorithm::Wcc)).unwrap();
         // Cancel a queued job: it never dispatches.
@@ -429,7 +436,7 @@ mod tests {
 
     #[test]
     fn workers_block_until_submission() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(8);
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| q.next_job());
             std::thread::sleep(std::time::Duration::from_millis(20));
@@ -442,7 +449,7 @@ mod tests {
 
     #[test]
     fn shutdown_abandons_queued_backlog() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(8);
         q.submit(request(Algorithm::Bfs)).unwrap();
         q.submit(request(Algorithm::Wcc)).unwrap();
         q.shutdown();
@@ -452,7 +459,7 @@ mod tests {
 
     #[test]
     fn shutdown_releases_blocked_workers() {
-        let q = JobQueue::new();
+        let q = JobQueue::bounded(8);
         std::thread::scope(|scope| {
             let w1 = scope.spawn(|| q.next_job());
             let w2 = scope.spawn(|| q.next_job());

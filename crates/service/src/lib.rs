@@ -21,8 +21,10 @@
 //!   poll its state, cancel while queued **or running** (a running job's
 //!   cancellation token aborts the driver at the next superstep
 //!   boundary); a worker pool drains the queue through the harness
-//!   `Driver` into a shared thread-safe `ResultsDatabase`, retrying jobs
-//!   that fail on injected transient faults with jittered backoff;
+//!   `Driver`, retrying jobs that fail on injected transient faults with
+//!   jittered backoff. The job table is the results database: each
+//!   finished job's result, Granula archive included, is kept once, in
+//!   its record;
 //! * [`http`] + [`api`] + [`server`] — a std-only HTTP/1.1 daemon over
 //!   `std::net::TcpListener` serving `POST /jobs`, `GET /jobs/:id`,
 //!   `GET /results`, `GET /graphs` and `GET /metrics` (EPS/EVPS

@@ -4,8 +4,8 @@
 //! port), spawns the accept loop and a configurable pool of job workers,
 //! and returns the running [`Service`] for address discovery and graceful
 //! shutdown. The architecture mirrors GRAL's single-process, RAM-only
-//! server: all state — cached graphs, the job table, the results
-//! database — lives in one [`ServiceState`] shared across threads.
+//! server: all state — cached graphs and the job table, which is also the
+//! results database — lives in one [`ServiceState`] shared across threads.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -18,10 +18,8 @@ use graphalytics_cluster::ClusterSpec;
 use graphalytics_core::fault::{Backoff, CancelToken, FaultPlan, FaultScript};
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_engines::platform_by_name;
-use graphalytics_granula::{MetricsRegistry, PerformanceArchive};
-use graphalytics_harness::{
-    Driver, JobResult, JobSpec, JobStatus, ReferenceCache, ResultsDatabase, RunMode,
-};
+use graphalytics_granula::MetricsRegistry;
+use graphalytics_harness::{Driver, JobResult, JobSpec, JobStatus, ReferenceCache, RunMode};
 
 use crate::api;
 use crate::http::{Request, Response};
@@ -83,8 +81,9 @@ pub struct ServiceState {
     /// (`POST /graphs/:id/mutations`); measured jobs that target a
     /// mutated dataset run on its materialized snapshot.
     pub mutations: MutationStore,
+    /// The job table: every job's request, state and result (with its
+    /// Granula archive), kept once.
     pub queue: JobQueue,
-    pub results: ResultsDatabase,
     /// The daemon-wide execution runtime: one pool, shared by every job
     /// worker (and the store's CSR builds) for the process lifetime.
     pub pool: Arc<WorkerPool>,
@@ -103,9 +102,6 @@ pub struct ServiceState {
     retry_attempts: u32,
     retry_base_millis: u64,
     started: Instant,
-    /// Finished jobs' Granula archives, keyed by job id — served whole by
-    /// `GET /jobs/:id/archive` (the queue's job copies never carry them).
-    archives: std::sync::Mutex<std::collections::BTreeMap<u64, PerformanceArchive>>,
 }
 
 impl ServiceState {
@@ -123,7 +119,6 @@ impl ServiceState {
             store: GraphStore::new(config.store, pool.clone()),
             mutations: MutationStore::new(pool.clone()),
             queue: JobQueue::bounded(config.queue_capacity),
-            results: ResultsDatabase::new(),
             pool,
             references: Arc::new(ReferenceCache::default()),
             metrics: MetricsRegistry::new(),
@@ -132,23 +127,12 @@ impl ServiceState {
             retry_attempts: config.retry_attempts.max(1),
             retry_base_millis: config.retry_base_millis,
             started: Instant::now(),
-            archives: std::sync::Mutex::new(std::collections::BTreeMap::new()),
         }
     }
 
     /// Seconds since the daemon started.
     pub fn uptime_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
-    }
-
-    /// The Granula archive of a finished job, if one exists.
-    pub fn archive(&self, id: u64) -> Option<PerformanceArchive> {
-        self.archives.lock().unwrap().get(&id).cloned()
-    }
-
-    /// Files a finished job's archive under its id.
-    pub fn store_archive(&self, id: u64, archive: PerformanceArchive) {
-        self.archives.lock().unwrap().insert(id, archive);
     }
 
     /// Executes one validated job request through the harness driver's
@@ -316,7 +300,7 @@ fn worker_loop(state: &ServiceState) {
             .histogram(&format!("job_seconds_{}", request.platform))
             .observe_secs(wall);
         match outcome {
-            Ok(mut result) => match result.status {
+            Ok(result) => match result.status {
                 JobStatus::Cancelled => {
                     state.metrics.counter("jobs_cancelled_running_total").inc();
                     state.queue.finish(id, JobState::Cancelled, Some(result));
@@ -337,15 +321,9 @@ fn worker_loop(state: &ServiceState) {
                 _ => {
                     // Completed and benchmark verdicts (oom, unsupported,
                     // sla-violation, validation-failed) all land in the
-                    // results database; only `completed` is a success.
+                    // results served by `GET /results`; only `completed`
+                    // is a success.
                     state.metrics.counter("jobs_executed_total").inc();
-                    // The archive lives once, keyed by job id for
-                    // `GET /jobs/:id/archive` — the queue's and the
-                    // results database's copies never carry it.
-                    if let Some(archive) = result.archive.take() {
-                        state.store_archive(id, archive);
-                    }
-                    state.results.insert(result.clone());
                     state.queue.finish(id, JobState::Completed, Some(result));
                 }
             },

@@ -1,19 +1,20 @@
 //! End-to-end harness runs: proxy materialization → phased lifecycle
 //! through `Driver::run` (admission / upload / execute×N / validate /
-//! delete) → results database → JSON export → Granula archives.
+//! delete) → collected results → JSON export → Granula archives.
 
 use std::sync::Arc;
 
 use graphalytics::cluster::ClusterSpec;
-use graphalytics::harness::results::ResultsDatabase;
-use graphalytics::harness::{proxy, Driver, JobSpec, RunMode};
+use graphalytics::granula::json::Json;
+use graphalytics::harness::results::result_json;
+use graphalytics::harness::{proxy, Driver, JobResult, JobSpec, RunMode};
 use graphalytics::prelude::*;
 
 #[test]
 fn measured_benchmark_run_end_to_end() {
     let (divisor, seed) = (4096, 99);
     let driver = Driver { seed, ..Driver::default() };
-    let db = ResultsDatabase::new();
+    let mut results: Vec<JobResult> = Vec::new();
     for dataset_id in ["R1", "G22"] {
         let dataset = graphalytics::core::datasets::dataset(dataset_id).unwrap();
         let graph = proxy::materialize(dataset, divisor, seed);
@@ -37,20 +38,19 @@ fn measured_benchmark_run_end_to_end() {
                 assert!(archive.duration_of("ProcessGraph").is_some());
                 assert!(archive.info("ProcessGraph", "supersteps").is_some());
                 assert!(archive.duration_of("UploadGraph").is_some());
-                db.insert(result);
+                results.push(result);
             }
         }
     }
-    assert_eq!(db.len(), 3 * 3 * 2); // 3 platforms × 3 algorithms × 2 datasets
-    assert_eq!(db.success_rate(), 1.0);
-    let json = db.to_json();
+    assert_eq!(results.len(), 3 * 3 * 2); // 3 platforms × 3 algorithms × 2 datasets
+    assert!(results.iter().all(|r| r.status.is_success()));
+    let json = Json::Arr(results.iter().map(result_json).collect()).to_string_pretty();
     assert!(json.contains("\"dataset\": \"R1\""));
     assert!(json.contains("\"algorithm\": \"wcc\""));
     assert!(json.contains("\"measured_upload_secs\""));
     assert!(json.contains("\"run_index\""));
     // Granula visualizer renders archives from this run.
-    let all = db.all();
-    let rendered = graphalytics::granula::visualize::render(all[0].archive.as_ref().unwrap());
+    let rendered = graphalytics::granula::visualize::render(results[0].archive.as_ref().unwrap());
     assert!(rendered.contains("ProcessGraph"));
 }
 

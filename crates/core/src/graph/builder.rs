@@ -37,6 +37,13 @@ impl GraphBuilder {
         GraphBuilder { directed, weighted: false, vertices: Vec::new(), edges: Vec::new(), dedup: false }
     }
 
+    /// A builder whose edge list is `edges`, already canonical
+    /// (undirected: `src < dst`), as a generator that fills its own
+    /// buffer writes them; the buffer is adopted, not copied.
+    pub fn from_canonical_edges(directed: bool, edges: Vec<Edge>) -> Self {
+        GraphBuilder { edges, ..GraphBuilder::new(directed) }
+    }
+
     /// Marks the graph as weighted (edges carry meaningful weights).
     pub fn set_weighted(&mut self, weighted: bool) -> &mut Self {
         self.weighted = weighted;

@@ -1,7 +1,9 @@
 //! Kronecker / R-MAT edge sampling.
 
-use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{Graph, GraphBuilder};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use graphalytics_core::pool::{SharedSlice, WorkerPool};
+use graphalytics_core::{Edge, Graph, GraphBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,45 +46,101 @@ impl RmatConfig {
         self.generate_with(&WorkerPool::inline())
     }
 
-    /// Generates the graph, finalizing the edge list (ordering, dedup and
-    /// validation) on `pool` via [`GraphBuilder::build_with`]. Edge
-    /// *sampling*, the dominant cost (about three quarters of generation at
-    /// the service's proxy sizes), stays sequential — one RNG stream keyed
-    /// by the seed — so the output is identical to
-    /// [`RmatConfig::generate`] for every pool width.
+    /// Generates the graph on `pool`; the output is identical to
+    /// [`RmatConfig::generate`] at every pool width.
+    ///
+    /// Unweighted edges are sampled on the pool. Edge `k` always takes
+    /// `5 · scale` draws, so each range of edge indices runs its own copy
+    /// of the seed's one stream, advanced to draw `5 · scale · start`
+    /// ([`SmallRng::advance`]), and writes its non-self-loop edges —
+    /// permuted, canonicalized, endpoints marked — into its own slots of
+    /// one `m`-slot buffer. A compaction then closes the holes the self
+    /// loops leave, in edge order. A weighted edge draws its weight only
+    /// once it is known not to be a self loop, so where an edge's draws
+    /// start depends on the edges before it: weighted sampling stays
+    /// sequential, and only its permute/canonicalize/mark pass runs on
+    /// the pool. Every buffer is allocated before dispatch; pool workers
+    /// allocate nothing. The finalize (ordering, dedup, validation) is
+    /// [`GraphBuilder::build_with`] on `pool`.
     pub fn generate_with(self, pool: &WorkerPool) -> Graph {
         self.validate();
-        let mut rng = SmallRng::seed_from_u64(self.seed);
         let n = 1u64 << self.scale;
-        let m = self.edge_factor as u64 * n;
+        let m = self.edge_factor as usize * n as usize;
         let sampler = KroneckerSampler::new(self.a, self.b, self.c);
         // Label permutation destroys the locality structure the recursive
         // construction would otherwise leave in the id space, exactly like
         // the Graph500 reference implementation.
         let perm = VertexPermutation::new(n, self.seed ^ 0x9E37_79B9_7F4A_7C15);
 
-        let mut builder = GraphBuilder::new(self.directed);
+        let mut edges: Vec<Edge> = Vec::with_capacity(m);
+        let touched: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        // One sampled edge that is not a self loop (those are outside the
+        // data model), permuted and canonicalized, its endpoints marked.
+        let place = |u: u64, v: u64, w: f64| {
+            let (pu, pv) = (perm.apply(u), perm.apply(v));
+            touched[pu as usize].store(true, Ordering::Relaxed);
+            touched[pv as usize].store(true, Ordering::Relaxed);
+            if self.directed || pu < pv {
+                Edge::weighted(pu, pv, w)
+            } else {
+                Edge::weighted(pv, pu, w)
+            }
+        };
+        if self.weighted {
+            let mut rng = SmallRng::seed_from_u64(self.seed);
+            for _ in 0..m {
+                let (u, v) = sampler.sample_edge(self.scale, &mut rng);
+                if u != v {
+                    edges.push(Edge::weighted(u, v, rng.random::<f64>()));
+                }
+            }
+            let slots = SharedSlice::new(edges.as_mut_ptr());
+            pool.run(edges.len(), |_, range| {
+                // SAFETY: the pool's ranges are disjoint and lie within
+                // `0..edges.len()`, every slot of which is initialized.
+                let chunk = unsafe { slots.slice_mut(range.start, range.len()) };
+                for e in chunk {
+                    *e = place(e.src, e.dst, e.weight);
+                }
+            });
+        } else {
+            let draws_per_edge = 5 * self.scale as u128;
+            let slots = SharedSlice::new(edges.spare_capacity_mut().as_mut_ptr());
+            let written = pool.run(m, |_, range| {
+                let mut rng = SmallRng::seed_from_u64(self.seed);
+                rng.advance(draws_per_edge * range.start as u128);
+                // SAFETY: the pool's ranges are disjoint and lie within
+                // `0..m`, the buffer's capacity; the slots are
+                // `MaybeUninit`, so writing them needs no initialized value.
+                let chunk = unsafe { slots.slice_mut(range.start, range.len()) };
+                let (start, mut kept) = (range.start, 0);
+                for _ in range {
+                    let (u, v) = sampler.sample_edge(self.scale, &mut rng);
+                    if u != v {
+                        chunk[kept].write(place(u, v, 1.0));
+                        kept += 1;
+                    }
+                }
+                (start, kept)
+            });
+            let spare = edges.spare_capacity_mut();
+            let mut len = 0;
+            for (start, kept) in written {
+                spare.copy_within(start..start + kept, len);
+                len += kept;
+            }
+            // SAFETY: the compaction moved every range's `kept` written
+            // edges to the front, so slots `0..len` are initialized.
+            unsafe { edges.set_len(len) };
+        }
+        let mut builder = GraphBuilder::from_canonical_edges(self.directed, edges);
         builder.set_weighted(self.weighted);
         builder.dedup_edges(true);
-        builder.reserve(if self.keep_isolated { n as usize } else { 0 }, m as usize);
-
-        let mut touched = vec![false; n as usize];
-        for _ in 0..m {
-            let (u, v) = sampler.sample_edge(self.scale, &mut rng);
-            if u == v {
-                continue; // self loops are outside the data model
-            }
-            let (pu, pv) = (perm.apply(u), perm.apply(v));
-            touched[pu as usize] = true;
-            touched[pv as usize] = true;
-            let w = if self.weighted { rng.random::<f64>() } else { 1.0 };
-            builder.add_weighted_edge(pu, pv, w);
-        }
         if self.keep_isolated {
             builder.add_vertex_range(n);
         } else {
             for (v, t) in touched.iter().enumerate() {
-                if *t {
+                if t.load(Ordering::Relaxed) {
                     builder.add_vertex(v as u64);
                 }
             }

@@ -90,10 +90,10 @@ impl Graph500Config {
         self.rmat().generate()
     }
 
-    /// Generates the graph, finalizing the edge list on `pool` (see
-    /// [`RmatConfig::generate_with`]; the sequential edge sampling is the
-    /// dominant cost, not the finalize); output is identical to
-    /// [`Graph500Config::generate`] for every pool width.
+    /// Generates the graph on `pool`: unweighted edges are sampled on
+    /// the pool, weighted ones sequentially, and the finalize runs on the
+    /// pool (see [`RmatConfig::generate_with`]). The output is identical
+    /// to [`Graph500Config::generate`] for every pool width.
     pub fn generate_with(self, pool: &graphalytics_core::pool::WorkerPool) -> Graph {
         self.rmat().generate_with(pool)
     }

@@ -20,12 +20,14 @@ pub fn materialize(spec: &DatasetSpec, divisor: u64, seed: u64) -> Graph {
     materialize_with(spec, divisor, seed, &WorkerPool::inline())
 }
 
-/// Materializes a proxy instance with the generator's edge-list
-/// finalization (ordering, dedup, validation) running on `pool` (the
-/// service graph store and the measured experiments pass their shared
-/// execution runtime). Edge generation itself is sequential and costs
-/// most of the time. Output is identical to [`materialize`] for every
-/// pool width.
+/// Materializes a proxy instance on `pool` (the service graph store and
+/// the measured experiments pass their shared execution runtime).
+/// Unweighted Graph500 and R-MAT proxies sample their edges on the pool;
+/// weighted ones sample sequentially, because a weight draw follows only
+/// the edges that are not self loops (see [`RmatConfig::generate_with`]).
+/// The edge-list finalization (ordering, dedup, validation) runs on the
+/// pool for every recipe. Output is identical to [`materialize`] for
+/// every pool width.
 pub fn materialize_with(spec: &DatasetSpec, divisor: u64, seed: u64, pool: &WorkerPool) -> Graph {
     let divisor = divisor.max(1);
     let target_vertices = (spec.vertices / divisor).max(64);

@@ -153,6 +153,25 @@ pub struct JobCounts {
 }
 
 impl JobCounts {
+    /// The tally a job in `state` counts toward.
+    fn tally(&mut self, state: &JobState) -> &mut u64 {
+        match state {
+            JobState::Queued => &mut self.queued,
+            JobState::Running => &mut self.running,
+            JobState::Completed => &mut self.completed,
+            JobState::Failed(_) => &mut self.failed,
+            JobState::Cancelled => &mut self.cancelled,
+            JobState::TimedOut => &mut self.timed_out,
+        }
+    }
+
+    /// Moves `record` to `state`, keeping the tallies in step.
+    fn transition(&mut self, record: &mut JobRecord, state: JobState) {
+        *self.tally(&record.state) -= 1;
+        *self.tally(&state) += 1;
+        record.state = state;
+    }
+
     pub fn submitted(&self) -> u64 {
         self.queued
             + self.running
@@ -168,6 +187,9 @@ struct QueueInner {
     next_id: u64,
     pending: VecDeque<u64>,
     jobs: BTreeMap<u64, JobRecord>,
+    /// The jobs by state, kept by every transition so that admission and
+    /// `counts` cost O(1), not a scan of the whole history.
+    counts: JobCounts,
 }
 
 /// The thread-safe job queue, bounded to `capacity` open
@@ -204,14 +226,11 @@ impl JobQueue {
     /// running; terminal jobs never count against the bound).
     pub fn submit(&self, request: JobRequest) -> Result<u64, SubmitError> {
         let mut inner = self.lock();
-        let open = inner
-            .jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Queued | JobState::Running))
-            .count();
-        if open >= self.capacity {
+        let open = inner.counts.queued + inner.counts.running;
+        if open >= self.capacity as u64 {
             return Err(SubmitError::QueueFull { capacity: self.capacity });
         }
+        inner.counts.queued += 1;
         inner.next_id += 1;
         let id = inner.next_id;
         inner.jobs.insert(
@@ -263,10 +282,11 @@ impl JobQueue {
     /// Terminal jobs are [`CancelError::NotCancellable`].
     pub fn cancel(&self, id: u64) -> Result<JobRecord, CancelError> {
         let mut inner = self.lock();
-        let record = inner.jobs.get_mut(&id).ok_or(CancelError::NotFound)?;
+        let QueueInner { jobs, counts, .. } = &mut *inner;
+        let record = jobs.get_mut(&id).ok_or(CancelError::NotFound)?;
         match record.state {
             JobState::Queued => {
-                record.state = JobState::Cancelled;
+                counts.transition(record, JobState::Cancelled);
                 // The id stays in `pending`; `next_job` skips cancelled
                 // entries.
                 Ok(record.clone())
@@ -284,19 +304,7 @@ impl JobQueue {
 
     /// Job counts by state.
     pub fn counts(&self) -> JobCounts {
-        let inner = self.lock();
-        let mut counts = JobCounts::default();
-        for job in inner.jobs.values() {
-            match job.state {
-                JobState::Queued => counts.queued += 1,
-                JobState::Running => counts.running += 1,
-                JobState::Completed => counts.completed += 1,
-                JobState::Failed(_) => counts.failed += 1,
-                JobState::Cancelled => counts.cancelled += 1,
-                JobState::TimedOut => counts.timed_out += 1,
-            }
-        }
-        counts
+        self.lock().counts
     }
 
     /// Blocks until a job is available (marking it `Running`) or the queue
@@ -309,10 +317,11 @@ impl JobQueue {
             if self.stopping.load(Ordering::SeqCst) {
                 return None;
             }
-            while let Some(id) = inner.pending.pop_front() {
-                if let Some(record) = inner.jobs.get_mut(&id) {
+            let QueueInner { pending, jobs, counts, .. } = &mut *inner;
+            while let Some(id) = pending.pop_front() {
+                if let Some(record) = jobs.get_mut(&id) {
                     if record.state == JobState::Queued {
-                        record.state = JobState::Running;
+                        counts.transition(record, JobState::Running);
                         let request = record.request.clone();
                         let token = CancelToken::new();
                         record.token = Some(token.clone());
@@ -329,8 +338,10 @@ impl JobQueue {
     /// owner of its result.
     pub fn finish(&self, id: u64, state: JobState, result: Option<JobResult>) {
         debug_assert!(state.is_terminal());
-        if let Some(record) = self.lock().jobs.get_mut(&id) {
-            record.state = state;
+        let mut inner = self.lock();
+        let QueueInner { jobs, counts, .. } = &mut *inner;
+        if let Some(record) = jobs.get_mut(&id) {
+            counts.transition(record, state);
             record.result = result.map(Arc::new);
             record.token = None;
         }

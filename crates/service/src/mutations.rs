@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{random_batch, Csr, DeltaStats, MutableGraph, MutationBatch};
+use graphalytics_core::{random_batch, Csr, DeltaStats, Error, MutableGraph, MutationBatch};
 
 /// One batch's outcome, echoed by the API.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,21 +151,20 @@ impl MutationStore {
     }
 
     /// The materialized post-mutation graph of `dataset`, if it has ever
-    /// been mutated; `None` routes the caller to the unmutated store
-    /// graph. Cached until the next batch.
-    pub fn snapshot(&self, dataset: &str) -> Option<Arc<Csr>> {
+    /// been mutated; `Ok(None)` routes the caller to the unmutated store
+    /// graph. Cached until the next batch. `Err` is a failed
+    /// materialize (a log whose invariants broke, or an injected build
+    /// fault); nothing is cached and the next call tries again.
+    pub fn snapshot(&self, dataset: &str) -> Result<Option<Arc<Csr>>, Error> {
         let mut inner = self.lock();
         let state = &mut *inner;
-        let entry = state.entries.get_mut(dataset)?;
+        let Some(entry) = state.entries.get_mut(dataset) else { return Ok(None) };
         if entry.snapshot.is_none() {
-            let csr = entry
-                .graph
-                .materialize(&self.pool)
-                .expect("merged delta-log view is a valid graph");
+            let csr = entry.graph.materialize(&self.pool)?;
             entry.snapshot = Some(Arc::new(csr));
             state.snapshot_builds += 1;
         }
-        entry.snapshot.clone()
+        Ok(entry.snapshot.clone())
     }
 
     /// Per-dataset delta-log status, if `dataset` has ever been mutated.
@@ -218,7 +217,7 @@ mod tests {
     fn apply_snapshot_and_metrics_roundtrip() {
         let store = MutationStore::new(Arc::new(WorkerPool::inline()));
         let csr = base();
-        assert!(store.snapshot("G22").is_none(), "untouched dataset has no snapshot");
+        assert!(store.snapshot("G22").unwrap().is_none(), "untouched dataset has no snapshot");
         let mut batch = MutationBatch::new();
         batch.insert(0, 5).delete(2, 3);
         let report = store.apply("G22", &csr, &batch).unwrap();
@@ -228,9 +227,9 @@ mod tests {
         assert!(report.compacted);
         assert_eq!(report.delta_arcs, 0);
 
-        let snap = store.snapshot("G22").unwrap();
+        let snap = store.snapshot("G22").unwrap().unwrap();
         assert_eq!(snap.num_edges(), csr.num_edges(), "one insert, one delete");
-        let again = store.snapshot("G22").unwrap();
+        let again = store.snapshot("G22").unwrap().unwrap();
         assert!(Arc::ptr_eq(&snap, &again), "snapshot cached until the next batch");
 
         let m = store.metrics();
@@ -246,7 +245,7 @@ mod tests {
         let mut second = MutationBatch::new();
         second.delete(0, 1);
         store.apply("G22", &csr, &second).unwrap();
-        let rebuilt = store.snapshot("G22").unwrap();
+        let rebuilt = store.snapshot("G22").unwrap().unwrap();
         assert!(!Arc::ptr_eq(&snap, &rebuilt));
         assert_eq!(rebuilt.num_edges(), csr.num_edges() - 1);
         assert_eq!(store.metrics().snapshot_builds, 2);
@@ -261,7 +260,7 @@ mod tests {
         let err = store.apply("G22", &csr, &batch).unwrap_err();
         assert!(err.contains("undeclared vertex"), "{err}");
         assert_eq!(store.status("G22").unwrap().stats.applied_batches, 0);
-        assert_eq!(store.snapshot("G22").unwrap().num_edges(), csr.num_edges());
+        assert_eq!(store.snapshot("G22").unwrap().unwrap().num_edges(), csr.num_edges());
     }
 
     #[test]
@@ -274,7 +273,8 @@ mod tests {
         assert_eq!(len_a, len_b);
         assert_eq!(report_a.inserted, report_b.inserted);
         assert_eq!(report_a.deleted, report_b.deleted);
-        let (snap_a, snap_b) = (a.snapshot("G22").unwrap(), b.snapshot("G22").unwrap());
+        let (snap_a, snap_b) =
+            (a.snapshot("G22").unwrap().unwrap(), b.snapshot("G22").unwrap().unwrap());
         assert_eq!(snap_a.num_edges(), snap_b.num_edges());
     }
 }

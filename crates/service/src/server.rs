@@ -15,7 +15,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graphalytics_cluster::ClusterSpec;
-use graphalytics_core::fault::{Backoff, CancelToken, FaultPlan, FaultScript};
+use graphalytics_core::fault::{self, Backoff, CancelToken, FaultPlan, FaultScript};
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_engines::platform_by_name;
 use graphalytics_granula::MetricsRegistry;
@@ -138,7 +138,8 @@ impl ServiceState {
     /// Executes one validated job request through the harness driver's
     /// phased lifecycle (measured mode: upload → execute×repetitions →
     /// validate → delete, with the cached store graph). `Err` is a
-    /// request-level failure (the driver never ran); benchmark verdicts
+    /// request-level failure (the driver never ran: for example a
+    /// post-mutation snapshot that failed to build); benchmark verdicts
     /// (oom, unsupported, cancelled, timed-out, faulted, …) come back
     /// inside the `JobResult`. The `token` wires `DELETE /jobs/:id` into
     /// the run: cancelling it aborts the driver at the next superstep
@@ -184,11 +185,18 @@ impl ServiceState {
             JobMode::Measured => {
                 // A dataset with a live delta log serves its materialized
                 // post-mutation snapshot: jobs answer for the graph as
-                // mutated, and validation references match it.
-                let csr = self
-                    .mutations
-                    .snapshot(dataset.id)
-                    .unwrap_or_else(|| self.store.get(dataset));
+                // mutated, and validation references match it. The build
+                // runs under the job's fault script, not its token: a
+                // cancel is the driver's to observe.
+                let snapshot = {
+                    let _scope = fault::install(CancelToken::new(), driver.faults.clone());
+                    self.mutations.snapshot(dataset.id)
+                };
+                let csr = match snapshot {
+                    Ok(Some(csr)) => csr,
+                    Ok(None) => self.store.get(dataset),
+                    Err(e) => return Err(format!("snapshot of {} failed: {e}", dataset.id)),
+                };
                 driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &csr })
             }
         };
@@ -273,10 +281,21 @@ fn worker_loop(state: &ServiceState) {
             // an unwinding worker would leave the job `running` forever
             // and silently shrink the pool until the daemon stops
             // executing. Panics are terminal — never retried.
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Failures without a driver result are counted here: each
+            // ends the job, so each counts once.
+            let run = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 state.execute(id, &request, &token, attempt)
-            }))
-            .unwrap_or_else(|panic| Err(panic_message(&panic)));
+            })) {
+                Ok(Ok(result)) => Ok(result),
+                Ok(Err(message)) => {
+                    state.metrics.counter("jobs_unrunnable_total").inc();
+                    Err(message)
+                }
+                Err(panic) => {
+                    state.metrics.counter("jobs_panicked_total").inc();
+                    Err(panic_message(&panic))
+                }
+            };
             match run {
                 // Only *injected transient* faults are retried, with
                 // jittered exponential backoff and a bounded attempt
@@ -327,10 +346,9 @@ fn worker_loop(state: &ServiceState) {
                     state.queue.finish(id, JobState::Completed, Some(result));
                 }
             },
-            Err(message) => {
-                state.metrics.counter("jobs_panicked_total").inc();
-                state.queue.finish(id, JobState::Failed(message), None);
-            }
+            // A panic, or a request the driver never ran (such as a
+            // snapshot that failed to build).
+            Err(message) => state.queue.finish(id, JobState::Failed(message), None),
         }
     }
 }
@@ -343,6 +361,9 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or("(non-string panic payload)");
     format!("job panicked: {detail}")
 }
+
+/// Read and write timeout of one connection's socket.
+const CONNECTION_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn accept_loop(listener: TcpListener, state: &Arc<ServiceState>, stop: &Arc<AtomicBool>) {
     for stream in listener.incoming() {
@@ -359,7 +380,10 @@ fn accept_loop(listener: TcpListener, state: &Arc<ServiceState>, stop: &Arc<Atom
 }
 
 fn handle_connection(state: &ServiceState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    // A client that stops sending, or stops reading its response, costs
+    // this thread at most the timeout.
+    let _ = stream.set_read_timeout(Some(CONNECTION_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(CONNECTION_TIMEOUT));
     let mut reader = BufReader::new(&stream);
     let response = match Request::read(&mut reader) {
         Ok(Some(request)) => api::handle(state, &request),

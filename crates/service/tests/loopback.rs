@@ -591,3 +591,32 @@ fn transient_faults_retry_to_completion() {
     assert_eq!(metrics.get("jobs").and_then(|j| j.get("failed")), Some(&Json::Num(0.0)));
     service.shutdown();
 }
+
+#[test]
+fn failed_snapshot_build_fails_the_job_and_the_daemon_keeps_serving() {
+    use graphalytics_core::fault::{FaultKind, FaultPlan, FaultSite, Injection};
+    // Every job's first CSR build fails: for a job on a mutated dataset
+    // that is its snapshot's materialize.
+    let plan = FaultPlan::scripted(vec![Injection::new(FaultSite::Build, 0, FaultKind::Alloc)]);
+    let (service, client) = start_faulty_service(1, plan);
+    client.mutate_generated("G22", 64, 16, 7).expect("batch applies");
+    let id = client.submit("native", "G22", "bfs", JobMode::Measured).unwrap();
+    let record = client.wait(id, Duration::from_secs(60)).unwrap();
+    assert_eq!(record.get("state").and_then(Json::as_str), Some("failed"), "{record:?}");
+    let error = record.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("snapshot of G22 failed"), "{record:?}");
+    // An unmutated dataset has no snapshot to build: its job completes.
+    let id = client.submit("native", "R1", "bfs", JobMode::Measured).unwrap();
+    let record = client.wait(id, Duration::from_secs(60)).unwrap();
+    assert_eq!(record.get("state").and_then(Json::as_str), Some("completed"), "{record:?}");
+    let metrics = client.metrics().unwrap();
+    let jobs = metrics.get("jobs").unwrap();
+    assert_eq!(jobs.get("failed").and_then(Json::as_u64), Some(1));
+    assert_eq!(jobs.get("completed").and_then(Json::as_u64), Some(1));
+    assert_eq!(monitor_counter(&metrics, "jobs_unrunnable_total"), 1);
+    assert_eq!(monitor_counter(&metrics, "jobs_panicked_total"), 0);
+    let mutations = metrics.get("mutations").expect("mutations section");
+    assert_eq!(mutations.get("snapshot_builds").and_then(Json::as_u64), Some(0));
+    assert_eq!(client.health().unwrap().get("status").and_then(Json::as_str), Some("ok"));
+    service.shutdown();
+}

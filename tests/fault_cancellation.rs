@@ -169,7 +169,7 @@ fn fault_leaves_no_trace(
     let store = MutationStore::new(pool.clone());
     store.apply_generated("G22", &base, 24, 6, seed).unwrap();
     let before = store.status("G22").unwrap();
-    let snapshot = store.snapshot("G22").unwrap();
+    let snapshot = store.snapshot("G22").unwrap().unwrap();
 
     // The job also replays a driver-side mutation script, so its delta
     // path (apply → materialize → upload of the snapshot) is in the
@@ -214,7 +214,7 @@ fn fault_leaves_no_trace(
     let after = store.status("G22").unwrap();
     prop_assert_eq!(after.stats.applied_batches, before.stats.applied_batches);
     prop_assert_eq!(after.delta_arcs, before.delta_arcs);
-    let snapshot_after = store.snapshot("G22").unwrap();
+    let snapshot_after = store.snapshot("G22").unwrap().unwrap();
     prop_assert_eq!(snapshot_after.num_vertices(), snapshot.num_vertices());
     prop_assert_eq!(snapshot_after.num_arcs(), snapshot.num_arcs());
 

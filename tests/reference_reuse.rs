@@ -201,7 +201,7 @@ fn a_mutated_snapshot_is_validated_against_its_own_reference() {
 
     // One batch: the dataset now answers for a new snapshot.
     state.mutations.apply_generated(spec.id, &base, 64, 16, 7).unwrap();
-    let snapshot = state.mutations.snapshot(spec.id).unwrap();
+    let snapshot = state.mutations.snapshot(spec.id).unwrap().unwrap();
     assert!(!Arc::ptr_eq(&base, &snapshot));
     let after = state.execute(2, &request, &token, 0).unwrap();
     assert_eq!(after.status, JobStatus::Completed, "a correct engine passes on the new snapshot");

@@ -1,5 +1,18 @@
 //! The one grouping of `(key, value)` records by dense key, stable in
 //! stream order: the Pregel inbox and the dataflow `group_by_key` shuffle.
+//!
+//! [`Grouped::regroup`] runs on the pool. The record stream is cut into
+//! one contiguous piece per worker; each worker counts the keys of its
+//! piece, exclusive prefix sums over `(key, piece)` then give every piece
+//! its own run of slots inside each key's group, and each worker fills
+//! its piece's slots in stream order. A key's group is therefore its
+//! records in piece order, each piece in stream order: the stream order,
+//! whatever the pool width. Width 1 is the one-piece case of the same
+//! code.
+
+use std::ops::Range;
+
+use super::pool::{split_ranges, SharedSlice, WorkerPool};
 
 /// Records grouped by key: key `k`'s values are
 /// `values[offsets[k]..offsets[k + 1]]`, in stream order.
@@ -7,6 +20,12 @@
 pub struct Grouped<V> {
     offsets: Vec<usize>,
     values: Vec<V>,
+    /// Where each stream slice starts in the stream, then the stream's
+    /// length.
+    starts: Vec<usize>,
+    /// One row of `n` per piece: first the piece's record count per key,
+    /// then its next slot per key (the fill's write cursors).
+    cursors: Vec<usize>,
 }
 
 impl<V> Grouped<V> {
@@ -43,32 +62,108 @@ impl<V> Grouped<V> {
         self.values.truncate(kept);
     }
 
-    /// Replaces the grouping with that of `stream` — record slices in
-    /// stream order, cut anywhere — over keys `0..n`, refilling this
-    /// grouping's buffers: a counting pass over the keys, then a stable
-    /// fill in stream order.
-    pub fn regroup<'a>(&mut self, n: usize, stream: impl Iterator<Item = &'a [(u32, V)]> + Clone)
+    /// Calls `f(key, group, &mut out[key])` for every key, on `pool`
+    /// over disjoint key ranges. `out` holds one slot per key.
+    pub fn for_each_group_mut<T, F>(&mut self, pool: &WorkerPool, out: &mut [T], f: F)
     where
-        V: Clone + Default + 'a,
+        V: Send,
+        T: Send,
+        F: Fn(u32, &mut [V], &mut T) + Sync,
     {
-        self.offsets.clear();
+        let offsets = &self.offsets;
+        assert_eq!(out.len() + 1, offsets.len(), "one output slot per key");
+        let (values, out) =
+            (SharedSlice::new(self.values.as_mut_ptr()), SharedSlice::new(out.as_mut_ptr()));
+        pool.run(offsets.len() - 1, |_, keys| {
+            let base = offsets[keys.start];
+            // SAFETY: key ranges are disjoint, so are their value runs
+            // and output slots.
+            let (groups, slots) = unsafe {
+                (
+                    values.slice_mut(base, offsets[keys.end] - base),
+                    out.slice_mut(keys.start, keys.len()),
+                )
+            };
+            for (k, slot) in keys.zip(slots) {
+                f(k as u32, &mut groups[offsets[k] - base..offsets[k + 1] - base], slot);
+            }
+        });
+    }
+
+    /// Replaces the grouping with that of a record stream over keys
+    /// `0..n`, refilling this grouping's buffers on `pool` (see the
+    /// module docs). The stream is `slice(0)`, …, `slice(slices - 1)` in
+    /// order, each slice cut anywhere (empty ones included).
+    pub fn regroup<'s, F>(&mut self, n: usize, pool: &WorkerPool, slices: usize, slice: F)
+    where
+        V: Clone + Default + Send + Sync + 's,
+        F: Fn(usize) -> &'s [(u32, V)] + Sync,
+    {
+        self.starts.clear();
+        self.starts.push(0);
+        let mut len = 0;
+        for i in 0..slices {
+            len += slice(i).len();
+            self.starts.push(len);
+        }
+        // `pool.run(len, ..)` hands worker `p` exactly piece `p` of these.
+        let pieces = split_ranges(pool.threads(), len).len();
+        self.cursors.resize(pieces * n, 0);
+        let (starts, rows) = (&self.starts, SharedSlice::new(self.cursors.as_mut_ptr()));
+        pool.run(len, |p, piece| {
+            // SAFETY: row `p` belongs to worker `p` alone.
+            let counts = unsafe { rows.slice_mut(p * n, n) };
+            counts.fill(0);
+            for_each_record(starts, &slice, piece, |k, _| counts[k as usize] += 1);
+        });
+
+        // Exclusive prefix sums in (key, piece) order: piece `p`'s first
+        // slot for key `k` follows every earlier piece's records of `k`.
         self.offsets.resize(n + 1, 0);
-        for &(k, _) in stream.clone().flatten() {
-            self.offsets[k as usize + 1] += 1;
+        let mut next = 0;
+        for k in 0..n {
+            self.offsets[k] = next;
+            for p in 0..pieces {
+                let cursor = &mut self.cursors[p * n + k];
+                (*cursor, next) = (next, next + *cursor);
+            }
         }
-        // Exclusive prefix sums one slot up: `offsets[k + 1]` starts as
-        // key `k`'s first slot, is the fill's write cursor for `k`, and
-        // ends as its group's end. The fill writes every value slot.
-        let mut start = 0;
-        for slot in &mut self.offsets[1..] {
-            (*slot, start) = (start, start + *slot);
+        self.offsets[n] = next;
+
+        // The fill writes every value slot exactly once.
+        self.values.resize(len, V::default());
+        let values = SharedSlice::new(self.values.as_mut_ptr());
+        let rows = SharedSlice::new(self.cursors.as_mut_ptr());
+        pool.run(len, |p, piece| {
+            // SAFETY: row `p` belongs to worker `p` alone, and its
+            // cursors walk slots no other piece was given.
+            let cursors = unsafe { rows.slice_mut(p * n, n) };
+            for_each_record(starts, &slice, piece, |k, v| {
+                let cursor = &mut cursors[k as usize];
+                unsafe { *values.at(*cursor) = v.clone() };
+                *cursor += 1;
+            });
+        });
+    }
+}
+
+/// Calls `f` on the records at stream positions `piece`, in stream
+/// order; slice `i` holds positions `starts[i]..starts[i + 1]`.
+fn for_each_record<'s, V: 's>(
+    starts: &[usize],
+    slice: &impl Fn(usize) -> &'s [(u32, V)],
+    piece: Range<usize>,
+    mut f: impl FnMut(u32, &'s V),
+) {
+    // The last slice starting at or before the piece: it holds the
+    // piece's first record (or the piece is empty).
+    let mut i = starts.partition_point(|&s| s <= piece.start) - 1;
+    while i + 1 < starts.len() && starts[i] < piece.end {
+        let (lo, hi) = (starts[i].max(piece.start), starts[i + 1].min(piece.end));
+        for (k, v) in &slice(i)[lo - starts[i]..hi - starts[i]] {
+            f(*k, v);
         }
-        self.values.resize(start, V::default());
-        for (k, v) in stream.flatten() {
-            let cursor = &mut self.offsets[*k as usize + 1];
-            self.values[*cursor] = v.clone();
-            *cursor += 1;
-        }
+        i += 1;
     }
 }
 
@@ -77,10 +172,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// The stream `slices` grouped over `0..n`.
-    fn grouped<V: Clone + Default>(n: usize, slices: &[&[(u32, V)]]) -> Grouped<V> {
+    /// The stream `slices` grouped over `0..n` at pool width 1.
+    fn grouped<V: Clone + Default + Send + Sync>(n: usize, slices: &[&[(u32, V)]]) -> Grouped<V> {
         let mut g = Grouped::default();
-        g.regroup(n, slices.iter().copied());
+        g.regroup(n, &WorkerPool::inline(), slices.len(), |i| slices[i]);
         g
     }
 
@@ -122,11 +217,95 @@ mod tests {
     fn a_refilled_grouping_equals_a_fresh_one() {
         let small: Vec<(u32, u64)> = vec![(1, 10), (0, 20), (1, 30)];
         let large: Vec<(u32, u64)> = (0..50u64).map(|i| ((i % 9) as u32, i)).collect();
-        let mut used = grouped(3, &[&small]);
-        for (n, records) in [(9, &large), (3, &small), (2, &vec![(1, 5)]), (9, &large)] {
-            used.regroup(n, [records.as_slice()].into_iter());
-            let fresh = grouped(n, &[records]);
-            assert_eq!((&used.offsets, &used.values), (&fresh.offsets, &fresh.values));
+        let one: Vec<(u32, u64)> = vec![(1, 5)];
+        for width in [1, 2, 3] {
+            let pool = WorkerPool::new(width);
+            let mut used = grouped(3, &[&small]);
+            for (n, records) in [(9, &large), (3, &small), (2, &one), (0, &vec![]), (9, &large)] {
+                used.regroup(n, &pool, 1, |_| records.as_slice());
+                let fresh = grouped(n, &[records]);
+                assert_eq!((&used.offsets, &used.values), (&fresh.offsets, &fresh.values));
+            }
+        }
+    }
+
+    /// A seeded stream over keys `0..n` cut into slices at seeded
+    /// positions, empty slices included.
+    fn sliced(seed: u64, n: u32, len: usize, slices: usize) -> Vec<Vec<(u32, u64)>> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let records: Vec<(u32, u64)> =
+            (0..len).map(|_| ((next() % n.max(1) as u64) as u32, next() % 1000)).collect();
+        let mut cuts: Vec<usize> = (1..slices).map(|_| next() as usize % (len + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(len);
+        let mut lo = 0;
+        cuts.into_iter()
+            .map(|hi| {
+                let part = records[lo..hi].to_vec();
+                lo = hi;
+                part
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_pool_width_gives_the_width_one_grouping() {
+        let pools: Vec<WorkerPool> = [2, 3, 4, 8].into_iter().map(WorkerPool::new).collect();
+        // (n, records, slices): more workers than records, piece
+        // boundaries inside slices and between them, empty streams.
+        let shapes = [(0, 0, 1), (0, 0, 3), (5, 0, 2), (5, 1, 1), (5, 3, 4), (7, 7, 2), (3, 40, 1)];
+        let shapes = shapes.into_iter().chain([(16, 300, 9), (64, 1000, 5), (1, 50, 6)]);
+        for (seed, (n, len, slices)) in shapes.enumerate() {
+            let stream = sliced(seed as u64 + 1, n as u32, len, slices);
+            let parts: Vec<&[(u32, u64)]> = stream.iter().map(Vec::as_slice).collect();
+            let narrow = grouped(n, &parts);
+            for pool in &pools {
+                let mut wide = Grouped::default();
+                wide.regroup(n, pool, parts.len(), |i| parts[i]);
+                let what = format!("n={n} len={len} slices={slices} width={}", pool.threads());
+                assert_eq!(
+                    (&wide.offsets, &wide.values),
+                    (&narrow.offsets, &narrow.values),
+                    "{what}"
+                );
+                // Refilling the used grouping equals the fresh one.
+                wide.regroup(n, pool, parts.len(), |i| parts[i]);
+                assert_eq!(
+                    (&wide.offsets, &wide.values),
+                    (&narrow.offsets, &narrow.values),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn groups_map_on_the_pool_over_key_ranges() {
+        let stream = sliced(7, 20, 500, 3);
+        let parts: Vec<&[(u32, u64)]> = stream.iter().map(Vec::as_slice).collect();
+        let mut expect = grouped(20, &parts);
+        let sums: Vec<u64> = (0..20).map(|k| expect.group(k).iter().sum()).collect();
+        expect.sort_dedup();
+        for width in [1, 2, 3, 8] {
+            let mut g = grouped(20, &parts);
+            let mut out = vec![0u64; 20];
+            g.for_each_group_mut(&WorkerPool::new(width), &mut out, |_, group, slot| {
+                group.sort_unstable();
+                *slot = group.iter().sum();
+            });
+            assert_eq!(out, sums, "width {width}");
+            g.sort_dedup();
+            assert_eq!(
+                (&g.offsets, &g.values),
+                (&expect.offsets, &expect.values),
+                "groups sorted in place"
+            );
         }
     }
 }

@@ -4,16 +4,18 @@
 //! edge scans, message shuffles, and per-iteration re-materialization of
 //! the vertex dataset — the GraphX execution pattern.
 
+use graphalytics_core::algorithms::cdlp::mode_label;
 use graphalytics_core::fault::{self, FaultSite};
 use graphalytics_core::{Csr, VertexId};
 
 use graphalytics_cluster::WorkCounters;
 
 use crate::common::pool::WorkerPool;
+use crate::common::Grouped;
 use crate::platform::LoadedGraph;
 use crate::trace::IterTimer;
 
-use super::{group_by_key, reduce_by_key, Dataset, DataflowGraph};
+use super::{reduce_by_key, regroup_by_key, scan, DataflowGraph, Dataset, Slots};
 
 /// Builds the edge dataset `(src, dst, weight)` partitioned by source.
 /// For undirected CSR the out-rows already contain both orientations.
@@ -37,8 +39,9 @@ pub fn edge_dataset(csr: &Csr, parts: usize, both_directions: bool) -> Dataset<(
 ///
 /// Per iteration: ship active vertex values to edge partitions, scan the
 /// *entire* edge dataset producing messages from active sources, shuffle-
-/// reduce messages by target, then join them back, materializing a new
-/// vertex dataset.
+/// reduce messages by target, then join them back, materializing the
+/// next vertex dataset as a full copy of the current one. The run keeps
+/// its scan chunks, slot table and both vertex datasets across rounds.
 #[allow(clippy::too_many_arguments)]
 pub fn pregel_loop<V, M>(
     csr: &Csr,
@@ -59,7 +62,8 @@ where
     let n = csr.num_vertices();
     let total_arcs = edges.count() as u64;
     let mut values: Vec<V> = (0..n as u32).map(&init).collect();
-    let mut active = vec![false; n];
+    let mut next_values = values.clone();
+    let (mut active, mut next_active) = (vec![false; n], vec![false; n]);
     let mut active_count = 0u64;
     for v in initially_active {
         if !active[v as usize] {
@@ -67,6 +71,7 @@ where
             active_count += 1;
         }
     }
+    let (mut chunks, mut slots) = (Vec::new(), Slots::default());
     let mut it = IterTimer::new("Round", c);
     while active_count > 0 {
         fault::tick(FaultSite::Superstep);
@@ -75,31 +80,23 @@ where
         // Ship active vertex views to edge partitions (replication).
         c.add_messages(active_count, message_bytes + 4);
         // Scan the edge partitions on the pool (task-parallel partition
-        // scans, like Spark executors); the workers' chunks, in order, are
-        // the shuffle's record stream. Only active sources emit.
+        // scans, like Spark executors). Only active sources emit.
         c.edges_scanned += total_arcs;
-        let partitions = edges.partitions();
         let (active_ref, values_ref) = (&active, &values);
-        let scans = pool.run(partitions.len(), |_, prange| {
-            let mut local: Vec<(u32, M)> = Vec::new();
-            for part in &partitions[prange] {
-                for &(s, d, w) in part {
-                    if active_ref[s as usize] {
-                        if let Some(m) = send(s, d, w, &values_ref[s as usize]) {
-                            local.push((d, m));
-                        }
-                    }
+        scan(pool, edges.partitions(), &mut chunks, |&(s, d, w), out| {
+            if active_ref[s as usize] {
+                if let Some(m) = send(s, d, w, &values_ref[s as usize]) {
+                    out.push((d, m));
                 }
             }
-            local
         });
-        let reduced = reduce_by_key(scans, n, message_bytes, c, &combine);
-        // Join messages into a brand-new vertex dataset.
+        slots.reduce(&mut chunks, n, message_bytes, c, &combine);
+        // Join messages into the next vertex dataset.
         c.vertices_processed += n as u64; // full copy materialized
-        let mut next_active = vec![false; n];
+        next_values.clone_from_slice(&values);
+        next_active.fill(false);
         let mut next_count = 0u64;
-        let mut next_values = values.clone();
-        for (v, m) in reduced {
+        for (v, m) in slots.drain() {
             let (nv, becomes_active) = apply(&values[v as usize], m);
             next_values[v as usize] = nv;
             if becomes_active && !next_active[v as usize] {
@@ -107,8 +104,8 @@ where
                 next_count += 1;
             }
         }
-        values = next_values;
-        active = next_active;
+        std::mem::swap(&mut values, &mut next_values);
+        std::mem::swap(&mut active, &mut next_active);
         active_count = next_count;
         it.lap(c, |s| s.with_info("active", round_active));
     }
@@ -181,40 +178,32 @@ pub fn pagerank(
     let inv_n = 1.0 / n as f64;
     let edges = g.edges_out();
     let total_arcs = edges.count() as u64;
-    let mut rank = vec![inv_n; n];
+    let (mut rank, mut next) = (vec![inv_n; n], vec![0.0; n]);
+    let (mut chunks, mut slots) = (Vec::new(), Slots::default());
     let mut it = IterTimer::new("Round", c);
     for _ in 0..iterations {
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
         // Dangling aggregate: a narrow scan over the vertex dataset.
         c.vertices_processed += n as u64;
-        let dangling: f64 = (0..n as u32)
-            .filter(|&u| csr.out_degree(u) == 0)
-            .map(|u| rank[u as usize])
-            .sum();
+        let dangling: f64 =
+            (0..n as u32).filter(|&u| csr.out_degree(u) == 0).map(|u| rank[u as usize]).sum();
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
         // Ship every vertex view; scan every edge.
         c.add_messages(n as u64, 12);
         c.edges_scanned += total_arcs;
-        let partitions = edges.partitions();
         let rank_ref = &rank;
-        let scans = pool.run(partitions.len(), |_, prange| {
-            let mut local: Vec<(u32, f64)> = Vec::new();
-            for part in &partitions[prange] {
-                for &(s, d, _w) in part {
-                    local.push((d, rank_ref[s as usize] / csr.out_degree(s) as f64));
-                }
-            }
-            local
+        scan(pool, edges.partitions(), &mut chunks, |&(s, d, _w), out| {
+            out.push((d, rank_ref[s as usize] / csr.out_degree(s) as f64));
         });
-        let sums = reduce_by_key(scans, n, 12, c, |a, b| a + b);
+        slots.reduce(&mut chunks, n, 12, c, |a, b| a + b);
         // Materialize the next vertex dataset.
         c.vertices_processed += n as u64;
-        let mut next = vec![base; n];
-        for (v, s) in sums {
+        next.fill(base);
+        for (v, s) in slots.drain() {
             next[v as usize] = base + damping * s;
         }
-        rank = next;
+        std::mem::swap(&mut rank, &mut next);
         it.lap(c, |s| s.with_info("active", n));
     }
     rank
@@ -222,7 +211,8 @@ pub fn pagerank(
 
 /// CDLP: label multisets via `groupByKey` — no combiner exists for the
 /// mode, so every label record crosses the shuffle and whole multisets
-/// materialize per vertex.
+/// materialize per vertex. Each vertex's mode is taken on the pool over
+/// disjoint vertex ranges.
 pub fn cdlp(
     g: &DataflowGraph,
     iterations: u32,
@@ -234,36 +224,29 @@ pub fn cdlp(
     let edges = g.edges_both();
     let total_arcs = edges.count() as u64;
     let mut labels: Vec<VertexId> = (0..n as u32).map(|u| csr.id_of(u)).collect();
+    let mut next = vec![0; n];
+    let (mut chunks, mut grouped) = (Vec::new(), Grouped::default());
     let mut it = IterTimer::new("Round", c);
     for _ in 0..iterations {
         fault::tick(FaultSite::Superstep);
         c.supersteps += 1;
         c.add_messages(n as u64, 12); // vertex views
         c.edges_scanned += total_arcs;
-        let partitions = edges.partitions();
         let labels_ref = &labels;
-        let scans = pool.run(partitions.len(), |_, prange| {
-            let mut local: Vec<(u32, VertexId)> = Vec::new();
-            for part in &partitions[prange] {
-                for &(s, d, _w) in part {
-                    // Both orientations are present, so each arc delivers
-                    // the source label to the target.
-                    local.push((d, labels_ref[s as usize]));
-                }
-            }
-            local
+        // Both orientations are present, so each arc delivers the source
+        // label to the target.
+        scan(pool, edges.partitions(), &mut chunks, |&(s, d, _w), out| {
+            out.push((d, labels_ref[s as usize]));
         });
-        let mut grouped = group_by_key(scans, n, 8, c);
+        regroup_by_key(&mut grouped, &chunks, n, 8, c, pool);
         c.random_accesses += total_arcs;
+        // The next vertex dataset: every vertex's mode, or its label
+        // when it heard no vote.
         c.vertices_processed += n as u64;
-        let mut next = labels.clone();
-        for v in 0..n as u32 {
-            let multiset = grouped.group_mut(v);
-            if let Some(best) = graphalytics_core::algorithms::cdlp::mode_label(multiset) {
-                next[v as usize] = best;
-            }
-        }
-        labels = next;
+        grouped.for_each_group_mut(pool, &mut next, |v, votes, label| {
+            *label = mode_label(votes).unwrap_or(labels_ref[v as usize]);
+        });
+        std::mem::swap(&mut labels, &mut next);
         it.lap(c, |s| s.with_info("active", n));
     }
     labels
@@ -288,7 +271,8 @@ pub fn lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
         }
     }
     c.edges_scanned += arcs.len() as u64;
-    let mut neighborhoods = group_by_key(vec![arcs], n, 8, c);
+    let mut neighborhoods = Grouped::default();
+    regroup_by_key(&mut neighborhoods, &[arcs], n, 8, c, pool);
     neighborhoods.sort_dedup();
     c.vertices_processed += n as u64;
     it.lap(c, |s| s.with_info("active", n));
@@ -343,9 +327,9 @@ pub fn lcc(csr: &Csr, pool: &WorkerPool, c: &mut WorkCounters) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::platform::{Platform, RunContext};
-    use std::sync::Arc;
     use graphalytics_core::params::AlgorithmParams;
     use graphalytics_core::{Algorithm, GraphBuilder};
+    use std::sync::Arc;
 
     fn sample(directed: bool) -> Arc<Csr> {
         let mut b = GraphBuilder::new(directed);

@@ -26,11 +26,16 @@
 //! pool computes which ascending list of vertices, and which owner map
 //! prices a message as cut traffic when it is sent. The inbox is one
 //! [`Grouped`] of the superstep's messages by target — the dataflow
-//! shuffle's grouping — refilled in place every superstep. Its stream is
-//! in ascending-sender order under every layout: one group's outboxes in
-//! worker order, or a `k`-way merge of per-sender run slices for `k`
-//! shards (`deliver`). So every vertex reads bit-identical inputs,
-//! nothing is sorted, and a warm run allocates per superstep, not vertex.
+//! shuffle's grouping — regrouped on the pool every superstep. Its
+//! stream is in ascending-sender order under every layout: one group's
+//! outboxes in lane order, or a `k`-way merge of per-sender run slices
+//! for `k` shards (`deliver`). So every vertex reads bit-identical
+//! inputs at every pool width, and nothing is sorted.
+//!
+//! A run owns its round buffers: the inbox, one [`ComputeCtx`] per lane
+//! (outbox, run list, scratch) and the merge order are allocated once
+//! per run, cleared at each barrier and refilled, so a warm superstep
+//! regrows no buffer.
 
 mod programs;
 #[cfg(test)]
@@ -53,12 +58,15 @@ use graphalytics_cluster::WorkCounters;
 use crate::common::pool::{SharedSlice, WorkerPool};
 use crate::common::Grouped;
 use crate::platform::{downcast_graph, LoadedGraph, Platform};
-use crate::sharded::{shard_span, GroupOut, Lanes, ShardLayout, ShardPlan, ShardSet};
+use crate::sharded::{shard_span, Lanes, ShardLayout, ShardPlan, ShardSet};
 use crate::trace::{IterTimer, SpanRecord};
 
-pub use programs::{BfsProgram, CdlpProgram, LccMessage, LccProgram, PageRankProgram, SsspProgram, WccProgram};
+pub use programs::{
+    BfsProgram, CdlpProgram, LccMessage, LccProgram, PageRankProgram, SsspProgram, WccProgram,
+};
 
-/// Per-worker compute context: outgoing messages, counters, aggregation.
+/// Per-lane compute context: outgoing messages, counters, aggregation.
+/// A run keeps one per lane across supersteps.
 #[derive(Default)]
 pub struct ComputeCtx<'a, M> {
     outbox: Vec<(u32, M)>,
@@ -69,8 +77,8 @@ pub struct ComputeCtx<'a, M> {
     /// The owner map and this worker's shard; `None` when monolithic.
     cut: Option<(&'a [u32], u32)>,
     /// Reusable buffer a program may sort or fold incoming messages in
-    /// (the inbox itself is read-only); lives as long as the worker's
-    /// context, so it is not reallocated per vertex.
+    /// (the inbox itself is read-only); lives as long as the lane's
+    /// context, so it is not reallocated per vertex or superstep.
     scratch: Vec<M>,
     edges_scanned: u64,
     random_accesses: u64,
@@ -101,6 +109,15 @@ impl<'a, M> ComputeCtx<'a, M> {
             }
         }
         self.outbox.push((target, msg));
+    }
+
+    /// Readies the context for the next superstep: counters zeroed,
+    /// buffers emptied but kept.
+    fn clear(&mut self) {
+        self.outbox.clear();
+        self.runs.clear();
+        (self.edges_scanned, self.random_accesses, self.message_bytes) = (0, 0, 0);
+        (self.inter_shard_messages, self.inter_shard_bytes, self.aggregate) = (0, 0, 0.0);
     }
 
     /// Closes vertex `sender`'s run: everything sent since `mark`.
@@ -170,9 +187,9 @@ pub trait VertexProgram: Sync {
 /// Runs `program` to completion; returns final vertex values and populates
 /// `counters`. The one superstep loop, for every lane assignment: each
 /// worker computes the vertices of its [`Lane`](crate::sharded::Lane)
-/// (mutated through [`SharedSlice`] — lanes are disjoint) and the
-/// barrier folds the worker contexts and regroups the inbox from their
-/// outboxes (`deliver`).
+/// (mutated through [`SharedSlice`] — lanes are disjoint) into the
+/// lane's own context, and the barrier folds the lane contexts,
+/// regroups the inbox from their outboxes (`deliver`) and clears them.
 ///
 /// The global sum aggregator is *canonical*: each vertex's contribution
 /// lands in a per-vertex slot and the barrier sums the slots in
@@ -188,11 +205,15 @@ pub fn run_pregel<P: VertexProgram>(
     let n = csr.num_vertices();
     let mut values: Vec<P::Value> = (0..n as u32).map(|u| program.init(u, csr)).collect();
     let mut inbox = Grouped::default();
-    inbox.regroup(n, std::iter::empty());
+    inbox.regroup(n, lanes.pool(), 0, |_| &[]);
     let mut active = vec![true; n];
     let mut agg_contrib = vec![0.0f64; n];
     let mut aggregate = 0.0f64;
     let owner = lanes.owner();
+    // One context per lane, kept across supersteps, and the sharded
+    // barrier's merge order: the run's round buffers.
+    let mut ctxs: Vec<ComputeCtx<'_, P::Message>> = Vec::new();
+    let mut order = Vec::new();
 
     let mut superstep = 0u64;
     let mut it = IterTimer::new("Superstep", counters);
@@ -207,8 +228,8 @@ pub fn run_pregel<P: VertexProgram>(
         let values_ptr = SharedSlice::new(values.as_mut_ptr());
         let active_ptr = SharedSlice::new(active.as_mut_ptr());
         let agg_ptr = SharedSlice::new(agg_contrib.as_mut_ptr());
-        let groups = lanes.run(tracing, |lane| {
-            let mut ctx = ComputeCtx { cut: owner.map(|o| (o, lane.shard())), ..Default::default() };
+        let groups = lanes.run_with(tracing, &mut ctxs, |lane, ctx| {
+            ctx.cut = owner.map(|o| (o, lane.shard()));
             lane.for_each(|u| {
                 let i = u as usize;
                 let messages = inbox.group(u);
@@ -221,20 +242,19 @@ pub fn run_pregel<P: VertexProgram>(
                 ctx.aggregate = 0.0;
                 let mark = ctx.outbox.len();
                 let still_active =
-                    program.compute(superstep, u, csr, value, messages, aggregate, &mut ctx);
+                    program.compute(superstep, u, csr, value, messages, aggregate, ctx);
                 ctx.end_run(u, mark);
                 unsafe { *agg_ptr.at(i) = ctx.aggregate };
                 *act = still_active;
             });
-            ctx
         });
 
-        // Barrier: fold the worker contexts, then deliver.
+        // Barrier: fold the lane contexts, deliver, clear.
         let mut sent = 0u64;
         let mut shard_spans: Vec<SpanRecord> = Vec::new();
-        for (s, (secs, workers)) in groups.iter().enumerate() {
+        for (s, (secs, lane_ctxs)) in groups.iter().enumerate() {
             let (mut group_messages, mut group_edges) = (0u64, 0u64);
-            for ctx in workers {
+            for ctx in &ctxs[lane_ctxs.clone()] {
                 counters.edges_scanned += ctx.edges_scanned;
                 counters.random_accesses += ctx.random_accesses;
                 counters.message_bytes += ctx.message_bytes;
@@ -254,7 +274,8 @@ pub fn run_pregel<P: VertexProgram>(
             }
         }
         let drain_t = (tracing && lanes.is_sharded()).then(Instant::now);
-        deliver(&groups, n, &mut inbox);
+        deliver(&groups, &ctxs, n, lanes.pool(), &mut inbox, &mut order);
+        ctxs.iter_mut().for_each(ComputeCtx::clear);
         let drain_secs = drain_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
         // Canonical aggregate: ascending vertex order, every slot.
         aggregate = agg_contrib.iter().sum();
@@ -275,35 +296,46 @@ pub fn run_pregel<P: VertexProgram>(
 /// Regroups `inbox` from every outbox so that each vertex's messages
 /// come in ascending-sender order with per-sender send order kept — the
 /// one delivery order, whatever the lanes (see [`crate::sharded`]).
-/// One group's outboxes in worker order *are* sender order; `k` groups'
-/// runs are each ascending and every sender has one owner, so a `k`-way
-/// merge of the run slices on the sender id restores the same order.
-fn deliver<M: Clone + Default>(
-    groups: &[GroupOut<ComputeCtx<'_, M>>],
+/// `groups` gives each group's lanes as a range of `ctxs`. One group's
+/// outboxes in lane order *are* sender order; `k` groups' runs are each
+/// ascending and every sender has one owner, so a `k`-way merge of the
+/// run slices on the sender id restores the same order. The merge writes
+/// `(lane, run)` pairs into `order`, which the caller keeps.
+fn deliver<M: Clone + Default + Send + Sync>(
+    groups: &[(f64, Range<usize>)],
+    ctxs: &[ComputeCtx<'_, M>],
     n: usize,
+    pool: &WorkerPool,
     inbox: &mut Grouped<M>,
+    order: &mut Vec<(usize, Range<usize>)>,
 ) {
-    if let [(_, workers)] = groups {
-        inbox.regroup(n, workers.iter().map(|ctx| ctx.outbox.as_slice()));
+    if let [_] = groups {
+        inbox.regroup(n, pool, ctxs.len(), |lane| &ctxs[lane].outbox);
         return;
     }
     let mut streams: Vec<_> = (groups.iter())
-        .map(|(_, workers)| workers.iter().flat_map(|ctx| {
-            ctx.runs.iter().map(move |(sender, run)| (*sender, &ctx.outbox[run.clone()]))
-        }))
-        .map(Iterator::peekable)
+        .map(|(_, lanes)| {
+            (lanes.clone())
+                .flat_map(|lane| {
+                    ctxs[lane].runs.iter().map(move |(sender, run)| (*sender, lane, run))
+                })
+                .peekable()
+        })
         .collect();
     let mut heads: BinaryHeap<Reverse<(u32, usize)>> = (streams.iter_mut().enumerate())
         .filter_map(|(g, runs)| Some(Reverse((runs.peek()?.0, g))))
         .collect();
-    let mut order = Vec::new();
+    order.clear();
     while let Some(Reverse((_, g))) = heads.pop() {
-        order.extend(streams[g].next().map(|(_, run)| run));
-        if let Some(&(sender, _)) = streams[g].peek() {
+        order.extend(streams[g].next().map(|(_, lane, run)| (lane, run.clone())));
+        if let Some(&(sender, _, _)) = streams[g].peek() {
             heads.push(Reverse((sender, g)));
         }
     }
-    inbox.regroup(n, order.iter().copied());
+    inbox.regroup(n, pool, order.len(), |i| {
+        let (lane, run) = &order[i];
+        &ctxs[*lane].outbox[run.clone()]
+    });
 }
 
 /// The uploaded representation: the partition store. Giraph's load phase

@@ -42,7 +42,7 @@ use std::time::Instant;
 use graphalytics_cluster::partition::{edge_cut_seeded, PartitionStrategy};
 use graphalytics_cluster::PerfProfile;
 use graphalytics_core::error::{Error, Result};
-use graphalytics_core::pool::{split_ranges, WorkerPool};
+use graphalytics_core::pool::{split_ranges, SharedSlice, WorkerPool};
 use graphalytics_core::{Csr, ShardedCsr};
 
 use crate::platform::{LoadedGraph, Platform};
@@ -243,6 +243,12 @@ impl<'a> Lanes<'a> {
         self.owner
     }
 
+    /// The caller's pool every lane runs on.
+    #[inline]
+    pub fn pool(&self) -> &'a WorkerPool {
+        self.pool
+    }
+
     /// Whether the upload is sharded (supersteps then report per-shard
     /// spans).
     #[inline]
@@ -260,6 +266,41 @@ impl<'a> Lanes<'a> {
         F: Fn(&Lane<'_>) -> R + Sync,
     {
         self.run_walks(tracing, f, &self.groups)
+    }
+
+    /// As [`Lanes::run`], handing every lane its own state: lane `i` (in
+    /// group order) gets `states[i]`, made on first use. A caller that
+    /// keeps `states` across supersteps keeps each lane's buffers. Returns
+    /// each group's seconds and its lanes' range in `states`.
+    pub fn run_with<S, F>(
+        &self,
+        tracing: bool,
+        states: &mut Vec<S>,
+        f: F,
+    ) -> Vec<(f64, Range<usize>)>
+    where
+        S: Default + Send,
+        F: Fn(&Lane<'_>, &mut S) + Sync,
+    {
+        let items = self.lanes_of(&self.groups);
+        states.resize_with(items.len(), S::default);
+        let at = SharedSlice::new(states.as_mut_ptr());
+        let groups = self.run_lanes(tracing, &items, |i, lane| {
+            // SAFETY: each lane index is walked by exactly one worker.
+            let slot = unsafe { at.at(i) };
+            // The lane works on a local copy: neighbouring states share
+            // cache lines, and lanes write theirs all the time.
+            let mut state = std::mem::take(slot);
+            f(lane, &mut state);
+            *slot = state;
+        });
+        let mut lo = 0;
+        (groups.into_iter())
+            .map(|(secs, lanes)| {
+                lo += lanes.len();
+                (secs, lo - lanes.len()..lo)
+            })
+            .collect()
     }
 
     /// As [`Lanes::run`], over `members` only: each group walks the
@@ -280,20 +321,24 @@ impl<'a> Lanes<'a> {
         self.run_walks(tracing, f, &walks)
     }
 
-    /// Splits each group's walk into `max(1, threads / groups)`
-    /// contiguous lanes — on one group exactly `pool.split(n)` — and
-    /// runs the `(group, lane)` items, flattened in group order, in one
-    /// pool run: with more items than threads a worker walks several in
-    /// turn. Lanes report their seconds back rather than touch the
-    /// caller's thread-local trace collector.
+    /// Runs `f` on the lanes of `walks` ([`Lanes::lanes_of`]).
     fn run_walks<R, F>(&self, tracing: bool, f: F, walks: &[Walk<'_>]) -> Vec<GroupOut<R>>
     where
         R: Send,
         F: Fn(&Lane<'_>) -> R + Sync,
     {
-        let timing = tracing && self.is_sharded();
+        self.run_lanes(tracing, &self.lanes_of(walks), |_, lane| f(lane))
+    }
+
+    /// Splits each group's walk into `max(1, threads / groups)`
+    /// contiguous lanes — on one group exactly `pool.split(n)` —
+    /// flattened in group order.
+    fn lanes_of<'w>(&self, walks: &'w [Walk<'w>]) -> Vec<Lane<'w>>
+    where
+        'a: 'w,
+    {
         let per_group = (self.pool.threads() / walks.len() as u32).max(1);
-        let items: Vec<Lane<'_>> = (walks.iter().enumerate())
+        (walks.iter().enumerate())
             .flat_map(|(s, walk)| {
                 split_ranges(per_group, walk.len()).into_iter().map(move |part| Lane {
                     walk: walk.slice(part),
@@ -301,23 +346,36 @@ impl<'a> Lanes<'a> {
                     owner: self.owner,
                 })
             })
-            .collect();
-        let done = self.pool.run(items.len(), |_, range| {
-            (items[range].iter())
-                .map(|lane| {
+            .collect()
+    }
+
+    /// Runs `f(index, lane)` on every lane in one pool run: with more
+    /// lanes than threads a worker walks several in turn. Lanes report
+    /// their seconds back rather than touch the caller's thread-local
+    /// trace collector.
+    fn run_lanes<R, F>(&self, tracing: bool, lanes: &[Lane<'_>], f: F) -> Vec<GroupOut<R>>
+    where
+        R: Send,
+        F: Fn(usize, &Lane<'_>) -> R + Sync,
+    {
+        let timing = tracing && self.is_sharded();
+        let done = self.pool.run(lanes.len(), |_, range| {
+            (range.clone().zip(&lanes[range]))
+                .map(|(i, lane)| {
                     let t = timing.then(Instant::now);
-                    let out = f(lane);
+                    let out = f(i, lane);
                     (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
                 })
                 .collect::<Vec<_>>()
         });
-        let mut groups: Vec<GroupOut<R>> = walks.iter().map(|_| (0.0, Vec::new())).collect();
-        for (lane, (secs, out)) in items.iter().zip(done.into_iter().flatten()) {
-            let group = &mut groups[lane.shard as usize];
+        let groups = lanes.last().map_or(0, |lane| lane.shard as usize + 1);
+        let mut out: Vec<GroupOut<R>> = (0..groups).map(|_| (0.0, Vec::new())).collect();
+        for (lane, (secs, r)) in lanes.iter().zip(done.into_iter().flatten()) {
+            let group = &mut out[lane.shard as usize];
             group.0 += secs;
-            group.1.push(out);
+            group.1.push(r);
         }
-        groups
+        out
     }
 
     /// What a sharded barrier adds to a superstep span: the groups'
@@ -417,11 +475,16 @@ mod tests {
         assert!(!lanes.is_sharded());
         let groups = walked(lanes.run(true, walk));
         assert_eq!(groups.len(), 1);
-        let expect: Vec<_> = pool.split(64).into_iter().map(|r| (0, (r.start as u32..r.end as u32).collect())).collect();
+        let expect: Vec<_> = pool
+            .split(64)
+            .into_iter()
+            .map(|r| (0, (r.start as u32..r.end as u32).collect()))
+            .collect();
         assert_eq!(groups[0], expect, "the pool's own contiguous ranges");
         // A member list is walked as given, and nothing crosses.
         let members = [9u32, 3, 40, 41];
-        let groups = lanes.run_over(false, &members, |lane| (walk(lane).1, lane.crossing(&[1, 2, 3])));
+        let groups =
+            lanes.run_over(false, &members, |lane| (walk(lane).1, lane.crossing(&[1, 2, 3])));
         let (seen, crossing): (Vec<_>, Vec<_>) = groups.into_iter().flat_map(|(_, w)| w).unzip();
         assert_eq!(seen.concat(), members);
         assert_eq!(crossing.iter().sum::<u64>(), 0);
@@ -463,10 +526,7 @@ mod tests {
 
     #[test]
     fn greedy_strategy_shards_with_real_placement() {
-        let plan = ShardPlan {
-            strategy: PartitionStrategy::GreedyVertexCut,
-            ..ShardPlan::new(2)
-        };
+        let plan = ShardPlan { strategy: PartitionStrategy::GreedyVertexCut, ..ShardPlan::new(2) };
         let set = ShardSet::build(csr(), &plan).unwrap();
         // No hash fallback anymore: the greedy placement shards directly.
         assert_eq!(set.strategy(), PartitionStrategy::GreedyVertexCut);

@@ -5,7 +5,7 @@
 //! chunked across workers.
 //!
 //! * every output and all eight `WorkCounters` fields are identical at
-//!   pool widths 1/2/4 (the partition count is `2 × width`);
+//!   pool widths 1/2/3/4/8 (the partition count is `2 × width`);
 //! * `messages`, `message_bytes`, `vertices_processed` and
 //!   `random_accesses` equal a recomputation from the CSR alone — the
 //!   GraphX cost model written down as a test: one shipped view per
@@ -93,7 +93,7 @@ fn outputs_and_all_eight_counters_do_not_depend_on_the_partitioning() {
     let build_pool = WorkerPool::new(2);
     for (name, csr) in proxies(&build_pool) {
         let narrow = run_all(&csr, 1);
-        for width in [2, 4] {
+        for width in [2, 3, 4, 8] {
             for (expect, run) in narrow.iter().zip(run_all(&csr, width)) {
                 let what = format!("{name} {} at width {width}", run.output.algorithm);
                 assert_eq!(bits(&expect.output.values), bits(&run.output.values), "{what}");

@@ -23,9 +23,10 @@ pub struct Grouped<V> {
     /// Where each stream slice starts in the stream, then the stream's
     /// length.
     starts: Vec<usize>,
-    /// One row of `n` per piece: first the piece's record count per key,
-    /// then its next slot per key (the fill's write cursors).
-    cursors: Vec<usize>,
+    /// One row of `n` per piece: first the piece's record count per key
+    /// (in `.0`), then its next slot and slot end per key (the fill's
+    /// write cursors).
+    cursors: Vec<(usize, usize)>,
 }
 
 impl<V> Grouped<V> {
@@ -108,24 +109,27 @@ impl<V> Grouped<V> {
         }
         // `pool.run(len, ..)` hands worker `p` exactly piece `p` of these.
         let pieces = split_ranges(pool.threads(), len).len();
-        self.cursors.resize(pieces * n, 0);
+        self.cursors.resize(pieces * n, (0, 0));
         let (starts, rows) = (&self.starts, SharedSlice::new(self.cursors.as_mut_ptr()));
         pool.run(len, |p, piece| {
             // SAFETY: row `p` belongs to worker `p` alone.
             let counts = unsafe { rows.slice_mut(p * n, n) };
-            counts.fill(0);
-            for_each_record(starts, &slice, piece, |k, _| counts[k as usize] += 1);
+            counts.fill((0, 0));
+            for_each_record(starts, &slice, piece, |k, _| counts[k as usize].0 += 1);
         });
 
-        // Exclusive prefix sums in (key, piece) order: piece `p`'s first
-        // slot for key `k` follows every earlier piece's records of `k`.
+        // Exclusive prefix sums in (key, piece) order: piece `p`'s slots
+        // for key `k` follow every earlier piece's records of `k`. The
+        // counts sum to `len`, so every piece's slots lie in `0..len`
+        // and no two pieces share one.
         self.offsets.resize(n + 1, 0);
         let mut next = 0;
         for k in 0..n {
             self.offsets[k] = next;
             for p in 0..pieces {
-                let cursor = &mut self.cursors[p * n + k];
-                (*cursor, next) = (next, next + *cursor);
+                let slots = &mut self.cursors[p * n + k];
+                *slots = (next, next + slots.0);
+                next = slots.1;
             }
         }
         self.offsets[n] = next;
@@ -135,11 +139,14 @@ impl<V> Grouped<V> {
         let values = SharedSlice::new(self.values.as_mut_ptr());
         let rows = SharedSlice::new(self.cursors.as_mut_ptr());
         pool.run(len, |p, piece| {
-            // SAFETY: row `p` belongs to worker `p` alone, and its
-            // cursors walk slots no other piece was given.
+            // SAFETY: row `p` belongs to worker `p` alone.
             let cursors = unsafe { rows.slice_mut(p * n, n) };
             for_each_record(starts, &slice, piece, |k, v| {
-                let cursor = &mut cursors[k as usize];
+                let (cursor, end) = &mut cursors[k as usize];
+                // A stream that changed since the count would overrun.
+                assert!(*cursor < *end, "the stream changed between the count and the fill");
+                // SAFETY: `cursor` lies in this piece's own slots for
+                // `k`, inside `values` and written by no other worker.
                 unsafe { *values.at(*cursor) = v.clone() };
                 *cursor += 1;
             });

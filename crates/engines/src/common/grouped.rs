@@ -2,8 +2,9 @@
 //! stream order: the Pregel inbox and the dataflow `group_by_key` shuffle.
 //!
 //! [`Grouped::regroup`] runs on the pool. The record stream is cut into
-//! one contiguous piece per worker; each worker counts the keys of its
-//! piece, exclusive prefix sums over `(key, piece)` then give every piece
+//! contiguous pieces, at most one per worker and no more than leave
+//! each piece `RECORDS_PER_KEY` records per key; each worker counts the
+//! keys of its piece, exclusive prefix sums over `(key, piece)` then give every piece
 //! its own run of slots inside each key's group, and each worker fills
 //! its piece's slots in stream order. A key's group is therefore its
 //! records in piece order, each piece in stream order: the stream order,
@@ -12,21 +13,32 @@
 
 use std::ops::Range;
 
-use super::pool::{split_ranges, SharedSlice, WorkerPool};
+use super::pool::{SharedSlice, WorkerPool};
+
+/// The fewest records per key a piece of [`Grouped::regroup`] must hold:
+/// a stream with fewer is cut into fewer pieces, down to one on the
+/// caller. Where two pieces' slots of one key meet, both workers write
+/// one cache line. At pool width 2, two pieces beat one from about 20
+/// records per key on 4 096 keys, 13 on 16 384 and 4 on 65 536 (see the
+/// README's engine notes).
+const RECORDS_PER_KEY: usize = 10;
 
 /// Records grouped by key: key `k`'s values are
 /// `values[offsets[k]..offsets[k + 1]]`, in stream order.
 #[derive(Debug, Default)]
 pub struct Grouped<V> {
+    /// Also the last piece's count row and then its write cursors, one
+    /// slot up: each key's cursor ends where its group ends.
     offsets: Vec<usize>,
     values: Vec<V>,
-    /// Where each stream slice starts in the stream, then the stream's
-    /// length.
-    starts: Vec<usize>,
-    /// One row of `n` per piece: first the piece's record count per key
-    /// (in `.0`), then its next slot and slot end per key (the fill's
-    /// write cursors).
-    cursors: Vec<(usize, usize)>,
+    /// Where each stream slice starts in the stream and where it lies
+    /// in memory, then the stream's length.
+    starts: Vec<(usize, usize)>,
+    /// The count rows, then write cursors, of every piece but the last:
+    /// `n` per piece. There are any only for a stream of at least
+    /// `RECORDS_PER_KEY` records per key and piece, so they never
+    /// outgrow the stream.
+    cursors: Vec<usize>,
 }
 
 impl<V> Grouped<V> {
@@ -94,81 +106,134 @@ impl<V> Grouped<V> {
     /// Replaces the grouping with that of a record stream over keys
     /// `0..n`, refilling this grouping's buffers on `pool` (see the
     /// module docs). The stream is `slice(0)`, …, `slice(slices - 1)` in
-    /// order, each slice cut anywhere (empty ones included).
+    /// order, each slice cut anywhere (empty ones included). It is cut
+    /// into at most one piece per worker, and into fewer when a piece
+    /// would hold under `RECORDS_PER_KEY` records per key; one piece
+    /// runs on the caller.
     pub fn regroup<'s, F>(&mut self, n: usize, pool: &WorkerPool, slices: usize, slice: F)
     where
         V: Clone + Default + Send + Sync + 's,
         F: Fn(usize) -> &'s [(u32, V)] + Sync,
     {
+        let len = self.cut(slices, &slice);
+        let pieces = (len / (RECORDS_PER_KEY * n).max(1)).clamp(1, pool.threads() as usize);
+        self.fill(n, pool, pieces, &slice);
+    }
+
+    /// Records where each slice starts in the stream and in memory;
+    /// returns the stream's length.
+    fn cut<'s>(&mut self, slices: usize, slice: &impl Fn(usize) -> &'s [(u32, V)]) -> usize
+    where
+        V: 's,
+    {
         self.starts.clear();
-        self.starts.push(0);
         let mut len = 0;
         for i in 0..slices {
-            len += slice(i).len();
-            self.starts.push(len);
+            let records = slice(i);
+            self.starts.push((len, records.as_ptr() as usize));
+            len += records.len();
         }
-        // `pool.run(len, ..)` hands worker `p` exactly piece `p` of these.
-        let pieces = split_ranges(pool.threads(), len).len();
-        self.cursors.resize(pieces * n, (0, 0));
-        let (starts, rows) = (&self.starts, SharedSlice::new(self.cursors.as_mut_ptr()));
-        pool.run(len, |p, piece| {
-            // SAFETY: row `p` belongs to worker `p` alone.
-            let counts = unsafe { rows.slice_mut(p * n, n) };
-            counts.fill((0, 0));
-            for_each_record(starts, &slice, piece, |k, _| counts[k as usize].0 += 1);
+        self.starts.push((len, 0));
+        len
+    }
+
+    /// Groups the [`Grouped::cut`] stream, cut into `pieces` contiguous
+    /// pieces.
+    fn fill<'s, F>(&mut self, n: usize, pool: &WorkerPool, pieces: usize, slice: &F)
+    where
+        V: Clone + Default + Send + Sync + 's,
+        F: Fn(usize) -> &'s [(u32, V)] + Sync,
+    {
+        let len = self.starts.last().expect("starts end with the stream's length").0;
+        self.cursors.resize((pieces - 1) * n, 0);
+        self.offsets.resize(n + 1, 0);
+        self.offsets[0] = 0;
+        self.values.resize(len, V::default());
+        let starts = &self.starts;
+        let values = SharedSlice::new(self.values.as_mut_ptr());
+        let (rows, last) = (
+            SharedSlice::new(self.cursors.as_mut_ptr()),
+            SharedSlice::new(self.offsets.as_mut_ptr()),
+        );
+        // Piece `p`'s count row, then its write cursors.
+        // SAFETY (callers): a row is used by one worker at a time.
+        let row = |p: usize| unsafe {
+            if p + 1 < pieces {
+                rows.slice_mut(p * n, n)
+            } else {
+                last.slice_mut(1, n)
+            }
+        };
+        pool.run(pieces, |_, mine| {
+            for p in mine {
+                let counts = row(p);
+                counts.fill(0);
+                for_each_record(starts, slice, piece(p, pieces, len), |k, _| {
+                    counts[k as usize] += 1
+                });
+            }
         });
 
         // Exclusive prefix sums in (key, piece) order: piece `p`'s slots
-        // for key `k` follow every earlier piece's records of `k`. The
-        // counts sum to `len`, so every piece's slots lie in `0..len`
-        // and no two pieces share one.
-        self.offsets.resize(n + 1, 0);
+        // for key `k` follow every earlier piece's records of `k`.
         let mut next = 0;
         for k in 0..n {
-            self.offsets[k] = next;
-            for p in 0..pieces {
-                let slots = &mut self.cursors[p * n + k];
-                *slots = (next, next + slots.0);
-                next = slots.1;
+            // SAFETY: in bounds, and no worker is running.
+            for p in 0..pieces - 1 {
+                let slot = unsafe { rows.at(p * n + k) };
+                (*slot, next) = (next, next + *slot);
             }
+            let slot = unsafe { last.at(k + 1) };
+            (*slot, next) = (next, next + *slot);
         }
-        self.offsets[n] = next;
 
-        // The fill writes every value slot exactly once.
-        self.values.resize(len, V::default());
-        let values = SharedSlice::new(self.values.as_mut_ptr());
-        let rows = SharedSlice::new(self.cursors.as_mut_ptr());
-        pool.run(len, |p, piece| {
-            // SAFETY: row `p` belongs to worker `p` alone.
-            let cursors = unsafe { rows.slice_mut(p * n, n) };
-            for_each_record(starts, &slice, piece, |k, v| {
-                let (cursor, end) = &mut cursors[k as usize];
-                // A stream that changed since the count would overrun.
-                assert!(*cursor < *end, "the stream changed between the count and the fill");
-                // SAFETY: `cursor` lies in this piece's own slots for
-                // `k`, inside `values` and written by no other worker.
-                unsafe { *values.at(*cursor) = v.clone() };
-                *cursor += 1;
-            });
+        // The fill reads the very records the count read (the same
+        // memory, borrowed for `'s`), so each piece writes exactly the
+        // slots it counted: every value slot once, each by one worker.
+        // The last piece's cursors end as the offsets of the keys' ends.
+        pool.run(pieces, |_, mine| {
+            for p in mine {
+                let cursors = row(p);
+                for_each_record(starts, slice, piece(p, pieces, len), |k, v| {
+                    let cursor = &mut cursors[k as usize];
+                    // SAFETY: see above; `cursor` is below `len`.
+                    unsafe { *values.at(*cursor) = v.clone() };
+                    *cursor += 1;
+                });
+            }
         });
     }
 }
 
+/// Piece `p` of a stream of `len` records cut into `pieces` contiguous
+/// pieces of near-equal length.
+fn piece(p: usize, pieces: usize, len: usize) -> Range<usize> {
+    let chunk = len.div_ceil(pieces);
+    (p * chunk).min(len)..((p + 1) * chunk).min(len)
+}
+
 /// Calls `f` on the records at stream positions `piece`, in stream
-/// order; slice `i` holds positions `starts[i]..starts[i + 1]`.
+/// order; slice `i` holds positions `starts[i].0..starts[i + 1].0`.
+/// Panics if a slice it reads from is not where [`Grouped::cut`] found
+/// it: a closure that hands out other records the second time.
 fn for_each_record<'s, V: 's>(
-    starts: &[usize],
+    starts: &[(usize, usize)],
     slice: &impl Fn(usize) -> &'s [(u32, V)],
     piece: Range<usize>,
     mut f: impl FnMut(u32, &'s V),
 ) {
     // The last slice starting at or before the piece: it holds the
     // piece's first record (or the piece is empty).
-    let mut i = starts.partition_point(|&s| s <= piece.start) - 1;
-    while i + 1 < starts.len() && starts[i] < piece.end {
-        let (lo, hi) = (starts[i].max(piece.start), starts[i + 1].min(piece.end));
-        for (k, v) in &slice(i)[lo - starts[i]..hi - starts[i]] {
-            f(*k, v);
+    let mut i = starts.partition_point(|&(s, _)| s <= piece.start) - 1;
+    while i + 1 < starts.len() && starts[i].0 < piece.end {
+        let ((start, at), end) = (starts[i], starts[i + 1].0);
+        let (lo, hi) = (start.max(piece.start), end.min(piece.end));
+        if lo < hi {
+            let records = slice(i);
+            assert_eq!(records.as_ptr() as usize, at, "the stream changed during the regroup");
+            for (k, v) in &records[lo - start..hi - start] {
+                f(*k, v);
+            }
         }
         i += 1;
     }
@@ -263,8 +328,8 @@ mod tests {
 
     #[test]
     fn every_pool_width_gives_the_width_one_grouping() {
-        let pools: Vec<WorkerPool> = [2, 3, 4, 8].into_iter().map(WorkerPool::new).collect();
-        // (n, records, slices): more workers than records, piece
+        let pools: Vec<WorkerPool> = [1, 2, 3, 4, 8].into_iter().map(WorkerPool::new).collect();
+        // (n, records, slices): more pieces than records, piece
         // boundaries inside slices and between them, empty streams.
         let shapes = [(0, 0, 1), (0, 0, 3), (5, 0, 2), (5, 1, 1), (5, 3, 4), (7, 7, 2), (3, 40, 1)];
         let shapes = shapes.into_iter().chain([(16, 300, 9), (64, 1000, 5), (1, 50, 6)]);
@@ -281,15 +346,53 @@ mod tests {
                     (&narrow.offsets, &narrow.values),
                     "{what}"
                 );
-                // Refilling the used grouping equals the fresh one.
-                wide.regroup(n, pool, parts.len(), |i| parts[i]);
-                assert_eq!(
-                    (&wide.offsets, &wide.values),
-                    (&narrow.offsets, &narrow.values),
-                    "{what}"
-                );
+                // Every cut into pieces, refilling the used grouping
+                // (more pieces than workers: a worker fills several).
+                for pieces in 1..=9 {
+                    wide.cut(parts.len(), &|i| parts[i]);
+                    wide.fill(n, pool, pieces, &|i| parts[i]);
+                    assert_eq!(
+                        (&wide.offsets, &wide.values),
+                        (&narrow.offsets, &narrow.values),
+                        "{what} pieces={pieces}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_short_stream_regroups_on_the_caller() {
+        let pool = WorkerPool::new(2);
+        let n = 100;
+        let records: Vec<(u32, u64)> = (0..2 * RECORDS_PER_KEY as u64 * n as u64)
+            .map(|i| ((i * 37 % n as u64) as u32, i))
+            .collect();
+        let mut g = Grouped::default();
+        let before = pool.stats().dispatches;
+        g.regroup(n, &pool, 1, |_| &records[..records.len() - 1]);
+        assert_eq!(pool.stats().dispatches, before, "under two pieces' worth: one piece");
+        g.regroup(n, &pool, 1, |_| &records);
+        assert_eq!(pool.stats().dispatches, before + 2, "count and fill on both workers");
+        let whole = grouped(n, &[&records]);
+        assert_eq!((&g.offsets, &g.values), (&whole.offsets, &whole.values));
+    }
+
+    #[test]
+    #[should_panic(expected = "the stream changed during the regroup")]
+    fn a_stream_that_changes_between_count_and_fill_panics() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (before, after) = ([(0, 1u64), (0, 2)], [(1, 1u64), (1, 2)]);
+        let calls = AtomicUsize::new(0);
+        // The cut and the count see `before`, the fill sees `after`:
+        // filled by the count's cursors, key 1 would overrun its group.
+        Grouped::default().regroup(2, &WorkerPool::inline(), 1, |_| {
+            if calls.fetch_add(1, Ordering::Relaxed) < 2 {
+                &before[..]
+            } else {
+                &after[..]
+            }
+        });
     }
 
     #[test]

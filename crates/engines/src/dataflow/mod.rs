@@ -49,8 +49,8 @@
 //! forms and never stored; the fold stays on one thread, because a
 //! key-range split reads the stream once per worker); [`group_by_key`],
 //! the one place a grouping is materialised, calls [`Grouped::regroup`],
-//! the same pool-wide counting pass and stable fill that builds the
-//! Pregel inbox. What the model charges is untouched: one shuffled
+//! the same counting pass and stable fill, on the pool once the stream
+//! is long enough, that builds the Pregel inbox. What the model charges is untouched: one shuffled
 //! record per distinct key where a combiner exists, every record where
 //! none does.
 

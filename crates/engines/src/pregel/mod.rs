@@ -26,10 +26,11 @@
 //! pool computes which ascending list of vertices, and which owner map
 //! prices a message as cut traffic when it is sent. The inbox is one
 //! [`Grouped`] of the superstep's messages by target — the dataflow
-//! shuffle's grouping — regrouped on the pool every superstep. Its
-//! stream is in ascending-sender order under every layout: one group's
-//! outboxes in lane order, or a `k`-way merge of per-sender run slices
-//! for `k` shards (`deliver`). So every vertex reads bit-identical
+//! shuffle's grouping — regrouped every superstep, on the pool once the
+//! stream holds enough messages per vertex. Its stream is in
+//! ascending-sender order under every layout: one group's outboxes in
+//! lane order, or a `k`-way merge of per-sender run slices for `k`
+//! shards (`deliver`). So every vertex reads bit-identical
 //! inputs at every pool width, and nothing is sorted.
 //!
 //! A run owns its round buffers: the inbox, one [`ComputeCtx`] per lane

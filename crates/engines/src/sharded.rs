@@ -271,9 +271,7 @@ impl<'a> Lanes<'a> {
     /// As [`Lanes::run`], handing every lane its own state: lane `i` (in
     /// group order) gets `states[i]`, made on first use. A caller that
     /// keeps `states` across supersteps keeps each lane's buffers. Returns
-    /// each group's seconds and its lanes' range in `states`. (Kept apart
-    /// from `run_walks`, which push–pull's lanes run through: a version
-    /// sharing one body with it read 6–11 % slower on `service_mutate`.)
+    /// each group's seconds and its lanes' range in `states`.
     pub fn run_with<S, F>(
         &self,
         tracing: bool,
@@ -284,11 +282,66 @@ impl<'a> Lanes<'a> {
         S: Default + Send,
         F: Fn(&Lane<'_>, &mut S) + Sync,
     {
+        self.run_states(tracing, &self.groups, states, f)
+    }
+
+    /// As [`Lanes::run`], over `members` only: each group walks the
+    /// members it owns, in `members` order.
+    pub fn run_over<R, F>(&self, tracing: bool, members: &[u32], f: F) -> Vec<GroupOut<R>>
+    where
+        R: Send,
+        F: Fn(&Lane<'_>) -> R + Sync,
+    {
+        let Some(owner) = self.owner else {
+            return self.run_walks(tracing, f, &[Walk::List(members)]);
+        };
+        let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.groups.len()];
+        for &u in members {
+            routed[owner[u as usize] as usize].push(u);
+        }
+        let walks: Vec<Walk<'_>> = routed.iter().map(|r| Walk::List(r)).collect();
+        self.run_walks(tracing, f, &walks)
+    }
+
+    /// [`Lanes::run_states`] with each lane's result as its state,
+    /// handed back per group.
+    fn run_walks<R, F>(&self, tracing: bool, f: F, walks: &[Walk<'_>]) -> Vec<GroupOut<R>>
+    where
+        R: Send,
+        F: Fn(&Lane<'_>) -> R + Sync,
+    {
+        let mut outs: Vec<Option<R>> = Vec::new();
+        let groups = self.run_states(tracing, walks, &mut outs, |lane, out| *out = Some(f(lane)));
+        let mut outs = outs.into_iter().map(|out| out.expect("every lane ran"));
+        (groups.into_iter())
+            .map(|(secs, lanes)| (secs, outs.by_ref().take(lanes.len()).collect()))
+            .collect()
+    }
+
+    /// Splits each walk into `max(1, threads / walks)` contiguous lanes
+    /// — on one walk exactly `pool.split(n)` — and runs the
+    /// `(group, lane)` items, flattened in group order, in one pool run:
+    /// with more items than threads a worker walks several in turn. Lane
+    /// `i` works on `states[i]`, made on first use. Lanes report their
+    /// seconds back rather than touch the caller's thread-local trace
+    /// collector. Returns each group's seconds and its lanes' range in
+    /// `states`.
+    fn run_states<S, F>(
+        &self,
+        tracing: bool,
+        walks: &[Walk<'_>],
+        states: &mut Vec<S>,
+        f: F,
+    ) -> Vec<(f64, Range<usize>)>
+    where
+        S: Default + Send,
+        F: Fn(&Lane<'_>, &mut S) + Sync,
+    {
         let timing = tracing && self.is_sharded();
-        let per_group = (self.pool.threads() / self.groups.len() as u32).max(1);
-        let mut groups = Vec::with_capacity(self.groups.len());
+        let per_group = (self.pool.threads() / walks.len() as u32).max(1);
+        let mut groups = Vec::with_capacity(walks.len());
         let mut items = Vec::new();
-        for (s, walk) in self.groups.iter().enumerate() {
+        for (s, walk) in walks.iter().enumerate() {
             let parts = split_ranges(per_group, walk.len());
             groups.push((0.0, items.len()..items.len() + parts.len()));
             items.extend(parts.into_iter().map(|part| Lane {
@@ -318,64 +371,6 @@ impl<'a> Lanes<'a> {
         });
         for (lane, secs) in items.iter().zip(secs.into_iter().flatten()) {
             groups[lane.shard as usize].0 += secs;
-        }
-        groups
-    }
-
-    /// As [`Lanes::run`], over `members` only: each group walks the
-    /// members it owns, in `members` order.
-    pub fn run_over<R, F>(&self, tracing: bool, members: &[u32], f: F) -> Vec<GroupOut<R>>
-    where
-        R: Send,
-        F: Fn(&Lane<'_>) -> R + Sync,
-    {
-        let Some(owner) = self.owner else {
-            return self.run_walks(tracing, f, &[Walk::List(members)]);
-        };
-        let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.groups.len()];
-        for &u in members {
-            routed[owner[u as usize] as usize].push(u);
-        }
-        let walks: Vec<Walk<'_>> = routed.iter().map(|r| Walk::List(r)).collect();
-        self.run_walks(tracing, f, &walks)
-    }
-
-    /// Splits each group's walk into `max(1, threads / groups)`
-    /// contiguous lanes — on one group exactly `pool.split(n)` — and
-    /// runs the `(group, lane)` items, flattened in group order, in one
-    /// pool run: with more items than threads a worker walks several in
-    /// turn. Lanes report their seconds back rather than touch the
-    /// caller's thread-local trace collector.
-    fn run_walks<R, F>(&self, tracing: bool, f: F, walks: &[Walk<'_>]) -> Vec<GroupOut<R>>
-    where
-        R: Send,
-        F: Fn(&Lane<'_>) -> R + Sync,
-    {
-        let timing = tracing && self.is_sharded();
-        let per_group = (self.pool.threads() / walks.len() as u32).max(1);
-        let items: Vec<Lane<'_>> = (walks.iter().enumerate())
-            .flat_map(|(s, walk)| {
-                split_ranges(per_group, walk.len()).into_iter().map(move |part| Lane {
-                    walk: walk.slice(part),
-                    shard: s as u32,
-                    owner: self.owner,
-                })
-            })
-            .collect();
-        let done = self.pool.run(items.len(), |_, range| {
-            (items[range].iter())
-                .map(|lane| {
-                    let t = timing.then(Instant::now);
-                    let out = f(lane);
-                    (t.map_or(0.0, |t| t.elapsed().as_secs_f64()), out)
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut groups: Vec<GroupOut<R>> = walks.iter().map(|_| (0.0, Vec::new())).collect();
-        for (lane, (secs, out)) in items.iter().zip(done.into_iter().flatten()) {
-            let group = &mut groups[lane.shard as usize];
-            group.0 += secs;
-            group.1.push(out);
         }
         groups
     }

@@ -128,11 +128,6 @@ impl DatasetSpec {
         format!("{}({})", self.id, self.class())
     }
 
-    /// True when this is one of the real-world datasets (Table 3).
-    pub fn is_real(&self) -> bool {
-        self.domain != Domain::Synthetic
-    }
-
     /// Mean degree `|E| / |V|` of the published sizes.
     pub fn mean_degree(&self) -> f64 {
         self.edges as f64 / self.vertices as f64

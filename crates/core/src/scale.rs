@@ -75,20 +75,6 @@ impl SizeClass {
         }
     }
 
-    /// Inclusive lower bound of the class's scale range
-    /// (`f64::NEG_INFINITY` for 2XS).
-    pub fn scale_lower_bound(self) -> f64 {
-        match self {
-            SizeClass::Xxs => f64::NEG_INFINITY,
-            SizeClass::Xs => 7.0,
-            SizeClass::S => 7.5,
-            SizeClass::M => 8.0,
-            SizeClass::L => 8.5,
-            SizeClass::Xl => 9.0,
-            SizeClass::Xxl => 9.5,
-        }
-    }
-
     /// True if `self` is strictly larger than `other`.
     pub fn beyond(self, other: SizeClass) -> bool {
         self > other

@@ -47,11 +47,6 @@ impl<V> Grouped<V> {
         &self.values[self.offsets[key as usize]..self.offsets[key as usize + 1]]
     }
 
-    /// [`Grouped::group`], mutably (`cdlp::mode_label` sorts its votes).
-    pub fn group_mut(&mut self, key: u32) -> &mut [V] {
-        &mut self.values[self.offsets[key as usize]..self.offsets[key as usize + 1]]
-    }
-
     /// Turns every group into a set, in place: sorted, duplicates dropped,
     /// the survivors compacted to the front of `values`.
     pub fn sort_dedup(&mut self)

@@ -51,11 +51,10 @@ pub mod spmv;
 pub mod trace;
 
 pub use platform::{
-    all_platforms, platform_by_name, run_once, Execution, LoadedGraph, PhaseRecord, Platform,
-    RunContext,
+    all_platforms, platform_by_name, run_once, Execution, LoadedGraph, Platform, RunContext,
 };
-pub use trace::SpanRecord;
 pub use sharded::{upload_with_shards, ShardLayout, ShardPlan, ShardSet};
+pub use trace::SpanRecord;
 
 pub use graphalytics_cluster::WorkCounters;
 pub use graphalytics_core::fault;

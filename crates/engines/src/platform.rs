@@ -20,15 +20,16 @@
 //! The execute phase is written once, in [`execute_phase`] (what the
 //! provided [`Platform::run`] calls): the `T_proc` clock, the cancel
 //! check, the `supports` and input rules, span tracing, the fault
-//! boundary, the `ProcessGraph` phase record and the [`Execution`]. An
-//! engine supplies only [`Platform::execute`] — its algorithm dispatch.
+//! boundary and the [`Execution`]. An engine supplies only
+//! [`Platform::execute`] — its algorithm dispatch.
 //!
 //! [`RunContext`] carries the shared execution runtime (the
-//! [`WorkerPool`]), the repetition index, and phase-timing hooks whose
-//! records the harness folds into the Granula archive; the returned
-//! [`Execution`] carries the output (validated by the harness against the
-//! reference implementation), measured wall time, and the
-//! [`WorkCounters`] the run accumulated — which the harness prices through
+//! [`WorkerPool`]), the cancellation token and the per-superstep spans
+//! the harness nests under the run's `ProcessGraph` operation in the
+//! Granula archive; the returned [`Execution`] carries the output
+//! (validated by the harness against the reference implementation),
+//! measured wall time — the `ProcessGraph` seconds — and the
+//! [`WorkCounters`] the run accumulated, which the harness prices through
 //! the analytic model in `graphalytics-cluster` to obtain simulated
 //! cluster time. The trait itself is only the measured lifecycle.
 
@@ -88,16 +89,8 @@ pub trait LoadedGraph: Send + Sync {
     }
 }
 
-/// One timed phase recorded by an engine during [`Platform::run`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRecord {
-    pub name: &'static str,
-    pub secs: f64,
-}
-
-/// Per-run context: the execution runtime, the repetition index (drives
-/// deterministic noise streams downstream), and phase-timer hooks whose
-/// records the harness archives.
+/// Per-run context: the execution runtime, the cancellation token, and
+/// the span collector whose records the harness archives.
 pub struct RunContext<'a> {
     /// The shared execution runtime. Owned by whoever owns the benchmark
     /// run (one per run in the harness, one per daemon in the service);
@@ -105,12 +98,9 @@ pub struct RunContext<'a> {
     /// nothing ([`crate::sharded::Lanes`]). Outputs are bit-identical
     /// for every pool width.
     pub pool: &'a WorkerPool,
-    /// Repetition index of this execution within the job (0-based).
-    pub run_index: u64,
-    phases: Vec<PhaseRecord>,
     /// Granula-monitor gate: when true, engines collect per-superstep
     /// [`SpanRecord`]s during [`Platform::run`]. On by default; the
-    /// harness turns it off when its `MonitorConfig` is disabled.
+    /// harness turns it off when its driver's monitor is off.
     tracing: bool,
     spans: Vec<crate::trace::SpanRecord>,
     /// Cooperative cancellation handle for this run. Defaults to a fresh
@@ -121,17 +111,10 @@ pub struct RunContext<'a> {
 }
 
 impl<'a> RunContext<'a> {
-    /// A context for the first (or only) repetition.
+    /// A context on `pool`: tracing on, never cancelled.
     pub fn new(pool: &'a WorkerPool) -> Self {
-        Self::with_run_index(pool, 0)
-    }
-
-    /// A context for repetition `run_index`.
-    pub fn with_run_index(pool: &'a WorkerPool, run_index: u64) -> Self {
         RunContext {
             pool,
-            run_index,
-            phases: Vec::new(),
             tracing: true,
             spans: Vec::new(),
             cancel: graphalytics_core::fault::CancelToken::new(),
@@ -190,22 +173,6 @@ impl<'a> RunContext<'a> {
     /// Granula archive after each repetition).
     pub fn take_spans(&mut self) -> Vec<crate::trace::SpanRecord> {
         std::mem::take(&mut self.spans)
-    }
-
-    /// Records an already-measured phase duration.
-    pub fn record_phase(&mut self, name: &'static str, secs: f64) {
-        self.phases.push(PhaseRecord { name, secs });
-    }
-
-    /// Phases recorded so far, in recording order.
-    pub fn phases(&self) -> &[PhaseRecord] {
-        &self.phases
-    }
-
-    /// Drains the recorded phases (the harness moves them into the
-    /// Granula archive after each repetition).
-    pub fn take_phases(&mut self) -> Vec<PhaseRecord> {
-        std::mem::take(&mut self.phases)
     }
 }
 
@@ -297,8 +264,8 @@ pub trait Platform: Send + Sync {
 /// honours cancellation, rejects algorithms the platform does not
 /// support, applies the reference's input rules ([`Request::resolve`]),
 /// runs [`Platform::execute`] inside span tracing and the
-/// [`fault::catch_abort`] boundary, and records the one `ProcessGraph`
-/// phase whose seconds the returned [`Execution`] carries.
+/// [`fault::catch_abort`] boundary; the returned [`Execution`] carries
+/// the run's wall seconds.
 pub fn execute_phase<P: Platform + ?Sized>(
     platform: &P,
     graph: &dyn LoadedGraph,
@@ -320,7 +287,6 @@ pub fn execute_phase<P: Platform + ?Sized>(
     ctx.absorb_trace();
     let values = values?;
     let wall_seconds = start.elapsed().as_secs_f64();
-    ctx.record_phase("ProcessGraph", wall_seconds);
     Ok(Execution {
         output: AlgorithmOutput::from_dense(algorithm, csr, values),
         counters,
@@ -335,14 +301,9 @@ pub fn unsupported(platform: &str, algorithm: Algorithm) -> Error {
 
 /// Downcasts a [`LoadedGraph`] to the engine's concrete representation,
 /// rejecting graphs uploaded by a different platform.
-pub fn downcast_graph<'a, T: 'static>(
-    platform: &str,
-    graph: &'a dyn LoadedGraph,
-) -> Result<&'a T> {
+pub fn downcast_graph<'a, T: 'static>(platform: &str, graph: &'a dyn LoadedGraph) -> Result<&'a T> {
     graph.as_any().downcast_ref::<T>().ok_or_else(|| {
-        Error::InvalidParameters(format!(
-            "graph was not uploaded through platform {platform}"
-        ))
+        Error::InvalidParameters(format!("graph was not uploaded through platform {platform}"))
     })
 }
 
@@ -431,13 +392,15 @@ mod tests {
             let mixed: String = analog
                 .chars()
                 .enumerate()
-                .map(|(i, c)| {
-                    if i % 2 == 0 {
-                        c.to_ascii_lowercase()
-                    } else {
-                        c.to_ascii_uppercase()
-                    }
-                })
+                .map(
+                    |(i, c)| {
+                        if i % 2 == 0 {
+                            c.to_ascii_lowercase()
+                        } else {
+                            c.to_ascii_uppercase()
+                        }
+                    },
+                )
                 .collect();
             for alias in [analog.to_ascii_uppercase(), analog.to_ascii_lowercase(), mixed] {
                 let found = platform_by_name(&alias).unwrap_or_else(|| panic!("{alias} resolves"));
@@ -518,20 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn run_context_records_phases() {
-        let pool = WorkerPool::inline();
-        let mut ctx = RunContext::with_run_index(&pool, 3);
-        assert_eq!(ctx.run_index, 3);
-        ctx.record_phase("ProcessGraph", 0.25);
-        ctx.record_phase("Offload", 0.5);
-        let phases = ctx.take_phases();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].name, "ProcessGraph");
-        assert_eq!(phases[1], PhaseRecord { name: "Offload", secs: 0.5 });
-        assert!(ctx.phases().is_empty(), "take_phases drains");
-    }
-
-    #[test]
     fn run_collects_spans_when_tracing_enabled() {
         let csr = sample_csr();
         let pool = WorkerPool::inline();
@@ -567,8 +516,7 @@ mod tests {
         let one_shot = run_once(platform.as_ref(), &csr, Algorithm::Bfs, &params, &pool).unwrap();
         let loaded = platform.upload(csr.clone(), &pool).unwrap();
         let mut ctx = RunContext::new(&pool);
-        let explicit =
-            platform.run(loaded.as_ref(), Algorithm::Bfs, &params, &mut ctx).unwrap();
+        let explicit = platform.run(loaded.as_ref(), Algorithm::Bfs, &params, &mut ctx).unwrap();
         platform.delete(loaded);
         assert_eq!(one_shot.output, explicit.output);
     }

@@ -11,8 +11,8 @@
 //! * **[`monitor`] (the Monitor)** — collects runtime telemetry *while* a
 //!   job executes: an atomic metrics registry (counters, gauges,
 //!   p50/p95/p99 duration histograms) plus a background sampler polling
-//!   `/proc/self` and worker-pool utilization, all gated by a
-//!   [`monitor::MonitorConfig`] and strictly data-plane passive;
+//!   `/proc/self` and worker-pool utilization, all gated by one switch
+//!   on the harness driver and strictly data-plane passive;
 //! * **[`archiver`] (the Archiver)** — collects timed phase records while a
 //!   job runs (wall-clock or simulated durations) and produces a
 //!   [`archive::PerformanceArchive`] that is *complete* (all observations
@@ -46,4 +46,4 @@ pub mod visualize;
 pub use archive::{OperationRecord, PerformanceArchive};
 pub use archiver::Archiver;
 pub use model::{OperationDef, PerformanceModel};
-pub use monitor::{MetricsRegistry, MonitorConfig, ResourceSample, Sampler};
+pub use monitor::{MetricsRegistry, ResourceSample, Sampler};

@@ -9,42 +9,22 @@
 //!   exports these through `GET /metrics` (JSON or Prometheus text);
 //! * a background [`Sampler`] thread that polls `/proc/self` (RSS,
 //!   user/sys CPU time) plus any caller-supplied gauges (worker-pool
-//!   utilization) at a configurable interval and hands the samples back
+//!   utilization) every [`SAMPLE_INTERVAL`] and hands the samples back
 //!   on [`Sampler::stop`] so the harness can attach them to the open
 //!   archive operation;
-//! * a [`MonitorConfig`] gate: monitoring is strictly data-plane
-//!   passive — it observes durations and counters, never the algorithm
-//!   state — so enabling it cannot change benchmark outputs, and
-//!   disabling it reduces every hook to a branch.
+//! * one gate, the harness driver's `monitor` switch: monitoring is
+//!   strictly data-plane passive — it observes durations and counters,
+//!   never the algorithm state — so enabling it cannot change benchmark
+//!   outputs, and disabling it reduces every hook to a branch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Gates the monitor. Carried by the harness driver; `enabled: false`
-/// turns off span collection and resource sampling entirely.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// Master switch for per-superstep span tracing and sampling.
-    pub enabled: bool,
-    /// Resource-sampler poll interval. Samples are additionally taken at
-    /// sampler start and stop, so even sub-interval jobs record at least
-    /// one sample.
-    pub sample_interval: Duration,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig { enabled: true, sample_interval: Duration::from_millis(50) }
-    }
-}
-
-impl MonitorConfig {
-    /// Monitoring fully off (the pre-monitor behaviour).
-    pub fn disabled() -> Self {
-        MonitorConfig { enabled: false, ..MonitorConfig::default() }
-    }
-}
+/// The harness's resource-sampler poll interval. Samples are also taken
+/// at sampler start and stop, so even sub-interval jobs record at least
+/// two samples.
+pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Metrics registry
@@ -86,8 +66,8 @@ impl Gauge {
 /// in the first bucket whose upper bound is ≥ the value; beyond the last
 /// bound it lands in the implicit `+Inf` bucket.
 pub const DURATION_BUCKET_BOUNDS: [f64; 16] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0,
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+    5.0, 10.0,
 ];
 
 /// Fixed-bucket duration histogram with lock-free observation.
@@ -122,8 +102,7 @@ impl DurationHistogram {
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> =
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count = self.count.load(Ordering::Relaxed);
         let sum_secs = self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
         HistogramSnapshot { buckets, count, sum_secs }
@@ -225,20 +204,10 @@ impl MetricsRegistry {
 
     /// All metrics at one instant, sorted by name for stable output.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let mut gauges: Vec<(String, f64)> = self
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
+        let mut counters: Vec<(String, u64)> =
+            self.counters.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let mut gauges: Vec<(String, f64)> =
+            self.gauges.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect();
         let mut histograms: Vec<(String, HistogramSnapshot)> = self
             .histograms
             .lock()
@@ -264,10 +233,8 @@ pub struct RegistrySnapshot {
 /// Sanitizes a metric name into the Prometheus charset
 /// (`[a-zA-Z0-9_]`, no leading digit).
 fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
-        .collect();
+    let mut out: String =
+        name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect();
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, '_');
     }
@@ -420,10 +387,8 @@ impl Sampler {
                 // the flag before every wait or that wakeup is lost and
                 // `stop()` blocks for a whole interval.
                 while !*stopped {
-                    let (guard, timeout) = thread_shared
-                        .wake
-                        .wait_timeout(stopped, interval)
-                        .unwrap();
+                    let (guard, timeout) =
+                        thread_shared.wake.wait_timeout(stopped, interval).unwrap();
                     stopped = guard;
                     if !*stopped && timeout.timed_out() {
                         drop(stopped);

@@ -20,6 +20,10 @@
 //!    a panic).
 //! 5. **delete** — release the engine-owned representation.
 //!
+//! A measured job runs the graph it is handed. The driver has no mutation
+//! path of its own: a mutated graph reaches it as the materialized
+//! snapshot of a core `MutableGraph` delta log, like any other graph.
+//!
 //! Analytic jobs (paper-scale datasets) skip upload/delete and estimate
 //! counters instead, but still produce one [`RunMeasurement`] per
 //! repetition so mean/min/max and CV work identically in both modes.
@@ -35,10 +39,10 @@ use graphalytics_core::fault::{self, CancelToken, FaultScript, FaultSite};
 use graphalytics_core::output::AlgorithmOutput;
 use graphalytics_core::params::AlgorithmParams;
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{random_batch, Algorithm, Csr, MutableGraph, MutationBatch};
-use graphalytics_engines::{LoadedGraph, PhaseRecord, Platform, RunContext, SpanRecord};
-use graphalytics_granula::monitor::ResourceSample;
-use graphalytics_granula::{Archiver, MonitorConfig, OperationRecord, PerformanceArchive, Sampler};
+use graphalytics_core::{Algorithm, Csr};
+use graphalytics_engines::{LoadedGraph, Platform, RunContext, SpanRecord};
+use graphalytics_granula::monitor::{ResourceSample, SAMPLE_INTERVAL};
+use graphalytics_granula::{Archiver, OperationRecord, PerformanceArchive, Sampler};
 
 use crate::description::JobDescription;
 use crate::SLA_MAKESPAN_SECS;
@@ -69,12 +73,6 @@ pub struct JobSpec {
     /// [`Platform::upload_sharded`] and are rejected as `Unsupported` on
     /// platforms without a sharded run path.
     pub shards: u32,
-    /// Optional mutation script (measured mode only): the driver applies
-    /// these deterministic batches to a core [`MutableGraph`] delta log
-    /// over the job's graph, and the job then runs — upload, execute,
-    /// validate — on the materialized post-mutation snapshot, on any
-    /// platform and at any shard count.
-    pub mutations: Option<MutationScript>,
     /// Optional wall-clock deadline for the whole job. The driver arms
     /// it on its [`CancelToken`] before the first phase; the first
     /// checkpoint past the deadline aborts the run with
@@ -92,7 +90,6 @@ impl JobSpec {
             run_index: 0,
             repetitions: 1,
             shards: 1,
-            mutations: None,
             timeout_secs: None,
         }
     }
@@ -109,72 +106,11 @@ impl JobSpec {
         self
     }
 
-    /// Builder-style mutation script.
-    pub fn with_mutations(mut self, script: MutationScript) -> Self {
-        self.mutations = Some(script);
-        self
-    }
-
     /// Builder-style job deadline.
     pub fn with_timeout_secs(mut self, timeout_secs: f64) -> Self {
         self.timeout_secs = Some(timeout_secs);
         self
     }
-}
-
-/// A deterministic stream of mutation batches a measured job replays
-/// into a delta log over its graph before uploading. The batches derive
-/// entirely from (base graph, script), so the same spec replays
-/// identically across pool widths and sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MutationScript {
-    /// How many batches to generate and apply, in order.
-    pub batches: u32,
-    /// Edge insertions per batch.
-    pub insertions: usize,
-    /// Edge deletions per batch.
-    pub deletions: usize,
-    /// Seed of the batch stream; batch `i` draws its own sub-seed.
-    pub seed: u64,
-}
-
-impl MutationScript {
-    pub fn new(batches: u32, insertions: usize, deletions: usize, seed: u64) -> Self {
-        MutationScript { batches, insertions, deletions, seed }
-    }
-
-    /// The concrete batches for a base graph, in application order.
-    /// Every batch draws against the *base* CSR; overlaps across batches
-    /// resolve through the delta log's set semantics (re-insert becomes a
-    /// weight refresh, re-delete a no-op), so the stream stays valid for
-    /// any batch count.
-    pub fn batches_for(&self, csr: &Csr) -> Vec<MutationBatch> {
-        (0..self.batches as u64)
-            .map(|i| {
-                let seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
-                random_batch(csr, self.insertions, self.deletions, seed)
-            })
-            .collect()
-    }
-}
-
-/// Aggregate outcome of a job's mutation replay, reported on the
-/// [`JobResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MutationSummary {
-    /// Batches applied.
-    pub batches: u32,
-    /// Edges inserted / deleted / weight-updated across all batches.
-    pub inserted: u64,
-    pub deleted: u64,
-    pub updated: u64,
-    /// Delta-log compactions triggered while applying.
-    pub compactions: u64,
-    /// Total measured wall seconds of the apply phase (all batches).
-    pub apply_secs: f64,
-    /// Delta-log arcs and fill ratio left after the final batch.
-    pub delta_arcs: u64,
-    pub fill_ratio: f64,
 }
 
 /// Job outcome classification. Everything except `Completed` breaks the
@@ -200,7 +136,10 @@ pub enum JobStatus {
     /// The fault plane injected a fault that terminated the run. The
     /// service retries `transient` faults with bounded backoff; permanent
     /// ones are terminal.
-    Faulted { transient: bool, message: String },
+    Faulted {
+        transient: bool,
+        message: String,
+    },
 }
 
 impl JobStatus {
@@ -301,8 +240,6 @@ pub struct JobResult {
     pub runs: Vec<RunMeasurement>,
     pub counters: WorkCounters,
     pub archive: Option<PerformanceArchive>,
-    /// Mutation-replay outcome (jobs with a [`MutationScript`] only).
-    pub mutation: Option<MutationSummary>,
 }
 
 impl JobResult {
@@ -445,12 +382,12 @@ pub struct Driver {
     /// default, which the experiment suite and ad-hoc drivers use, is a
     /// cache private to this driver.
     pub references: Arc<ReferenceCache>,
-    /// Granula-monitor gate: when enabled (the default), measured runs
-    /// trace per-superstep spans into the archive and a background
-    /// sampler attaches resource samples ([`MonitorConfig::disabled`]
-    /// restores the pre-monitor behaviour). Strictly data-plane passive:
+    /// Granula-monitor gate: when on (the default), measured runs trace
+    /// per-superstep spans into the archive and a background sampler
+    /// attaches a resource sample every [`SAMPLE_INTERVAL`]; `false`
+    /// restores the pre-monitor behaviour. Strictly data-plane passive:
     /// outputs are bit-identical either way.
-    pub monitor: MonitorConfig,
+    pub monitor: bool,
     /// Cooperative cancellation handle for jobs this driver runs. The
     /// owner (e.g. the service's `DELETE /jobs/:id`) cancels it; running
     /// kernels observe it at the next superstep boundary. Also carries
@@ -470,26 +407,11 @@ impl Default for Driver {
             seed: 0xB5ED,
             pool: WorkerPool::shared(),
             references: Arc::new(ReferenceCache::default()),
-            monitor: MonitorConfig::default(),
+            monitor: true,
             cancel: CancelToken::new(),
             faults: FaultScript::empty(),
         }
     }
-}
-
-/// What a mutation replay hands to the execute phase: the aggregate
-/// summary and the measured `Mutate`/`Materialize` phases for the
-/// archive. The snapshot itself is the uploaded graph.
-struct MutationReplay {
-    summary: MutationSummary,
-    phases: Vec<PhaseRecord>,
-}
-
-/// Measured-mode extras for `execute_repetitions`: the timed upload
-/// phase and any replayed mutation script.
-struct MeasuredPhases {
-    upload_secs: f64,
-    replay: Option<MutationReplay>,
 }
 
 impl Driver {
@@ -507,8 +429,8 @@ impl Driver {
     /// Runs one job through the full lifecycle: admission, then either
     /// measured upload (timed) → execute×N → validate → delete on `csr`,
     /// or analytic counter estimation at the published size. This is the
-    /// harness's one entry point; every measured job uploads its own
-    /// graph.
+    /// harness's one entry point; every measured job uploads the graph it
+    /// is handed (for a mutated graph, its materialized snapshot).
     pub fn run(&self, platform: &dyn Platform, spec: &JobSpec, mode: RunMode<'_>) -> JobResult {
         let _scope = self.fault_scope(spec);
         let (profile, mut result) = self.blank_result(platform, spec);
@@ -534,19 +456,7 @@ impl Driver {
                 self.finish_with_cost_model(spec, admission, result, archiver, &[])
             }
             RunMode::Measured { csr } => {
-                // A mutation script replays into one delta log; the job
-                // then answers for its snapshot, from admission on.
-                let (csr, replay) = match spec.mutations {
-                    Some(script) => match self.replay_mutations(csr, &script) {
-                        Ok((snapshot, replay)) => (snapshot, Some(replay)),
-                        Err(e) => {
-                            result.status = JobStatus::from_error(&e);
-                            return result;
-                        }
-                    },
-                    None => (csr.clone(), None),
-                };
-                let admitted = self.admit(platform, profile, spec, size(&csr), &mut result);
+                let admitted = self.admit(platform, profile, spec, size(csr), &mut result);
                 if let Some(admission) = admitted {
                     if let Err(e) = fault::checkpoint(FaultSite::Upload) {
                         result.status = JobStatus::from_error(&e);
@@ -555,7 +465,7 @@ impl Driver {
                     let upload_start = Instant::now();
                     match graphalytics_engines::upload_with_shards(
                         platform,
-                        csr,
+                        csr.clone(),
                         spec.shards,
                         self.seed,
                         &self.pool,
@@ -568,7 +478,7 @@ impl Driver {
                                 spec,
                                 admission,
                                 result,
-                                MeasuredPhases { upload_secs, replay },
+                                upload_secs,
                             );
                             platform.delete(loaded);
                         }
@@ -586,46 +496,6 @@ impl Driver {
         }
     }
 
-    /// Replays a mutation script into one core delta log over `csr` (the
-    /// daemon's default compaction policy) and materializes the
-    /// post-mutation snapshot the job then uploads. Each apply is a
-    /// measured `Mutate` phase, the materialization a `Materialize`
-    /// phase. Any apply-side failure comes back as the job's failure.
-    fn replay_mutations(
-        &self,
-        csr: &Arc<Csr>,
-        script: &MutationScript,
-    ) -> Result<(Arc<Csr>, MutationReplay), graphalytics_core::Error> {
-        let batches = script.batches_for(csr);
-        let mut log = MutableGraph::new(csr.clone());
-        let mut phases: Vec<PhaseRecord> = Vec::new();
-        let mut apply_secs = 0.0;
-        for batch in &batches {
-            let start = Instant::now();
-            log.apply(batch, &self.pool).map_err(|e| stage_error("mutation apply failed", e))?;
-            let secs = start.elapsed().as_secs_f64();
-            apply_secs += secs;
-            phases.push(PhaseRecord { name: "Mutate", secs });
-        }
-        let start = Instant::now();
-        let snapshot = log
-            .materialize(&self.pool)
-            .map_err(|e| stage_error("mutation materialize failed", e))?;
-        phases.push(PhaseRecord { name: "Materialize", secs: start.elapsed().as_secs_f64() });
-        let stats = log.stats();
-        let summary = MutationSummary {
-            batches: batches.len() as u32,
-            inserted: stats.inserted_edges,
-            deleted: stats.deleted_edges,
-            updated: stats.updated_edges,
-            compactions: stats.compactions,
-            apply_secs,
-            delta_arcs: log.delta_arcs(),
-            fill_ratio: log.fill_ratio(),
-        };
-        Ok((Arc::new(snapshot), MutationReplay { summary, phases }))
-    }
-
     /// The execute×N + validate phases of a measured job.
     fn execute_repetitions(
         &self,
@@ -634,9 +504,8 @@ impl Driver {
         spec: &JobSpec,
         admission: Admission,
         mut result: JobResult,
-        measured: MeasuredPhases,
+        upload_secs: f64,
     ) -> JobResult {
-        let MeasuredPhases { upload_secs, replay } = measured;
         let csr = loaded.csr();
         if let Some(layout) = loaded.shard_layout() {
             result.shards = layout.shards;
@@ -651,19 +520,9 @@ impl Driver {
             upload_secs,
             &[("edges", &csr.num_edges().to_string())],
         );
-        if let Some(replay) = &replay {
-            result.mutation = Some(replay.summary);
-            for phase in &replay.phases {
-                archiver.record_measured(
-                    phase.name,
-                    phase.secs,
-                    &[("batches", &replay.summary.batches.to_string())],
-                );
-            }
-        }
 
-        // The reference output belongs to the uploaded graph — after a
-        // mutation script, the materialized snapshot (a fresh `Arc`, so a
+        // The reference output belongs to the uploaded graph — for a
+        // mutated graph, its materialized snapshot (a fresh `Arc`, so a
         // fresh key). A reference-side failure is recorded as a
         // validation failure instead of panicking the benchmark mid-run.
         let reference = match self.references.get(csr, spec.algorithm, &params) {
@@ -678,11 +537,11 @@ impl Driver {
         // The Granula monitor rides along while repetitions execute: a
         // background sampler polls /proc/self + pool utilization, and the
         // samples land under a `Monitor` operation in the archive.
-        let sampler = self.monitor.enabled.then(|| {
+        let sampler = self.monitor.then(|| {
             let pool = Arc::clone(&self.pool);
             pool.enable_telemetry();
             Sampler::start(
-                self.monitor.sample_interval,
+                SAMPLE_INTERVAL,
                 Some(Box::new(move || {
                     let u = pool.utilization();
                     vec![
@@ -704,41 +563,36 @@ impl Driver {
                 result.status = JobStatus::from_error(&e);
                 return result;
             }
-            let mut ctx = RunContext::with_run_index(&self.pool, spec.run_index + rep);
+            let mut ctx = RunContext::new(&self.pool);
             ctx.set_cancel(self.cancel.clone());
-            ctx.set_tracing(self.monitor.enabled);
+            ctx.set_tracing(self.monitor);
             archiver.begin("ExecuteReal");
             let execution = platform.run(loaded, spec.algorithm, &params, &mut ctx);
-            let supersteps = execution
-                .as_ref()
-                .map(|exec| exec.counters.supersteps)
-                .unwrap_or(0)
-                .to_string();
-            let mut spans = Some(ctx.take_spans());
-            for phase in ctx.take_phases() {
-                let start = (archiver.elapsed_secs() - phase.secs).max(0.0);
-                let mut op = OperationRecord {
-                    name: phase.name.to_string(),
+            // A completed run is the measured `ProcessGraph` phase, with
+            // the engine's superstep spans nested under it.
+            if let Ok(exec) = &execution {
+                let start = (archiver.elapsed_secs() - exec.wall_seconds).max(0.0);
+                let mut cursor = start;
+                let children = ctx
+                    .take_spans()
+                    .into_iter()
+                    .map(|span| {
+                        let op = span_to_op(span, cursor);
+                        cursor += op.duration_secs;
+                        op
+                    })
+                    .collect();
+                archiver.record_op(OperationRecord {
+                    name: "ProcessGraph".to_string(),
                     start_secs: start,
-                    duration_secs: phase.secs,
+                    duration_secs: exec.wall_seconds,
                     simulated: false,
                     infos: vec![
                         ("repetition".to_string(), rep.to_string()),
-                        ("supersteps".to_string(), supersteps.clone()),
+                        ("supersteps".to_string(), exec.counters.supersteps.to_string()),
                     ],
-                    children: Vec::new(),
-                };
-                // The engine's superstep spans nest under the kernel
-                // phase; the remaining phases (if any) stay leaves.
-                if phase.name == "ProcessGraph" {
-                    let mut cursor = start;
-                    for span in spans.take().unwrap_or_default() {
-                        let secs = span.secs;
-                        op.children.push(span_to_op(span, cursor));
-                        cursor += secs;
-                    }
-                }
-                archiver.record_op(op);
+                    children,
+                });
             }
             archiver.end();
             match execution {
@@ -768,8 +622,7 @@ impl Driver {
                 }
             }
         }
-        result.measured_wall_secs =
-            Some(walls.iter().sum::<f64>() / walls.len().max(1) as f64);
+        result.measured_wall_secs = Some(walls.iter().sum::<f64>() / walls.len().max(1) as f64);
         if let Some(sampler) = sampler {
             let duration = sampler.elapsed_secs();
             archiver.record_op(monitor_op(sampler.stop(), duration));
@@ -791,7 +644,9 @@ impl Driver {
         let run_indices = spec.run_index..spec.run_index + spec.repetitions.max(1) as u64;
         let price = admission.price(&result.counters, noise_seed, run_indices.clone());
         let (upload, offload, breakdown) = (price.upload_secs, price.offload_secs, price.breakdown);
-        let runs: Vec<RunMeasurement> = run_indices.zip(&price.processing_secs).enumerate()
+        let runs: Vec<RunMeasurement> = run_indices
+            .zip(&price.processing_secs)
+            .enumerate()
             .map(|(rep, (run_index, &tproc))| RunMeasurement {
                 run_index,
                 processing_secs: tproc,
@@ -804,8 +659,7 @@ impl Driver {
         result.processing_secs = mean;
         result.processing_min_secs =
             runs.iter().map(|r| r.processing_secs).fold(f64::INFINITY, f64::min);
-        result.processing_max_secs =
-            runs.iter().map(|r| r.processing_secs).fold(0.0, f64::max);
+        result.processing_max_secs = runs.iter().map(|r| r.processing_secs).fold(0.0, f64::max);
         result.makespan_secs = upload + mean + offload;
 
         let startup = admission.profile.startup_secs;
@@ -870,7 +724,6 @@ impl Driver {
             runs: Vec::new(),
             counters: WorkCounters::new(),
             archive: None,
-            mutation: None,
         };
         (profile, result)
     }
@@ -907,17 +760,6 @@ impl Driver {
 /// A graph's `(vertices, edges)`, the size a measured job is admitted at.
 fn size(csr: &Csr) -> (u64, u64) {
     (csr.num_vertices() as u64, csr.num_edges() as u64)
-}
-
-/// Wraps a stage failure in its stage prefix — except fault-plane errors
-/// (cancel/deadline/injection), which keep their identity so
-/// [`JobStatus::from_error`] classifies them structurally.
-fn stage_error(stage: &str, e: graphalytics_core::Error) -> graphalytics_core::Error {
-    if e.is_fault_control() {
-        e
-    } else {
-        graphalytics_core::Error::Other(format!("{stage}: {e}"))
-    }
 }
 
 fn job_name(spec: &JobSpec) -> String {
@@ -1013,7 +855,6 @@ mod tests {
             run_index: 0,
             repetitions: 1,
             shards: 1,
-            mutations: None,
             timeout_secs: None,
         }
     }
@@ -1058,57 +899,6 @@ mod tests {
         let archive = r.archive.as_ref().unwrap();
         assert!(archive.duration_of("UploadGraph").is_some());
         assert!(archive.duration_of("ProcessGraph").is_some());
-    }
-
-    #[test]
-    fn mutation_script_replays_and_validates_on_post_mutation_graph() {
-        let platform = platform_by_name("pushpull").unwrap();
-        let csr = proxy_csr("G22");
-        let driver = Driver::default();
-        let script = MutationScript::new(2, 24, 24, 0xFEED);
-        for alg in [Algorithm::Wcc, Algorithm::PageRank, Algorithm::Bfs] {
-            let job = spec("G22", alg, 1).with_mutations(script);
-            let r = driver.run(platform.as_ref(), &job, RunMode::Measured { csr: &csr });
-            assert!(r.status.is_success(), "{alg:?}: {:?}", r.status);
-            let summary = r.mutation.expect("mutation summary recorded");
-            assert_eq!(summary.batches, 2);
-            assert!(summary.inserted + summary.updated > 0, "{alg:?}: batches mutated nothing");
-            assert!(summary.deleted > 0, "{alg:?}: no deletions landed");
-            let archive = r.archive.as_ref().unwrap();
-            assert!(archive.duration_of("Mutate").is_some(), "{alg:?}: Mutate phase archived");
-        }
-    }
-
-    #[test]
-    fn mutation_script_runs_on_any_platform_and_shard_count() {
-        let csr = proxy_csr("G22");
-        let driver = Driver::default();
-        // Batches large enough to cross the default fill ratio.
-        let script = MutationScript::new(3, 400, 400, 7);
-        // The summary reports exactly what one delta log over the same
-        // batches counts.
-        let mut log = MutableGraph::new(csr.clone());
-        for batch in script.batches_for(&csr) {
-            log.apply(&batch, &driver.pool).unwrap();
-        }
-        let stats = log.stats();
-        assert!(stats.compactions > 0, "the script must compact at least once");
-        for (name, shards) in [("gas", 1), ("pregel", 2)] {
-            let platform = platform_by_name(name).unwrap();
-            let job = spec("G22", Algorithm::Wcc, 1).with_shards(shards).with_mutations(script);
-            let r = driver.run(platform.as_ref(), &job, RunMode::Measured { csr: &csr });
-            assert_eq!(r.status, JobStatus::Completed, "{name} x{shards}");
-            assert_eq!(r.shards, shards);
-            let summary = r.mutation.expect("mutation summary recorded");
-            assert_eq!(summary.batches, 3);
-            assert_eq!(
-                (summary.inserted, summary.deleted, summary.updated, summary.compactions),
-                (stats.inserted_edges, stats.deleted_edges, stats.updated_edges, stats.compactions),
-                "{name} x{shards}"
-            );
-            let archive = r.archive.as_ref().unwrap();
-            assert!(archive.duration_of("Materialize").is_some(), "{name}: Materialize archived");
-        }
     }
 
     #[test]
@@ -1171,11 +961,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "native"
             }
-            fn upload(
-                &self,
-                csr: Arc<Csr>,
-                _pool: &WorkerPool,
-            ) -> Result<Box<dyn LoadedGraph>> {
+            fn upload(&self, csr: Arc<Csr>, _pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
                 Ok(Box::new(LyingGraph(csr)))
             }
             fn execute(
@@ -1196,10 +982,8 @@ mod tests {
                 _ctx: &mut RunContext<'_>,
             ) -> Result<Execution> {
                 let csr = graph.csr();
-                let values = graphalytics_core::output::OutputValues::F64(vec![
-                    0.0;
-                    csr.num_vertices()
-                ]);
+                let values =
+                    graphalytics_core::output::OutputValues::F64(vec![0.0; csr.num_vertices()]);
                 Ok(Execution {
                     output: AlgorithmOutput::from_dense(algorithm, csr, values),
                     counters: WorkCounters::new(),
@@ -1358,15 +1142,24 @@ mod tests {
         let platform = platform_by_name("pregel").unwrap();
         let csr = proxy_csr("G22");
         let driver = Driver::default();
-        assert!(driver.monitor.enabled, "monitoring defaults on");
+        assert!(driver.monitor, "monitoring defaults on");
         let job = spec("G22", Algorithm::Bfs, 1).with_shards(2);
         let r = driver.run(platform.as_ref(), &job, RunMode::Measured { csr: &csr });
         assert!(r.status.is_success(), "{:?}", r.status);
         let archive = r.archive.as_ref().unwrap();
 
-        // Job → ExecuteReal → ProcessGraph → Superstep → Shard.
-        let execute = archive.root.find("ExecuteReal").expect("ExecuteReal archived");
-        let process = execute.find("ProcessGraph").expect("ProcessGraph under ExecuteReal");
+        // Job → ExecuteReal → ProcessGraph → Superstep → Shard. Each
+        // execution has exactly one ProcessGraph, timed by the run's own
+        // clock (one repetition, so its seconds are the mean wall).
+        let executions: Vec<_> =
+            archive.root.children.iter().filter(|op| op.name == "ExecuteReal").collect();
+        assert_eq!(executions.len(), 1, "one ExecuteReal per repetition");
+        for execute in &executions {
+            let names: Vec<_> = execute.children.iter().map(|op| op.name.as_str()).collect();
+            assert_eq!(names, ["ProcessGraph"]);
+        }
+        let process = &executions[0].children[0];
+        assert_eq!(Some(process.duration_secs), r.measured_wall_secs);
         assert!(!process.children.is_empty(), "supersteps nested under ProcessGraph");
         for (i, step) in process.children.iter().enumerate() {
             assert_eq!(step.name, "Superstep");
@@ -1386,7 +1179,7 @@ mod tests {
         assert!(sample.infos.iter().any(|(k, _)| k == "pool_busy_fraction"));
 
         // Disabling the monitor drops the telemetry but never the result.
-        let quiet = Driver { monitor: MonitorConfig::disabled(), ..Driver::default() };
+        let quiet = Driver { monitor: false, ..Driver::default() };
         let q = quiet.run(platform.as_ref(), &job, RunMode::Measured { csr: &csr });
         assert!(q.status.is_success(), "{:?}", q.status);
         assert_eq!(q.processing_secs, r.processing_secs, "telemetry is data-plane passive");
@@ -1402,10 +1195,8 @@ mod tests {
     fn noise_is_reproducible() {
         let platform = platform_by_name("pregel").unwrap();
         let driver = Driver::default();
-        let a =
-            driver.run(platform.as_ref(), &spec("G22", Algorithm::Bfs, 1), RunMode::Analytic);
-        let b =
-            driver.run(platform.as_ref(), &spec("G22", Algorithm::Bfs, 1), RunMode::Analytic);
+        let a = driver.run(platform.as_ref(), &spec("G22", Algorithm::Bfs, 1), RunMode::Analytic);
+        let b = driver.run(platform.as_ref(), &spec("G22", Algorithm::Bfs, 1), RunMode::Analytic);
         assert_eq!(a.processing_secs, b.processing_secs);
         let c = driver.run(
             platform.as_ref(),

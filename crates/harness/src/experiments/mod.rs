@@ -64,7 +64,15 @@ impl ExperimentSuite {
         cluster: ClusterSpec,
         run_index: u64,
     ) -> JobResult {
-        let spec = JobSpec { dataset, algorithm, cluster, run_index, repetitions: 1, shards: 1, mutations: None, timeout_secs: None };
+        let spec = JobSpec {
+            dataset,
+            algorithm,
+            cluster,
+            run_index,
+            repetitions: 1,
+            shards: 1,
+            timeout_secs: None,
+        };
         self.driver.run(platform, &spec, RunMode::Analytic)
     }
 

@@ -112,7 +112,6 @@ pub fn run_measured(suite: &ExperimentSuite, scale_divisor: u64) -> MeasuredShar
                         run_index: 0,
                         repetitions: 1,
                         shards,
-                        mutations: None,
                         timeout_secs: None,
                     };
                     suite.driver.run(p.as_ref(), &spec, RunMode::Measured { csr: &csr })

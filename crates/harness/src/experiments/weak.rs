@@ -126,7 +126,6 @@ pub fn run_measured(suite: &ExperimentSuite, base_divisor: u64) -> MeasuredWeak 
                         run_index: 0,
                         repetitions: 1,
                         shards: *shards,
-                        mutations: None,
                         timeout_secs: None,
                     };
                     suite.driver.run(p.as_ref(), &spec, RunMode::Measured { csr })

@@ -12,9 +12,10 @@
 //!   in Figure 1);
 //! * [`proxy`] — materializes structure-matched stand-in graphs for the
 //!   registry datasets at a configurable fraction of the published size;
-//! * [`driver`] — runs one job (platform × dataset × algorithm × cluster):
-//!   memory admission, execution or analytic estimation, cost-model
-//!   timing, SLA verdict, Granula archive;
+//! * [`driver`] — runs one job (platform × dataset × algorithm × cluster)
+//!   on the graph it is handed (a mutated graph arrives as its
+//!   materialized snapshot): memory admission, execution or analytic
+//!   estimation, cost-model timing, SLA verdict, Granula archive;
 //! * [`metrics`] — EPS/EVPS/speedup/slowdown/coefficient-of-variation;
 //! * [`survey`] — the two-stage workload selection process and the
 //!   Table 1 survey data behind it;
@@ -32,8 +33,7 @@ pub mod results;
 pub mod survey;
 
 pub use driver::{
-    Driver, JobResult, JobSpec, JobStatus, MutationScript, MutationSummary, ReferenceCache,
-    ReferenceStats, RunMeasurement, RunMode,
+    Driver, JobResult, JobSpec, JobStatus, ReferenceCache, ReferenceStats, RunMeasurement, RunMode,
 };
 
 /// The benchmark SLA: a job must complete with a makespan of at most one

@@ -42,14 +42,8 @@ pub fn result_json(r: &JobResult) -> Json {
         ("processing_min_secs", Json::Num(r.processing_min_secs)),
         ("processing_max_secs", Json::Num(r.processing_max_secs)),
         ("makespan_secs", Json::Num(r.makespan_secs)),
-        (
-            "measured_wall_secs",
-            r.measured_wall_secs.map(Json::Num).unwrap_or(Json::Null),
-        ),
-        (
-            "measured_upload_secs",
-            r.measured_upload_secs.map(Json::Num).unwrap_or(Json::Null),
-        ),
+        ("measured_wall_secs", r.measured_wall_secs.map(Json::Num).unwrap_or(Json::Null)),
+        ("measured_upload_secs", r.measured_upload_secs.map(Json::Num).unwrap_or(Json::Null)),
         ("repetitions", Json::Num(r.repetitions() as f64)),
         (
             "runs",
@@ -115,7 +109,6 @@ mod tests {
             }],
             counters: WorkCounters::new(),
             archive: None,
-            mutation: None,
         }
     }
 

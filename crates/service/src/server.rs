@@ -177,7 +177,6 @@ impl ServiceState {
             run_index: 0,
             repetitions: request.repetitions.max(1),
             shards: request.shards.max(1),
-            mutations: None,
             timeout_secs: request.timeout_millis.map(|ms| ms as f64 / 1000.0),
         };
         let result = match request.mode {
@@ -314,10 +313,7 @@ fn worker_loop(state: &ServiceState) {
         };
         let wall = started.elapsed().as_secs_f64();
         state.metrics.histogram("job_seconds").observe_secs(wall);
-        state
-            .metrics
-            .histogram(&format!("job_seconds_{}", request.platform))
-            .observe_secs(wall);
+        state.metrics.histogram(&format!("job_seconds_{}", request.platform)).observe_secs(wall);
         match outcome {
             Ok(result) => match result.status {
                 JobStatus::Cancelled => {

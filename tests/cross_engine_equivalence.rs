@@ -94,16 +94,15 @@ fn upload_once_execute_many_matches_fresh_upload_per_run() {
             }
             // Three runs on the shared upload...
             let mut shared_outputs = Vec::new();
-            for rep in 0..3u64 {
-                let mut ctx = RunContext::with_run_index(&pool, rep);
-                let run =
-                    platform.run(shared.as_ref(), algorithm, &params, &mut ctx).unwrap();
+            for _ in 0..3 {
+                let mut ctx = RunContext::new(&pool);
+                let run = platform.run(shared.as_ref(), algorithm, &params, &mut ctx).unwrap();
                 shared_outputs.push(run.output);
             }
             // ...must equal three runs each on its own fresh upload.
             for (rep, shared_output) in shared_outputs.iter().enumerate() {
                 let fresh = platform.upload(csr.clone(), &pool).unwrap();
-                let mut ctx = RunContext::with_run_index(&pool, rep as u64);
+                let mut ctx = RunContext::new(&pool);
                 let run = platform.run(fresh.as_ref(), algorithm, &params, &mut ctx).unwrap();
                 platform.delete(fresh);
                 assert_eq!(
@@ -150,30 +149,31 @@ fn outputs_bit_identical_across_pool_widths() {
                     continue;
                 }
                 let mut ctx = RunContext::new(&baseline_pool);
-                let baseline = platform
-                    .run(baseline_loaded.as_ref(), algorithm, &params, &mut ctx)
-                    .unwrap();
+                let baseline =
+                    platform.run(baseline_loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
                 for threads in [2u32, 4, 8] {
                     let pool = WorkerPool::new(threads);
                     let wide_csr = Arc::new(graph.to_csr_with(&pool).unwrap());
                     let loaded = platform.upload(wide_csr, &pool).unwrap();
                     let mut ctx = RunContext::new(&pool);
-                    let run =
-                        platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
+                    let run = platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
                     platform.delete(loaded);
                     assert_eq!(
-                        baseline.output, run.output,
+                        baseline.output,
+                        run.output,
                         "{} {algorithm} on {name}: pool width {threads} changed the output",
                         platform.name()
                     );
                     // Deterministic work accounting too (same algorithmic work).
                     assert_eq!(
-                        baseline.counters.supersteps, run.counters.supersteps,
+                        baseline.counters.supersteps,
+                        run.counters.supersteps,
                         "{} {algorithm} on {name} supersteps at width {threads}",
                         platform.name()
                     );
                     assert_eq!(
-                        baseline.counters.edges_scanned, run.counters.edges_scanned,
+                        baseline.counters.edges_scanned,
+                        run.counters.edges_scanned,
                         "{} {algorithm} on {name} edges_scanned at width {threads}",
                         platform.name()
                     );

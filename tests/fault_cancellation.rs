@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use graphalytics::cluster::{ClusterSpec, WorkCounters};
 use graphalytics::core::fault::{FaultKind, FaultScript, FaultSite, Injection};
-use graphalytics::harness::{proxy, Driver, JobResult, JobSpec, JobStatus, MutationScript, RunMode};
+use graphalytics::harness::{proxy, Driver, JobResult, JobSpec, JobStatus, RunMode};
 use graphalytics::prelude::*;
 use graphalytics::service::MutationStore;
 
@@ -41,8 +41,9 @@ fn fingerprint(r: &JobResult) -> (JobStatus, u64, u64, WorkCounters, Vec<u64>) {
     (r.status.clone(), r.vertices, r.edges, r.counters, bits)
 }
 
-fn proxy_csr(pool: &Arc<WorkerPool>) -> (&'static graphalytics::core::datasets::DatasetSpec, Arc<Csr>)
-{
+fn proxy_csr(
+    pool: &Arc<WorkerPool>,
+) -> (&'static graphalytics::core::datasets::DatasetSpec, Arc<Csr>) {
     let dataset = graphalytics::core::datasets::dataset("G22").unwrap();
     let csr = Arc::new(proxy::materialize_with(dataset, 8192, 7, pool).to_csr());
     (dataset, csr)
@@ -91,8 +92,8 @@ fn deadline_aborts_stalled_run_in_bounded_time() {
     let (dataset, csr) = proxy_csr(&pool);
     // The stall would burn 30 s; the armed 300 ms deadline must cut it
     // off at the superstep boundary instead.
-    let spec = JobSpec::new(dataset, Algorithm::Bfs, ClusterSpec::single_machine())
-        .with_timeout_secs(0.3);
+    let spec =
+        JobSpec::new(dataset, Algorithm::Bfs, ClusterSpec::single_machine()).with_timeout_secs(0.3);
     let script = FaultScript::new(vec![Injection::new(
         FaultSite::Superstep,
         0,
@@ -171,11 +172,10 @@ fn fault_leaves_no_trace(
     let before = store.status("G22").unwrap();
     let snapshot = store.snapshot("G22").unwrap().unwrap();
 
-    // The job also replays a driver-side mutation script, so its delta
+    // The job runs on the store's materialized snapshot, so the delta
     // path (apply → materialize → upload of the snapshot) is in the
     // blast radius too.
-    let spec = JobSpec::new(dataset, algorithm, ClusterSpec::single_machine())
-        .with_mutations(MutationScript { batches: 2, insertions: 8, deletions: 2, seed: 5 });
+    let spec = JobSpec::new(dataset, algorithm, ClusterSpec::single_machine());
 
     let baseline = run_with(&pool, platform_name, &spec, &snapshot, FaultScript::empty());
     prop_assert!(baseline.status.is_success(), "{:?}", baseline.status);

@@ -2,13 +2,14 @@
 //! path: a core [`MutableGraph`] delta log whose materialized snapshot is
 //! uploaded like any other graph.
 //!
-//! * For random R-MAT bases and three random insert/delete batches, a
-//!   measured `MutationScript` job completes with validation on for
-//!   every algorithm each engine supports — all six engines unsharded,
-//!   Pregel and push–pull at two shards — at pool widths 1/2/4/8. Its
-//!   work counters, and every engine's output on the materialized
-//!   snapshot, are bit-identical to a cold `Csr::from_graph` of the
-//!   merged edge list, and the same at every width.
+//! * For random R-MAT bases and three random insert/delete batches
+//!   applied to a `MutableGraph`, a measured job on the materialized
+//!   snapshot completes with validation on for every algorithm each
+//!   engine supports — all six engines unsharded, Pregel and push–pull
+//!   at two shards — at pool widths 1/2/4/8. Its work counters, and
+//!   every engine's output on the snapshot, are bit-identical to a cold
+//!   `Csr::from_graph` of the merged edge list, and the same at every
+//!   width.
 //! * Compaction round-trip: folding the delta log equals building a
 //!   fresh CSR from the merged edge list.
 
@@ -19,9 +20,8 @@ use proptest::prelude::*;
 use graphalytics::core::datasets::dataset;
 use graphalytics::core::{random_batch, AlgorithmOutput, Csr, DeltaConfig, MutableGraph};
 use graphalytics::engines::upload_with_shards;
-use graphalytics::granula::MonitorConfig;
 use graphalytics::graph500::RmatConfig;
-use graphalytics::harness::{JobStatus, MutationScript};
+use graphalytics::harness::JobStatus;
 use graphalytics::prelude::*;
 
 fn rmat(scale: u32, seed: u64, directed: bool) -> Graph {
@@ -39,8 +39,8 @@ fn rmat(scale: u32, seed: u64, directed: bool) -> Graph {
     .generate()
 }
 
-/// The (engine, shard count) cells a `MutationScript` job must complete
-/// on.
+/// The (engine, shard count) cells a job on a mutated graph must
+/// complete on.
 fn mutation_cells() -> Vec<(&'static str, u32)> {
     let mut cells: Vec<_> = all_platforms().iter().map(|p| (p.name(), 1)).collect();
     cells.extend([("pregel", 2), ("pushpull", 2)]);
@@ -63,6 +63,17 @@ fn output_on(
     output
 }
 
+/// Three batches of `m` insertions and `m` deletions, each drawn against
+/// `base`, applied on `pool` through one delta log (the default policy).
+fn mutated(base: &Arc<Csr>, m: usize, seed: u64, pool: &WorkerPool) -> MutableGraph {
+    let mut mg = MutableGraph::new(base.clone());
+    for i in 0..3 {
+        let batch_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
+        mg.apply(&random_batch(base, m, m, batch_seed), pool).unwrap();
+    }
+    mg
+}
+
 /// Placement seed of the direct sharded uploads.
 const SHARD_SEED: u64 = 0x5EED;
 
@@ -77,10 +88,10 @@ fn pool_of(threads: u32) -> WorkerPool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A measured job carrying three random batches replays them and
-    /// completes with validation on, for every algorithm each cell
-    /// supports, at pool widths 1/2/4/8 — and answers exactly as a cold
-    /// build of the merged edge list does.
+    /// A measured job on the snapshot of three random batches completes
+    /// with validation on, for every algorithm each cell supports, at
+    /// pool widths 1/2/4/8 — and answers exactly as a cold build of the
+    /// merged edge list does.
     #[test]
     fn mutation_script_jobs_complete_with_validation_across_widths(
         scale in 6u32..9,
@@ -90,28 +101,18 @@ proptest! {
         let inline = WorkerPool::inline();
         let csr = Arc::new(rmat(scale, seed, directed).to_csr_with(&inline).unwrap());
         let m = (csr.num_edges() / 20).max(4);
-        let script = MutationScript::new(3, m, m, seed);
 
-        // The same batches through one delta log (the driver's policy),
-        // its materialized snapshot, and a cold build of the merged
-        // edge list.
-        let mut mg = MutableGraph::new(csr.clone());
-        for batch in script.batches_for(&csr) {
-            mg.apply(&batch, &inline).unwrap();
-        }
-        let snapshot = Arc::new(mg.materialize(&inline).unwrap());
-        let cold = Arc::new(Csr::from_graph(&mg.to_graph()).unwrap());
-        let root = SourceSelection::MaxOutDegree.resolve(&snapshot).unwrap();
+        // A cold build of the merged edge list; each width applies the
+        // same batches and materializes its own snapshot on its pool.
+        let cold = Arc::new(Csr::from_graph(&mutated(&csr, m, seed, &inline).to_graph()).unwrap());
+        let root = SourceSelection::MaxOutDegree.resolve(&cold).unwrap();
         let params = AlgorithmParams::with_source(root);
 
         let mut width1: Vec<AlgorithmOutput> = Vec::new();
         for threads in [1u32, 2, 4, 8] {
             let pool = Arc::new(pool_of(threads));
-            let driver = Driver {
-                pool: pool.clone(),
-                monitor: MonitorConfig::disabled(),
-                ..Driver::default()
-            };
+            let snapshot = Arc::new(mutated(&csr, m, seed, &pool).materialize(&pool).unwrap());
+            let driver = Driver { pool: pool.clone(), monitor: false, ..Driver::default() };
             let mut cell = 0;
             for (name, shards) in mutation_cells() {
                 let platform = platform_by_name(name).unwrap();
@@ -126,17 +127,16 @@ proptest! {
                     )
                     .with_shards(shards);
                     let plain = driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &cold });
-                    let spec = spec.with_mutations(script);
-                    let r = driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &csr });
+                    let r =
+                        driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &snapshot });
                     prop_assert_eq!(
                         &r.status, &JobStatus::Completed,
                         "scale {} seed {} directed {} width {}: {} x{} {}",
                         scale, seed, directed, threads, name, shards, algorithm
                     );
-                    prop_assert_eq!(r.mutation.map(|s| s.batches), Some(3));
                     prop_assert_eq!(
                         (r.vertices, r.edges, r.counters), (plain.vertices, plain.edges, plain.counters),
-                        "{} x{} {} width {}: job on the script vs job on the cold build",
+                        "{} x{} {} width {}: job on the snapshot vs job on the cold build",
                         name, shards, algorithm, threads
                     );
 

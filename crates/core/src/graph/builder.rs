@@ -34,7 +34,13 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates an empty builder for a directed or undirected graph.
     pub fn new(directed: bool) -> Self {
-        GraphBuilder { directed, weighted: false, vertices: Vec::new(), edges: Vec::new(), dedup: false }
+        GraphBuilder {
+            directed,
+            weighted: false,
+            vertices: Vec::new(),
+            edges: Vec::new(),
+            dedup: false,
+        }
     }
 
     /// A builder whose edge list is `edges`, already canonical
@@ -83,13 +89,34 @@ impl GraphBuilder {
 
     /// Adds a weighted edge.
     pub fn add_weighted_edge(&mut self, src: VertexId, dst: VertexId, weight: f64) -> &mut Self {
-        let e = if self.directed || src < dst {
+        self.edges.push(GraphBuilder::canonical(self.directed, src, dst, weight));
+        self
+    }
+
+    /// The edge as a builder of a `directed` graph stores it: undirected
+    /// edges `src < dst`.
+    #[inline]
+    pub(crate) fn canonical(directed: bool, src: VertexId, dst: VertexId, weight: f64) -> Edge {
+        if directed || src < dst {
             Edge::weighted(src, dst, weight)
         } else {
             Edge::weighted(dst, src, weight)
-        };
-        self.edges.push(e);
-        self
+        }
+    }
+
+    pub(crate) fn is_directed(&self) -> bool {
+        self.directed
+    }
+
+    /// The vertex list, for a file reader to fill in place.
+    pub(crate) fn vertices_mut(&mut self) -> &mut Vec<VertexId> {
+        &mut self.vertices
+    }
+
+    /// The edge list, for a file reader to fill in place with edges
+    /// made [`canonical`](Self::canonical).
+    pub(crate) fn edges_mut(&mut self) -> &mut Vec<Edge> {
+        &mut self.edges
     }
 
     /// Adds an edge, failing immediately on a self loop. Used by

@@ -21,7 +21,7 @@
 //! (`Remap`), so the common generator case (ids `0..n`) remaps each
 //! endpoint with a subtraction instead of an `O(log n)` search.
 
-use super::{Graph, Remap, VertexId};
+use super::{Edge, Graph, Remap, VertexId};
 use crate::error::{Error, Result};
 use crate::pool::{SharedSlice, WorkerPool};
 
@@ -115,48 +115,39 @@ impl Csr {
         let edges = g.edges();
         let m = edges.len();
 
-        // Pass 1 — remap endpoints, count per-worker degrees over
-        // contiguous edge chunks, and verify the edge order the scatter
-        // relies on (each chunk also looks at the edge before its first).
-        let mut endpoints: Vec<(u32, u32, f64)> = vec![(0, 0, 0.0); m];
-        let counted = {
-            let ep = SharedSlice::new(endpoints.as_mut_ptr());
-            pool.run(m, |_, chunk| -> Result<(Vec<u32>, Vec<u32>)> {
-                let mut out_cnt = vec![0u32; n];
-                let mut in_cnt = vec![0u32; if directed { n } else { 0 }];
-                for i in chunk {
-                    let e = &edges[i];
-                    let ordered =
-                        i == 0 || (edges[i - 1].src, edges[i - 1].dst) < (e.src, e.dst);
-                    if !ordered || (!directed && e.src >= e.dst) {
-                        return Err(Error::InvalidGraph(format!(
-                            "edge ({}, {}) is not in edge order (strictly ascending \
+        let endpoints = |e: &Edge| Some((remap.index_of(e.src)?, remap.index_of(e.dst)?));
+
+        // Pass 1 — count per-worker degrees over contiguous edge chunks,
+        // and verify the endpoints and the edge order the scatter relies
+        // on (each chunk also looks at the edge before its first).
+        let counted = pool.run(m, |_, chunk| -> Result<(Vec<u32>, Vec<u32>)> {
+            let mut out_cnt = vec![0u32; n];
+            let mut in_cnt = vec![0u32; if directed { n } else { 0 }];
+            for i in chunk {
+                let e = &edges[i];
+                let ordered = i == 0 || (edges[i - 1].src, edges[i - 1].dst) < (e.src, e.dst);
+                if !ordered || (!directed && e.src >= e.dst) {
+                    return Err(Error::InvalidGraph(format!(
+                        "edge ({}, {}) is not in edge order (strictly ascending \
                              (src, dst); src < dst when undirected)",
-                            e.src, e.dst
-                        )));
-                    }
-                    let (s, d) = match (remap.index_of(e.src), remap.index_of(e.dst)) {
-                        (Some(s), Some(d)) => (s, d),
-                        _ => {
-                            return Err(Error::InvalidGraph(format!(
-                                "edge ({}, {}) references undeclared vertex",
-                                e.src, e.dst
-                            )))
-                        }
-                    };
-                    // SAFETY: edge chunks are disjoint; only this worker
-                    // writes slot i.
-                    unsafe { *ep.at(i) = (s, d, e.weight) };
-                    out_cnt[s as usize] += 1;
-                    if directed {
-                        in_cnt[d as usize] += 1;
-                    } else {
-                        out_cnt[d as usize] += 1;
-                    }
+                        e.src, e.dst
+                    )));
                 }
-                Ok((out_cnt, in_cnt))
-            })
-        };
+                let Some((s, d)) = endpoints(e) else {
+                    return Err(Error::InvalidGraph(format!(
+                        "edge ({}, {}) references undeclared vertex",
+                        e.src, e.dst
+                    )));
+                };
+                out_cnt[s as usize] += 1;
+                if directed {
+                    in_cnt[d as usize] += 1;
+                } else {
+                    out_cnt[d as usize] += 1;
+                }
+            }
+            Ok((out_cnt, in_cnt))
+        });
         let mut out_counts = Vec::with_capacity(counted.len());
         let mut in_counts = Vec::with_capacity(counted.len());
         for worker in counted {
@@ -173,51 +164,59 @@ impl Csr {
 
         // Pass 3 — scatter: worker w fills the slots its exclusive
         // cursors reserve, so no two workers ever write the same index,
-        // and edges land in every row in edge-list order — sorted.
+        // and edges land in every row in edge-list order — sorted. The
+        // cursors reserve every slot, so the arrays start unwritten.
         let stored_out = out_offsets[n] as usize;
-        let mut out_targets = vec![0u32; stored_out];
-        let mut out_weights = vec![1.0f64; stored_out];
+        let mut out_targets = Vec::<u32>::with_capacity(stored_out);
+        let mut out_weights = Vec::<f64>::with_capacity(stored_out);
         let stored_in = if directed { *in_offsets.last().unwrap() as usize } else { 0 };
-        let mut in_targets = vec![0u32; stored_in];
-        let mut in_weights = vec![1.0f64; stored_in];
+        let mut in_targets = Vec::<u32>::with_capacity(stored_in);
+        let mut in_weights = Vec::<f64>::with_capacity(stored_in);
         {
-            let tgt = SharedSlice::new(out_targets.as_mut_ptr());
-            let wts = SharedSlice::new(out_weights.as_mut_ptr());
-            let itgt = SharedSlice::new(in_targets.as_mut_ptr());
-            let iwts = SharedSlice::new(in_weights.as_mut_ptr());
+            let tgt = SharedSlice::new(out_targets.spare_capacity_mut().as_mut_ptr());
+            let wts = SharedSlice::new(out_weights.spare_capacity_mut().as_mut_ptr());
+            let itgt = SharedSlice::new(in_targets.spare_capacity_mut().as_mut_ptr());
+            let iwts = SharedSlice::new(in_weights.spare_capacity_mut().as_mut_ptr());
             let out_cursors: Vec<SharedSlice<u32>> =
                 out_counts.iter_mut().map(|c| SharedSlice::new(c.as_mut_ptr())).collect();
             let in_cursors: Vec<SharedSlice<u32>> =
                 in_counts.iter_mut().map(|c| SharedSlice::new(c.as_mut_ptr())).collect();
-            let endpoints = &endpoints;
             pool.run(m, |w, chunk| {
                 // SAFETY (whole loop): cursor row w belongs to worker w
                 // alone; slot indices derived from exclusive cursors are
                 // globally unique.
-                for i in chunk {
-                    let (s, d, weight) = endpoints[i];
+                for e in &edges[chunk] {
+                    let (s, d) = endpoints(e).expect("endpoints checked by the counting pass");
                     unsafe {
                         let c = out_cursors[w].at(s as usize);
                         let pos = out_offsets[s as usize] as usize + *c as usize;
                         *c += 1;
-                        *tgt.at(pos) = d;
-                        *wts.at(pos) = weight;
+                        tgt.at(pos).write(d);
+                        wts.at(pos).write(e.weight);
                         if directed {
                             let c = in_cursors[w].at(d as usize);
                             let pos = in_offsets[d as usize] as usize + *c as usize;
                             *c += 1;
-                            *itgt.at(pos) = s;
-                            *iwts.at(pos) = weight;
+                            itgt.at(pos).write(s);
+                            iwts.at(pos).write(e.weight);
                         } else {
                             let c = out_cursors[w].at(d as usize);
                             let pos = out_offsets[d as usize] as usize + *c as usize;
                             *c += 1;
-                            *tgt.at(pos) = s;
-                            *wts.at(pos) = weight;
+                            tgt.at(pos).write(s);
+                            wts.at(pos).write(e.weight);
                         }
                     }
                 }
             });
+        }
+        // SAFETY: the scatter wrote every slot its cursors reserved, and
+        // they reserve each row's degree: all of `0..stored`.
+        unsafe {
+            out_targets.set_len(stored_out);
+            out_weights.set_len(stored_out);
+            in_targets.set_len(stored_in);
+            in_weights.set_len(stored_in);
         }
 
         Ok(Csr {
@@ -350,6 +349,25 @@ impl Csr {
             &self.in_weights[lo..hi]
         } else {
             self.out_weights(u)
+        }
+    }
+
+    /// Arcs stored in the out-rows before row `u` (`u` up to
+    /// [`num_vertices`](Csr::num_vertices), whose value is
+    /// [`num_arcs`](Csr::num_arcs)).
+    #[inline]
+    pub fn out_offset(&self, u: u32) -> usize {
+        self.out_offsets[u as usize] as usize
+    }
+
+    /// [`Csr::out_offset`] for the in-rows; aliases it for undirected
+    /// graphs.
+    #[inline]
+    pub fn in_offset(&self, u: u32) -> usize {
+        if self.directed {
+            self.in_offsets[u as usize] as usize
+        } else {
+            self.out_offset(u)
         }
     }
 

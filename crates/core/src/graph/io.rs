@@ -7,17 +7,37 @@
 //!   whitespace-separated column with the `f64` weight for weighted graphs.
 //!
 //! Lines are `\n`-terminated; blank lines and `#` comments are permitted.
+//!
+//! Both files stream through one reused buffer ([`Blocks`]): each read
+//! takes the next [`BLOCK`] bytes of the file and hands on the whole
+//! lines so far, so a load holds one block of text at a time, never the
+//! file. An edge block is split into newline-aligned pieces parsed on
+//! the pool, each worker writing its edges straight into the builder's
+//! edge list at an offset taken from the pieces' newline counts.
 
-use std::io::{BufWriter, Write};
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::mem::MaybeUninit;
 use std::path::Path;
 
 use super::{valid_weight, Edge, Graph, GraphBuilder, VertexId};
 use crate::error::{Error, Result};
-use crate::pool::WorkerPool;
+use crate::fault::{checkpoint, FaultSite};
+use crate::pool::{SharedSlice, WorkerPool};
+
+/// Bytes of file text per read.
+const BLOCK: usize = 1 << 18;
+
+/// Room for the partial line a block carries into the next read.
+const LINE: usize = 1 << 12;
 
 /// Reads a vertex file into sorted, deduplicated ids.
 pub fn read_vertex_file(path: &Path) -> Result<Vec<VertexId>> {
-    parse_vertices(&read_text(path)?, &path.display().to_string())
+    let mut vertices = Vec::new();
+    read_vertices_into(path, &mut vertices)?;
+    vertices.sort_unstable();
+    vertices.dedup();
+    Ok(vertices)
 }
 
 /// Reads an edge file, appending edges to `builder`.
@@ -28,21 +48,33 @@ pub fn read_edge_file(path: &Path, builder: &mut GraphBuilder, weighted: bool) -
     read_edge_file_with(path, builder, weighted, &WorkerPool::inline())
 }
 
-/// Reads an edge file on a worker pool: the file is read into memory,
-/// split into newline-aligned chunks, parsed in parallel, and appended
-/// to `builder` in chunk order — the same edges (and the same
-/// first-error line number) at every pool width.
+/// Reads an edge file on a worker pool: each block's newline-aligned
+/// pieces are parsed in parallel into the builder's edge list in file
+/// order — the same edges (and the same first-error line number) at
+/// every pool width.
 pub fn read_edge_file_with(
     path: &Path,
     builder: &mut GraphBuilder,
     weighted: bool,
     pool: &WorkerPool,
 ) -> Result<()> {
-    parse_edges(&read_text(path)?, &path.display().to_string(), builder, weighted, pool)
+    let mut parser = EdgeParser::new(path.display().to_string(), builder.is_directed(), weighted);
+    let mut blocks = Blocks::open(path)?;
+    let file_len = blocks.file_len;
+    let edges = builder.edges_mut();
+    while let Some(block) = blocks.next()? {
+        parser.block(block, file_len, edges, pool)?;
+    }
+    Ok(())
 }
 
 /// Loads a full graph from a vertex file and an edge file.
-pub fn read_graph(vertex_path: &Path, edge_path: &Path, directed: bool, weighted: bool) -> Result<Graph> {
+pub fn read_graph(
+    vertex_path: &Path,
+    edge_path: &Path,
+    directed: bool,
+    weighted: bool,
+) -> Result<Graph> {
     read_graph_with(vertex_path, edge_path, directed, weighted, &WorkerPool::inline())
 }
 
@@ -57,9 +89,7 @@ pub fn read_graph_with(
 ) -> Result<Graph> {
     let mut builder = GraphBuilder::new(directed);
     builder.set_weighted(weighted);
-    for v in read_vertex_file(vertex_path)? {
-        builder.add_vertex(v);
-    }
+    read_vertices_into(vertex_path, builder.vertices_mut())?;
     read_edge_file_with(edge_path, &mut builder, weighted, pool)?;
     builder.build_with(pool)
 }
@@ -89,29 +119,108 @@ pub fn write_edge_file(g: &Graph, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Reads a file as text. Bytes that are not UTF-8 become U+FFFD, which
-/// no id or weight parses from: outside a comment they are the
-/// `Error::Parse` of their line (a newline is never part of an invalid
-/// sequence, so line numbers hold), not an `io::Error` of the whole file.
-fn read_text(path: &Path) -> Result<String> {
-    Ok(String::from_utf8(std::fs::read(path)?)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
+/// A file read `BLOCK` bytes at a time through one buffer. Each
+/// [`next`](Blocks::next) is the whole lines read so far: up to the last
+/// newline of the latest block (a line longer than a block waits for
+/// the block that ends it, growing the buffer), and at the end of the
+/// file whatever remains, final newline or not.
+struct Blocks {
+    file: File,
+    file_len: u64,
+    buf: Vec<u8>,
+    /// Bytes of `buf` read but not yet handed on (a partial line).
+    carry: usize,
+    /// The start of the carry, handed on by the last `next`.
+    done: usize,
+    eof: bool,
 }
 
-/// The lines of `text` with `str::lines`' numbering (a final newline
-/// opens no further line), each cut at its `#` comment. Plain byte
-/// searches: the lines are too short for a `str::split` searcher to pay.
-fn content_lines(text: &str) -> impl Iterator<Item = &str> {
-    let mut rest = Some(text.strip_suffix('\n').unwrap_or(text));
-    std::iter::from_fn(move || {
-        let text = rest?;
-        let (line, tail) = match text.bytes().position(|b| b == b'\n') {
-            Some(end) => (&text[..end], Some(&text[end + 1..])),
-            None => (text, None),
-        };
-        rest = tail;
-        Some(&line[..line.bytes().position(|b| b == b'#').unwrap_or(line.len())])
-    })
+impl Blocks {
+    fn open(path: &Path) -> Result<Blocks> {
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        // A block and the partial line before it; a longer line grows it.
+        let buf = vec![0; BLOCK + LINE];
+        Ok(Blocks { file, file_len, buf, carry: 0, done: 0, eof: false })
+    }
+
+    fn next(&mut self) -> Result<Option<&[u8]>> {
+        self.buf.copy_within(self.done..self.done + self.carry, 0);
+        self.done = 0;
+        while !self.eof {
+            let start = self.carry;
+            if self.buf.len() < start + BLOCK {
+                self.buf.resize(start + BLOCK, 0);
+            }
+            let read = self.fill(start)?;
+            self.carry += read;
+            self.eof = read < BLOCK;
+            // The carry holds no newline, so only the new bytes can end it.
+            if let Some(last) = self.buf[start..self.carry].iter().rposition(|&b| b == b'\n') {
+                self.done = start + last + 1;
+                self.carry -= self.done;
+                return Ok(Some(&self.buf[..self.done]));
+            }
+        }
+        (self.done, self.carry) = (self.carry, 0);
+        Ok((self.done > 0).then(|| &self.buf[..self.done]))
+    }
+
+    /// Reads up to one block into `buf[start..]`; short only at the end
+    /// of the file.
+    fn fill(&mut self, start: usize) -> Result<usize> {
+        let block = &mut self.buf[start..start + BLOCK];
+        let mut read = 0;
+        while read < BLOCK {
+            match self.file.read(&mut block[read..]) {
+                Ok(0) => break,
+                Ok(n) => read += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(read)
+    }
+}
+
+/// Makes room in `list`, filled one entry per line at most from a
+/// `file_len`-byte file, for a block of `lines` lines that brings the
+/// file read so far to `seen_lines` lines in `seen_bytes` bytes. The
+/// first block reserves the file's lines at its density; a later block
+/// that does not fit re-estimates at the density so far, a sixteenth
+/// over. The list never regrows by doubling.
+fn reserve_lines<T>(list: &mut Vec<T>, lines: usize, file_len: u64, seen: (u64, usize)) {
+    let (seen_bytes, seen_lines) = seen;
+    if list.capacity() - list.len() >= lines {
+        return;
+    }
+    let total = (seen_lines as u128 * u128::from(file_len) / seen_bytes.max(1) as u128) as usize;
+    let margin = if seen_lines > lines { total / 16 } else { 0 };
+    list.reserve_exact((total + margin).saturating_sub(seen_lines - lines).max(lines));
+}
+
+/// Lines in whole lines of text, the last one possibly unterminated:
+/// its newlines, counted in `u8` lanes that vectorize (255 bytes cannot
+/// overflow one).
+fn line_count(text: &[u8]) -> usize {
+    let count = |part: &[u8]| part.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>();
+    let newlines: usize = text.chunks(255).map(|part| usize::from(count(part))).sum();
+    newlines + usize::from(text.last().is_some_and(|&b| b != b'\n'))
+}
+
+/// A line cut at its `#` comment and decoded lossily: a byte that is
+/// not UTF-8 becomes U+FFFD, which no id or weight parses from, so
+/// outside a comment it is the `Error::Parse` of its line, not an
+/// `io::Error` of the file. A newline or `#` is never part of an
+/// invalid sequence, so a line decodes as it would in the whole file.
+fn content_line(line: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(&line[..line.iter().position(|&b| b == b'#').unwrap_or(line.len())])
+}
+
+/// The lines of `block` with `str::lines`' numbering: a final newline
+/// opens no further line.
+fn lines(block: &[u8]) -> impl Iterator<Item = &[u8]> {
+    block.strip_suffix(b"\n").unwrap_or(block).split(|&b| b == b'\n')
 }
 
 /// Vertex ids are almost always plain decimals: those that cannot
@@ -124,27 +233,42 @@ fn parse_id(token: &str) -> std::result::Result<VertexId, std::num::ParseIntErro
     token.parse()
 }
 
-fn parse_vertices(text: &str, file: &str) -> Result<Vec<VertexId>> {
-    let mut vertices = Vec::new();
-    for (lineno, line) in content_lines(text).enumerate() {
-        let content = line.trim_ascii();
+/// Appends the ids of a vertex file to `vertices`, in file order.
+fn read_vertices_into(path: &Path, vertices: &mut Vec<VertexId>) -> Result<()> {
+    let file = path.display().to_string();
+    let mut blocks = Blocks::open(path)?;
+    let file_len = blocks.file_len;
+    let (mut bytes, mut line) = (0, 0);
+    while let Some(block) = blocks.next()? {
+        let lines = line_count(block);
+        bytes += block.len() as u64;
+        reserve_lines(vertices, lines, file_len, (bytes, line as usize + lines));
+        parse_vertices(block, &file, &mut line, vertices)?;
+    }
+    Ok(())
+}
+
+/// Parses the whole lines `block`, the first numbered `*line + 1`.
+fn parse_vertices(block: &[u8], file: &str, line: &mut u64, out: &mut Vec<VertexId>) -> Result<()> {
+    for raw in lines(block) {
+        *line += 1;
+        let content = content_line(raw);
+        let content = content.trim_ascii();
         if content.is_empty() {
             continue;
         }
         let v = parse_id(content).map_err(|e| Error::Parse {
             file: file.to_string(),
-            line: lineno as u64 + 1,
+            line: *line,
             message: format!("bad vertex id {content:?}: {e}"),
         })?;
-        vertices.push(v);
+        out.push(v);
     }
-    vertices.sort_unstable();
-    vertices.dedup();
-    Ok(vertices)
+    Ok(())
 }
 
 /// Parses one comment-free edge line; `None` for a blank one. The error
-/// string carries no line number — the chunk driver attaches it.
+/// string carries no line number — the block driver attaches it.
 fn parse_edge_line(content: &str, weighted: bool) -> std::result::Result<Option<Edge>, String> {
     let mut cols = content.split_ascii_whitespace();
     let Some(src) = cols.next() else {
@@ -169,106 +293,225 @@ fn parse_edge_line(content: &str, weighted: bool) -> std::result::Result<Option<
     Ok(Some(Edge::weighted(src, dst, weight)))
 }
 
-/// One worker's share of a chunked parse.
-struct ChunkParse {
-    edges: Vec<Edge>,
-    /// Lines consumed (complete only when `error` is `None`).
+/// A decimal of 1 to 19 digits at `bytes[*at..]` (19 cannot overflow),
+/// advancing `at` past it.
+#[inline]
+fn fast_id(bytes: &[u8], at: &mut usize) -> Option<VertexId> {
+    let start = *at;
+    let mut id: VertexId = 0;
+    while let Some(digit) = bytes.get(*at).map(|b| b.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        if *at - start == 19 {
+            return None;
+        }
+        id = id * 10 + VertexId::from(digit);
+        *at += 1;
+    }
+    (*at > start).then_some(id)
+}
+
+/// The one fast path: a line `digits SP digits [SP token] LF` at
+/// `bytes[at..]`, ids of at most 19 digits, the token an ASCII run
+/// without whitespace or `#` that `f64::from_str` parses to a
+/// [`valid_weight`]. On exactly those lines [`parse_edge_line`] reads
+/// the same three tokens the same way; every other line is `None` and
+/// goes to it. Returns the edge and the start of the next line.
+#[inline]
+fn fast_edge(bytes: &[u8], mut at: usize, weighted: bool) -> Option<(Edge, usize)> {
+    let src = fast_id(bytes, &mut at)?;
+    (bytes.get(at) == Some(&b' ')).then_some(())?;
+    at += 1;
+    let dst = fast_id(bytes, &mut at)?;
+    let mut weight = 1.0;
+    if weighted {
+        (bytes.get(at) == Some(&b' ')).then_some(())?;
+        at += 1;
+        let start = at;
+        while bytes.get(at).is_some_and(|&b| b > b' ' && b < 0x80 && b != b'#') {
+            at += 1;
+        }
+        // ASCII, so this is the token's text.
+        weight = std::str::from_utf8(&bytes[start..at]).ok()?.parse().ok()?;
+        valid_weight(weight).then_some(())?;
+    }
+    (bytes.get(at) == Some(&b'\n')).then_some((Edge::weighted(src, dst, weight), at + 1))
+}
+
+/// One newline-aligned piece of a block and what its worker made of it.
+#[derive(Default)]
+struct Piece {
+    start: usize,
+    end: usize,
+    /// Lines before this piece in its block, and in it. Line `i` of the
+    /// block may fill slot `i` of the edge list's spare capacity.
+    first_line: usize,
     lines: usize,
-    /// First failure: (line offset within the chunk, message).
+    written: usize,
+    /// First failure: (line offset within the piece, message).
     error: Option<(usize, String)>,
 }
 
-fn parse_edges(
-    text: &str,
-    file: &str,
-    builder: &mut GraphBuilder,
+/// An edge file's scan state across blocks.
+struct EdgeParser {
+    file: String,
+    directed: bool,
     weighted: bool,
-    pool: &WorkerPool,
-) -> Result<()> {
-    // Newline-aligned chunk boundaries over the raw bytes.
-    let bytes = text.as_bytes();
-    let mut bounds = vec![0usize];
-    for range in pool.split(bytes.len()) {
-        let mut end = range.end;
-        while end < bytes.len() && bytes[end - 1] != b'\n' {
-            end += 1;
-        }
-        if end > *bounds.last().unwrap() {
-            bounds.push(end);
-        }
-    }
-    let chunks: Vec<&str> = bounds.windows(2).map(|w| &text[w[0]..w[1]]).collect();
+    /// Bytes and lines in the blocks already parsed.
+    bytes: u64,
+    lines: usize,
+    pieces: Vec<Piece>,
+}
 
-    // One chunk per pool worker: parse in parallel, splice in order.
-    let parsed: Vec<ChunkParse> = pool
-        .run(chunks.len(), |_, crange| {
-            crange.map(|ci| {
-                // At most one edge per line: sized once, never regrown.
-                // `u8` lanes vectorize, and 255 bytes cannot overflow one.
-                let newlines = |part: &[u8]| part.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>();
-                let most: usize =
-                    chunks[ci].as_bytes().chunks(255).map(|part| usize::from(newlines(part))).sum();
-                let mut chunk =
-                    ChunkParse { edges: Vec::with_capacity(most + 1), lines: 0, error: None };
-                for (rel, line) in content_lines(chunks[ci]).enumerate() {
-                    match parse_edge_line(line, weighted) {
-                        Ok(Some(edge)) => chunk.edges.push(edge),
-                        Ok(None) => {}
-                        Err(message) => {
-                            chunk.error = Some((rel, message));
-                            break;
-                        }
-                    }
-                    chunk.lines = rel + 1;
+impl EdgeParser {
+    fn new(file: String, directed: bool, weighted: bool) -> EdgeParser {
+        EdgeParser { file, directed, weighted, bytes: 0, lines: 0, pieces: Vec::new() }
+    }
+
+    /// Parses the whole lines `block` of a `file_len`-byte file into
+    /// `edges` on `pool`.
+    fn block(
+        &mut self,
+        block: &[u8],
+        file_len: u64,
+        edges: &mut Vec<Edge>,
+        pool: &WorkerPool,
+    ) -> Result<()> {
+        // Newline-aligned pieces, one per pool worker, with their line
+        // counts (an unterminated last line counts too).
+        self.pieces.clear();
+        let (mut start, mut first_line) = (0, 0);
+        for range in pool.split(block.len()) {
+            let mut end = range.end.max(start);
+            while end < block.len() && block[end - 1] != b'\n' {
+                end += 1;
+            }
+            if end > start {
+                let lines = line_count(&block[start..end]);
+                self.pieces.push(Piece { start, end, first_line, lines, ..Piece::default() });
+                (start, first_line) = (end, first_line + lines);
+            }
+        }
+        let lines = first_line;
+        self.bytes += block.len() as u64;
+        reserve_lines(edges, lines, file_len, (self.bytes, self.lines + lines));
+
+        let spare = SharedSlice::new(edges.spare_capacity_mut().as_mut_ptr());
+        let pieces = SharedSlice::new(self.pieces.as_mut_ptr());
+        let (directed, weighted) = (self.directed, self.weighted);
+        pool.run(self.pieces.len(), |_, range| {
+            for p in range {
+                // SAFETY: piece p and its slots belong to this task alone.
+                let piece = unsafe { pieces.at(p) };
+                let slots = unsafe { spare.slice_mut(piece.first_line, piece.lines) };
+                parse_piece(&block[piece.start..piece.end], slots, directed, weighted, piece);
+            }
+        });
+
+        // In file order: a checkpoint per piece, the first error, and
+        // each piece's edges moved down over the slots of the blank and
+        // comment lines before it.
+        let mut len = edges.len();
+        let outcome = self.pieces.iter().try_for_each(|piece| {
+            checkpoint(FaultSite::Parse)?;
+            if let Some((rel, message)) = &piece.error {
+                return Err(Error::Parse {
+                    file: self.file.clone(),
+                    line: (self.lines + piece.first_line + rel) as u64 + 1,
+                    message: message.clone(),
+                });
+            }
+            let from = edges.len() + piece.first_line;
+            if from > len {
+                // SAFETY: slots `from..from + written` were written by the
+                // piece's task; `len < from`, as each piece before wrote
+                // at most one edge per line.
+                unsafe {
+                    let base = edges.as_mut_ptr();
+                    std::ptr::copy(base.add(from), base.add(len), piece.written);
                 }
-                chunk
-            }).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-    builder.reserve(0, parsed.iter().map(|chunk| chunk.edges.len()).sum());
-    let mut base_line = 0usize;
-    for chunk in parsed {
-        crate::fault::checkpoint(crate::fault::FaultSite::Parse)?;
-        if let Some((rel, message)) = chunk.error {
-            // Chunks before the first failing one parsed fully, so their
-            // line tallies give the exact absolute line number.
-            return Err(Error::Parse {
-                file: file.to_string(),
-                line: (base_line + rel) as u64 + 1,
-                message,
-            });
-        }
-        for e in chunk.edges {
-            builder.add_weighted_edge(e.src, e.dst, e.weight);
-        }
-        base_line += chunk.lines;
+            }
+            len += piece.written;
+            Ok(())
+        });
+        // SAFETY: `..len` holds the old edges and the pieces' before the
+        // first failure, packed.
+        unsafe { edges.set_len(len) };
+        self.lines += lines;
+        outcome
     }
-    Ok(())
+}
+
+/// Parses one piece (whole lines) into `slots`, one edge per line at
+/// most, recording what it wrote or the first bad line in `piece`.
+fn parse_piece(
+    bytes: &[u8],
+    slots: &mut [MaybeUninit<Edge>],
+    directed: bool,
+    weighted: bool,
+    piece: &mut Piece,
+) {
+    let (mut at, mut line, mut written) = (0, 0, 0);
+    while at < bytes.len() {
+        let (edge, next) = match fast_edge(bytes, at, weighted) {
+            Some((edge, next)) => (Some(edge), next),
+            None => {
+                let end =
+                    bytes[at..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |i| at + i);
+                match parse_edge_line(&content_line(&bytes[at..end]), weighted) {
+                    Ok(edge) => (edge, end + 1),
+                    Err(message) => {
+                        piece.error = Some((line, message));
+                        break;
+                    }
+                }
+            }
+        };
+        if let Some(e) = edge {
+            slots[written].write(GraphBuilder::canonical(directed, e.src, e.dst, e.weight));
+            written += 1;
+        }
+        (at, line) = (next, line + 1);
+    }
+    piece.written = written;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `text` as the one block of a file on `pool`.
+    fn parse_edges(
+        text: &str,
+        b: &mut GraphBuilder,
+        weighted: bool,
+        pool: &WorkerPool,
+    ) -> Result<()> {
+        let mut parser = EdgeParser::new("mem".into(), b.is_directed(), weighted);
+        parser.block(text.as_bytes(), text.len() as u64, b.edges_mut(), pool)
+    }
+
     /// The one scanner on the inline pool, as `read_edge_file` runs it.
     fn parse_inline(text: &str, b: &mut GraphBuilder, weighted: bool) -> Result<()> {
-        parse_edges(text, "mem", b, weighted, &WorkerPool::inline())
+        parse_edges(text, b, weighted, &WorkerPool::inline())
+    }
+
+    fn vertices_of(text: &str) -> Result<Vec<VertexId>> {
+        let mut vertices = Vec::new();
+        parse_vertices(text.as_bytes(), "mem", &mut 0, &mut vertices)?;
+        vertices.sort_unstable();
+        vertices.dedup();
+        Ok(vertices)
     }
 
     #[test]
     fn parse_vertices_handles_comments_and_blanks() {
         let data = "1\n\n# comment\n3\n2\n3\n";
-        let v = parse_vertices(data, "mem").unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
+        assert_eq!(vertices_of(data).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         let data = "1\nfoo\n";
-        let e = parse_vertices(data, "mem").unwrap_err();
+        let e = vertices_of(data).unwrap_err();
         assert!(e.to_string().contains("mem:2"));
     }
 
@@ -290,18 +533,13 @@ mod tests {
 
     #[test]
     fn parse_edges_rejects_bad_columns() {
-        let mut b = GraphBuilder::new(true);
-        b.add_vertex_range(2);
-        assert!(parse_inline("0\n", &mut b, false).is_err());
-        let mut b = GraphBuilder::new(true);
-        b.add_vertex_range(2);
-        assert!(parse_inline("0 1 9.0\n", &mut b, false).is_err());
-        let mut b = GraphBuilder::new(true);
-        b.add_vertex_range(2);
-        assert!(parse_inline("0 1\n", &mut b, true).is_err());
-        let mut b = GraphBuilder::new(true);
-        b.add_vertex_range(2);
-        assert!(parse_inline("0 1 -4\n", &mut b, true).is_err());
+        for (text, weighted) in
+            [("0\n", false), ("0 1 9.0\n", false), ("0 1\n", true), ("0 1 -4\n", true)]
+        {
+            let mut b = GraphBuilder::new(true);
+            b.add_vertex_range(2);
+            assert!(parse_inline(text, &mut b, weighted).is_err(), "{text:?}");
+        }
     }
 
     #[test]
@@ -346,6 +584,34 @@ mod tests {
     }
 
     #[test]
+    fn the_fast_path_takes_only_its_own_lines() {
+        let fast = |line: &str, weighted| fast_edge(line.as_bytes(), 0, weighted).map(|(e, _)| e);
+        assert_eq!(fast("12 34\n", false), Some(Edge::new(12, 34)));
+        assert_eq!(fast("12 34 0.5\n", true), Some(Edge::weighted(12, 34, 0.5)));
+        assert_eq!(
+            fast("9999999999999999999 0\n", false),
+            Some(Edge::new(9_999_999_999_999_999_999, 0))
+        );
+        for (line, weighted) in [
+            ("12 34", false),
+            ("12 34\r\n", false),
+            ("12  34\n", false),
+            ("12\t34\n", false),
+            ("+1 2\n", false),
+            ("12 34 5\n", false),
+            ("10000000000000000000 1\n", false),
+            ("12 34\n", true),
+            ("12 34 0.5 \n", true),
+            ("12 34 0.5#\n", true),
+            ("12 34 -1\n", true),
+            ("12 34 inf\n", true),
+            ("12 34 x\n", true),
+        ] {
+            assert_eq!(fast(line, weighted), None, "{line:?}");
+        }
+    }
+
+    #[test]
     fn non_utf8_token_is_a_parse_error_with_its_line() {
         let path = std::env::temp_dir().join(format!("galy-io-utf8-{}", std::process::id()));
         // Invalid bytes inside a comment are skipped like any comment.
@@ -366,7 +632,7 @@ mod tests {
         for i in 0..500u64 {
             text.push_str(&format!("{} {}\n", i, (i + 1) % 501));
             if i % 97 == 0 {
-                text.push('\n'); // blank lines survive chunking
+                text.push('\n'); // blank lines survive the split
             }
         }
         let sequential = {
@@ -379,7 +645,7 @@ mod tests {
             let pool = WorkerPool::new(threads);
             let mut b = GraphBuilder::new(true);
             b.add_vertex_range(501);
-            parse_edges(&text, "mem", &mut b, false, &pool).unwrap();
+            parse_edges(&text, &mut b, false, &pool).unwrap();
             let g = b.build_with(&pool).unwrap();
             assert_eq!(g.edges(), sequential.edges(), "threads={threads}");
         }
@@ -398,7 +664,7 @@ mod tests {
         for threads in [1u32, 4] {
             let pool = WorkerPool::new(threads);
             let mut b = GraphBuilder::new(true);
-            let err = parse_edges(&text, "mem", &mut b, false, &pool).unwrap_err();
+            let err = parse_edges(&text, &mut b, false, &pool).unwrap_err();
             assert!(err.to_string().contains("mem:301"), "threads={threads}: {err}");
         }
     }

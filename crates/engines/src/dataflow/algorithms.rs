@@ -17,20 +17,54 @@ use crate::trace::IterTimer;
 
 use super::{reduce_by_key, regroup_by_key, scan, DataflowGraph, Dataset, Slots};
 
-/// Builds the edge dataset `(src, dst, weight)` partitioned by source.
-/// For undirected CSR the out-rows already contain both orientations.
-/// Called once per direction by the upload phase (see
-/// [`DataflowGraph`]); iterations reuse the cached datasets. The
-/// partitions fill straight from the CSR rows, no flat arc list between.
-pub fn edge_dataset(csr: &Csr, parts: usize, both_directions: bool) -> Dataset<(u32, u32, f64)> {
+/// Builds the edge dataset `(src, dst, weight)` partitioned by source:
+/// [`Dataset::from_exact`]'s partitions of the arc list that walks the
+/// vertices in order, each one's out-row then (with `both_directions`,
+/// on a directed CSR) its in-row. For undirected CSR the out-rows
+/// already contain both orientations. Called once per direction by the
+/// upload phase (see [`DataflowGraph`]); iterations reuse the cached
+/// datasets. The partitions fill on `pool` straight from the CSR rows,
+/// no flat arc list between: each finds its first vertex by a binary
+/// search over the cumulative row lengths.
+pub fn edge_dataset(
+    csr: &Csr,
+    parts: usize,
+    both_directions: bool,
+    pool: &WorkerPool,
+) -> Dataset<(u32, u32, f64)> {
     let reverse = both_directions && csr.is_directed();
-    let arcs = (0..csr.num_vertices() as u32).flat_map(|u| {
-        let out = csr.out_neighbors(u).iter().zip(csr.out_weights(u));
-        let (sources, weights) =
-            if reverse { (csr.in_neighbors(u), csr.in_weights(u)) } else { (&[][..], &[][..]) };
-        out.chain(sources.iter().zip(weights)).map(move |(&v, &w)| (u, v, w))
-    });
-    Dataset::from_exact(csr.num_arcs() * if reverse { 2 } else { 1 }, arcs, parts)
+    let n = csr.num_vertices() as u32;
+    // Arcs in the list before vertex `u`'s.
+    let before = |u: u32| csr.out_offset(u) + if reverse { csr.in_offset(u) } else { 0 };
+    let rows = |u: u32| {
+        let out = (csr.out_neighbors(u), csr.out_weights(u));
+        [out, if reverse { (csr.in_neighbors(u), csr.in_weights(u)) } else { (&[][..], &[][..]) }]
+    };
+    Dataset::fill_on(before(n), parts, pool, |records, part| {
+        // The first vertex whose arcs reach past the partition's start.
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(mid + 1) <= records.start {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut skip = records.start - before(lo);
+        for u in lo..n {
+            for (targets, weights) in rows(u) {
+                let from = skip.min(targets.len());
+                let to = targets.len().min(from + records.len() - part.len());
+                let row = targets[from..to].iter().zip(&weights[from..to]);
+                part.extend(row.map(|(&v, &w)| (u, v, w)));
+                skip -= from;
+            }
+            if part.len() == records.len() {
+                break;
+            }
+        }
+    })
 }
 
 /// The generic Pregel-on-joins loop for algorithms with a message
@@ -400,6 +434,7 @@ mod tests {
 
     #[test]
     fn edge_dataset_partitions_equal_from_vec_of_the_flat_arc_list() {
+        let pool = WorkerPool::new(3);
         let from_vec = |arcs: Vec<(u32, u32, f64)>, parts| {
             Dataset::from_exact(arcs.len(), arcs.into_iter(), parts)
         };
@@ -417,7 +452,7 @@ mod tests {
                 }
                 for parts in [0, 1, 3, 4, arcs.len(), arcs.len() + 1] {
                     let expected = from_vec(arcs.clone(), parts);
-                    let built = edge_dataset(&csr, parts, both);
+                    let built = edge_dataset(&csr, parts, both, &pool);
                     assert_eq!(
                         built.partitions(),
                         expected.partitions(),
@@ -430,7 +465,7 @@ mod tests {
         let mut b = GraphBuilder::new(true);
         b.add_vertex_range(3);
         let empty = b.build().unwrap().to_csr();
-        assert_eq!(edge_dataset(&empty, 4, true).partitions(), vec![Vec::new(); 4]);
+        assert_eq!(edge_dataset(&empty, 4, true, &pool).partitions(), vec![Vec::new(); 4]);
     }
 
     #[test]

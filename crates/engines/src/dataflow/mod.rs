@@ -56,6 +56,7 @@
 
 mod algorithms;
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use graphalytics_core::algorithms::Request;
@@ -77,19 +78,54 @@ pub struct Dataset<T> {
     parts: Vec<Vec<T>>,
 }
 
+/// The records of partition `p` when `len` records are cut into
+/// `parts` (at least one) contiguous chunks of `ceil(len / parts)`.
+fn part_range(len: usize, parts: usize, p: usize) -> Range<usize> {
+    let chunk = len.div_ceil(parts).max(1);
+    (p * chunk).min(len)..((p + 1) * chunk).min(len)
+}
+
 impl<T> Dataset<T> {
     /// Partitions the exactly `len` records `data` yields into `parts`
     /// contiguous chunks; only the partition vectors are allocated.
     pub fn from_exact(len: usize, mut data: impl Iterator<Item = T>, parts: usize) -> Self {
         let parts = parts.max(1);
-        let chunk = len.div_ceil(parts).max(1);
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(parts);
-        for p in 0..parts {
-            let mut part = Vec::with_capacity(chunk.min(len.saturating_sub(p * chunk)));
-            part.extend(data.by_ref().take(chunk));
-            out.push(part);
-        }
+        let out = (0..parts)
+            .map(|p| {
+                let records = part_range(len, parts, p);
+                let mut part = Vec::with_capacity(records.len());
+                part.extend(data.by_ref().take(records.len()));
+                part
+            })
+            .collect();
         assert!(data.next().is_none(), "more than the announced {len} records");
+        Dataset { parts: out }
+    }
+
+    /// The partitions of [`Dataset::from_exact`] over `len` records,
+    /// allocated on the caller and filled on `pool`: `fill(records, part)`
+    /// pushes the records with indices `records` into the empty `part`.
+    pub(crate) fn fill_on(
+        len: usize,
+        parts: usize,
+        pool: &WorkerPool,
+        fill: impl Fn(Range<usize>, &mut Vec<T>) + Sync,
+    ) -> Self
+    where
+        T: Send,
+    {
+        let parts = parts.max(1);
+        let mut out: Vec<Vec<T>> =
+            (0..parts).map(|p| Vec::with_capacity(part_range(len, parts, p).len())).collect();
+        let slots = SharedSlice::new(out.as_mut_ptr());
+        pool.run(parts, |_, range| {
+            for p in range {
+                // SAFETY: partition p belongs to this task alone.
+                let part = unsafe { slots.at(p) };
+                fill(part_range(len, parts, p), part);
+                debug_assert_eq!(part.len(), part.capacity(), "partition {p} filled exactly");
+            }
+        });
         Dataset { parts: out }
     }
 
@@ -280,10 +316,10 @@ impl Platform for DataflowEngine {
 
     fn upload(&self, csr: Arc<Csr>, pool: &WorkerPool) -> Result<Box<dyn LoadedGraph>> {
         let parts = (pool.threads() as usize) * 2; // Spark-style over-partitioning
-        let edges_out = edge_dataset(&csr, parts, false);
+        let edges_out = edge_dataset(&csr, parts, false, pool);
         // Undirected out-rows already carry both orientations; only
         // directed graphs need the reverse-augmented dataset.
-        let edges_both = csr.is_directed().then(|| edge_dataset(&csr, parts, true));
+        let edges_both = csr.is_directed().then(|| edge_dataset(&csr, parts, true, pool));
         Ok(Box::new(DataflowGraph { csr, edges_out, edges_both }))
     }
 

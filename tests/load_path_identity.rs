@@ -22,7 +22,7 @@
 //! `BLOCK` is the edge and vertex reader's block size; a boundary is
 //! every multiple of it in the file.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use graphalytics::core::graph::{read_edge_file, read_graph, read_graph_with, write_edge_file};
 use graphalytics::core::graph::{write_vertex_file, Edge};
@@ -109,12 +109,12 @@ fn reference_vertices(bytes: &[u8]) -> Result<Vec<u64>, (u64, String)> {
 /// The graph (or the error text) `read_graph_with` must return for two
 /// files, by the reference parsers and a plain `GraphBuilder`.
 fn expected(
-    vertex_file: (&PathBuf, &[u8]),
-    edge_file: (&PathBuf, &[u8]),
+    vertex_file: (&Path, &[u8]),
+    edge_file: (&Path, &[u8]),
     directed: bool,
     weighted: bool,
 ) -> Result<Graph, String> {
-    let parse_error = |path: &PathBuf, (line, message): (u64, String)| {
+    let parse_error = |path: &Path, (line, message): (u64, String)| {
         format!("parse error in {}:{line}: {message}", path.display())
     };
     let vertices = reference_vertices(vertex_file.1).map_err(|e| parse_error(vertex_file.0, e))?;
@@ -150,8 +150,8 @@ fn same_graph(a: &Graph, b: &Graph) -> Result<(), String> {
 
 /// `read_graph_with` at every width, and `read_graph`, against `expected`.
 fn assert_reads_as(
-    vertex_path: &PathBuf,
-    edge_path: &PathBuf,
+    vertex_path: &Path,
+    edge_path: &Path,
     directed: bool,
     weighted: bool,
     expected: &Result<Graph, String>,
@@ -249,7 +249,7 @@ fn assert_csr_and_datasets(g: &Graph, what: &str) {
             }
             for parts in [0, 1, 3, 4, arcs.len(), arcs.len() + 1] {
                 let want = Dataset::from_exact(arcs.len(), arcs.iter().copied(), parts);
-                let got = edge_dataset(&csr, parts, both);
+                let got = edge_dataset(&csr, parts, both, &pool);
                 assert!(
                     bits(got.partitions()) == bits(want.partitions()),
                     "{what}, width {t}: edge_dataset(both = {both}, parts = {parts}) differs"
@@ -359,9 +359,12 @@ fn edge_file_around_boundaries(
     out
 }
 
+/// The `k`-th line of a kind, without its newline.
+type Line = Box<dyn Fn(usize) -> Vec<u8>>;
+
 /// Awkward lines that the format accepts, each declaring a fresh edge
 /// `(5000 + k, 7000 + k)` from its `k`.
-fn accepted_kinds(weighted: bool) -> Vec<(&'static str, Box<dyn Fn(usize) -> Vec<u8>>)> {
+fn accepted_kinds(weighted: bool) -> Vec<(&'static str, Line)> {
     let w = move |k: usize| if weighted { format!(" {}", k as f64 / 4.0) } else { String::new() };
     let edge = move |k: usize| (5000 + k, 7000 + k);
     vec![

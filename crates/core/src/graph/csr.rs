@@ -17,7 +17,7 @@
 //! uses the inline pool), with no per-row sort.
 //!
 //! Sparse-to-dense remapping is hashmap-free: the sorted vertex-id list
-//! is classified once into contiguous / dense-table / binary-search
+//! is classified once into contiguous / dense-table / bucketed search
 //! (`Remap`), so the common generator case (ids `0..n`) remaps each
 //! endpoint with a subtraction instead of an `O(log n)` search.
 
@@ -92,6 +92,34 @@ fn exclusive_offsets(pool: &WorkerPool, n: usize, counts: &mut [Vec<u32>]) -> Ve
     offsets
 }
 
+/// Dense endpoints of an edge-list chunk in order. Sources ascend
+/// through the list, so a run of edges from one source looks it up once;
+/// both build passes remap this way, and no endpoint copy is kept
+/// between them.
+struct Endpoints<'a> {
+    remap: &'a Remap<'a>,
+    src: Option<(VertexId, u32)>,
+}
+
+impl<'a> Endpoints<'a> {
+    fn new(remap: &'a Remap<'a>) -> Self {
+        Endpoints { remap, src: None }
+    }
+
+    #[inline]
+    fn of(&mut self, e: &Edge) -> Option<(u32, u32)> {
+        let s = match self.src {
+            Some((id, s)) if id == e.src => s,
+            _ => {
+                let s = self.remap.index_of(e.src)?;
+                self.src = Some((e.src, s));
+                s
+            }
+        };
+        Some((s, self.remap.index_of(e.dst)?))
+    }
+}
+
 impl Csr {
     /// Builds the CSR form of `g` sequentially (the inline pool).
     ///
@@ -115,12 +143,11 @@ impl Csr {
         let edges = g.edges();
         let m = edges.len();
 
-        let endpoints = |e: &Edge| Some((remap.index_of(e.src)?, remap.index_of(e.dst)?));
-
         // Pass 1 — count per-worker degrees over contiguous edge chunks,
         // and verify the endpoints and the edge order the scatter relies
         // on (each chunk also looks at the edge before its first).
         let counted = pool.run(m, |_, chunk| -> Result<(Vec<u32>, Vec<u32>)> {
+            let mut endpoints = Endpoints::new(&remap);
             let mut out_cnt = vec![0u32; n];
             let mut in_cnt = vec![0u32; if directed { n } else { 0 }];
             for i in chunk {
@@ -133,7 +160,7 @@ impl Csr {
                         e.src, e.dst
                     )));
                 }
-                let Some((s, d)) = endpoints(e) else {
+                let Some((s, d)) = endpoints.of(e) else {
                     return Err(Error::InvalidGraph(format!(
                         "edge ({}, {}) references undeclared vertex",
                         e.src, e.dst
@@ -185,8 +212,9 @@ impl Csr {
                 // SAFETY (whole loop): cursor row w belongs to worker w
                 // alone; slot indices derived from exclusive cursors are
                 // globally unique.
+                let mut endpoints = Endpoints::new(&remap);
                 for e in &edges[chunk] {
-                    let (s, d) = endpoints(e).expect("endpoints checked by the counting pass");
+                    let (s, d) = endpoints.of(e).expect("endpoints checked by the counting pass");
                     unsafe {
                         let c = out_cursors[w].at(s as usize);
                         let pos = out_offsets[s as usize] as usize + *c as usize;

@@ -252,6 +252,11 @@ fn read_vertices_into(path: &Path, vertices: &mut Vec<VertexId>) -> Result<()> {
 fn parse_vertices(block: &[u8], file: &str, line: &mut u64, out: &mut Vec<VertexId>) -> Result<()> {
     for raw in lines(block) {
         *line += 1;
+        let mut end = 0;
+        if let Some(v) = fast_id(raw, &mut end).filter(|_| end == raw.len()) {
+            out.push(v);
+            continue;
+        }
         let content = content_line(raw);
         let content = content.trim_ascii();
         if content.is_empty() {

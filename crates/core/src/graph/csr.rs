@@ -17,7 +17,7 @@
 //! uses the inline pool), with no per-row sort.
 //!
 //! Sparse-to-dense remapping is hashmap-free: the sorted vertex-id list
-//! is classified once into contiguous / dense-table / bucketed search
+//! is classified once into contiguous / dense-table / binary-search
 //! (`Remap`), so the common generator case (ids `0..n`) remaps each
 //! endpoint with a subtraction instead of an `O(log n)` search.
 

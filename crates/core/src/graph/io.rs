@@ -58,23 +58,24 @@ pub fn read_edge_file_with(
     weighted: bool,
     pool: &WorkerPool,
 ) -> Result<()> {
-    let mut parser = EdgeParser::new(path.display().to_string(), builder.is_directed(), weighted);
+    let directed = builder.is_directed();
+    let edges = builder.edges_mut();
+    let mut parser = EdgeParser::new(path.display().to_string(), directed, weighted, edges.len());
     let mut blocks = Blocks::open(path)?;
     let file_len = blocks.file_len;
-    let edges = builder.edges_mut();
     while let Some(block) = blocks.next()? {
         parser.block(block, file_len, edges, pool)?;
+    }
+    // Lines much shorter at the start of the file than later leave the
+    // estimate high: a list more than a quarter unused is cut to size.
+    if edges.capacity() - edges.len() > edges.len() / 4 {
+        edges.shrink_to_fit();
     }
     Ok(())
 }
 
 /// Loads a full graph from a vertex file and an edge file.
-pub fn read_graph(
-    vertex_path: &Path,
-    edge_path: &Path,
-    directed: bool,
-    weighted: bool,
-) -> Result<Graph> {
+pub fn read_graph(vertex_path: &Path, edge_path: &Path, directed: bool, weighted: bool) -> Result<Graph> {
     read_graph_with(vertex_path, edge_path, directed, weighted, &WorkerPool::inline())
 }
 
@@ -183,20 +184,20 @@ impl Blocks {
     }
 }
 
-/// Makes room in `list`, filled one entry per line at most from a
-/// `file_len`-byte file, for a block of `lines` lines that brings the
-/// file read so far to `seen_lines` lines in `seen_bytes` bytes. The
-/// first block reserves the file's lines at its density; a later block
-/// that does not fit re-estimates at the density so far, a sixteenth
-/// over. The list never regrows by doubling.
-fn reserve_lines<T>(list: &mut Vec<T>, lines: usize, file_len: u64, seen: (u64, usize)) {
-    let (seen_bytes, seen_lines) = seen;
+/// Makes room in `list` for a block of `lines` lines, each of which may
+/// add one entry, of a `file_len`-byte file whose first `read` bytes
+/// added `kept` entries. A block that does not fit reserves the rest of
+/// the file at the entries kept per byte so far, plus a sixteenth of
+/// those kept, and at least its own lines: the first block reserves
+/// just its lines, and blank and comment lines, which keep nothing, do
+/// not raise the estimate. The list never regrows by doubling.
+fn reserve_lines<T>(list: &mut Vec<T>, lines: usize, file_len: u64, (read, kept): (u64, usize)) {
     if list.capacity() - list.len() >= lines {
         return;
     }
-    let total = (seen_lines as u128 * u128::from(file_len) / seen_bytes.max(1) as u128) as usize;
-    let margin = if seen_lines > lines { total / 16 } else { 0 };
-    list.reserve_exact((total + margin).saturating_sub(seen_lines - lines).max(lines));
+    let rest = file_len.saturating_sub(read);
+    let rest = (kept as u128 * u128::from(rest) / u128::from(read.max(1))) as usize;
+    list.reserve_exact((rest + kept / 16).max(lines));
 }
 
 /// Lines in whole lines of text, the last one possibly unterminated:
@@ -238,11 +239,10 @@ fn read_vertices_into(path: &Path, vertices: &mut Vec<VertexId>) -> Result<()> {
     let file = path.display().to_string();
     let mut blocks = Blocks::open(path)?;
     let file_len = blocks.file_len;
-    let (mut bytes, mut line) = (0, 0);
+    let (first, mut read, mut line) = (vertices.len(), 0, 0);
     while let Some(block) = blocks.next()? {
-        let lines = line_count(block);
-        bytes += block.len() as u64;
-        reserve_lines(vertices, lines, file_len, (bytes, line as usize + lines));
+        reserve_lines(vertices, line_count(block), file_len, (read, vertices.len() - first));
+        read += block.len() as u64;
         parse_vertices(block, &file, &mut line, vertices)?;
     }
     Ok(())
@@ -252,11 +252,6 @@ fn read_vertices_into(path: &Path, vertices: &mut Vec<VertexId>) -> Result<()> {
 fn parse_vertices(block: &[u8], file: &str, line: &mut u64, out: &mut Vec<VertexId>) -> Result<()> {
     for raw in lines(block) {
         *line += 1;
-        let mut end = 0;
-        if let Some(v) = fast_id(raw, &mut end).filter(|_| end == raw.len()) {
-            out.push(v);
-            continue;
-        }
         let content = content_line(raw);
         let content = content.trim_ascii();
         if content.is_empty() {
@@ -360,6 +355,8 @@ struct EdgeParser {
     file: String,
     directed: bool,
     weighted: bool,
+    /// Edges in the list before this file's.
+    first: usize,
     /// Bytes and lines in the blocks already parsed.
     bytes: u64,
     lines: usize,
@@ -367,8 +364,8 @@ struct EdgeParser {
 }
 
 impl EdgeParser {
-    fn new(file: String, directed: bool, weighted: bool) -> EdgeParser {
-        EdgeParser { file, directed, weighted, bytes: 0, lines: 0, pieces: Vec::new() }
+    fn new(file: String, directed: bool, weighted: bool, first: usize) -> EdgeParser {
+        EdgeParser { file, directed, weighted, first, bytes: 0, lines: 0, pieces: Vec::new() }
     }
 
     /// Parses the whole lines `block` of a `file_len`-byte file into
@@ -396,8 +393,8 @@ impl EdgeParser {
             }
         }
         let lines = first_line;
+        reserve_lines(edges, lines, file_len, (self.bytes, edges.len() - self.first));
         self.bytes += block.len() as u64;
-        reserve_lines(edges, lines, file_len, (self.bytes, self.lines + lines));
 
         let spare = SharedSlice::new(edges.spare_capacity_mut().as_mut_ptr());
         let pieces = SharedSlice::new(self.pieces.as_mut_ptr());
@@ -490,7 +487,7 @@ mod tests {
         weighted: bool,
         pool: &WorkerPool,
     ) -> Result<()> {
-        let mut parser = EdgeParser::new("mem".into(), b.is_directed(), weighted);
+        let mut parser = EdgeParser::new("mem".into(), b.is_directed(), weighted, 0);
         parser.block(text.as_bytes(), text.len() as u64, b.edges_mut(), pool)
     }
 
@@ -627,6 +624,46 @@ mod tests {
         std::fs::write(&path, b"1\n\n\xFF\xFE\n").unwrap();
         let err = read_vertex_file(&path).unwrap_err();
         assert!(matches!(err, Error::Parse { line: 3, .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lines_that_keep_nothing_reserve_nothing_ahead() {
+        // The first block reserves its lines, whatever the file's length.
+        let mut list: Vec<Edge> = Vec::new();
+        reserve_lines(&mut list, 100, 1 << 40, (0, 0));
+        assert!(list.capacity() < 200, "{}", list.capacity());
+        // A block of blank and comment lines kept nothing: the next block
+        // gets its own lines, not the file's at their density.
+        list.clear();
+        reserve_lines(&mut list, 300, 1 << 40, (BLOCK as u64, 0));
+        assert!(list.capacity() < 600, "{}", list.capacity());
+        // 1000 entries kept in the first 10 000 of 100 000 bytes: 9000
+        // more expected, and a sixteenth of the 1000.
+        let mut list = vec![Edge::new(0, 1); 1000];
+        reserve_lines(&mut list, 500, 100_000, (10_000, 1000));
+        assert!((10_062..10_100).contains(&list.capacity()), "{}", list.capacity());
+    }
+
+    #[test]
+    fn a_file_that_starts_dense_keeps_little_spare_capacity() {
+        let path = std::env::temp_dir().join(format!("galy-io-dense-{}", std::process::id()));
+        let long: String = (0..4 * BLOCK / 52)
+            .map(|i| format!("{:019} {:019} 0.123456789\n", 2 * i, 2 * i + 1))
+            .collect();
+        // A first block of blank and comment lines, or of the shortest
+        // edge lines, then lines eight times as long.
+        let blanks = "\n# header\n".repeat(BLOCK / 5);
+        let short = "1 2 3\n".repeat(BLOCK / 6);
+        for head in [blanks, short] {
+            std::fs::write(&path, head.clone() + &long).unwrap();
+            let mut b = GraphBuilder::new(true);
+            read_edge_file_with(&path, &mut b, true, &WorkerPool::new(2)).unwrap();
+            let edges = b.edges_mut();
+            let head_edges = head.lines().filter(|l| l.starts_with('1')).count();
+            assert_eq!(edges.len(), head_edges + long.lines().count());
+            assert!(edges.capacity() - edges.len() <= edges.len() / 4, "{}", edges.capacity());
+        }
         std::fs::remove_file(&path).ok();
     }
 

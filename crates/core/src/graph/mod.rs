@@ -25,11 +25,11 @@ pub use csr::Csr;
 pub use delta::{
     random_batch, ApplyOutcome, DeltaConfig, DeltaStats, MergedEdges, MutableGraph, MutationBatch,
 };
+pub use sharded::ShardedCsr;
 pub use io::{
     read_edge_file, read_edge_file_with, read_graph, read_graph_with, read_vertex_file,
     write_edge_file, write_vertex_file,
 };
-pub use sharded::ShardedCsr;
 pub use stats::GraphStats;
 
 use crate::error::{Error, Result};
@@ -77,10 +77,8 @@ pub(crate) enum Remap<'a> {
     Offset { lo: u64, n: u64 },
     /// Small id span: direct lookup table (`u32::MAX` = absent).
     Table { lo: u64, table: Vec<u32> },
-    /// Sparse ids over a wide span: ids `starts[b]..starts[b + 1]` lie in
-    /// bucket `b = (v - lo) >> shift`, about one a bucket, so a lookup
-    /// binary-searches one bucket.
-    Buckets { lo: u64, shift: u32, starts: Vec<u32>, ids: &'a [VertexId] },
+    /// Sparse ids over a wide span: binary search.
+    Search(&'a [VertexId]),
 }
 
 impl<'a> Remap<'a> {
@@ -91,48 +89,36 @@ impl<'a> Remap<'a> {
         }
         let (lo, hi) = (ids[0], ids[n - 1]);
         // Ids spanning (nearly) the whole u64 range overflow the span
-        // computation; they can only ever be bucketed.
-        if let Some(span) = (hi - lo).checked_add(1) {
-            if span == n as u64 {
-                return Remap::Offset { lo, n: n as u64 };
+        // computation; they can only ever be the binary-search case.
+        let Some(span) = (hi - lo).checked_add(1) else {
+            return Remap::Search(ids);
+        };
+        if span == n as u64 {
+            return Remap::Offset { lo, n: n as u64 };
+        }
+        // A table costs 4 bytes per id in the span; accept a modest
+        // blow-up over the (4 bytes × n) ideal before falling back.
+        if span <= (4 * n as u64).max(1 << 16) {
+            let mut table = vec![u32::MAX; span as usize];
+            for (i, &v) in ids.iter().enumerate() {
+                table[(v - lo) as usize] = i as u32;
             }
-            // A table costs 4 bytes per id in the span; accept a modest
-            // blow-up over the (4 bytes × n) ideal before falling back.
-            if span <= (4 * n as u64).max(1 << 16) {
-                let mut table = vec![u32::MAX; span as usize];
-                for (i, &v) in ids.iter().enumerate() {
-                    table[(v - lo) as usize] = i as u32;
-                }
-                return Remap::Table { lo, table };
-            }
+            return Remap::Table { lo, table };
         }
-        // As many buckets as the power of two at or above n, over the
-        // bits of the span: 4 to 8 bytes an id.
-        let span_bits = u64::BITS - (hi - lo).leading_zeros();
-        let shift = span_bits.saturating_sub(n.next_power_of_two().trailing_zeros());
-        let mut starts = vec![0u32; ((hi - lo) >> shift) as usize + 2];
-        for &v in ids {
-            starts[((v - lo) >> shift) as usize + 1] += 1;
-        }
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        Remap::Buckets { lo, shift, starts, ids }
+        Remap::Search(ids)
     }
 
     #[inline]
     pub(crate) fn index_of(&self, v: VertexId) -> Option<u32> {
         match self {
-            Remap::Offset { lo, n } => v.checked_sub(*lo).filter(|d| d < n).map(|d| d as u32),
+            Remap::Offset { lo, n } => {
+                v.checked_sub(*lo).filter(|d| d < n).map(|d| d as u32)
+            }
             Remap::Table { lo, table } => {
                 let d = v.checked_sub(*lo)?;
                 table.get(d as usize).copied().filter(|&i| i != u32::MAX)
             }
-            Remap::Buckets { lo, shift, starts, ids } => {
-                let b = (v.checked_sub(*lo)? >> shift) as usize;
-                let (from, to) = (*starts.get(b)? as usize, *starts.get(b + 1)? as usize);
-                ids[from..to].binary_search(&v).ok().map(|i| (from + i) as u32)
-            }
+            Remap::Search(ids) => ids.binary_search(&v).ok().map(|i| i as u32),
         }
     }
 }
@@ -248,9 +234,7 @@ impl Graph {
                     return fail(format!("duplicate edge ({s}, {d})"));
                 }
                 if !canonical {
-                    return fail(format!(
-                        "undirected edge ({s}, {d}) not in canonical orientation"
-                    ));
+                    return fail(format!("undirected edge ({s}, {d}) not in canonical orientation"));
                 }
             }
             if !valid_weight(e.weight) {
@@ -310,24 +294,6 @@ impl Graph {
 mod tests {
     use super::*;
 
-    #[test]
-    fn remap_finds_every_id_and_nothing_else() {
-        let spread: Vec<u64> = (0..5000).map(|i| i * 1_000_003).collect();
-        // A bucket can hold many ids: a dense run beside far outliers.
-        let clustered: Vec<u64> = (0..1000).chain([1 << 50, (1 << 50) + 1, u64::MAX]).collect();
-        for ids in [vec![3u64, 4, 5], vec![10, 12, 13, 19], spread, clustered] {
-            let remap = Remap::new(&ids);
-            for (i, &v) in ids.iter().enumerate() {
-                assert_eq!(remap.index_of(v), Some(i as u32), "{v}");
-                for absent in [v.wrapping_add(1), v.wrapping_sub(1), v / 2 + 1] {
-                    if ids.binary_search(&absent).is_err() {
-                        assert_eq!(remap.index_of(absent), None, "{absent}");
-                    }
-                }
-            }
-        }
-    }
-
     fn tiny() -> Graph {
         let mut b = Graph::builder(true);
         for v in [1u64, 2, 3, 5] {
@@ -357,7 +323,12 @@ mod tests {
         assert!(g.validate().is_err());
         let g = Graph::from_parts(true, false, vec![1, 2], vec![Edge::new(1, 3)]);
         assert!(g.validate().is_err());
-        let g = Graph::from_parts(true, false, vec![1, 2], vec![Edge::new(1, 2), Edge::new(1, 2)]);
+        let g = Graph::from_parts(
+            true,
+            false,
+            vec![1, 2],
+            vec![Edge::new(1, 2), Edge::new(1, 2)],
+        );
         assert!(g.validate().is_err());
         let g = Graph::from_parts(false, false, vec![1, 2], vec![Edge::new(2, 1)]);
         assert!(g.validate().is_err(), "non-canonical undirected edge");

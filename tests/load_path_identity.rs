@@ -16,6 +16,8 @@
 //!   reads as a line-by-line reference parser (`str::lines`,
 //!   `split_ascii_whitespace`, `str::parse`) says: the same graph, or the
 //!   same `file:line` error.
+//! * A first block of blank and comment lines, or of short lines, reads
+//!   right before lines several times as long.
 //! * `read_edge_file` appends reversed edges to a non-empty undirected
 //!   builder, canonicalizing each as `add_weighted_edge` does.
 //!
@@ -489,6 +491,32 @@ fn a_last_line_without_newline_at_a_block_boundary() {
                 let what = format!("last line {last:?} ending at {offset:+} (weighted {weighted})");
                 assert_reads_as(&vp, &ep, true, weighted, &want, &what);
             }
+        }
+    }
+}
+
+#[test]
+fn a_first_block_of_blank_or_short_lines_then_long_lines() {
+    let scratch = Scratch::new("dense-head");
+    let vertices = vertex_file(10_000);
+    let vp = scratch.write("g.v", &vertices);
+    // Over a block of blank and comment lines, or a block of 10-byte
+    // lines, then lines four times as long: the first block's density
+    // says little about the rest of the file.
+    let blanks = "\n# header\n".repeat(BLOCK / 8);
+    let short: String =
+        (0..BLOCK / 10).map(|i| format!("{} {} 1\n", 100 + i / 800, 200 + i % 800)).collect();
+    let long: String = (0..3 * BLOCK / 44)
+        .map(|i| format!("{:019} {:019} 0.5\n", 1000 + i / 1000, 2000 + i % 1000))
+        .collect();
+    for (kind, head) in [("blank and comment", blanks), ("short", short)] {
+        let bytes = (head + &long).into_bytes();
+        let ep = scratch.write("g.e", &bytes);
+        for directed in [true, false] {
+            let want = expected((&vp, &vertices), (&ep, &bytes), directed, true);
+            let what = format!("{kind} lines first (directed {directed})");
+            assert!(want.is_ok(), "{what}: the reference rejects the file: {want:?}");
+            assert_reads_as(&vp, &ep, directed, true, &want, &what);
         }
     }
 }

@@ -268,7 +268,7 @@ fn parse_vertices(block: &[u8], file: &str, line: &mut u64, out: &mut Vec<Vertex
 }
 
 /// Parses one comment-free edge line; `None` for a blank one. The error
-/// string carries no line number — the block driver attaches it.
+/// string carries no line number — `EdgeParser::block` attaches it.
 fn parse_edge_line(content: &str, weighted: bool) -> std::result::Result<Option<Edge>, String> {
     let mut cols = content.split_ascii_whitespace();
     let Some(src) = cols.next() else {

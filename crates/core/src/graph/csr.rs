@@ -42,12 +42,14 @@ pub struct Csr {
     weighted: bool,
     vertex_ids: Box<[VertexId]>,
     out_offsets: Box<[u64]>,
-    out_targets: Box<[u32]>,
-    out_weights: Box<[f64]>,
+    // `Vec`s, not boxed slices: a delta-log snapshot keeps the capacity
+    // it reserved (`delta::patch_rows`).
+    out_targets: Vec<u32>,
+    out_weights: Vec<f64>,
     // Empty (aliased to out) for undirected graphs.
     in_offsets: Box<[u64]>,
-    in_targets: Box<[u32]>,
-    in_weights: Box<[f64]>,
+    in_targets: Vec<u32>,
+    in_weights: Vec<f64>,
 }
 
 /// One direction of a CSR's adjacency as finished arrays: `offsets` has
@@ -255,11 +257,11 @@ impl Csr {
             weighted,
             vertex_ids,
             out_offsets: out_offsets.into(),
-            out_targets: out_targets.into(),
-            out_weights: out_weights.into(),
+            out_targets,
+            out_weights,
             in_offsets: in_offsets.into(),
-            in_targets: in_targets.into(),
-            in_weights: in_weights.into(),
+            in_targets,
+            in_weights,
         })
     }
 
@@ -282,11 +284,11 @@ impl Csr {
             weighted,
             vertex_ids,
             out_offsets: out.offsets.into(),
-            out_targets: out.targets.into(),
-            out_weights: out.weights.into(),
+            out_targets: out.targets,
+            out_weights: out.weights,
             in_offsets: inn.offsets.into(),
-            in_targets: inn.targets.into(),
-            in_weights: inn.weights.into(),
+            in_targets: inn.targets,
+            in_weights: inn.weights,
         }
     }
 

@@ -691,8 +691,12 @@ fn patch_rows<'a>(
         offsets.push(end);
     }
     // Zeroed, so every slot is initialized even if a row fails midway.
-    let mut targets = vec![0u32; end as usize];
-    let mut weights = vec![0.0f64; end as usize];
+    // Reserved a little past the length: see `reserved_len`.
+    let len = end as usize;
+    let mut targets = Vec::with_capacity(reserved_len(len));
+    targets.resize(len, 0u32);
+    let mut weights = Vec::with_capacity(reserved_len(len));
+    weights.resize(len, 0.0f64);
     {
         let tgt = SharedSlice::new(targets.as_mut_ptr());
         let wts = SharedSlice::new(weights.as_mut_ptr());
@@ -712,6 +716,17 @@ fn patch_rows<'a>(
         .collect::<Result<()>>()?;
     }
     Ok(Rows { offsets, targets, weights })
+}
+
+/// Capacity of a snapshot array of `len` entries: `len` rounded up to a
+/// multiple of `len.next_power_of_two() / 16`, less than 1/8 more. A
+/// graph under mutation changes by a few arcs a batch, so successive
+/// snapshots and compacted bases ask the allocator for equal sizes and
+/// can reuse the blocks their predecessors freed; exact lengths, a little
+/// longer each batch, stop fitting those blocks and the heap grows.
+fn reserved_len(len: usize) -> usize {
+    let step = (len.next_power_of_two() / 16).max(1);
+    len.div_ceil(step) * step
 }
 
 /// Sorted merge of a base CSR row (minus tombstones) with its overlay.
@@ -1060,6 +1075,16 @@ mod materialize_tests {
             assert_eq!(got.in_neighbors(u), want.in_neighbors(u), "in row {u}");
             assert_eq!(bits(got.in_weights(u)), bits(want.in_weights(u)), "in weights {u}");
         }
+    }
+
+    #[test]
+    fn snapshot_reservations_are_coarse_and_close() {
+        for len in [0usize, 1, 31, 32, 1000, 1 << 20, (1 << 20) + 1, 1_591_862] {
+            let cap = reserved_len(len);
+            assert!(cap >= len && cap - len <= len / 8, "len {len}: capacity {cap}");
+        }
+        // A batch's worth of arcs more keeps the same reservation.
+        assert_eq!(reserved_len(1_591_862), reserved_len(1_591_862 + 1_800));
     }
 
     #[test]

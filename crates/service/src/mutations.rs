@@ -3,8 +3,9 @@
 //! Each dataset in the graph store can accumulate streaming mutations:
 //! the first `POST /graphs/:id/mutations` wraps the store's resident CSR
 //! in a core [`MutableGraph`] delta log, and later batches apply against
-//! it with the default auto-compaction policy (fold the log into a fresh
-//! CSR once the fill ratio crosses 0.25). Measured jobs that target a
+//! it with the default compaction policy (fold the log into a fresh CSR
+//! once the fill ratio crosses 0.25), which the store applies itself
+//! after each batch. Measured jobs that target a
 //! mutated dataset run on the materialized post-mutation snapshot (cached
 //! until the next batch invalidates it), and `GET /metrics` exposes the
 //! aggregate delta-log counters.
@@ -19,7 +20,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use graphalytics_core::pool::WorkerPool;
-use graphalytics_core::{random_batch, Csr, DeltaStats, Error, MutableGraph, MutationBatch};
+use graphalytics_core::{
+    random_batch, Csr, DeltaConfig, DeltaStats, Error, MutableGraph, MutationBatch,
+};
 
 /// One batch's outcome, echoed by the API.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,9 +68,27 @@ pub struct GraphDeltaStatus {
 
 struct Entry {
     graph: MutableGraph,
-    /// Materialized post-mutation CSR; `None` until a job needs it,
-    /// invalidated by every applied batch.
+    /// The last materialized post-mutation CSR; `None` until a job needs
+    /// it. Served only while `fresh`, which the next applied batch ends.
     snapshot: Option<Arc<Csr>>,
+    fresh: bool,
+}
+
+// A stale snapshot is dropped right before the CSR that replaces it is
+// allocated, by the next build or the next compaction, and not when the
+// batch arrives. Snapshots reserve their arrays in coarse steps
+// (`MutableGraph::materialize`), so the replacement asks for the block
+// just freed and takes it whole; freed earlier, the block is split by
+// the allocations that other threads make in between, and the heap grows.
+impl Entry {
+    fn new(base: &Arc<Csr>) -> Entry {
+        let config = DeltaConfig { auto_compact: false, ..DeltaConfig::default() };
+        Entry {
+            graph: MutableGraph::with_config(base.clone(), config),
+            snapshot: None,
+            fresh: false,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -95,7 +116,8 @@ impl MutationStore {
 
     /// Applies one batch to `dataset`'s delta log, wrapping `base` on
     /// first use. `Err` is a validation failure (undeclared vertex, self
-    /// loop, bad weight) and nothing was applied.
+    /// loop, bad weight), and nothing was applied, or a failed
+    /// compaction, and the batch is in the log.
     pub fn apply(
         &self,
         dataset: &str,
@@ -103,10 +125,7 @@ impl MutationStore {
         batch: &MutationBatch,
     ) -> Result<BatchReport, String> {
         let mut inner = self.lock();
-        let entry = inner
-            .entries
-            .entry(dataset.to_string())
-            .or_insert_with(|| Entry { graph: MutableGraph::new(base.clone()), snapshot: None });
+        let entry = inner.entries.entry(dataset.to_string()).or_insert_with(|| Entry::new(base));
         Self::apply_to(entry, batch, &self.pool)
     }
 
@@ -122,10 +141,7 @@ impl MutationStore {
         seed: u64,
     ) -> Result<(usize, BatchReport), String> {
         let mut inner = self.lock();
-        let entry = inner
-            .entries
-            .entry(dataset.to_string())
-            .or_insert_with(|| Entry { graph: MutableGraph::new(base.clone()), snapshot: None });
+        let entry = inner.entries.entry(dataset.to_string()).or_insert_with(|| Entry::new(base));
         let batch = random_batch(entry.graph.base(), insertions, deletions, seed);
         let report = Self::apply_to(entry, &batch, &self.pool)?;
         Ok((batch.len(), report))
@@ -137,8 +153,13 @@ impl MutationStore {
         pool: &WorkerPool,
     ) -> Result<BatchReport, String> {
         let started = Instant::now();
-        let outcome = entry.graph.apply(batch, pool).map_err(|e| e.to_string())?;
-        entry.snapshot = None;
+        let mut outcome = entry.graph.apply(batch, pool).map_err(|e| e.to_string())?;
+        entry.fresh = false;
+        if entry.graph.needs_compaction() {
+            entry.snapshot = None;
+            entry.graph.compact(pool).map_err(|e| e.to_string())?;
+            outcome.compacted = true;
+        }
         Ok(BatchReport {
             inserted: outcome.inserted,
             deleted: outcome.deleted,
@@ -159,9 +180,11 @@ impl MutationStore {
         let mut inner = self.lock();
         let state = &mut *inner;
         let Some(entry) = state.entries.get_mut(dataset) else { return Ok(None) };
-        if entry.snapshot.is_none() {
+        if !entry.fresh {
+            entry.snapshot = None;
             let csr = entry.graph.materialize(&self.pool)?;
             entry.snapshot = Some(Arc::new(csr));
+            entry.fresh = true;
             state.snapshot_builds += 1;
         }
         Ok(entry.snapshot.clone())
@@ -261,6 +284,38 @@ mod tests {
         assert!(err.contains("undeclared vertex"), "{err}");
         assert_eq!(store.status("G22").unwrap().stats.applied_batches, 0);
         assert_eq!(store.snapshot("G22").unwrap().unwrap().num_edges(), csr.num_edges());
+    }
+
+    #[test]
+    fn only_an_applied_batch_ends_the_cached_snapshot() {
+        use graphalytics_core::fault::{
+            self, CancelToken, FaultKind, FaultScript, FaultSite, Injection,
+        };
+        let store = MutationStore::new(Arc::new(WorkerPool::inline()));
+        let csr = base();
+        let mut first = MutationBatch::new();
+        first.insert(0, 5).delete(2, 3);
+        assert!(store.apply("G22", &csr, &first).unwrap().compacted);
+        let before = store.snapshot("G22").unwrap().unwrap();
+        let mut rejected = MutationBatch::new();
+        rejected.insert(0, 99);
+        assert!(store.apply("G22", &csr, &rejected).is_err());
+        assert!(Arc::ptr_eq(&before, &store.snapshot("G22").unwrap().unwrap()));
+
+        // Crosses the fill ratio again; the compaction fails after the
+        // batch went into the log.
+        let mut second = MutationBatch::new();
+        second.insert(1, 3).delete(4, 5);
+        let script =
+            FaultScript::new(vec![Injection::new(FaultSite::Compact, 0, FaultKind::Alloc)]);
+        {
+            let _scope = fault::install(CancelToken::new(), script);
+            assert!(store.apply("G22", &csr, &second).is_err());
+        }
+        assert_eq!(store.status("G22").unwrap().stats.applied_batches, 2);
+        let after = store.snapshot("G22").unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(after.has_out_edge(1, 3) && !after.has_out_edge(4, 5));
     }
 
     #[test]

@@ -101,8 +101,8 @@ fn parse_submission(body: &str) -> Result<JobRequest, String> {
     let dataset = graphalytics_core::datasets::dataset(dataset_key)
         .ok_or_else(|| format!("unknown dataset {dataset_key}"))?;
     let acronym = field("algorithm")?;
-    let algorithm = Algorithm::from_acronym(acronym)
-        .ok_or_else(|| format!("unknown algorithm {acronym}"))?;
+    let algorithm =
+        Algorithm::from_acronym(acronym).ok_or_else(|| format!("unknown algorithm {acronym}"))?;
     if algorithm.needs_weights() && !dataset.weighted {
         return Err(format!(
             "algorithm {acronym} needs edge weights but dataset {} is unweighted",
@@ -138,10 +138,7 @@ fn parse_submission(body: &str) -> Result<JobRequest, String> {
                 .as_u64()
                 .ok_or_else(|| "field `shards` must be a positive integer".to_string())?;
             if n == 0 || n > crate::jobs::MAX_SHARDS as u64 {
-                return Err(format!(
-                    "field `shards` must be in 1..={}",
-                    crate::jobs::MAX_SHARDS
-                ));
+                return Err(format!("field `shards` must be in 1..={}", crate::jobs::MAX_SHARDS));
             }
             n as u32
         }
@@ -153,10 +150,8 @@ fn parse_submission(body: &str) -> Result<JobRequest, String> {
                 .as_f64()
                 .ok_or_else(|| "field `timeout_secs` must be a number".to_string())?;
             if !secs.is_finite() || secs <= 0.0 || secs > 86_400.0 {
-                return Err(
-                    "field `timeout_secs` must be a positive number of seconds (≤ 86400)"
-                        .to_string(),
-                );
+                return Err("field `timeout_secs` must be a positive number of seconds (≤ 86400)"
+                    .to_string());
             }
             Some((secs * 1000.0).ceil() as u64)
         }
@@ -180,10 +175,7 @@ fn submit(state: &ServiceState, request: &Request) -> Response {
         Ok(job) => match state.queue.submit(job) {
             Ok(id) => Response::json(
                 202,
-                &Json::obj(vec![
-                    ("id", Json::Num(id as f64)),
-                    ("state", Json::str("queued")),
-                ]),
+                &Json::obj(vec![("id", Json::Num(id as f64)), ("state", Json::str("queued"))]),
             ),
             // Bounded-queue backpressure: a full queue is a structured
             // 429, not an unbounded buffer — the client retries later.
@@ -268,9 +260,7 @@ fn cancel_job(state: &ServiceState, raw_id: &str) -> Response {
         // token signalled and aborts at the next superstep boundary — the
         // 202 acknowledges the request; poll `GET /jobs/:id` for the
         // `cancelled` terminal state.
-        Ok(record) if record.state == JobState::Running => {
-            Response::json(202, &job_json(&record))
-        }
+        Ok(record) if record.state == JobState::Running => Response::json(202, &job_json(&record)),
         Ok(record) => Response::json(200, &job_json(&record)),
         Err(CancelError::NotFound) => Response::error(404, format!("no job {id}")),
         Err(CancelError::NotCancellable(job_state)) => {
@@ -324,9 +314,8 @@ fn parse_mutation_batch(json: &Json) -> Result<graphalytics_core::MutationBatch,
             .as_arr()
             .ok_or_else(|| "field `insert` must be an array of edge rows".to_string())?;
         for row in rows {
-            let cells = row
-                .as_arr()
-                .ok_or_else(|| "field `insert` rows must be arrays".to_string())?;
+            let cells =
+                row.as_arr().ok_or_else(|| "field `insert` rows must be arrays".to_string())?;
             match cells {
                 [src, dst] => {
                     batch.insert(vertex(src, "insert")?, vertex(dst, "insert")?);
@@ -381,10 +370,7 @@ fn mutate_graph(state: &ServiceState, raw_id: &str, request: &Request) -> Respon
     let base = state.store.get(dataset);
     let applied = if let Some(generate) = json.get("generate") {
         if json.get("insert").is_some() || json.get("delete").is_some() {
-            return Response::error(
-                400,
-                "`generate` excludes explicit `insert`/`delete` arrays",
-            );
+            return Response::error(400, "`generate` excludes explicit `insert`/`delete` arrays");
         }
         let count = |name: &str| -> Result<u64, Response> {
             match generate.get(name) {
@@ -608,10 +594,7 @@ fn metrics(state: &ServiceState, request: &Request) -> Response {
                     ("cancelled", Json::Num(counts.cancelled as f64)),
                     ("timed_out", Json::Num(counts.timed_out as f64)),
                     ("queue_capacity", Json::Num(state.queue.capacity() as f64)),
-                    (
-                        "queue_open",
-                        Json::Num((counts.queued + counts.running) as f64),
-                    ),
+                    ("queue_open", Json::Num((counts.queued + counts.running) as f64)),
                 ]),
             ),
             (
@@ -702,14 +685,12 @@ fn results_aggregates(state: &ServiceState) -> Json {
         .per_platform
         .iter()
         .map(|(name, (jobs, measured))| {
-            let mut fields =
-                vec![("platform", Json::str(name)), ("jobs", Json::Num(*jobs as f64))];
+            let mut fields = vec![("platform", Json::str(name)), ("jobs", Json::Num(*jobs as f64))];
             fields.extend(measured.means());
             Json::obj(fields)
         })
         .collect();
-    let success_rate =
-        if agg.count == 0 { 1.0 } else { agg.successful as f64 / agg.count as f64 };
+    let success_rate = if agg.count == 0 { 1.0 } else { agg.successful as f64 / agg.count as f64 };
     let [mean_eps, mean_evps] = agg.measured.means();
     Json::obj(vec![
         ("count", Json::Num(agg.count as f64)),
@@ -863,10 +844,7 @@ mod tests {
         // Explicit shards are carried through and echoed in the job view.
         let resp = handle(
             &state,
-            &post(
-                "/jobs",
-                r#"{"platform":"pregel","dataset":"G22","algorithm":"bfs","shards":4}"#,
-            ),
+            &post("/jobs", r#"{"platform":"pregel","dataset":"G22","algorithm":"bfs","shards":4}"#),
         );
         assert_eq!(resp.status, 202);
         assert_eq!(state.queue.get(3).unwrap().request.shards, 4);
@@ -918,8 +896,12 @@ mod tests {
         let state = state();
         assert_eq!(handle(&state, &get("/jobs/1")).status, 404);
         assert_eq!(handle(&state, &get("/jobs/one")).status, 400);
-        let del =
-            Request { method: "DELETE".into(), path: "/jobs/9".into(), headers: vec![], body: vec![] };
+        let del = Request {
+            method: "DELETE".into(),
+            path: "/jobs/9".into(),
+            headers: vec![],
+            body: vec![],
+        };
         assert_eq!(handle(&state, &del).status, 404);
         assert_eq!(handle(&state, &get("/nope")).status, 404);
         let patch =

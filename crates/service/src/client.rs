@@ -47,7 +47,10 @@ pub enum ClientError {
     /// The server answered, but not with what the protocol promises.
     Protocol(String),
     /// The server rejected the request (4xx/5xx) with an error message.
-    Api { status: u16, message: String },
+    Api {
+        status: u16,
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ClientError {

@@ -46,20 +46,12 @@ impl Request {
         }
         let headers = read_headers(reader)?;
         let body = read_body(reader, &headers, MAX_BODY_BYTES)?;
-        Ok(Some(Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
-            body,
-        }))
+        Ok(Some(Request { method: method.to_string(), path: path.to_string(), headers, body }))
     }
 
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 
     /// The body as UTF-8 text, if it is valid UTF-8.
@@ -99,11 +91,7 @@ pub struct Response {
 impl Response {
     /// A response with a JSON value as its body.
     pub fn json(status: u16, body: &Json) -> Response {
-        Response {
-            status,
-            body: body.to_string_pretty(),
-            content_type: "application/json",
-        }
+        Response { status, body: body.to_string_pretty(), content_type: "application/json" }
     }
 
     /// A response with an already-serialized JSON body.
@@ -142,15 +130,15 @@ pub fn read_response(reader: &mut impl BufRead) -> io::Result<(u16, String)> {
         .ok_or_else(|| bad_data("connection closed before status line".to_string()))?;
     let mut parts = line.split_whitespace();
     let status = match (parts.next(), parts.next()) {
-        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
-            .parse::<u16>()
-            .map_err(|_| bad_data(format!("malformed status line {line:?}")))?,
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => {
+            code.parse::<u16>().map_err(|_| bad_data(format!("malformed status line {line:?}")))?
+        }
         _ => return Err(bad_data(format!("malformed status line {line:?}"))),
     };
     let headers = read_headers(reader)?;
     let body = read_body(reader, &headers, MAX_RESPONSE_BYTES)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| bad_data("response body is not UTF-8".to_string()))?;
+    let body =
+        String::from_utf8(body).map_err(|_| bad_data("response body is not UTF-8".to_string()))?;
     Ok((status, body))
 }
 
@@ -205,9 +193,8 @@ fn read_headers(reader: &mut impl BufRead) -> io::Result<Vec<(String, String)>> 
         if total > MAX_HEAD_BYTES {
             return Err(bad_data("request head too large".to_string()));
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad_data(format!("malformed header {line:?}")))?;
+        let (name, value) =
+            line.split_once(':').ok_or_else(|| bad_data(format!("malformed header {line:?}")))?;
         headers.push((name.trim().to_string(), value.trim().to_string()));
     }
 }
@@ -220,9 +207,7 @@ fn read_body(
     let length = headers
         .iter()
         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .map(|(_, v)| {
-            v.parse::<usize>().map_err(|_| bad_data(format!("bad Content-Length {v:?}")))
-        })
+        .map(|(_, v)| v.parse::<usize>().map_err(|_| bad_data(format!("bad Content-Length {v:?}"))))
         .transpose()?
         .unwrap_or(0);
     if length > limit {
@@ -240,7 +225,8 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let wire = "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n\r\n{\"dataset\":\"a\"}";
+        let wire =
+            "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n\r\n{\"dataset\":\"a\"}";
         // 15-byte body declared as 14: only 14 bytes are consumed.
         let mut cursor = Cursor::new(wire.as_bytes());
         let req = Request::read(&mut cursor).unwrap().unwrap();

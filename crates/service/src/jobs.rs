@@ -173,12 +173,7 @@ impl JobCounts {
     }
 
     pub fn submitted(&self) -> u64 {
-        self.queued
-            + self.running
-            + self.completed
-            + self.failed
-            + self.cancelled
-            + self.timed_out
+        self.queued + self.running + self.completed + self.failed + self.cancelled + self.timed_out
     }
 }
 

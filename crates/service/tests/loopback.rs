@@ -116,10 +116,8 @@ fn concurrent_jobs_share_generated_graphs() {
     assert!(results.get("mean_eps").and_then(Json::as_f64).unwrap() > 0.0);
     assert!(results.get("mean_evps").and_then(Json::as_f64).unwrap() > 0.0);
     let per_platform = results.get("per_platform").and_then(Json::as_arr).unwrap();
-    let names: Vec<_> = per_platform
-        .iter()
-        .map(|p| p.get("platform").and_then(Json::as_str).unwrap())
-        .collect();
+    let names: Vec<_> =
+        per_platform.iter().map(|p| p.get("platform").and_then(Json::as_str).unwrap()).collect();
     assert_eq!(names, vec!["native", "spmv"]);
 
     // Both graphs are resident and listed.
@@ -190,10 +188,7 @@ fn bad_requests_are_rejected_not_fatal() {
         other => panic!("expected 400, got {other:?}"),
     }
     // The daemon survived all of it.
-    assert_eq!(
-        client.health().unwrap().get("status").and_then(Json::as_str),
-        Some("ok")
-    );
+    assert_eq!(client.health().unwrap().get("status").and_then(Json::as_str), Some("ok"));
     service.shutdown();
 }
 
@@ -282,10 +277,7 @@ fn sharded_job_serves_granula_archive_with_telemetry() {
     let utilization = monitor.get("utilization").unwrap();
     assert!(utilization.get("busy_secs").and_then(Json::as_f64).unwrap() > 0.0);
     assert_eq!(
-        utilization
-            .get("per_worker_busy_secs")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::len),
+        utilization.get("per_worker_busy_secs").and_then(Json::as_arr).map(<[Json]>::len),
         Some(2),
         "one entry per pool worker"
     );
@@ -575,11 +567,8 @@ fn transient_faults_retry_to_completion() {
     use graphalytics_core::fault::{FaultKind, FaultPlan, FaultSite, Injection};
     // `once` = first attempt only: the retry runs fault-free and the job
     // completes as if nothing happened.
-    let plan = FaultPlan::scripted(vec![Injection::once(
-        FaultSite::Superstep,
-        0,
-        FaultKind::Transient,
-    )]);
+    let plan =
+        FaultPlan::scripted(vec![Injection::once(FaultSite::Superstep, 0, FaultKind::Transient)]);
     let (service, client) = start_faulty_service(1, plan);
     let id = client.submit("native", "G22", "bfs", JobMode::Measured).unwrap();
     let record = client.wait(id, Duration::from_secs(120)).unwrap();

@@ -101,7 +101,9 @@ fn assert_record(record: &JobRecord, id: u64, job: &ModelJob, context: &str) {
 
 fn legal(from: &JobState, to: &JobState) -> bool {
     match from {
-        JobState::Queued => matches!(to, JobState::Queued | JobState::Running | JobState::Cancelled),
+        JobState::Queued => {
+            matches!(to, JobState::Queued | JobState::Running | JobState::Cancelled)
+        }
         JobState::Running => true,
         terminal => terminal == to,
     }
@@ -128,9 +130,8 @@ fn check(queue: &JobQueue, model: &Model, previous: &mut BTreeMap<u64, JobState>
     *previous = listed.iter().map(|r| (r.id, r.state.clone())).collect();
 
     let counts = queue.counts();
-    let count = |pred: fn(&JobState) -> bool| {
-        model.jobs.values().filter(|j| pred(&j.state)).count() as u64
-    };
+    let count =
+        |pred: fn(&JobState) -> bool| model.jobs.values().filter(|j| pred(&j.state)).count() as u64;
     assert_eq!(counts.queued, count(|s| *s == JobState::Queued), "{context}: queued");
     assert_eq!(counts.running, count(|s| *s == JobState::Running), "{context}: running");
     assert_eq!(counts.completed, count(|s| *s == JobState::Completed), "{context}: completed");

@@ -26,7 +26,7 @@
 //! datasets and algorithms are 400s, not worker crashes — backed by the
 //! `Result`-based selection paths in the harness.
 
-use graphalytics_core::Algorithm;
+use graphalytics_core::{random_batch, Algorithm};
 use graphalytics_granula::json::Json;
 use graphalytics_harness::metrics::{eps, evps};
 use graphalytics_harness::results::result_json;
@@ -282,7 +282,7 @@ fn graphs(state: &ServiceState) -> Response {
                 ("edges", Json::Num(info.edges as f64)),
                 ("bytes", Json::Num(info.bytes as f64)),
             ];
-            if let Some(delta) = state.mutations.status(&info.dataset) {
+            if let Some(delta) = info.delta {
                 fields.push(("mutated", Json::Bool(true)));
                 fields.push(("applied_batches", Json::Num(delta.stats.applied_batches as f64)));
                 fields.push(("delta_arcs", Json::Num(delta.delta_arcs as f64)));
@@ -355,7 +355,7 @@ fn parse_mutation_batch(json: &Json) -> Result<graphalytics_core::MutationBatch,
 /// log. Validation failures — undeclared vertices, self loops, bad
 /// weights, malformed rows — are structured 400s and leave the log
 /// untouched; the graph is generated into the store first if it was not
-/// yet resident.
+/// yet resident, and stays resident from then on.
 fn mutate_graph(state: &ServiceState, raw_id: &str, request: &Request) -> Response {
     let Some(dataset) = graphalytics_core::datasets::dataset(raw_id) else {
         return Response::error(404, format!("unknown dataset {raw_id}"));
@@ -367,7 +367,6 @@ fn mutate_graph(state: &ServiceState, raw_id: &str, request: &Request) -> Respon
         Ok(json) => json,
         Err(e) => return Response::error(400, e.to_string()),
     };
-    let base = state.store.get(dataset);
     let applied = if let Some(generate) = json.get("generate") {
         if json.get("insert").is_some() || json.get("delete").is_some() {
             return Response::error(400, "`generate` excludes explicit `insert`/`delete` arrays");
@@ -388,7 +387,7 @@ fn mutate_graph(state: &ServiceState, raw_id: &str, request: &Request) -> Respon
             (Err(resp), _) | (_, Err(resp)) => return resp,
         };
         let seed = generate.get("seed").and_then(Json::as_u64).unwrap_or(0);
-        state.mutations.apply_generated(dataset.id, &base, insertions, deletions, seed)
+        state.store.apply(dataset, |base| random_batch(base, insertions, deletions, seed))
     } else {
         match parse_mutation_batch(&json) {
             Ok(batch) if batch.is_empty() => {
@@ -397,19 +396,16 @@ fn mutate_graph(state: &ServiceState, raw_id: &str, request: &Request) -> Respon
                     "mutation batch is empty (no `insert`, `delete`, or `generate`)",
                 )
             }
-            Ok(batch) => {
-                let len = batch.len();
-                state.mutations.apply(dataset.id, &base, &batch).map(|report| (len, report))
-            }
+            Ok(batch) => state.store.apply(dataset, |_| batch),
             Err(message) => return Response::error(400, message),
         }
     };
     match applied {
-        Ok((batch_len, report)) => Response::json(
+        Ok(report) => Response::json(
             200,
             &Json::obj(vec![
                 ("dataset", Json::str(dataset.id)),
-                ("batch_len", Json::Num(batch_len as f64)),
+                ("batch_len", Json::Num(report.batch_len as f64)),
                 ("inserted", Json::Num(report.inserted as f64)),
                 ("deleted", Json::Num(report.deleted as f64)),
                 ("updated", Json::Num(report.updated as f64)),
@@ -508,7 +504,7 @@ fn monitor_json(state: &ServiceState) -> Json {
 /// The delta-log section of `GET /metrics`: aggregate mutation counters
 /// over every resident graph with a live delta log.
 fn mutations_json(state: &ServiceState) -> Json {
-    let m = state.mutations.metrics();
+    let m = state.store.mutation_metrics();
     Json::obj(vec![
         ("mutated_graphs", Json::Num(m.mutated_graphs as f64)),
         ("applied_batches", Json::Num(m.applied_batches as f64)),
@@ -522,10 +518,10 @@ fn mutations_json(state: &ServiceState) -> Json {
     ])
 }
 
-/// Copies the mutation-store counters into the monitor registry so the
+/// Copies the delta-log counters into the monitor registry so the
 /// Prometheus exposition carries the delta-log gauges too.
 fn refresh_mutation_gauges(state: &ServiceState) {
-    let m = state.mutations.metrics();
+    let m = state.store.mutation_metrics();
     state.metrics.gauge("mutation_applied_batches").set(m.applied_batches as f64);
     state.metrics.gauge("mutation_inserted_edges").set(m.inserted_edges as f64);
     state.metrics.gauge("mutation_deleted_edges").set(m.deleted_edges as f64);

@@ -9,13 +9,13 @@
 //!
 //! Four pieces:
 //!
-//! * [`store`] — the cached graph store: proxy datasets are generated at
-//!   most once, kept resident keyed by dataset, and evicted LRU-first by
-//!   estimated memory footprint;
-//! * [`mutations`] — per-dataset streaming delta logs over the resident
-//!   graphs (`POST /graphs/:id/mutations`): batched edge
-//!   insertions/deletions with auto-compaction; measured jobs targeting a
-//!   mutated dataset run on its materialized post-mutation snapshot;
+//! * [`store`] — the cached graph store, one owner for each dataset:
+//!   proxy datasets are generated at most once, kept resident keyed by
+//!   dataset, and evicted LRU-first by resident bytes. A dataset's first
+//!   `POST /graphs/:id/mutations` wraps its graph in a streaming delta log
+//!   (batched edge insertions/deletions, compacted into a fresh base once
+//!   the log fills), and measured jobs on a mutated dataset run on its
+//!   current graph: the base, or a snapshot materialized once per batch;
 //! * [`jobs`] — the asynchronous, *bounded* job queue: submit a
 //!   `(platform, dataset, algorithm)` job (optionally with a deadline),
 //!   poll its state, cancel while queued **or running** (a running job's
@@ -48,12 +48,10 @@ pub mod api;
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod mutations;
 pub mod server;
 pub mod store;
 
 pub use client::{Client, ClientError, ClientResult, RetryPolicy};
 pub use jobs::{JobMode, JobQueue, JobRecord, JobRequest, JobState, SubmitError};
-pub use mutations::{BatchReport, MutationMetrics, MutationStore};
 pub use server::{Service, ServiceConfig, ServiceState};
-pub use store::{GraphStore, GraphStoreConfig, StoreMetrics};
+pub use store::{BatchReport, GraphStore, GraphStoreConfig, MutationMetrics, StoreMetrics};

@@ -4,8 +4,9 @@
 //! port), spawns the accept loop and a configurable pool of job workers,
 //! and returns the running [`Service`] for address discovery and graceful
 //! shutdown. The architecture mirrors GRAL's single-process, RAM-only
-//! server: all state — cached graphs and the job table, which is also the
-//! results database — lives in one [`ServiceState`] shared across threads.
+//! server: all state — cached graphs with their delta logs, and the job
+//! table, which is also the results database — lives in one
+//! [`ServiceState`] shared across threads.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -15,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graphalytics_cluster::ClusterSpec;
-use graphalytics_core::fault::{self, Backoff, CancelToken, FaultPlan, FaultScript};
+use graphalytics_core::fault::{Backoff, CancelToken, FaultPlan, FaultScript};
 use graphalytics_core::pool::WorkerPool;
 use graphalytics_engines::platform_by_name;
 use graphalytics_granula::MetricsRegistry;
@@ -24,7 +25,6 @@ use graphalytics_harness::{Driver, JobResult, JobSpec, JobStatus, ReferenceCache
 use crate::api;
 use crate::http::{Request, Response};
 use crate::jobs::{JobMode, JobQueue, JobRequest, JobState};
-use crate::mutations::MutationStore;
 use crate::store::{GraphStore, GraphStoreConfig};
 
 /// Daemon configuration.
@@ -76,11 +76,10 @@ impl Default for ServiceConfig {
 
 /// Everything the API and the workers share.
 pub struct ServiceState {
+    /// The resident graphs, one entry per dataset: its generated CSR, or
+    /// from the first `POST /graphs/:id/mutations` on, its delta log and
+    /// cached snapshot. Measured jobs fetch their graph here.
     pub store: GraphStore,
-    /// Per-dataset streaming delta logs over the store's resident graphs
-    /// (`POST /graphs/:id/mutations`); measured jobs that target a
-    /// mutated dataset run on its materialized snapshot.
-    pub mutations: MutationStore,
     /// The job table: every job's request, state and result (with its
     /// Granula archive), kept once.
     pub queue: JobQueue,
@@ -117,7 +116,6 @@ impl ServiceState {
         pool.enable_telemetry();
         ServiceState {
             store: GraphStore::new(config.store, pool.clone()),
-            mutations: MutationStore::new(pool.clone()),
             queue: JobQueue::bounded(config.queue_capacity),
             pool,
             references: Arc::new(ReferenceCache::default()),
@@ -182,20 +180,15 @@ impl ServiceState {
         let result = match request.mode {
             JobMode::Analytic => driver.run(platform.as_ref(), &spec, RunMode::Analytic),
             JobMode::Measured => {
-                // A dataset with a live delta log serves its materialized
-                // post-mutation snapshot: jobs answer for the graph as
-                // mutated, and validation references match it. The build
-                // runs under the job's fault script, not its token: a
-                // cancel is the driver's to observe.
-                let snapshot = {
-                    let _scope = fault::install(CancelToken::new(), driver.faults.clone());
-                    self.mutations.snapshot(dataset.id)
-                };
-                let csr = match snapshot {
-                    Ok(Some(csr)) => csr,
-                    Ok(None) => self.store.get(dataset),
-                    Err(e) => return Err(format!("snapshot of {} failed: {e}", dataset.id)),
-                };
+                // A mutated dataset serves its current graph: jobs answer
+                // for the graph as mutated, and validation references
+                // match it. A snapshot build runs under the job's fault
+                // script, not its token: a cancel is the driver's to
+                // observe.
+                let csr = self
+                    .store
+                    .job_graph(dataset, driver.faults.clone())
+                    .map_err(|e| format!("snapshot of {} failed: {e}", dataset.id))?;
                 driver.run(platform.as_ref(), &spec, RunMode::Measured { csr: &csr })
             }
         };

@@ -371,6 +371,12 @@ fn mutations_reject_undeclared_vertices_and_jobs_run_on_mutated_graphs() {
         .find(|g| g.get("dataset").and_then(Json::as_str) == Some("G22"))
         .expect("G22 resident");
     assert_eq!(g22.get("mutated"), Some(&Json::Bool(true)));
+    // The listing reports the graph the jobs above ran on.
+    assert_eq!(
+        g22.get("edges").and_then(Json::as_u64),
+        Some(baseline_edges + 64 - report.get("deleted").and_then(Json::as_u64).unwrap()),
+        "listed edges of G22 vs the jobs' result edges"
+    );
 
     // The daemon survived everything.
     assert_eq!(client.health().unwrap().get("status").and_then(Json::as_str), Some("ok"));

@@ -18,9 +18,10 @@ use proptest::prelude::*;
 
 use graphalytics::cluster::{ClusterSpec, WorkCounters};
 use graphalytics::core::fault::{FaultKind, FaultScript, FaultSite, Injection};
+use graphalytics::core::random_batch;
 use graphalytics::harness::{proxy, Driver, JobResult, JobSpec, JobStatus, RunMode};
 use graphalytics::prelude::*;
-use graphalytics::service::MutationStore;
+use graphalytics::service::{GraphStore, GraphStoreConfig};
 
 /// The deterministic slice of a [`JobResult`]: status, sizes, work
 /// counters, and the *simulated* timing fields bit-for-bit. Real
@@ -164,13 +165,16 @@ fn fault_leaves_no_trace(
     seed: u64,
 ) {
     let pool = Arc::new(WorkerPool::new(2));
-    let (dataset, base) = proxy_csr(&pool);
+    let dataset = graphalytics::core::datasets::dataset("G22").unwrap();
 
     // A live delta log over the resident graph, as the service keeps it.
-    let store = MutationStore::new(pool.clone());
-    store.apply_generated("G22", &base, 24, 6, seed).unwrap();
-    let before = store.status("G22").unwrap();
-    let snapshot = store.snapshot("G22").unwrap().unwrap();
+    let config = GraphStoreConfig { scale_divisor: 8192, seed: 7, ..GraphStoreConfig::default() };
+    let store = GraphStore::new(config, pool.clone());
+    store.apply(dataset, |base| random_batch(base, 24, 6, seed)).unwrap();
+    let status = || store.list()[0].delta.unwrap();
+    let job_graph = || store.job_graph(dataset, FaultScript::empty()).unwrap();
+    let before = status();
+    let snapshot = job_graph();
 
     // The job runs on the store's materialized snapshot, so the delta
     // path (apply → materialize → upload of the snapshot) is in the
@@ -211,10 +215,10 @@ fn fault_leaves_no_trace(
     }
 
     // The shared store and its delta log are exactly as before the wreck.
-    let after = store.status("G22").unwrap();
+    let after = status();
     prop_assert_eq!(after.stats.applied_batches, before.stats.applied_batches);
     prop_assert_eq!(after.delta_arcs, before.delta_arcs);
-    let snapshot_after = store.snapshot("G22").unwrap().unwrap();
+    let snapshot_after = job_graph();
     prop_assert_eq!(snapshot_after.num_vertices(), snapshot.num_vertices());
     prop_assert_eq!(snapshot_after.num_arcs(), snapshot.num_arcs());
 

@@ -25,9 +25,9 @@ use std::sync::Arc;
 use graphalytics::cluster::WorkCounters;
 use graphalytics::core::algorithms::Request;
 use graphalytics::core::datasets::{dataset, DatasetSpec};
-use graphalytics::core::fault::CancelToken;
+use graphalytics::core::fault::{CancelToken, FaultScript};
 use graphalytics::core::output::{AlgorithmOutput, OutputValues};
-use graphalytics::core::Result;
+use graphalytics::core::{random_batch, Result};
 use graphalytics::engines::Execution;
 use graphalytics::harness::description::JobDescription;
 use graphalytics::harness::JobStatus;
@@ -200,8 +200,8 @@ fn a_mutated_snapshot_is_validated_against_its_own_reference() {
     assert_eq!(state.references.stats().hits, 1);
 
     // One batch: the dataset now answers for a new snapshot.
-    state.mutations.apply_generated(spec.id, &base, 64, 16, 7).unwrap();
-    let snapshot = state.mutations.snapshot(spec.id).unwrap().unwrap();
+    state.store.apply(spec, |base| random_batch(base, 64, 16, 7)).unwrap();
+    let snapshot = state.store.job_graph(spec, FaultScript::empty()).unwrap();
     assert!(!Arc::ptr_eq(&base, &snapshot));
     let after = state.execute(2, &request, &token, 0).unwrap();
     assert_eq!(after.status, JobStatus::Completed, "a correct engine passes on the new snapshot");

@@ -175,20 +175,23 @@ impl Resident {
 
     fn info(&self, dataset: &str) -> GraphInfo {
         let base = self.base();
-        let (edges, bytes, delta) = match self {
-            Resident::Generated(csr) => (csr.num_edges() as u64, csr.resident_bytes(), None),
-            Resident::Mutated(log) => (
-                log.graph.num_edges(),
-                base.resident_bytes() + log.snapshot.as_ref().map_or(0, |s| s.resident_bytes()),
-                Some(GraphDeltaStatus {
-                    stats: *log.graph.stats(),
-                    delta_arcs: log.graph.delta_arcs(),
-                    fill_ratio: log.graph.fill_ratio(),
-                }),
-            ),
+        let mut info = GraphInfo {
+            dataset: dataset.to_string(),
+            vertices: base.num_vertices() as u64,
+            edges: base.num_edges() as u64,
+            bytes: base.resident_bytes(),
+            delta: None,
         };
-        let vertices = base.num_vertices() as u64;
-        GraphInfo { dataset: dataset.to_string(), vertices, edges, bytes, delta }
+        if let Resident::Mutated(log) = self {
+            info.edges = log.graph.num_edges();
+            info.bytes += log.snapshot.as_ref().map_or(0, |s| s.resident_bytes());
+            info.delta = Some(GraphDeltaStatus {
+                stats: *log.graph.stats(),
+                delta_arcs: log.graph.delta_arcs(),
+                fill_ratio: log.graph.fill_ratio(),
+            });
+        }
+        info
     }
 }
 
@@ -248,6 +251,12 @@ struct Inner {
     generations: u64,
     evictions: u64,
     snapshot_builds: u64,
+}
+
+impl Inner {
+    fn resident_bytes(&self) -> u64 {
+        self.entries.values().filter_map(|e| e.info.as_ref()).map(|i| i.bytes).sum()
+    }
 }
 
 /// The shared, thread-safe graph store.
@@ -402,9 +411,7 @@ impl GraphStore {
     /// regenerated at all.
     fn evict_to(inner: &mut Inner, capacity_bytes: u64, keep: &str) {
         loop {
-            let total: u64 =
-                inner.entries.values().filter_map(|e| e.info.as_ref()).map(|i| i.bytes).sum();
-            if total <= capacity_bytes {
+            if inner.resident_bytes() <= capacity_bytes {
                 return;
             }
             let victim = inner
@@ -431,12 +438,7 @@ impl GraphStore {
             misses: inner.misses,
             generations: inner.generations,
             evictions: inner.evictions,
-            resident_bytes: inner
-                .entries
-                .values()
-                .filter_map(|e| e.info.as_ref())
-                .map(|i| i.bytes)
-                .sum(),
+            resident_bytes: inner.resident_bytes(),
             entries: inner.entries.len() as u64,
         }
     }

@@ -354,8 +354,9 @@ fn parse_mutation_batch(json: &Json) -> Result<graphalytics_core::MutationBatch,
 /// `generate: {insert, delete, seed}` shorthand) to the dataset's delta
 /// log. Validation failures — undeclared vertices, self loops, bad
 /// weights, malformed rows — are structured 400s and leave the log
-/// untouched; the graph is generated into the store first if it was not
-/// yet resident, and stays resident from then on.
+/// untouched. A batch that parses generates the graph into the store
+/// first if it was not yet resident; the graph stays resident from then
+/// on.
 fn mutate_graph(state: &ServiceState, raw_id: &str, request: &Request) -> Response {
     let Some(dataset) = graphalytics_core::datasets::dataset(raw_id) else {
         return Response::error(404, format!("unknown dataset {raw_id}"));

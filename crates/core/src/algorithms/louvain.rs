@@ -99,8 +99,7 @@ fn local_moving(g: &WGraph) -> (Vec<u32>, bool) {
             let mut best_c = cu;
             let mut best_gain = w_cu - comm_tot[cu as usize] * degree[u] / m2;
             // Deterministic iteration: sort candidate communities.
-            let mut cands: Vec<(u32, f64)> =
-                neigh_weights.iter().map(|(&c, &w)| (c, w)).collect();
+            let mut cands: Vec<(u32, f64)> = neigh_weights.iter().map(|(&c, &w)| (c, w)).collect();
             cands.sort_unstable_by_key(|&(c, _)| c);
             for (c, w) in cands {
                 if c == cu {
@@ -181,9 +180,7 @@ fn modularity(g: &WGraph, community: &[u32], k: u32) -> f64 {
             }
         }
     }
-    (0..k as usize)
-        .map(|c| intra[c] / (2.0 * m) - (tot[c] / (2.0 * m)).powi(2))
-        .sum()
+    (0..k as usize).map(|c| intra[c] / (2.0 * m) - (tot[c] / (2.0 * m)).powi(2)).sum()
 }
 
 /// Runs Louvain to convergence on the undirected view of `csr`.

@@ -60,9 +60,7 @@ impl Request {
             Algorithm::Lcc => Request::Lcc,
             Algorithm::Sssp => {
                 if !csr.is_weighted() {
-                    return Err(Error::InvalidParameters(
-                        "SSSP requires a weighted graph".into(),
-                    ));
+                    return Err(Error::InvalidParameters("SSSP requires a weighted graph".into()));
                 }
                 Request::Sssp { root: resolve_root(csr, params)? }
             }
@@ -75,7 +73,11 @@ impl Request {
 ///
 /// This is exactly the entry point the harness uses to produce reference
 /// outputs.
-pub fn run_reference(csr: &Csr, algorithm: Algorithm, params: &AlgorithmParams) -> Result<AlgorithmOutput> {
+pub fn run_reference(
+    csr: &Csr,
+    algorithm: Algorithm,
+    params: &AlgorithmParams,
+) -> Result<AlgorithmOutput> {
     let values = match Request::resolve(csr, algorithm, params)? {
         Request::Bfs { root } => OutputValues::I64(bfs(csr, root)),
         Request::PageRank { iterations, damping } => {

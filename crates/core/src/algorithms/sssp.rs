@@ -22,10 +22,7 @@ impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap on distance; ties broken by vertex for determinism.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.vertex.cmp(&self.vertex))
+        other.dist.total_cmp(&self.dist).then_with(|| other.vertex.cmp(&self.vertex))
     }
 }
 

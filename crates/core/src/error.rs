@@ -106,10 +106,7 @@ impl Error {
     /// True for errors produced by the fault/cancellation plane itself
     /// (as opposed to genuine configuration or data errors).
     pub fn is_fault_control(&self) -> bool {
-        matches!(
-            self,
-            Error::Cancelled | Error::DeadlineExceeded { .. } | Error::Injected { .. }
-        )
+        matches!(self, Error::Cancelled | Error::DeadlineExceeded { .. } | Error::Injected { .. })
     }
 }
 

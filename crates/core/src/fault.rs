@@ -292,10 +292,7 @@ impl FaultScript {
     }
 
     fn injection_at(&self, site: FaultSite, occurrence: u64) -> Option<FaultKind> {
-        self.injections
-            .iter()
-            .find(|i| i.site == site && i.at == occurrence)
-            .map(|i| i.kind)
+        self.injections.iter().find(|i| i.site == site && i.at == occurrence).map(|i| i.kind)
     }
 }
 
@@ -330,10 +327,8 @@ impl Drop for FaultGuard {
 /// of the returned guard. Nested installs stack: dropping the guard
 /// restores the outer scope.
 pub fn install(token: CancelToken, script: FaultScript) -> FaultGuard {
-    let prev = SCOPE.with(|s| {
-        s.borrow_mut()
-            .replace(Scope { token, script, counts: [0; FaultSite::COUNT] })
-    });
+    let prev = SCOPE
+        .with(|s| s.borrow_mut().replace(Scope { token, script, counts: [0; FaultSite::COUNT] }));
     FaultGuard { prev, restored: false }
 }
 
@@ -375,9 +370,9 @@ fn checkpoint_slow(site: FaultSite) -> Result<()> {
         scope.counts[site.index()] += 1;
         match scope.script.injection_at(site, occurrence) {
             None => Decision::Pass,
-            Some(FaultKind::WorkerPanic) => Decision::Panic(format!(
-                "injected fault: worker panic at {site} #{occurrence}"
-            )),
+            Some(FaultKind::WorkerPanic) => {
+                Decision::Panic(format!("injected fault: worker panic at {site} #{occurrence}"))
+            }
             Some(FaultKind::Stall { millis }) => {
                 Decision::Stall { millis, token: scope.token.clone() }
             }
@@ -511,11 +506,8 @@ mod tests {
 
     #[test]
     fn scripted_injection_fires_at_exact_occurrence() {
-        let script = FaultScript::new(vec![Injection::new(
-            FaultSite::Superstep,
-            2,
-            FaultKind::Transient,
-        )]);
+        let script =
+            FaultScript::new(vec![Injection::new(FaultSite::Superstep, 2, FaultKind::Transient)]);
         let guard = install(CancelToken::new(), script);
         checkpoint(FaultSite::Superstep).unwrap(); // #0
         checkpoint(FaultSite::Upload).unwrap(); // other sites count apart
@@ -534,10 +526,7 @@ mod tests {
         let script =
             FaultScript::new(vec![Injection::new(FaultSite::Superstep, 0, FaultKind::Cancel)]);
         let _guard = install(token.clone(), script);
-        assert!(matches!(
-            checkpoint(FaultSite::Superstep),
-            Err(Error::Cancelled)
-        ));
+        assert!(matches!(checkpoint(FaultSite::Superstep), Err(Error::Cancelled)));
         assert!(token.is_cancelled());
         // Every later checkpoint keeps failing with Cancelled.
         assert!(matches!(checkpoint(FaultSite::Repetition), Err(Error::Cancelled)));
@@ -571,11 +560,8 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_is_a_real_panic() {
-        let script = FaultScript::new(vec![Injection::new(
-            FaultSite::Superstep,
-            0,
-            FaultKind::WorkerPanic,
-        )]);
+        let script =
+            FaultScript::new(vec![Injection::new(FaultSite::Superstep, 0, FaultKind::WorkerPanic)]);
         let guard = install(CancelToken::new(), script);
         let caught = std::panic::catch_unwind(|| {
             let _: Result<()> = catch_abort(|| {
@@ -657,11 +643,7 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_exponential_with_seeded_jitter() {
-        let backoff = Backoff::new(
-            Duration::from_millis(10),
-            Duration::from_millis(200),
-            0xFACE,
-        );
+        let backoff = Backoff::new(Duration::from_millis(10), Duration::from_millis(200), 0xFACE);
         let d0 = backoff.delay(0);
         let d1 = backoff.delay(1);
         let d5 = backoff.delay(5);

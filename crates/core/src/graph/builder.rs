@@ -34,7 +34,13 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates an empty builder for a directed or undirected graph.
     pub fn new(directed: bool) -> Self {
-        GraphBuilder { directed, weighted: false, vertices: Vec::new(), edges: Vec::new(), dedup: false }
+        GraphBuilder {
+            directed,
+            weighted: false,
+            vertices: Vec::new(),
+            edges: Vec::new(),
+            dedup: false,
+        }
     }
 
     /// A builder whose edge list is `edges`, already canonical

@@ -113,7 +113,8 @@ pub fn random_batch(csr: &Csr, insertions: usize, deletions: usize, seed: u64) -
         return batch;
     }
     let mut chosen = std::collections::HashSet::new();
-    let canon = |a: VertexId, b: VertexId| if csr.is_directed() { (a, b) } else { (a.min(b), a.max(b)) };
+    let canon =
+        |a: VertexId, b: VertexId| if csr.is_directed() { (a, b) } else { (a.min(b), a.max(b)) };
 
     let mut attempts = 0usize;
     while batch.deletions.len() < deletions && attempts < deletions * 16 + 64 {
@@ -301,7 +302,11 @@ impl MutableGraph {
     /// Current logical edge count (undirected edges counted once).
     pub fn num_edges(&self) -> u64 {
         let arcs = self.num_arcs();
-        if self.is_directed() { arcs } else { arcs / 2 }
+        if self.is_directed() {
+            arcs
+        } else {
+            arcs / 2
+        }
     }
 
     /// Outstanding log entries (overlay + tombstones) in stored-arc units.
@@ -541,9 +546,8 @@ impl MutableGraph {
                         // Weight update of a live base edge: tombstone
                         // the old arc, overlay the new one.
                         self.out_del[u as usize].insert(del_pos, v);
-                        let pos = self.out_add[u as usize]
-                            .binary_search_by_key(&v, |e| e.0)
-                            .unwrap_err();
+                        let pos =
+                            self.out_add[u as usize].binary_search_by_key(&v, |e| e.0).unwrap_err();
                         self.out_add[u as usize].insert(pos, (v, w));
                         self.delta_arcs += 2;
                         ArcChange::Updated
@@ -551,8 +555,7 @@ impl MutableGraph {
                 }
             }
             None => {
-                let pos =
-                    self.out_add[u as usize].binary_search_by_key(&v, |e| e.0).unwrap_err();
+                let pos = self.out_add[u as usize].binary_search_by_key(&v, |e| e.0).unwrap_err();
                 self.out_add[u as usize].insert(pos, (v, w));
                 self.delta_arcs += 1;
                 self.degrees[u as usize] += 1;
@@ -882,7 +885,10 @@ mod tests {
 
             // Set semantics: re-applying the same batch is all no-ops.
             let again = mg.apply(&batch, &pool).unwrap();
-            assert_eq!(again, ApplyOutcome { inserted: 0, deleted: 0, updated: 0, compacted: false });
+            assert_eq!(
+                again,
+                ApplyOutcome { inserted: 0, deleted: 0, updated: 0, compacted: false }
+            );
 
             // Deleting an overlay edge removes it outright; re-inserting
             // a deleted base edge with its old weight clears the tombstone.
@@ -950,10 +956,8 @@ mod tests {
     fn fill_ratio_triggers_auto_compaction() {
         let base = diamond(false, true); // 4 edges = 8 arcs
         let pool = WorkerPool::inline();
-        let mut mg = MutableGraph::with_config(
-            base,
-            DeltaConfig { compact_fill: 0.25, auto_compact: true },
-        );
+        let mut mg =
+            MutableGraph::with_config(base, DeltaConfig { compact_fill: 0.25, auto_compact: true });
         let mut batch = MutationBatch::new();
         batch.insert(1, 3); // 2 overlay arcs / 8 base arcs = 0.25
         let out = mg.apply(&batch, &pool).unwrap();
@@ -986,8 +990,7 @@ mod tests {
         let mut batch = MutationBatch::new();
         batch.delete(1, 2).insert_weighted(4, 0, 3.0).insert_weighted(2, 4, 1.0);
         mg.apply(&batch, &pool).unwrap();
-        let before: Vec<Vec<(u32, f64)>> =
-            (0..5).map(|u| mg.out_edges(u).collect()).collect();
+        let before: Vec<Vec<(u32, f64)>> = (0..5).map(|u| mg.out_edges(u).collect()).collect();
         mg.compact(&pool).unwrap();
         assert_eq!(mg.vertex_ids(), base.vertex_ids());
         let after: Vec<Vec<(u32, f64)>> = (0..5).map(|u| mg.out_edges(u).collect()).collect();

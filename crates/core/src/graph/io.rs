@@ -75,7 +75,12 @@ pub fn read_edge_file_with(
 }
 
 /// Loads a full graph from a vertex file and an edge file.
-pub fn read_graph(vertex_path: &Path, edge_path: &Path, directed: bool, weighted: bool) -> Result<Graph> {
+pub fn read_graph(
+    vertex_path: &Path,
+    edge_path: &Path,
+    directed: bool,
+    weighted: bool,
+) -> Result<Graph> {
     read_graph_with(vertex_path, edge_path, directed, weighted, &WorkerPool::inline())
 }
 

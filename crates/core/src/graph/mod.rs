@@ -25,11 +25,11 @@ pub use csr::Csr;
 pub use delta::{
     random_batch, ApplyOutcome, DeltaConfig, DeltaStats, MergedEdges, MutableGraph, MutationBatch,
 };
-pub use sharded::ShardedCsr;
 pub use io::{
     read_edge_file, read_edge_file_with, read_graph, read_graph_with, read_vertex_file,
     write_edge_file, write_vertex_file,
 };
+pub use sharded::ShardedCsr;
 pub use stats::GraphStats;
 
 use crate::error::{Error, Result};
@@ -111,9 +111,7 @@ impl<'a> Remap<'a> {
     #[inline]
     pub(crate) fn index_of(&self, v: VertexId) -> Option<u32> {
         match self {
-            Remap::Offset { lo, n } => {
-                v.checked_sub(*lo).filter(|d| d < n).map(|d| d as u32)
-            }
+            Remap::Offset { lo, n } => v.checked_sub(*lo).filter(|d| d < n).map(|d| d as u32),
             Remap::Table { lo, table } => {
                 let d = v.checked_sub(*lo)?;
                 table.get(d as usize).copied().filter(|&i| i != u32::MAX)
@@ -234,7 +232,9 @@ impl Graph {
                     return fail(format!("duplicate edge ({s}, {d})"));
                 }
                 if !canonical {
-                    return fail(format!("undirected edge ({s}, {d}) not in canonical orientation"));
+                    return fail(format!(
+                        "undirected edge ({s}, {d}) not in canonical orientation"
+                    ));
                 }
             }
             if !valid_weight(e.weight) {
@@ -323,12 +323,7 @@ mod tests {
         assert!(g.validate().is_err());
         let g = Graph::from_parts(true, false, vec![1, 2], vec![Edge::new(1, 3)]);
         assert!(g.validate().is_err());
-        let g = Graph::from_parts(
-            true,
-            false,
-            vec![1, 2],
-            vec![Edge::new(1, 2), Edge::new(1, 2)],
-        );
+        let g = Graph::from_parts(true, false, vec![1, 2], vec![Edge::new(1, 2), Edge::new(1, 2)]);
         assert!(g.validate().is_err());
         let g = Graph::from_parts(false, false, vec![1, 2], vec![Edge::new(2, 1)]);
         assert!(g.validate().is_err(), "non-canonical undirected edge");

@@ -117,7 +117,10 @@ mod tests {
             let shard = sharded.shard(s);
             seen += shard.len();
             assert!(shard.windows(2).all(|w| w[0] < w[1]), "shard {s} ascends");
-            assert!(shard.iter().all(|&v| owner[v as usize] == s as u32), "shard {s} owns its list");
+            assert!(
+                shard.iter().all(|&v| owner[v as usize] == s as u32),
+                "shard {s} owns its list"
+            );
         }
         assert_eq!(seen, csr.num_vertices(), "shards partition the vertex set");
         assert_eq!(sharded.resident_bytes(), 8 * 37);

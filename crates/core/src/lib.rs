@@ -43,8 +43,8 @@ pub use graph::{
     random_batch, ApplyOutcome, Csr, DeltaConfig, DeltaStats, Edge, Graph, GraphBuilder,
     MutableGraph, MutationBatch, ShardedCsr, VertexId,
 };
-pub use pool::WorkerPool;
 pub use output::{AlgorithmOutput, OutputValues};
+pub use pool::WorkerPool;
 pub use scale::{scale_of, SizeClass};
 
 /// The algorithms of the Graphalytics workload (Section 2.2.3).

@@ -111,11 +111,8 @@ mod tests {
 
     #[test]
     fn value_lookup_by_sparse_id() {
-        let out = AlgorithmOutput::from_dense(
-            Algorithm::Bfs,
-            &csr(),
-            OutputValues::I64(vec![0, 1, 2]),
-        );
+        let out =
+            AlgorithmOutput::from_dense(Algorithm::Bfs, &csr(), OutputValues::I64(vec![0, 1, 2]));
         assert_eq!(out.value_string(10).unwrap(), "0");
         assert_eq!(out.value_string(30).unwrap(), "2");
         assert!(out.value_string(99).is_none());
@@ -123,11 +120,8 @@ mod tests {
 
     #[test]
     fn reference_format_lines() {
-        let out = AlgorithmOutput::from_dense(
-            Algorithm::Wcc,
-            &csr(),
-            OutputValues::Id(vec![10, 10, 10]),
-        );
+        let out =
+            AlgorithmOutput::from_dense(Algorithm::Wcc, &csr(), OutputValues::Id(vec![10, 10, 10]));
         let text = out.to_reference_format();
         assert_eq!(text, "10 10\n20 10\n30 10\n");
     }

@@ -290,11 +290,7 @@ impl WorkerPool {
             .collect();
         WorkerPool {
             threads,
-            backend: Backend::Persistent(Persistent {
-                shared,
-                dispatch: Mutex::new(()),
-                handles,
-            }),
+            backend: Backend::Persistent(Persistent { shared, dispatch: Mutex::new(()), handles }),
             runs: AtomicU64::new(0),
             dispatches: AtomicU64::new(0),
             telemetry,
@@ -370,8 +366,7 @@ impl WorkerPool {
         PoolUtilization {
             per_worker_busy_secs,
             busy_secs,
-            dispatch_wait_secs: self.telemetry.dispatch_wait_nanos.load(Ordering::Relaxed)
-                as f64
+            dispatch_wait_secs: self.telemetry.dispatch_wait_nanos.load(Ordering::Relaxed) as f64
                 / 1e9,
             dispatch_wakeups: self.telemetry.dispatch_wakeups.load(Ordering::Relaxed),
             uptime_secs: self.started.elapsed().as_secs_f64(),
@@ -499,9 +494,7 @@ fn worker_loop(shared: &Shared, w: usize, telemetry: &PoolTelemetry) {
                         Some(job) if w < job.workers => {
                             if let Some(posted) = job.posted_at {
                                 let wait = posted.elapsed().as_nanos() as u64;
-                                telemetry
-                                    .dispatch_wait_nanos
-                                    .fetch_add(wait, Ordering::Relaxed);
+                                telemetry.dispatch_wait_nanos.fetch_add(wait, Ordering::Relaxed);
                                 telemetry.dispatch_wakeups.fetch_add(1, Ordering::Relaxed);
                             }
                             break job.task;
@@ -583,8 +576,7 @@ where
         let b = best.expect("merge consumes exactly n elements");
         merged.push(src[heads[b]]);
         heads[b] += 1;
-        head_keys[b] =
-            if heads[b] < ranges[b].end { Some(key(&src[heads[b]])) } else { None };
+        head_keys[b] = if heads[b] < ranges[b].end { Some(key(&src[heads[b]])) } else { None };
     }
     *data = merged;
 }
@@ -700,8 +692,7 @@ mod tests {
                 let pool = pool.clone();
                 scope.spawn(move || {
                     for _ in 0..20 {
-                        let total: usize =
-                            pool.run(997, |_, r| r.len()).into_iter().sum();
+                        let total: usize = pool.run(997, |_, r| r.len()).into_iter().sum();
                         assert_eq!(total, 997);
                     }
                 });

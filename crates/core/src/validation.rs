@@ -96,12 +96,13 @@ pub fn validate_with_epsilon(
         mismatches: 0,
         examples: Vec::new(),
     };
-    let mut record = |i: usize, expected: String, actual_s: String, report: &mut ValidationReport| {
-        report.mismatches += 1;
-        if report.examples.len() < 8 {
-            report.examples.push((reference.vertex_ids[i], expected, actual_s));
-        }
-    };
+    let mut record =
+        |i: usize, expected: String, actual_s: String, report: &mut ValidationReport| {
+            report.mismatches += 1;
+            if report.examples.len() < 8 {
+                report.examples.push((reference.vertex_ids[i], expected, actual_s));
+            }
+        };
 
     match (&reference.values, &actual.values) {
         (OutputValues::I64(r), OutputValues::I64(a)) => {
@@ -226,10 +227,8 @@ mod tests {
     #[test]
     fn float_epsilon_and_infinity() {
         let r = out(Algorithm::Sssp, OutputValues::F64(vec![1.0, 2.0, f64::INFINITY]));
-        let a = out(
-            Algorithm::Sssp,
-            OutputValues::F64(vec![1.0 + 5e-5, 2.0 - 1e-4, f64::INFINITY]),
-        );
+        let a =
+            out(Algorithm::Sssp, OutputValues::F64(vec![1.0 + 5e-5, 2.0 - 1e-4, f64::INFINITY]));
         assert!(validate(&r, &a).unwrap().is_valid());
         let bad = out(Algorithm::Sssp, OutputValues::F64(vec![1.0, 2.0, 1e30]));
         assert!(!validate(&r, &bad).unwrap().is_valid());

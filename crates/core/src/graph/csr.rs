@@ -20,6 +20,12 @@
 //! is classified once into contiguous / dense-table / binary-search
 //! (`Remap`), so the common generator case (ids `0..n`) remaps each
 //! endpoint with a subtraction instead of an `O(log n)` search.
+//!
+//! Only SSSP reads edge weights, and an unweighted graph has none: its
+//! CSR stores a 4-byte target per arc and no weight, and every weight
+//! row reads a prefix of one shared row of 1.0 (`ones`) as long as the
+//! longest row. A weighted CSR stores an 8-byte `f64` beside each
+//! target, 12 bytes an arc.
 
 use super::{Edge, Graph, Remap, VertexId};
 use crate::error::{Error, Result};
@@ -36,6 +42,12 @@ use crate::pool::{SharedSlice, WorkerPool};
 /// Adjacency rows are sorted by target index, enabling `O(log d)` edge
 /// membership tests ([`Csr::has_out_edge`]) and the linear-merge row
 /// intersections LCC is built on.
+///
+/// A stored arc costs 12 bytes when the graph is weighted (a `u32`
+/// target and an `f64` weight) and 4 bytes when it is not: an unweighted
+/// CSR keeps no weight array, and [`Csr::out_weights`] /
+/// [`Csr::in_weights`] return a row-long prefix of `ones`, one row of
+/// 1.0 as long as the longest row.
 #[derive(Debug, Clone)]
 pub struct Csr {
     directed: bool,
@@ -43,18 +55,22 @@ pub struct Csr {
     vertex_ids: Box<[VertexId]>,
     out_offsets: Box<[u64]>,
     // `Vec`s, not boxed slices: a delta-log snapshot keeps the capacity
-    // it reserved (`delta::patch_rows`).
+    // it reserved (`delta::patch_rows`). The weights are empty when the
+    // graph is unweighted.
     out_targets: Vec<u32>,
     out_weights: Vec<f64>,
     // Empty (aliased to out) for undirected graphs.
     in_offsets: Box<[u64]>,
     in_targets: Vec<u32>,
     in_weights: Vec<f64>,
+    // Unweighted: 1.0 as long as the longest row. Empty when weighted.
+    ones: Box<[f64]>,
 }
 
 /// One direction of a CSR's adjacency as finished arrays: `offsets` has
 /// `n + 1` ascending entries ending at `targets.len()`, each row's
-/// targets ascend and lie below `n`, and `weights` parallels `targets`.
+/// targets ascend and lie below `n`, and `weights` parallels `targets`
+/// when the graph is weighted and is empty when it is not.
 #[derive(Debug, Default)]
 pub(crate) struct Rows {
     pub(crate) offsets: Vec<u64>,
@@ -197,13 +213,15 @@ impl Csr {
         // Pass 3 — scatter: worker w fills the slots its exclusive
         // cursors reserve, so no two workers ever write the same index,
         // and edges land in every row in edge-list order — sorted. The
-        // cursors reserve every slot, so the arrays start unwritten.
+        // cursors reserve every slot, so the arrays start unwritten. An
+        // unweighted graph writes no weights.
         let stored_out = out_offsets[n] as usize;
-        let mut out_targets = Vec::<u32>::with_capacity(stored_out);
-        let mut out_weights = Vec::<f64>::with_capacity(stored_out);
         let stored_in = if directed { *in_offsets.last().unwrap() as usize } else { 0 };
+        let weights_of = |stored: usize| if weighted { stored } else { 0 };
+        let mut out_targets = Vec::<u32>::with_capacity(stored_out);
+        let mut out_weights = Vec::<f64>::with_capacity(weights_of(stored_out));
         let mut in_targets = Vec::<u32>::with_capacity(stored_in);
-        let mut in_weights = Vec::<f64>::with_capacity(stored_in);
+        let mut in_weights = Vec::<f64>::with_capacity(weights_of(stored_in));
         {
             let tgt = SharedSlice::new(out_targets.spare_capacity_mut().as_mut_ptr());
             let wts = SharedSlice::new(out_weights.spare_capacity_mut().as_mut_ptr());
@@ -225,50 +243,51 @@ impl Csr {
                         let pos = out_offsets[s as usize] as usize + *c as usize;
                         *c += 1;
                         tgt.at(pos).write(d);
-                        wts.at(pos).write(e.weight);
+                        if weighted {
+                            wts.at(pos).write(e.weight);
+                        }
                         if directed {
                             let c = in_cursors[w].at(d as usize);
                             let pos = in_offsets[d as usize] as usize + *c as usize;
                             *c += 1;
                             itgt.at(pos).write(s);
-                            iwts.at(pos).write(e.weight);
+                            if weighted {
+                                iwts.at(pos).write(e.weight);
+                            }
                         } else {
                             let c = out_cursors[w].at(d as usize);
                             let pos = out_offsets[d as usize] as usize + *c as usize;
                             *c += 1;
                             tgt.at(pos).write(s);
-                            wts.at(pos).write(e.weight);
+                            if weighted {
+                                wts.at(pos).write(e.weight);
+                            }
                         }
                     }
                 }
             });
         }
         // SAFETY: the scatter wrote every slot its cursors reserved, and
-        // they reserve each row's degree: all of `0..stored`.
+        // they reserve each row's degree: all of `0..stored` (no slot
+        // when unweighted).
         unsafe {
             out_targets.set_len(stored_out);
-            out_weights.set_len(stored_out);
+            out_weights.set_len(weights_of(stored_out));
             in_targets.set_len(stored_in);
-            in_weights.set_len(stored_in);
+            in_weights.set_len(weights_of(stored_in));
         }
 
-        Ok(Csr {
-            directed,
-            weighted,
-            vertex_ids,
-            out_offsets: out_offsets.into(),
-            out_targets,
-            out_weights,
-            in_offsets: in_offsets.into(),
-            in_targets,
-            in_weights,
-        })
+        let out = Rows { offsets: out_offsets, targets: out_targets, weights: out_weights };
+        let inn = Rows { offsets: in_offsets, targets: in_targets, weights: in_weights };
+        Ok(Csr::from_rows(directed, weighted, vertex_ids, out, inn))
     }
 
-    /// Assembles a CSR from rows laid out by the caller (the delta log's
-    /// snapshot, [`MutableGraph::materialize`](super::MutableGraph::materialize),
+    /// Assembles a CSR from rows laid out by the caller (the scatter of
+    /// [`Csr::from_graph_with`], and the delta log's snapshot,
+    /// [`MutableGraph::materialize`](super::MutableGraph::materialize),
     /// which checks every row it merges). `inn` is empty for undirected
-    /// graphs, whose in-structure aliases the out-structure.
+    /// graphs, whose in-structure aliases the out-structure; the weights
+    /// are empty for unweighted graphs, whose rows read `ones`.
     pub(crate) fn from_rows(
         directed: bool,
         weighted: bool,
@@ -279,6 +298,16 @@ impl Csr {
         debug_assert_eq!(out.offsets.len(), vertex_ids.len() + 1);
         debug_assert_eq!(out.offsets.last().copied(), Some(out.targets.len() as u64));
         debug_assert_eq!(inn.offsets.len(), if directed { vertex_ids.len() + 1 } else { 0 });
+        for rows in [&out, &inn] {
+            debug_assert_eq!(rows.weights.len(), if weighted { rows.targets.len() } else { 0 });
+        }
+        let longest_row =
+            |offsets: &[u64]| offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+        let ones = if weighted {
+            Box::default()
+        } else {
+            vec![1.0; longest_row(&out.offsets).max(longest_row(&inn.offsets))].into()
+        };
         Csr {
             directed,
             weighted,
@@ -289,6 +318,7 @@ impl Csr {
             in_offsets: inn.offsets.into(),
             in_targets: inn.targets,
             in_weights: inn.weights,
+            ones,
         }
     }
 
@@ -355,11 +385,11 @@ impl Csr {
         &self.out_targets[lo..hi]
     }
 
-    /// Weights parallel to [`Csr::out_neighbors`].
+    /// Weights parallel to [`Csr::out_neighbors`]; all 1.0 when the
+    /// graph is unweighted.
     #[inline]
     pub fn out_weights(&self, u: u32) -> &[f64] {
-        let (lo, hi) = self.out_range(u);
-        &self.out_weights[lo..hi]
+        self.row_weights(&self.out_weights, self.out_range(u))
     }
 
     /// In-neighbour row of `u` (sorted); aliases the out row for undirected
@@ -374,14 +404,25 @@ impl Csr {
         }
     }
 
-    /// Weights parallel to [`Csr::in_neighbors`].
+    /// Weights parallel to [`Csr::in_neighbors`]; all 1.0 when the
+    /// graph is unweighted.
     #[inline]
     pub fn in_weights(&self, u: u32) -> &[f64] {
         if self.directed {
-            let (lo, hi) = self.in_range(u);
-            &self.in_weights[lo..hi]
+            self.row_weights(&self.in_weights, self.in_range(u))
         } else {
             self.out_weights(u)
+        }
+    }
+
+    /// The weights of the row stored at `lo..hi`: `stored[lo..hi]` when
+    /// weighted, otherwise as many of the shared 1.0.
+    #[inline]
+    fn row_weights<'a>(&'a self, stored: &'a [f64], (lo, hi): (usize, usize)) -> &'a [f64] {
+        if self.weighted {
+            &stored[lo..hi]
+        } else {
+            &self.ones[..hi - lo]
         }
     }
 
@@ -483,12 +524,14 @@ impl Csr {
         d
     }
 
-    /// Estimated resident size in bytes; used by upload-phase accounting.
+    /// Resident size in bytes of what the CSR holds: ids, offsets,
+    /// targets, and the weights or the shared row of 1.0. Used by
+    /// upload-phase accounting and the service's store.
     pub fn resident_bytes(&self) -> u64 {
         (self.vertex_ids.len() * 8
             + (self.out_offsets.len() + self.in_offsets.len()) * 8
             + (self.out_targets.len() + self.in_targets.len()) * 4
-            + (self.out_weights.len() + self.in_weights.len()) * 8) as u64
+            + (self.out_weights.len() + self.in_weights.len() + self.ones.len()) * 8) as u64
     }
 
     #[inline]

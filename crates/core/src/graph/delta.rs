@@ -636,7 +636,8 @@ impl MutableGraph {
         crate::fault::checkpoint(crate::fault::FaultSite::Build)?;
         let n = self.num_vertices();
         let out_degree = |u: u32| self.degrees[u as usize] as usize;
-        let out = patch_rows(pool, n, out_degree, |u| self.out_edges(u))?;
+        let weighted = self.is_weighted();
+        let out = patch_rows(pool, n, weighted, out_degree, |u| self.out_edges(u))?;
         let inn = if self.is_directed() {
             // Every tombstone names a base arc and no overlay target
             // coexists with a live base target, so this is exact. (A log
@@ -645,12 +646,12 @@ impl MutableGraph {
                 (self.base.in_degree(u) + self.in_add[u as usize].len())
                     .saturating_sub(self.in_del[u as usize].len())
             };
-            patch_rows(pool, n, in_degree, |u| self.in_edges(u))?
+            patch_rows(pool, n, weighted, in_degree, |u| self.in_edges(u))?
         } else {
             Rows::default()
         };
         let ids = self.vertex_ids().into();
-        Ok(Csr::from_rows(self.is_directed(), self.is_weighted(), ids, out, inn))
+        Ok(Csr::from_rows(self.is_directed(), weighted, ids, out, inn))
     }
 
     /// Folds the delta log into a fresh base CSR on `pool` and resets
@@ -679,10 +680,11 @@ impl MutableGraph {
 
 /// One direction of a snapshot: offsets are the prefix sum of `degree`,
 /// and each pool task writes the rows of one vertex range into their
-/// own, disjoint slots.
+/// own, disjoint slots. An unweighted snapshot writes no weights.
 fn patch_rows<'a>(
     pool: &WorkerPool,
     n: usize,
+    weighted: bool,
     degree: impl Fn(u32) -> usize,
     row: impl Fn(u32) -> MergedEdges<'a> + Sync,
 ) -> Result<Rows> {
@@ -698,8 +700,11 @@ fn patch_rows<'a>(
     let len = end as usize;
     let mut targets = Vec::with_capacity(reserved_len(len));
     targets.resize(len, 0u32);
-    let mut weights = Vec::with_capacity(reserved_len(len));
-    weights.resize(len, 0.0f64);
+    let mut weights = Vec::new();
+    if weighted {
+        weights.reserve_exact(reserved_len(len));
+        weights.resize(len, 0.0f64);
+    }
     {
         let tgt = SharedSlice::new(targets.as_mut_ptr());
         let wts = SharedSlice::new(weights.as_mut_ptr());
@@ -710,7 +715,8 @@ fn patch_rows<'a>(
                 // SAFETY: offsets ascend from 0 to the arrays' length, so
                 // `lo..hi` is in bounds and the slots of disjoint vertex
                 // ranges are disjoint; only this task writes `lo..hi`.
-                let (t, w) = unsafe { (tgt.slice_mut(lo, hi - lo), wts.slice_mut(lo, hi - lo)) };
+                let t = unsafe { tgt.slice_mut(lo, hi - lo) };
+                let w = weighted.then(|| unsafe { wts.slice_mut(lo, hi - lo) });
                 row(u as u32).write_row(u as u32, n, t, w)?;
             }
             Ok(())
@@ -745,12 +751,15 @@ pub struct MergedEdges<'a> {
 
 impl MergedEdges<'_> {
     /// Writes the row of vertex `u` into `t` / `w`, which hold exactly its
-    /// slots. A row the log never touched is a copy of the base row; any
-    /// other is merged, then checked.
-    fn write_row(self, u: u32, n: usize, t: &mut [u32], w: &mut [f64]) -> Result<()> {
+    /// slots (`w` is `None` for an unweighted graph, which stores no
+    /// weights). A row the log never touched is a copy of the base row;
+    /// any other is merged, then checked.
+    fn write_row(self, u: u32, n: usize, t: &mut [u32], mut w: Option<&mut [f64]>) -> Result<()> {
         if self.del.is_empty() && self.add.is_empty() && self.base_t.len() == t.len() {
             t.copy_from_slice(self.base_t);
-            w.copy_from_slice(self.base_w);
+            if let Some(w) = w {
+                w.copy_from_slice(self.base_w);
+            }
             return Ok(());
         }
         // Entries past the row's end are counted, not written: `k` ends
@@ -759,7 +768,9 @@ impl MergedEdges<'_> {
         for (v, weight) in self {
             if k < t.len() {
                 t[k] = v;
-                w[k] = weight;
+                if let Some(w) = w.as_deref_mut() {
+                    w[k] = weight;
+                }
             }
             k += 1;
         }

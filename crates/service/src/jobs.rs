@@ -8,7 +8,6 @@
 //! database. Clients poll job state and can cancel while queued.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use graphalytics_core::fault::CancelToken;
@@ -185,6 +184,9 @@ struct QueueInner {
     /// The jobs by state, kept by every transition so that admission and
     /// `counts` cost O(1), not a scan of the whole history.
     counts: JobCounts,
+    /// Set by `shutdown` under the lock, so that no worker can see it
+    /// clear and then miss the wake-up before it waits.
+    stopping: bool,
 }
 
 /// The thread-safe job queue, bounded to `capacity` open
@@ -192,7 +194,6 @@ struct QueueInner {
 pub struct JobQueue {
     inner: Mutex<QueueInner>,
     ready: Condvar,
-    stopping: AtomicBool,
     capacity: usize,
 }
 
@@ -202,7 +203,6 @@ impl JobQueue {
         JobQueue {
             inner: Mutex::default(),
             ready: Condvar::new(),
-            stopping: AtomicBool::new(false),
             capacity: capacity.max(1),
         }
     }
@@ -309,7 +309,7 @@ impl JobQueue {
     pub fn next_job(&self) -> Option<(u64, JobRequest, CancelToken)> {
         let mut inner = self.lock();
         loop {
-            if self.stopping.load(Ordering::SeqCst) {
+            if inner.stopping {
                 return None;
             }
             let QueueInner { pending, jobs, counts, .. } = &mut *inner;
@@ -345,7 +345,7 @@ impl JobQueue {
     /// Wakes all workers and makes every subsequent `next_job` return
     /// `None`; still-queued jobs are never dispatched.
     pub fn shutdown(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        self.lock().stopping = true;
         self.ready.notify_all();
     }
 }
@@ -473,6 +473,29 @@ mod tests {
             q.shutdown();
             assert!(w1.join().unwrap().is_none());
             assert!(w2.join().unwrap().is_none());
+        });
+    }
+
+    /// A shutdown that lands after a worker in `next_job` has seen the
+    /// flag clear, and before it waits, still wakes it. The test holds the
+    /// queue lock as that worker does, gives a concurrent `shutdown` time
+    /// to run, then waits as the worker would: a wake-up sent while the
+    /// lock was held is lost, and the bounded wait reports it instead of
+    /// hanging the suite.
+    #[test]
+    fn shutdown_wakes_a_worker_between_its_check_and_its_wait() {
+        let q = JobQueue::bounded(1);
+        std::thread::scope(|scope| {
+            let inner = q.lock();
+            assert!(!inner.stopping);
+            let stopper = scope.spawn(|| q.shutdown());
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let (inner, wait) =
+                q.ready.wait_timeout(inner, std::time::Duration::from_secs(10)).unwrap();
+            assert!(!wait.timed_out(), "the shutdown's wake-up was lost");
+            assert!(inner.stopping);
+            drop(inner);
+            stopper.join().unwrap();
         });
     }
 

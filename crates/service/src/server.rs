@@ -383,3 +383,28 @@ fn handle_connection(state: &ServiceState, stream: TcpStream) {
     // The client may already be gone; nothing useful to do about it.
     let _ = response.write(&mut writer);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon started and stopped at once, over and over, always joins
+    /// its threads: workers still entering the queue when it shuts down
+    /// are woken. A watchdog fails the test instead of hanging the suite.
+    #[test]
+    fn start_then_shutdown_always_joins() {
+        const ROUNDS: usize = 100;
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                let config =
+                    ServiceConfig { workers: 2, pool_threads: 1, ..ServiceConfig::default() };
+                Service::start(config).unwrap().shutdown();
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a daemon's shutdown hung joining its threads");
+    }
+}

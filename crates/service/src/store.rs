@@ -7,20 +7,22 @@
 //!
 //! * **exactly-once generation** — concurrent requests for the same
 //!   dataset block on a per-entry slot while the first request generates;
-//! * **streaming mutation** — the first `POST /graphs/:id/mutations`
-//!   wraps the entry's CSR in a core [`MutableGraph`] delta log, which
-//!   then holds the dataset's only base. After each batch the store
+//! * **streaming mutation** — the first batch that applies wraps the
+//!   entry's CSR in a core [`MutableGraph`] delta log, which then holds
+//!   the dataset's only base. After each batch the store
 //!   compacts the log once its fill ratio crosses 0.25, and the
 //!   compacted base replaces the old one. A job runs on the base when
 //!   the log is empty (the entry is unmutated, or its last batch
 //!   compacted); otherwise on a snapshot materialized at most once per
 //!   batch and cached until the next one. A batch that references an
 //!   undeclared vertex, creates a self loop or carries a non-finite
-//!   weight is rejected whole and leaves the log untouched;
+//!   weight is rejected whole and leaves the log untouched (or the
+//!   entry unmutated);
 //! * **LRU eviction** — entries are evicted least-recently-used first when
 //!   the resident footprint (each entry's base, plus its snapshot) exceeds
 //!   the configured capacity. An entry with a delta log is never a
-//!   victim: its graph cannot be regenerated from the seed;
+//!   victim: its graph cannot be regenerated from the seed. Nor is an
+//!   entry that a request is using;
 //! * **observable** — hit/miss/generation/eviction and delta-log counters
 //!   feed the `GET /metrics` and `GET /graphs` endpoints.
 
@@ -129,9 +131,9 @@ pub struct GraphInfo {
 
 /// What a slot holds once its graph is generated.
 enum Resident {
-    /// The generated CSR, until the first batch.
+    /// The generated CSR, until the first batch applies.
     Generated(Arc<Csr>),
-    /// From the first batch on.
+    /// From the first applied batch on.
     Mutated(Box<Log>),
 }
 
@@ -153,19 +155,6 @@ struct Log {
 }
 
 impl Resident {
-    /// The delta log, wrapping the generated CSR on first use.
-    fn log(&mut self) -> &mut Log {
-        if let Resident::Generated(csr) = self {
-            let config = DeltaConfig { auto_compact: false, ..DeltaConfig::default() };
-            let graph = MutableGraph::with_config(csr.clone(), config);
-            *self = Resident::Mutated(Box::new(Log { graph, snapshot: None, fresh: false }));
-        }
-        match self {
-            Resident::Mutated(log) => log,
-            Resident::Generated(_) => unreachable!("wrapped above"),
-        }
-    }
-
     fn base(&self) -> &Arc<Csr> {
         match self {
             Resident::Generated(csr) => csr,
@@ -196,6 +185,12 @@ impl Resident {
 }
 
 impl Log {
+    /// An empty delta log over `base`; the store compacts it itself.
+    fn new(base: Arc<Csr>) -> Log {
+        let config = DeltaConfig { auto_compact: false, ..DeltaConfig::default() };
+        Log { graph: MutableGraph::with_config(base, config), snapshot: None, fresh: false }
+    }
+
     /// Applies `batch`, then compacts if the fill ratio crossed the
     /// trigger. `Err` is a validation failure, and nothing was applied,
     /// or a failed compaction, and the batch is in the log.
@@ -238,8 +233,6 @@ struct Entry {
     info: Option<GraphInfo>,
     /// Logical clock of the last request (drives LRU).
     last_used: u64,
-    /// A batch has reached the slot: never evicted.
-    pinned: bool,
 }
 
 #[derive(Default)]
@@ -286,7 +279,7 @@ impl GraphStore {
     /// generated CSR, or a mutated dataset's current base. Jobs run on
     /// [`GraphStore::job_graph`].
     pub fn get(&self, spec: &'static DatasetSpec) -> Arc<Csr> {
-        self.with_resident(spec, false, |resident| resident.base().clone())
+        self.with_resident(spec, |resident| resident.base().clone())
     }
 
     /// The graph a job on `spec` runs on: the base while the delta log is
@@ -300,7 +293,7 @@ impl GraphStore {
         spec: &'static DatasetSpec,
         faults: FaultScript,
     ) -> Result<Arc<Csr>, Error> {
-        self.with_resident(spec, false, |resident| {
+        self.with_resident(spec, |resident| {
             let Resident::Mutated(log) = resident else { return Ok(resident.base().clone()) };
             if log.graph.delta_arcs() == 0 {
                 return Ok(log.graph.base().clone());
@@ -323,31 +316,40 @@ impl GraphStore {
     }
 
     /// Applies the batch that `batch` draws from the delta log's current
-    /// base to `spec`'s log, wrapping the dataset's graph on first use.
-    /// `Err` is a validation failure (undeclared vertex, self loop, bad
-    /// weight), and nothing was applied, or a failed compaction, and the
-    /// batch is in the log.
+    /// base to `spec`'s log. The dataset's graph is wrapped in a log when
+    /// its first batch applies. `Err` is a validation failure (undeclared
+    /// vertex, self loop, bad weight), and nothing was applied, or a
+    /// failed compaction, and the batch is in the log.
     pub fn apply(
         &self,
         spec: &'static DatasetSpec,
         batch: impl FnOnce(&Csr) -> MutationBatch,
     ) -> Result<BatchReport, String> {
-        self.with_resident(spec, true, |resident| {
-            let log = resident.log();
-            let batch = batch(log.graph.base());
-            let report = log.apply(&batch, &self.pool);
+        self.with_resident(spec, |resident| {
+            let report = match resident {
+                Resident::Mutated(log) => log.apply(&batch(log.graph.base()), &self.pool),
+                Resident::Generated(csr) => {
+                    // A rejected batch leaves the entry unmutated, and
+                    // so evictable.
+                    let mut log = Log::new(csr.clone());
+                    let report = log.apply(&batch(csr), &self.pool);
+                    if log.graph.stats().applied_batches > 0 {
+                        *resident = Resident::Mutated(Box::new(log));
+                    }
+                    report
+                }
+            };
             drop(self.publish(spec.id, resident));
             report
         })
     }
 
     /// Runs `f` on `spec`'s resident graph under its slot lock, generating
-    /// the graph first if it is not resident. `pin` exempts the entry
-    /// from eviction from this request on.
+    /// the graph first if it is not resident. The entry is not evicted
+    /// while `f` runs (see [`GraphStore::evict_to`]).
     fn with_resident<R>(
         &self,
         spec: &'static DatasetSpec,
-        pin: bool,
         f: impl FnOnce(&mut Resident) -> R,
     ) -> R {
         let slot = {
@@ -364,10 +366,8 @@ impl GraphStore {
                 slot: Arc::default(),
                 info: None,
                 last_used: clock,
-                pinned: false,
             });
             entry.last_used = clock;
-            entry.pinned |= pin;
             entry.slot.clone()
         };
 
@@ -404,12 +404,16 @@ impl GraphStore {
     }
 
     /// Evicts LRU entries until the resident footprint fits
-    /// `capacity_bytes`. The entry that triggered the check, entries
-    /// still generating and entries with a delta log are exempt:
-    /// evicting a graph someone is producing or about to use would only
-    /// force an immediate regeneration, and a mutated graph cannot be
-    /// regenerated at all.
+    /// `capacity_bytes`. The entry that triggered the check, entries in
+    /// use (a request holds their slot: generating, applying a batch,
+    /// building a snapshot) and entries with a delta log are exempt:
+    /// evicting a graph someone is producing or using would only force
+    /// an immediate regeneration or lose the batch being applied, and a
+    /// mutated graph cannot be regenerated at all.
     fn evict_to(inner: &mut Inner, capacity_bytes: u64, keep: &str) {
+        let evictable = |e: &Entry| {
+            Arc::strong_count(&e.slot) == 1 && e.info.as_ref().is_some_and(|i| i.delta.is_none())
+        };
         loop {
             if inner.resident_bytes() <= capacity_bytes {
                 return;
@@ -417,7 +421,7 @@ impl GraphStore {
             let victim = inner
                 .entries
                 .iter()
-                .filter(|(id, e)| **id != keep && e.info.is_some() && !e.pinned)
+                .filter(|(id, e)| **id != keep && evictable(e))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(id, _)| *id);
             match victim {
@@ -599,7 +603,7 @@ mod tests {
         let config = GraphStoreConfig { scale_divisor: 16384, ..GraphStoreConfig::default() };
         let store = GraphStore::new(config, Arc::new(WorkerPool::inline()));
         let g22 = dataset("G22").unwrap();
-        store.with_resident(g22, false, |resident| {
+        store.with_resident(g22, |resident| {
             *resident = Resident::Generated(csr.clone());
             drop(store.publish(g22.id, resident));
         });
@@ -664,8 +668,45 @@ mod tests {
         let (store, g22, csr) = path_store();
         let err = store.apply(g22, explicit(&[(0, 99)], &[])).unwrap_err();
         assert!(err.contains("undeclared vertex"), "{err}");
-        assert_eq!(delta(&store, "G22").unwrap().stats.applied_batches, 0);
+        assert!(delta(&store, "G22").is_none(), "no batch applied: unmutated");
         assert_eq!(job_graph(&store, g22).num_edges(), csr.num_edges());
+    }
+
+    #[test]
+    fn a_rejected_only_batch_leaves_the_entry_unmutated_and_evictable() {
+        // Capacity of one byte: every insertion evicts every other
+        // unmutated graph.
+        let store = small_store(1);
+        let (r1, g22) = (dataset("R1").unwrap(), dataset("G22").unwrap());
+        let generated = store.get(r1);
+        let err = store.apply(r1, explicit(&[(0, u64::MAX)], &[])).unwrap_err();
+        assert!(err.contains("undeclared vertex"), "{err}");
+        assert!(delta(&store, "R1").is_none(), "lists as unmutated");
+        assert_eq!(store.mutation_metrics().mutated_graphs, 0);
+        assert!(Arc::ptr_eq(&job_graph(&store, r1), &generated));
+
+        store.get(g22);
+        let m = store.metrics();
+        assert_eq!((m.evictions, m.entries), (1, 1), "{m:?}");
+        assert_eq!(store.list()[0].dataset, "G22");
+    }
+
+    #[test]
+    fn an_entry_in_use_is_not_evicted() {
+        // R1's slot is held, as by a batch being applied, while G22's
+        // generation runs the capacity check: R1 is not a victim.
+        let store = small_store(1);
+        let (r1, g22) = (dataset("R1").unwrap(), dataset("G22").unwrap());
+        store.get(r1);
+        store.with_resident(r1, |_| {
+            store.get(g22);
+        });
+        let m = store.metrics();
+        assert_eq!((m.evictions, m.entries), (0, 2), "{m:?}");
+        // Released, both are victims of the next check.
+        store.get(dataset("R2").unwrap());
+        assert_eq!(store.metrics().evictions, 2);
+        assert_eq!(store.list()[0].dataset, "R2");
     }
 
     #[test]

@@ -200,11 +200,7 @@ pub struct JobQueue {
 impl JobQueue {
     /// A queue refusing submissions beyond `capacity` open jobs.
     pub fn bounded(capacity: usize) -> Self {
-        JobQueue {
-            inner: Mutex::default(),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
+        JobQueue { inner: Mutex::default(), ready: Condvar::new(), capacity: capacity.max(1) }
     }
 
     /// The configured admission bound.
@@ -476,24 +472,32 @@ mod tests {
         });
     }
 
-    /// A shutdown that lands after a worker in `next_job` has seen the
+    /// A shutdown that starts after a worker in `next_job` has seen the
     /// flag clear, and before it waits, still wakes it. The test holds the
-    /// queue lock as that worker does, gives a concurrent `shutdown` time
-    /// to run, then waits as the worker would: a wake-up sent while the
-    /// lock was held is lost, and the bounded wait reports it instead of
-    /// hanging the suite.
+    /// queue lock as that worker does and starts `shutdown`, which must
+    /// not finish while the lock is held: a flag set and a wake-up sent
+    /// without the lock would land before the wait and be lost. Then it
+    /// waits as the worker would; the bounded wait reports a lost wake-up
+    /// instead of hanging the suite.
     #[test]
     fn shutdown_wakes_a_worker_between_its_check_and_its_wait() {
-        let q = JobQueue::bounded(1);
+        use std::time::Duration;
+        let q = &JobQueue::bounded(1);
         std::thread::scope(|scope| {
             let inner = q.lock();
             assert!(!inner.stopping);
-            let stopper = scope.spawn(|| q.shutdown());
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            let (inner, wait) =
-                q.ready.wait_timeout(inner, std::time::Duration::from_secs(10)).unwrap();
+            let (done, finished) = std::sync::mpsc::channel();
+            let stopper = scope.spawn(move || {
+                q.shutdown();
+                let _ = done.send(());
+            });
+            assert!(
+                finished.recv_timeout(Duration::from_millis(100)).is_err(),
+                "shutdown finished without the queue lock"
+            );
+            let limit = Duration::from_secs(10);
+            let (inner, wait) = q.ready.wait_timeout_while(inner, limit, |i| !i.stopping).unwrap();
             assert!(!wait.timed_out(), "the shutdown's wake-up was lost");
-            assert!(inner.stopping);
             drop(inner);
             stopper.join().unwrap();
         });

@@ -141,8 +141,8 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph on a worker pool: the edge sort — the dominant
-    /// cost for generator-sized graphs — runs as parallel chunk sorts plus
-    /// a k-way merge, and is skipped when the edges arrived in order (a
+    /// cost for generator-sized graphs — runs in place on the pool (no
+    /// second copy of the edge list), and is skipped when the edges arrived in order (a
     /// file written from a [`Graph`]). The total `(src, dst, weight)` sort
     /// key makes the result identical for every pool width (including
     /// [`build`](Self::build)).

@@ -531,13 +531,15 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Sorts `data` by a total key on the pool: chunks sort in parallel, a
-/// k-way merge (ties resolved by chunk order, i.e. original position)
-/// reassembles them. Identical output for every thread count as long as
-/// `key` is a total order.
-pub fn par_sort_by_key<T, K, F>(pool: &WorkerPool, data: &mut Vec<T>, key: F)
+/// Sorts `data` in place by a total key on the pool: selections split it
+/// at the pool's range boundaries, so that no element of a range sorts
+/// after an element of the next, then the ranges sort in parallel. It
+/// allocates no second buffer, so sorting an edge list needs no room for
+/// a copy of it. Identical output for every thread count as long as `key`
+/// is a total order.
+pub fn par_sort_by_key<T, K, F>(pool: &WorkerPool, data: &mut [T], key: F)
 where
-    T: Copy + Send,
+    T: Send,
     K: Ord,
     F: Fn(&T) -> K + Sync,
 {
@@ -547,38 +549,37 @@ where
         data.sort_unstable_by_key(|a| key(a));
         return;
     }
-    let mut src = std::mem::take(data);
-    {
-        let base = SharedSlice::new(src.as_mut_ptr());
-        pool.run(n, |_, range| {
-            // SAFETY: chunk ranges are disjoint.
-            let chunk = unsafe { base.slice_mut(range.start, range.len()) };
-            chunk.sort_unstable_by_key(|a| key(a));
-        });
+    let bounds: Vec<usize> = ranges[1..].iter().map(|r| r.start).collect();
+    partition_at(data, 0, &bounds, &key);
+    let base = SharedSlice::new(data.as_mut_ptr());
+    pool.run(n, |_, range| {
+        // SAFETY: chunk ranges are disjoint and lie within `0..n`.
+        let chunk = unsafe { base.slice_mut(range.start, range.len()) };
+        chunk.sort_unstable_by_key(|a| key(a));
+    });
+}
+
+/// Reorders `data` (which starts at `offset` of the whole slice) so that
+/// each of `bounds` splits it into elements that sort no later than every
+/// element after the bound: a selection at the middle bound, then each
+/// side's bounds on that side.
+fn partition_at<T, K: Ord>(
+    data: &mut [T],
+    offset: usize,
+    bounds: &[usize],
+    key: &impl Fn(&T) -> K,
+) {
+    if bounds.is_empty() {
+        return;
     }
-    let mut heads: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-    // One cached key per chunk head: the scan below compares cached keys
-    // instead of re-evaluating `key` ~2(k-1) times per output element.
-    let mut head_keys: Vec<Option<K>> = ranges
-        .iter()
-        .map(|r| if r.start < r.end { Some(key(&src[r.start])) } else { None })
-        .collect();
-    let mut merged: Vec<T> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut best: Option<usize> = None;
-        for c in 0..ranges.len() {
-            let Some(ck) = &head_keys[c] else { continue };
-            best = match best {
-                Some(b) if head_keys[b].as_ref().is_some_and(|bk| bk <= ck) => Some(b),
-                _ => Some(c),
-            };
-        }
-        let b = best.expect("merge consumes exactly n elements");
-        merged.push(src[heads[b]]);
-        heads[b] += 1;
-        head_keys[b] = if heads[b] < ranges[b].end { Some(key(&src[heads[b]])) } else { None };
+    let mid = bounds.len() / 2;
+    let at = bounds[mid] - offset;
+    if at < data.len() {
+        data.select_nth_unstable_by_key(at, |a| key(a));
     }
-    *data = merged;
+    let (left, right) = data.split_at_mut(at);
+    partition_at(left, offset, &bounds[..mid], key);
+    partition_at(right, offset + at, &bounds[mid + 1..], key);
 }
 
 #[cfg(test)]
@@ -727,6 +728,24 @@ mod tests {
             let mut expected = mk(42);
             expected.sort_unstable();
             assert_eq!(data, expected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_sort_sorts_in_place_with_ties_and_short_inputs() {
+        for threads in [1u32, 2, 3, 8] {
+            let pool = WorkerPool::new(threads);
+            for n in [0usize, 1, 2, 5, 7, 1000] {
+                // Few distinct keys: every bound falls inside a run of ties.
+                let mut data: Vec<(u8, u32)> =
+                    (0..n as u32).map(|i| ((i.wrapping_mul(2654435761) >> 29) as u8, i)).collect();
+                let mut expected = data.clone();
+                expected.sort_unstable_by_key(|&(k, i)| (k, i));
+                let ptr = data.as_ptr();
+                par_sort_by_key(&pool, &mut data, |&(k, i)| (k, i));
+                assert_eq!(data, expected, "threads={threads} n={n}");
+                assert_eq!(data.as_ptr(), ptr, "sorted in the caller's buffer");
+            }
         }
     }
 
